@@ -125,9 +125,6 @@ class RadialMode:
         """Normalized radial profile at radius ``r``."""
         return self.normalization * radial_profile(self.m, self.k, r, self.inner_bc)
 
-    def eval_deriv(self, r):
-        return self.normalization * radial_profile_deriv(self.m, self.k, r, self.inner_bc)
-
     @property
     def boundary_trace(self):
         """Value of the normalized profile on the actuated boundary r = 2."""

@@ -97,6 +97,8 @@ class RunConfig:
             raise ValueError("plant.n_radial and plant.m_angular must be positive")
         if p.rho <= 0 or p.t_mod <= 0:
             raise ValueError("plant.rho and plant.t_mod must be positive")
+        if p.damping_q < 0:
+            raise ValueError("plant.damping_q must be nonnegative")
         if p.inner_bc not in bessel.INNER_BCS:
             raise ValueError(f"plant.inner_bc must be one of {bessel.INNER_BCS}")
         if c.kind not in _CONTROLLER_KINDS:
@@ -606,26 +608,30 @@ def main(argv=None):
     rep.add_argument("--svg", action="store_true", help="also emit SVG plots")
 
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        cfg = load_config(args.config) if args.config else None
-        ok, lines = cmd_verify(args.suite, cfg, seed=args.seed)
-        print("\n".join(lines))
-        return 0 if ok else 1
+    try:
+        if args.command == "verify":
+            cfg = load_config(args.config) if args.config else None
+            ok, lines = cmd_verify(args.suite, cfg, seed=args.seed)
+            print("\n".join(lines))
+            return 0 if ok else 1
 
-    if args.command == "reproduce":
-        result = cmd_reproduce(args.figure, out_dir=args.out, emit_svg=args.svg)
-        print(f"wrote {result['csv']}")
-        return 0
+        if args.command == "reproduce":
+            result = cmd_reproduce(args.figure, out_dir=args.out, emit_svg=args.svg)
+            print(f"wrote {result['csv']}")
+            return 0
 
-    cfg = load_config(args.config) if args.config else sect5_config()
-    if args.command == "eigs":
-        print(f"wrote {cmd_eigs(cfg, args.out)}")
-    elif args.command == "synth":
-        payload = cmd_synth(cfg, args.out)
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.command == "simulate":
-        result = cmd_simulate(cfg, args.out)
-        print(f"wrote {result['csv']} (final J {result['J_final']:.3e}, abscissa {result['abscissa']:+.4f})")
+        cfg = load_config(args.config) if args.config else sect5_config()
+        if args.command == "eigs":
+            print(f"wrote {cmd_eigs(cfg, args.out)}")
+        elif args.command == "synth":
+            payload = cmd_synth(cfg, args.out)
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        elif args.command == "simulate":
+            result = cmd_simulate(cfg, args.out)
+            print(f"wrote {result['csv']} (final J {result['J_final']:.3e}, abscissa {result['abscissa']:+.4f})")
+    except ValueError as exc:
+        print(f"wavereg: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -3,7 +3,8 @@
 Contract-checked wrappers around numpy/scipy dense kernels (solve, eig, SVD,
 pseudoinverse, matrix exponential) plus the two Sylvester solvers used for
 the regulator equations: a columnwise resolvent solver for diagonal harmonic
-generators and an independent Kronecker-product oracle.
+generators and an independent Kronecker-product oracle. ``is_normal`` is a
+diagnostic only; no production path branches on it.
 """
 
 from __future__ import annotations
@@ -234,12 +235,9 @@ def is_normal(A, rtol=NORMALITY_RTOL):
 
 
 def expm(A, t=1.0, norm_cap=1e6):
-    """Matrix exponential ``exp(A t)``.
-
-    Matrices certified normal take a unitary Schur path (diagonalize, scale
-    the eigenvalues, transform back), which preserves norms of skew-adjoint
-    generators to roundoff. Everything else goes through scipy's
-    scaling-and-squaring Pade code.
+    """Matrix exponential ``exp(A t)`` by scipy's scaling-and-squaring Pade
+    code, guarded by a norm cap on the input and a finiteness check on the
+    result.
 
     Raises
     ------
@@ -253,11 +251,7 @@ def expm(A, t=1.0, norm_cap=1e6):
         raise ValueError("t must be finite")
     if np.linalg.norm(M) * abs(t) > norm_cap:
         raise OverflowCapError(f"||A t|| exceeds the cap {norm_cap:.3e}")
-    if is_normal(M):
-        T, Z = scipy.linalg.schur(M, output="complex")
-        E = (Z * np.exp(np.diag(T) * t)) @ Z.conj().T
-    else:
-        E = scipy.linalg.expm(M * t)
+    E = scipy.linalg.expm(M * t)
     if not np.all(np.isfinite(E)):
         raise OverflowCapError("matrix exponential overflowed")
     return E

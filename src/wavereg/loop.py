@@ -48,8 +48,6 @@ class ClosedLoop:
     plant: object = field(repr=False)
     ctrl: object = field(repr=False)
     exo: object = field(repr=False)
-    R1: np.ndarray | None = field(default=None, repr=False)
-    R2: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.plant_dim + self.ctrl_dim
@@ -106,38 +104,22 @@ class ErrorSeries:
         return float(self.values[idx])
 
 
-def _restrictions(plant, R1, R2):
-    dim = plant.output_dim
-    R1m = np.eye(dim) if R1 is None else np.asarray(R1, dtype=float)
-    R2m = np.eye(dim) if R2 is None else np.asarray(R2, dtype=float)
-    return R1m, R2m
-
-
-def _stabilized(plant, ctrl, R1):
-    # with a restricted input the damper also acts through R1
-    if R1 is None:
-        return synthesis.stabilized_generator(plant)
-    return synthesis.stabilized_generator(plant, R1=np.asarray(R1, dtype=float), Q=ctrl.Q)
-
-
-def assemble_direct(plant, ctrl, exo, R1=None, R2=None):
+def assemble_direct(plant, ctrl, exo):
     """Assemble the closed loop by direct elimination of u and y.
 
     The plant input u = K z - Q e and disturbance w = E v are substituted
     into the pre-stabilized dynamics, giving
 
-        Acl = [[A_s, B R1 K], [G2 C, G1]],   Bcl = [[B E_s], [G2 F]],
-        Ccl = [C, 0],  Dcl = F,   E_s = R2 E - R1 Q F.
+        Acl = [[A_s, B K], [G2 C, G1]],   Bcl = [[B E_s], [G2 F]],
+        Ccl = [C, 0],  Dcl = F,   E_s = E - Q F.
     """
-    R1m, R2m = _restrictions(plant, R1, R2)
     if ctrl.dim_y != plant.output_dim:
         raise ValueError("controller output dimension does not match the plant")
-    As = _stabilized(plant, ctrl, R1)
-    E_s = R2m @ exo.E - R1m @ (ctrl.Q @ exo.F)
+    E_s = synthesis.stabilized_disturbance(plant, exo)
     n_p, n_z = plant.state_dim, ctrl.dim_z
     Acl = np.zeros((n_p + n_z, n_p + n_z), dtype=complex)
-    Acl[:n_p, :n_p] = As
-    Acl[:n_p, n_p:] = plant.B @ R1m @ ctrl.K
+    Acl[:n_p, :n_p] = plant.As
+    Acl[:n_p, n_p:] = plant.B @ ctrl.K
     Acl[n_p:, :n_p] = ctrl.G2 @ plant.C
     Acl[n_p:, n_p:] = ctrl.G1
     Bcl = np.vstack([plant.B @ E_s, ctrl.G2 @ exo.F])
@@ -155,15 +137,13 @@ def assemble_direct(plant, ctrl, exo, R1=None, R2=None):
         plant=plant,
         ctrl=ctrl,
         exo=exo,
-        R1=R1m,
-        R2=R2m,
     )
 
 
-def assemble_paper_Ae(plant, ctrl, exo, R1=None, R2=None):
+def assemble_paper_Ae(plant, ctrl, exo):
     """Assemble the closed loop in the transformed boundary-system form.
 
-    The transformation x_e = [[I, -B_s R1 K], [0, I]] (x, z) - (B_s E_s v, 0)
+    The transformation x_e = [[I, -B_s K], [0, I]] (x, z) - (B_s E_s v, 0)
     turns the interconnection into an ordinary input/state/output system. In
     modal coordinates the right inverse of the stabilized input map is the
     input matrix itself, B_s = B, and the generator acts on its range as
@@ -171,14 +151,13 @@ def assemble_paper_Ae(plant, ctrl, exo, R1=None, R2=None):
     This form is similar to :func:`assemble_direct` and is used only for
     cross-validation.
     """
-    R1m, R2m = _restrictions(plant, R1, R2)
-    As = _stabilized(plant, ctrl, R1)
-    E_s = R2m @ exo.E - R1m @ (ctrl.Q @ exo.F)
+    As = plant.As
+    E_s = synthesis.stabilized_disturbance(plant, exo)
     n_p, n_z = plant.state_dim, ctrl.dim_z
     B, C, F = plant.B, plant.C, exo.F
-    M = B @ R1m @ ctrl.K                       # B_s R1 K
-    AM = (As + np.eye(n_p)) @ M                # Alpha B_s R1 K
-    G1t = ctrl.G1 + ctrl.G2 @ (C @ M)          # G1 + G2 C B_s R1 K
+    M = B @ ctrl.K                             # B_s K
+    AM = (As + np.eye(n_p)) @ M                # Alpha B_s K
+    G1t = ctrl.G1 + ctrl.G2 @ (C @ M)          # G1 + G2 C B_s K
     CBE_F = C @ (B @ E_s) + F                  # C B_s E_s + F
 
     Acl = np.zeros((n_p + n_z, n_p + n_z), dtype=complex)
@@ -204,8 +183,6 @@ def assemble_paper_Ae(plant, ctrl, exo, R1=None, R2=None):
         plant=plant,
         ctrl=ctrl,
         exo=exo,
-        R1=R1m,
-        R2=R2m,
     )
 
 
@@ -232,7 +209,7 @@ class EpsilonSweep:
         return not any(flags[run_end:])
 
 
-def find_epsilon_star(plant, ctrl_family, exo, eps_grid, R1=None, R2=None):
+def find_epsilon_star(plant, ctrl_family, exo, eps_grid):
     """Sweep the tuning gain and record the closed-loop spectral abscissa.
 
     Parameters
@@ -254,7 +231,7 @@ def find_epsilon_star(plant, ctrl_family, exo, eps_grid, R1=None, R2=None):
         raise ValueError("eps_grid entries must be nonnegative")
     entries = []
     for eps in grid:
-        cl = assemble_direct(plant, ctrl_family(eps), exo, R1=R1, R2=R2)
+        cl = assemble_direct(plant, ctrl_family(eps), exo)
         entries.append((eps, cl.abscissa))
     eps_best = min(entries, key=lambda pair: pair[1])[0]
     return EpsilonSweep(entries=tuple(entries), eps_best=eps_best)
@@ -417,9 +394,7 @@ class PerturbationReport:
     decays: bool | None = None
 
 
-def perturb_and_verify(
-    plant, ctrl, exo, perturbation, R1=None, R2=None, t_end=41.0, dt=0.01, window=1.0
-):
+def perturb_and_verify(plant, ctrl, exo, perturbation, t_end=41.0, dt=0.01, window=1.0):
     """Re-run the closed loop with the same controller on a perturbed plant.
 
     Rebuilds the plant with scaled stiffness/damping and shifts the exosystem
@@ -446,7 +421,7 @@ def perturb_and_verify(
             raise PerturbationPreconditionError(
                 f"i*{w} entered the spectrum of the perturbed stabilized plant"
             ) from exc
-    cl = assemble_direct(pplant, ctrl, pexo, R1=R1, R2=R2)
+    cl = assemble_direct(pplant, ctrl, pexo)
     if not cl.is_stable:
         return PerturbationReport(stable=False, abscissa=cl.abscissa)
     reg = synthesis.solve_regulator(cl, pexo)

@@ -2,8 +2,9 @@
 
 Matrices go to a diffable, language-neutral format: a comment header, one
 line ``rows cols iscomplex``, then row-major entries with "re im" pairs for
-complex data. All floats are written with shortest round-trip precision so
-re-running a deterministic pipeline reproduces files byte for byte.
+complex data. All floats are written with 17 significant digits, which
+round-trips every double exactly, so re-running a deterministic pipeline
+reproduces files byte for byte.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def load_vector(path):
 
 
 def save_csv(path, header, rows):
-    """Write a CSV table with shortest round-trip float formatting."""
+    """Write a CSV table; floats get 17 significant digits (exact round trip)."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -12,7 +12,7 @@ regulator-equation solver and the asymptotic tracking-error bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,11 +33,21 @@ class RankDeficiencyError(RuntimeError):
     """P_N P_s(i w_k) is not surjective onto the truncated output space."""
 
 
+def _internal_model_G1(omegas, block_dim):
+    q = omegas.size
+    G1 = np.zeros((q * block_dim, q * block_dim), dtype=complex)
+    for k, w in enumerate(omegas):
+        blk = slice(k * block_dim, (k + 1) * block_dim)
+        G1[blk, blk] = 1j * w * np.eye(block_dim)
+    return G1
+
+
 @dataclass(frozen=True)
 class Controller:
-    """Internal-model error-feedback controller (G1, G2, K, Q).
+    """Internal-model error-feedback controller (G1, G2, K).
 
-    The dynamics are z' = G1 z + G2 (y - y_ref), u = K z - Q (y - y_ref).
+    The dynamics are z' = G1 z + G2 (y - y_ref), u = K z - Q (y - y_ref)
+    with Q the plant's own damping gain ``plant.Q_feedback``.
     ``G1`` is block diagonal with blocks i w_k I of size ``block_dim`` and
     ``K = eps * K0`` with the unscaled gain ``K0`` kept for diagnostics.
     ``selector`` maps output coefficients onto the internal-model copy space
@@ -51,7 +61,6 @@ class Controller:
     G2: np.ndarray
     K: np.ndarray
     K0: np.ndarray
-    Q: np.ndarray
     eps: float
     selector: np.ndarray | None = None
 
@@ -60,11 +69,7 @@ class Controller:
         dim_z = q * self.block_dim
         if self.G1.shape != (dim_z, dim_z):
             raise ValueError(f"G1 must be {dim_z}x{dim_z}")
-        expected = np.zeros((dim_z, dim_z), dtype=complex)
-        for k, w in enumerate(self.omegas):
-            blk = slice(k * self.block_dim, (k + 1) * self.block_dim)
-            expected[blk, blk] = 1j * w * np.eye(self.block_dim)
-        if not np.array_equal(self.G1, expected):
+        if not np.array_equal(self.G1, _internal_model_G1(self.omegas, self.block_dim)):
             raise ValueError("G1 must be exactly block diagonal with blocks i*w_k*I")
         if self.G2.shape[0] != dim_z or self.K.shape[1] != dim_z:
             raise ValueError("G2/K dimensions inconsistent with G1")
@@ -130,21 +135,8 @@ class ErrorBound:
             raise ValueError("delta must not exceed delta_coarse")
 
 
-def stabilized_generator(plant, R1=None, Q=None):
-    """Generator of the pre-stabilized plant A - B R1 Q C.
-
-    With the defaults this is the plant's own damped generator; explicit
-    ``R1``/``Q`` support input restrictions other than the identity.
-    """
-    if R1 is None and Q is None:
-        return plant.As
-    R1m = np.eye(plant.output_dim) if R1 is None else np.asarray(R1)
-    Qm = plant.Q_feedback * np.eye(plant.output_dim) if Q is None else np.asarray(Q)
-    return plant.A - plant.B @ R1m @ (Qm @ plant.C)
-
-
-def eval_transfer(As, B, C, lam, R1=None):
-    """Transfer function P_s(lambda) = C (lambda - A_s)^{-1} B R1 of the
+def eval_transfer(As, B, C, lam):
+    """Transfer function P_s(lambda) = C (lambda - A_s)^{-1} B of the
     pre-stabilized plant with bounded modal input.
 
     Raises
@@ -154,15 +146,14 @@ def eval_transfer(As, B, C, lam, R1=None):
         tolerance.
     """
     n = As.shape[0]
-    Bin = B if R1 is None else B @ R1
     try:
-        X = linalg.solve_dense(lam * np.eye(n) - As, Bin)
+        X = linalg.solve_dense(lam * np.eye(n) - As, B)
     except SingularMatrixError as exc:
         raise ResonanceError(lam, f"lambda={lam} is in the spectrum of As") from exc
     return C @ X
 
 
-def transfer_paper_form(As, B, C, lam, R1=None):
+def transfer_paper_form(As, B, C, lam):
     """P_s(lambda) through the boundary-system formula
     C (lambda - A_s)^{-1} (Alpha B_s - lambda B_s) + C B_s, with the modal
     stand-ins B_s = B and Alpha B_s = (A_s + I) B (the right-inverse identity
@@ -176,45 +167,26 @@ def transfer_paper_form(As, B, C, lam, R1=None):
         X = linalg.solve_dense(lam * np.eye(n) - As, (As + np.eye(n)) @ B - lam * B)
     except SingularMatrixError as exc:
         raise ResonanceError(lam, f"lambda={lam} is in the spectrum of As") from exc
-    P0 = C @ X + C @ B
-    return P0 if R1 is None else P0 @ R1
+    return C @ X + C @ B
 
 
-def _frequency_data(plant, exo, R1, R2):
-    """Per-frequency transfer values and the composite disturbance map E_s.
-
-    Returns (P0_list, Ps_list, E_s, Q, R1) with P0 = C (iw - A_s)^{-1} B and
-    P_s = P0 R1, plus E_s = R2 E - R1 Q F. A non-identity R1 also enters the
-    pre-stabilized generator (the damper acts through the same restriction).
-    """
-    dim_u = plant.output_dim
-    R1m = np.eye(dim_u) if R1 is None else np.asarray(R1, dtype=float)
-    R2m = np.eye(dim_u) if R2 is None else np.asarray(R2, dtype=float)
-    Q = plant.Q_feedback * np.eye(dim_u)
-    As = stabilized_generator(plant) if R1 is None else stabilized_generator(plant, R1m, Q)
-    P0s, Pss = [], []
-    for w in exo.omegas:
-        P0 = eval_transfer(As, plant.B, plant.C, 1j * w)
-        P0s.append(P0)
-        Pss.append(P0 @ R1m)
-    E_s = R2m @ exo.E - R1m @ (Q @ exo.F)
-    return P0s, Pss, E_s, Q, R1m
+def stabilized_disturbance(plant, exo):
+    """Disturbance map E_s = E - Q F of the pre-stabilized loop, with the same
+    damping gain Q = ``plant.Q_feedback`` that defines ``plant.As``."""
+    return exo.E - plant.Q_feedback * exo.F
 
 
-def _internal_model_G1(omegas, block_dim):
-    q = omegas.size
-    G1 = np.zeros((q * block_dim, q * block_dim), dtype=complex)
-    for k, w in enumerate(omegas):
-        blk = slice(k * block_dim, (k + 1) * block_dim)
-        G1[blk, blk] = 1j * w * np.eye(block_dim)
-    return G1
+def _frequency_data(plant, exo):
+    """Transfer values P_s(i w_k) = C (i w_k - A_s)^{-1} B at the exosystem
+    frequencies."""
+    return [eval_transfer(plant.As, plant.B, plant.C, 1j * w) for w in exo.omegas]
 
 
-def synth_regulating(plant, exo, eps, R1=None, R2=None):
+def synth_regulating(plant, exo, eps):
     """Minimal regulating controller with one scalar copy per frequency.
 
     The gain columns u_k solve P_s(i w_k) u_k = y_k for the frequency targets
-    y_k = -P_0(i w_k) E_s phi_k - F phi_k (minimum-norm solution); for a zero
+    y_k = -P_s(i w_k) E_s phi_k - F phi_k (minimum-norm solution); for a zero
     target the column falls back to the top right singular direction of
     P_s(i w_k), which is guaranteed outside its kernel. The injection rows
     are G2_k = -(P_s(i w_k) u_k)^*.
@@ -225,26 +197,27 @@ def synth_regulating(plant, exo, eps, R1=None, R2=None):
         If some y_k is not in the range of P_s(i w_k) numerically, in which
         case no controller of this structure can regulate.
     """
-    P0s, Pss, E_s, Q, _ = _frequency_data(plant, exo, R1, R2)
+    Ps = _frequency_data(plant, exo)
+    E_s = stabilized_disturbance(plant, exo)
     q = exo.q
-    dim_u = Pss[0].shape[1]
+    dim_u = Ps[0].shape[1]
     dim_y = plant.output_dim
     K0 = np.zeros((dim_u, q), dtype=complex)
     G2 = np.zeros((q, dim_y), dtype=complex)
     for k in range(q):
-        y_k = -(P0s[k] @ E_s[:, k] + exo.F[:, k])
-        scale = np.linalg.norm(P0s[k] @ E_s + exo.F) + 1.0
+        y_k = -(Ps[k] @ E_s[:, k] + exo.F[:, k])
+        scale = np.linalg.norm(Ps[k] @ E_s + exo.F) + 1.0
         if np.linalg.norm(y_k) > 1e-13 * scale:
-            u_k = linalg.pinv(Pss[k]) @ y_k
-            resid = np.linalg.norm(Pss[k] @ u_k - y_k)
+            u_k = linalg.pinv(Ps[k]) @ y_k
+            resid = np.linalg.norm(Ps[k] @ u_k - y_k)
             if resid > 1e-8 * np.linalg.norm(y_k):
                 raise RangeViolationError(
                     f"y_k outside range of P_s(i*{exo.omegas[k]}): residual {resid:.3e}"
                 )
         else:
-            _, u_k = linalg.operator_norm(Pss[k])
+            _, u_k = linalg.operator_norm(Ps[k])
         K0[:, k] = u_k
-        G2[k, :] = -(Pss[k] @ u_k).conj()
+        G2[k, :] = -(Ps[k] @ u_k).conj()
     return Controller(
         kind="regulating",
         omegas=exo.omegas,
@@ -253,13 +226,12 @@ def synth_regulating(plant, exo, eps, R1=None, R2=None):
         G2=G2,
         K=eps * K0,
         K0=K0,
-        Q=Q,
         eps=float(eps),
         selector=None,
     )
 
 
-def synth_approx_robust(plant, exo, N, eps, R1=None, R2=None):
+def synth_approx_robust(plant, exo, N, eps):
     """Approximate robust controller with internal model on Y_N.
 
     Y_N is the span of the output-basis functions up to angular order ``N``
@@ -281,14 +253,14 @@ def synth_approx_robust(plant, exo, N, eps, R1=None, R2=None):
     dim_yn = 2 * N + 1
     if dim_yn > dim_y:
         raise ValueError(f"2N+1 = {dim_yn} exceeds the output dimension {dim_y}")
-    _, Pss, _, Q, _ = _frequency_data(plant, exo, R1, R2)
+    Ps = _frequency_data(plant, exo)
     selector = np.eye(dim_y)[:dim_yn]
     q = exo.q
-    dim_u = Pss[0].shape[1]
+    dim_u = Ps[0].shape[1]
     K0 = np.zeros((dim_u, q * dim_yn), dtype=complex)
     G2 = np.zeros((q * dim_yn, dim_y), dtype=complex)
     for k in range(q):
-        PNPs = selector @ Pss[k]
+        PNPs = selector @ Ps[k]
         svd = linalg.svd(PNPs)
         s = svd.singular_values
         if s[-1] <= SURJECTIVITY_RTOL * s[0]:
@@ -307,32 +279,19 @@ def synth_approx_robust(plant, exo, N, eps, R1=None, R2=None):
         G2=G2,
         K=eps * K0,
         K0=K0,
-        Q=Q,
         eps=float(eps),
         selector=selector,
     )
 
 
-def synth_robust(plant, exo, eps, R1=None, R2=None):
+def synth_robust(plant, exo, eps):
     """Robust controller: internal model on the full discretized output space.
 
     Identical to :func:`synth_approx_robust` with Y_N = Y; with the
     pseudoinverse gain choice the general injection -(P_s(i w_k) K0_k)^*
     reduces to -I on Y.
     """
-    ctrl = synth_approx_robust(plant, exo, plant.basis.max_order, eps, R1=R1, R2=R2)
-    return Controller(
-        kind="robust",
-        omegas=ctrl.omegas,
-        block_dim=ctrl.block_dim,
-        G1=ctrl.G1,
-        G2=ctrl.G2,
-        K=ctrl.K,
-        K0=ctrl.K0,
-        Q=ctrl.Q,
-        eps=ctrl.eps,
-        selector=ctrl.selector,
-    )
+    return replace(synth_approx_robust(plant, exo, plant.basis.max_order, eps), kind="robust")
 
 
 def check_g_conditions(ctrl, rtol=linalg.RANK_RTOL):
@@ -388,39 +347,44 @@ def error_bound_delta(reg_sol, closed_loop, P_N):
     ``delta`` is the squared norm of the residual operator C_e Sigma + D_e
     together with its maximizing unit vector; ``delta_coarse`` sums the
     squared (I - P_N)-tails of the per-frequency synthesis vectors
-    P_s(i w_k) K z_k + P_0(i w_k) E_s phi_k + F phi_k with z_k the
+    P_s(i w_k) K z_k + P_s(i w_k) E_s phi_k + F phi_k with z_k the
     internal-model columns of the regulator solution.
     """
     plant, ctrl, exo = closed_loop.plant, closed_loop.ctrl, closed_loop.exo
     M_err = closed_loop.Ccl @ reg_sol.Sigma + closed_loop.Dcl
-    sigma_max, v_max = linalg.operator_norm(M_err)
+    if M_err.any():
+        sigma_max, v_max = linalg.operator_norm(M_err)
+    else:  # zero signals: every unit vector attains the zero norm
+        sigma_max, v_max = 0.0, np.eye(exo.q, dtype=complex)[0]
     delta = sigma_max**2
-    P0s, Pss, E_s, _, _ = _frequency_data(plant, exo, closed_loop.R1, closed_loop.R2)
+    Ps = _frequency_data(plant, exo)
+    E_s = stabilized_disturbance(plant, exo)
     tail = np.eye(plant.output_dim) - P_N
     coarse = 0.0
     for k in range(exo.q):
         z_k = reg_sol.Gamma[:, k]
-        term = Pss[k] @ (ctrl.K @ z_k) + P0s[k] @ E_s[:, k] + exo.F[:, k]
+        term = Ps[k] @ (ctrl.K @ z_k) + Ps[k] @ E_s[:, k] + exo.F[:, k]
         coarse += float(np.linalg.norm(tail @ term) ** 2)
     return ErrorBound(delta=float(delta), v_max=v_max, delta_coarse=coarse)
 
 
-def gamma_closed_form(plant, ctrl, exo, R1=None, R2=None):
+def gamma_closed_form(plant, ctrl, exo):
     """Internal-model block of the regulator solution in closed form.
 
     For the approximate/robust families the solution applied to phi_k is
     supported on the k-th copy and equals
-    -eps^{-1} (P_N P_s(i w_k) K0_k)^{-1} P_N (P_0(i w_k) E_s + F) phi_k.
+    -eps^{-1} (P_N P_s(i w_k) K0_k)^{-1} P_N (P_s(i w_k) E_s + F) phi_k.
     Used to cross-check the Sylvester solver.
     """
     if ctrl.selector is None:
         raise ValueError("closed form requires a projection-structured controller")
-    P0s, Pss, E_s, _, _ = _frequency_data(plant, exo, R1, R2)
+    Ps = _frequency_data(plant, exo)
+    E_s = stabilized_disturbance(plant, exo)
     bd = ctrl.block_dim
     Gamma = np.zeros((ctrl.dim_z, exo.q), dtype=complex)
     for k in range(exo.q):
         blk = slice(k * bd, (k + 1) * bd)
-        loop_gain = ctrl.selector @ Pss[k] @ ctrl.K0[:, blk]
-        rhs = ctrl.selector @ (P0s[k] @ E_s[:, k] + exo.F[:, k])
+        loop_gain = ctrl.selector @ Ps[k] @ ctrl.K0[:, blk]
+        rhs = ctrl.selector @ (Ps[k] @ E_s[:, k] + exo.F[:, k])
         Gamma[blk, k] = -linalg.solve_dense(loop_gain, rhs) / ctrl.eps
     return Gamma

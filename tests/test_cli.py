@@ -56,6 +56,8 @@ class TestConfig:
             RunConfig.from_dict({"plant": {"inner_bc": "mixed"}})
         with pytest.raises(ValueError):
             RunConfig.from_dict({"simulation": {"dt": -0.01}})
+        with pytest.raises(ValueError):
+            RunConfig.from_dict({"plant": {"damping_q": -1.0}})
 
 
 class TestMatrixFormat:
@@ -119,6 +121,13 @@ class TestSynthCommand:
         assert payload["g_conditions"]["kernel_dim_G2"] == 7 - 5
         assert payload["delta"] <= payload["delta_coarse"] + 1e-15
         assert payload["regulator_residual1"] < 1e-8
+
+    def test_zero_signals_give_zero_delta(self, tmp_path):
+        cfg = small_config(tmp_path)
+        cfg.exosystem.reference[0].profile_data = [0.0]
+        cfg.exosystem.disturbance[0].profile_data = [0.0]
+        payload = cli.cmd_synth(cfg, tmp_path)
+        assert payload["delta"] == 0.0 and payload["delta_coarse"] == 0.0
 
     def test_sect5_delta_below_target(self, tmp_path):
         payload = cli.cmd_synth(sect5_config(), tmp_path)
@@ -226,3 +235,20 @@ class TestVerifyAndMain:
         cli.save_config(cfg, cfg_path)
         assert cli.main(["eigs", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "eigenvalues.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"controller": {"N": 12}},
+            {"simulation": {"t_end": 1.005, "dt": 0.01}},
+            {"simulation": {"window": 2.0, "t_end": 1.0}},
+            {"plant": {"m_angular": 5}},
+            {"plant": {"damping_q": -1.0}},
+        ],
+    )
+    def test_main_reports_invalid_run_in_one_line(self, tmp_path, capsys, overrides):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(overrides))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavereg: error: ") and err.count("\n") == 1

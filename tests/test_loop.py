@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavereg import linalg, loop
-from wavereg.exosystem import Exosystem
+from wavereg.exosystem import Exosystem, build_sect5_exosystem
 from wavereg.loop import (
     ClosedLoop,
     Perturbation,
@@ -18,7 +18,7 @@ from wavereg.loop import (
     simulate_exact,
     windowed_error,
 )
-from wavereg.plant import FourierOutputBasis, ModalWavePlant
+from wavereg.plant import FourierOutputBasis, ModalWavePlant, assemble_wave_plant
 from wavereg.synthesis import solve_regulator, synth_approx_robust, synth_regulating
 
 from conftest import scalar_plant, single_freq_exo
@@ -97,7 +97,7 @@ class TestPaperForm:
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
         cl_d = assemble_direct(small_plant, ctrl, small_exo)
         cl_p = assemble_paper_Ae(small_plant, ctrl, small_exo)
-        E_s = small_exo.E - ctrl.Q @ small_exo.F
+        E_s = small_exo.E - small_plant.Q_feedback * small_exo.F
         x0_p = np.concatenate(
             [-(small_plant.B @ E_s @ small_exo.v0), np.zeros(ctrl.dim_z)]
         )
@@ -300,6 +300,18 @@ class TestPerturbation:
         bound = error_bound_delta(reg, cl, ctrl.projector())
         assert rep.delta == pytest.approx(bound.delta, rel=1e-8, abs=1e-30)
         assert rep.decays
+
+    @pytest.mark.parametrize("q_scale", [0.5, 1.5])
+    def test_damping_perturbation_uses_one_gain(self, q_scale):
+        # the perturbed As and E_s = E - Q F share the scaled gain, so the
+        # error bound and its coarse estimate describe the same loop; the
+        # preset signals reach past Y_N, which makes both bounds nonzero
+        plant = assemble_wave_plant(3, 6, 3.0)
+        exo = build_sect5_exosystem(5)
+        ctrl = synth_approx_robust(plant, exo, 2, eps=0.15)
+        rep = perturb_and_verify(plant, ctrl, exo, Perturbation(q_scale=q_scale), t_end=21.0)
+        assert rep.stable
+        assert 0.0 < rep.delta <= rep.delta_coarse
 
     def test_engineered_resonance_detected(self):
         from wavereg.bessel import RadialMode

@@ -187,7 +187,6 @@ class TestEnergyPhysics:
             G2=np.zeros((q, dim_y), dtype=complex),
             K=np.zeros((dim_y, q), dtype=complex),
             K0=np.zeros((dim_y, q), dtype=complex),
-            Q=np.zeros((dim_y, dim_y)),
             eps=0.0,
         )
         cl = loop.assemble_direct(plant, idle, exo)

@@ -78,11 +78,12 @@ class TestRegulatingController:
         # z_k = eps^{-1} phi_k must solve the frequency-domain equations
         eps = 0.15
         ctrl = synth_regulating(sect5_plant, sect5_exo, eps)
-        P0s, Pss, E_s, _, _ = synthesis._frequency_data(sect5_plant, sect5_exo, None, None)
+        Ps = synthesis._frequency_data(sect5_plant, sect5_exo)
+        E_s = synthesis.stabilized_disturbance(sect5_plant, sect5_exo)
         for k in range(sect5_exo.q):
             z = np.zeros(sect5_exo.q, dtype=complex)
             z[k] = 1.0 / eps
-            resid = Pss[k] @ (ctrl.K @ z) + P0s[k] @ E_s[:, k] + sect5_exo.F[:, k]
+            resid = Ps[k] @ (ctrl.K @ z) + Ps[k] @ E_s[:, k] + sect5_exo.F[:, k]
             assert np.linalg.norm(resid) < 1e-9
             assert np.linalg.norm((1j * sect5_exo.omegas[k] * np.eye(ctrl.dim_z) - ctrl.G1) @ z) < 1e-12
 
@@ -137,10 +138,10 @@ class TestApproxRobustController:
 
     def test_loop_gain_eigenvalues_minus_one(self, sect5_plant, sect5_exo, approx5):
         # G20 P_N P_s(i w_k) K0^k = -I by construction
-        _, Pss, _, _, _ = synthesis._frequency_data(sect5_plant, sect5_exo, None, None)
+        Ps = synthesis._frequency_data(sect5_plant, sect5_exo)
         for k in range(4):
             blk = slice(k * 11, (k + 1) * 11)
-            gain = -(approx5.selector @ Pss[k] @ approx5.K0[:, blk])
+            gain = -(approx5.selector @ Ps[k] @ approx5.K0[:, blk])
             spec = linalg.eig(gain)
             assert np.abs(spec.eigenvalues + 1.0).max() < 1e-10
 
@@ -239,7 +240,6 @@ def _make_ctrl(omegas, block_dim, G2):
         G2=G2,
         K=K,
         K0=K,
-        Q=np.zeros((G2.shape[1], G2.shape[1])),
         eps=0.0,
     )
 
