@@ -270,6 +270,10 @@ def cmd_simulate(cfg, out_dir=None):
     exo = build_exo(cfg, plant)
     ctrl = build_controller(cfg, plant, exo)
     cl = loop.assemble_direct(plant, ctrl, exo)
+    if not cl.is_stable:
+        raise ValueError(
+            f"closed loop is unstable (spectral abscissa {cl.abscissa:+.4e} >= 0); not simulating"
+        )
     sim = cfg.simulation
     x0 = np.concatenate(
         [

@@ -244,6 +244,8 @@ class TestVerifyAndMain:
             {"simulation": {"window": 2.0, "t_end": 1.0}},
             {"plant": {"m_angular": 5}},
             {"plant": {"damping_q": -1.0}},
+            {"plant": {"damping_q": 0.0}},
+            {"controller": {"epsilon": 2.0}},
         ],
     )
     def test_main_reports_invalid_run_in_one_line(self, tmp_path, capsys, overrides):
@@ -252,3 +254,11 @@ class TestVerifyAndMain:
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("wavereg: error: ") and err.count("\n") == 1
+
+    def test_simulate_refuses_unstable_loop(self, tmp_path):
+        # without the boundary damper the preset loop has abscissa +0.618
+        cfg = sect5_config()
+        cfg.plant.damping_q = 0.0
+        with pytest.raises(ValueError, match=r"abscissa \+6\.1779e-01"):
+            cli.cmd_simulate(cfg, tmp_path)
+        assert not (tmp_path / "simulation.csv").exists()

@@ -32,6 +32,29 @@ def make_trajectory(t, errors):
     return Trajectory(t=t, states=zeros, errors=errors, energies=np.zeros(t.size))
 
 
+def sequential_reference(cl, exo, x0, n_steps, dt):
+    """Per-step oracle for simulate_exact: one product with the one-step
+    exponential per sample, errors and energies one state at a time."""
+    n, q = cl.state_dim, exo.q
+    aug = np.zeros((n + q, n + q), dtype=complex)
+    aug[:n, :n] = cl.Acl
+    aug[:n, n:] = cl.Bcl
+    aug[n:, n:] = np.diag(1j * exo.omegas)
+    step = linalg.expm(aug, dt)
+    xi = np.concatenate([np.asarray(x0, dtype=complex), exo.v0])
+    states, errors, energies = [], [], []
+    for _ in range(n_steps + 1):
+        states.append(xi[:n])
+        errors.append(cl.Ccl @ xi[:n] + cl.Dcl @ xi[n:])
+        energies.append(cl.plant.energy(xi[: cl.plant_dim]))
+        xi = step @ xi
+    return np.array(states), np.array(errors), np.array(energies)
+
+
+def rel_gap(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
 class TestAssembly:
     def test_zero_gain_spectrum_is_union(self, small_plant, small_exo):
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.0)
@@ -182,22 +205,31 @@ class TestSimulation:
         assert np.abs(t1.states - t2.states[::2]).max() < 1e-9
 
     def test_unstable_growth_capped(self):
+        # x' = 40 x crosses the cap near t = 0.71, inside the first block;
+        # x' = 10 x near t = 2.85, in the third. The message names the first
+        # step over the cap in both.
         plant = scalar_plant(a=5.0)
         exo = single_freq_exo(omega=1.0)
-        cl = ClosedLoop(
-            Acl=np.array([[40.0 + 0j]]),
-            Bcl=np.array([[0.0 + 0j]]),
-            Ccl=np.array([[1.0 + 0j]]),
-            Dcl=np.array([[0.0 + 0j]]),
-            plant_dim=1,
-            ctrl_dim=0,
-            abscissa=40.0,
-            plant=plant,
-            ctrl=None,
-            exo=exo,
-        )
-        with pytest.raises(linalg.OverflowCapError):
-            simulate_exact(cl, exo, x0=np.ones(1), t_end=2.0, dt=0.01)
+        dt = 0.01
+        for rate, n_steps in [(40.0, 200), (10.0, 500)]:
+            cl = ClosedLoop(
+                Acl=np.array([[rate + 0j]]),
+                Bcl=np.array([[0.0 + 0j]]),
+                Ccl=np.array([[1.0 + 0j]]),
+                Dcl=np.array([[0.0 + 0j]]),
+                plant_dim=1,
+                ctrl_dim=0,
+                abscissa=rate,
+                plant=plant,
+                ctrl=None,
+                exo=exo,
+            )
+            states, _, _ = sequential_reference(cl, exo, np.ones(1), n_steps, dt)
+            norms = np.hypot(np.abs(states[:, 0]), np.abs(exo.v0[0]))
+            first = int(np.argmax(norms > 1e12 * (1.0 + norms[0])))
+            assert first > 0
+            with pytest.raises(linalg.OverflowCapError, match=rf"t={first * dt:.3f} "):
+                simulate_exact(cl, exo, x0=np.ones(1), t_end=n_steps * dt, dt=dt)
 
     def test_time_grid_validation(self, toy_plant):
         exo = single_freq_exo(omega=0.0)
@@ -211,6 +243,35 @@ class TestSimulation:
     def test_error_is_real_for_real_symmetric_data(self, sect5_loop, sect5_exo):
         traj = simulate_exact(sect5_loop, sect5_exo, t_end=1.0, dt=0.01)
         assert np.abs(traj.errors.imag).max() < 1e-10
+
+
+class TestBlockStepping:
+    @pytest.mark.parametrize("n_steps", [1, 127, 128, 129, 3 * 128 + 7])
+    def test_matches_sequential_stepping(self, small_plant, small_exo, n_steps):
+        ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
+        cl = assemble_direct(small_plant, ctrl, small_exo)
+        x0 = np.random.default_rng(21).standard_normal(cl.state_dim)
+        dt = 0.01
+        traj = simulate_exact(cl, small_exo, x0=x0, t_end=n_steps * dt, dt=dt)
+        states, errors, energies = sequential_reference(cl, small_exo, x0, n_steps, dt)
+        assert traj.states.shape == states.shape
+        assert rel_gap(traj.states, states) < 1e-12
+        assert rel_gap(traj.errors, errors) < 1e-12
+        assert rel_gap(traj.energies, energies) < 1e-12
+
+    def test_free_response_matches_sequential_stepping(self, small_plant):
+        x0 = np.random.default_rng(22).standard_normal(small_plant.state_dim)
+        dt, n_steps = 0.01, 2 * 128 + 45
+        resp = loop.free_response(small_plant, x0, t_end=n_steps * dt, dt=dt)
+        step = linalg.expm(small_plant.As, dt)
+        states = [x0]
+        for _ in range(n_steps):
+            states.append(step @ states[-1])
+        states = np.array(states)
+        energies = np.array([small_plant.energy(x) for x in states])
+        assert rel_gap(resp.states, states) < 1e-12
+        assert rel_gap(resp.outputs, states @ small_plant.C.T) < 1e-12
+        assert rel_gap(resp.energies, energies) < 1e-12
 
 
 class TestWindowedError:

@@ -80,3 +80,27 @@ def test_direct_and_transformed_spectra_agree(problem):
     spec_d = linalg.eig(loop.assemble_direct(plant, ctrl, exo).Acl).eigenvalues
     spec_p = linalg.eig(loop.assemble_paper_Ae(plant, ctrl, exo).Acl).eigenvalues
     assert linalg.match_spectra(spec_d, spec_p) < 1e-8
+
+
+@_PROPERTY_SETTINGS
+@given(small_problems())
+def test_energy_balance_along_blocked_trajectory(problem):
+    # With the controller idle (K = 0) the plant sees the boundary force
+    # u = E_s v - Q y, and its energy obeys d/dt E = 2 Re <u, y>. Checked in
+    # integral form over several stepping blocks, against the trapezoid
+    # rule's error bound T dt^2 / 12 max |P''| for the power P.
+    plant, exo, _ = problem
+    ctrl = synthesis.synth_regulating(plant, exo, 0.0)
+    cl = loop.assemble_direct(plant, ctrl, exo)
+    dt, t_end = 0.002, 2.0
+    traj = loop.simulate_exact(cl, exo, t_end=t_end, dt=dt)
+    assert traj.t.size > 3 * loop.BLOCK
+    y = traj.states[:, : plant.state_dim] @ plant.C.T
+    v = np.exp(1j * np.outer(traj.t, exo.omegas)) * exo.v0
+    u = v @ synthesis.stabilized_disturbance(plant, exo).T - plant.Q_feedback * y
+    power = 2.0 * np.real(np.sum(np.conj(u) * y, axis=1))
+    injected = np.concatenate([[0.0], np.cumsum(0.5 * dt * (power[1:] + power[:-1]))])
+    drift = np.abs(traj.energies - traj.energies[0] - injected)
+    quadrature = t_end / 12.0 * np.abs(np.diff(power, 2)).max()
+    scale = max(traj.energies.max(), np.abs(power).max())
+    assert drift.max() <= 2.0 * quadrature + 1e-10 * scale
