@@ -157,13 +157,6 @@ def _secant_polish(m, k, inner_bc):
     return k1 if abs(f1) <= abs(f0) else k0
 
 
-def radial_inner_product(mode_a, mode_b):
-    """Quadrature inner product of two normalized radial modes in r dr."""
-    fa = mode_a.eval(RADIAL_NODES)
-    fb = mode_b.eval(RADIAL_NODES)
-    return float(np.sum(RADIAL_WEIGHTS * fa * fb * RADIAL_NODES))
-
-
 def find_radial_roots(m, count, inner_bc="dirichlet"):
     """First ``count`` positive radial eigenmodes of angular order ``m``.
 

@@ -1,0 +1,201 @@
+"""Numerical invariants of the paper's claims, each written once.
+
+Every entry of :data:`REGISTRY` is tagged with the ``wavereg verify`` suite
+it belongs to and, where it has one, with the acceptance criterion (4-8) that
+asserts it. An entry reads what it needs from a :class:`Context` and returns
+``(label, ok, detail)``. Random inputs come from a constant seed per check, so
+every run of a configuration checks the same data.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable
+
+import numpy as np
+
+from . import bessel, cli, linalg, loop, synthesis
+
+# Tuning gain of the regulating and robust controllers built for criteria 4 and 5.
+GAIN = 0.15
+
+
+class Context:
+    """Plant, exosystem, configured controller, closed loop (in both forms)
+    and regulator solution of one run configuration, each built on first use."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    plant = cached_property(lambda self: cli.build_plant(self.cfg))
+    exo = cached_property(lambda self: cli.build_exo(self.cfg, self.plant))
+    controller = cached_property(lambda self: cli.build_controller(self.cfg, self.plant, self.exo))
+    closed_loop = cached_property(
+        lambda self: loop.assemble_direct(self.plant, self.controller, self.exo)
+    )
+    paper_loop = cached_property(
+        lambda self: loop.assemble_paper_Ae(self.plant, self.controller, self.exo)
+    )
+    regulator = cached_property(lambda self: synthesis.solve_regulator(self.closed_loop, self.exo))
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registered invariant; ``measure(ctx)`` returns (ok, detail)."""
+
+    suite: str
+    label: str
+    criterion: int | None
+    measure: Callable
+
+    def run(self, ctx):
+        ok, detail = self.measure(ctx)
+        return self.label, bool(ok), detail
+
+
+REGISTRY = []  # in registration order, which is the order criteria join their details in
+
+
+def _check(suite, label, criterion=None):
+    def register(measure):
+        REGISTRY.append(Check(suite, label, criterion, measure))
+        return measure
+
+    return register
+
+
+@_check("synth", "regulating controller solves the regulator equations, "
+        "a 10% K0 perturbation of it does not", criterion=4)
+def _regulator_equations(ctx):
+    ctrl = synthesis.synth_regulating(ctx.plant, ctx.exo, GAIN)
+    cl = loop.assemble_direct(ctx.plant, ctrl, ctx.exo)
+    reg = synthesis.solve_regulator(cl, ctx.exo)
+    scale = np.linalg.norm(cl.Ccl, 2) * np.linalg.norm(reg.Sigma, 2) + np.linalg.norm(cl.Dcl, 2)
+    rng = np.random.default_rng(12345)
+    K0 = ctrl.K0 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, ctrl.K0.shape))
+    bad = replace(ctrl, K0=K0, K=ctrl.eps * K0)
+    reg_bad = synthesis.solve_regulator(loop.assemble_direct(ctx.plant, bad, ctx.exo), ctx.exo)
+    return (
+        reg.residual2 < 1e-8 * scale and reg_bad.residual2 > 1e-3,
+        f"residual2={reg.residual2:.2e} (scale {scale:.2e}), "
+        f"perturbed residual2={reg_bad.residual2:.2e}",
+    )
+
+
+@_check("synth", "G-conditions hold for the robust controller and fail for approx ones "
+        "by a G2 kernel of dim Y - (2N+1)", criterion=5)
+def _g_conditions(ctx):
+    robust = synthesis.check_g_conditions(synthesis.synth_robust(ctx.plant, ctx.exo, GAIN))
+    dim_y = ctx.plant.output_dim
+    ok, kernels = robust.passed, {}
+    for N in (n for n in (1, 3, 5, 8) if 2 * n + 1 < dim_y):
+        ctrl = synthesis.synth_approx_robust(ctx.plant, ctx.exo, N, GAIN)
+        rep = synthesis.check_g_conditions(ctrl)
+        kernels[N] = rep.kernel_dim_G2
+        ok &= not rep.passed and rep.kernel_dim_G2 == dim_y - (2 * N + 1)
+    return ok, f"robust passed={robust.passed}, approx kernel dims={kernels}"
+
+
+@_check("loop", "direct and transformed closed loops have the same spectrum", criterion=6)
+def _spectra(ctx):
+    dist = linalg.match_spectra(
+        linalg.eig(ctx.closed_loop.Acl).eigenvalues, linalg.eig(ctx.paper_loop.Acl).eigenvalues
+    )
+    return dist < 1e-8, f"spectra dist={dist:.2e}"
+
+
+@_check("linalg", "sylvester_diag matches the Kronecker oracle", criterion=6)
+def _sylvester(ctx):
+    rng = np.random.default_rng(77)
+    worst = 0.0
+    for n, q in ((6, 2), (14, 3), (20, 4)):
+        Ae = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Ae -= (n + 3) * np.eye(n)
+        Be = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+        om = np.sort(rng.uniform(-3.0, 3.0, q)) + 0.05 * np.arange(q)
+        S = linalg.sylvester_diag(Ae, Be, om)
+        gap = np.abs(S - linalg.sylvester_kron(Ae, Be, om)).max()
+        worst = max(worst, gap / max(1.0, np.abs(S).max()))
+    return worst < 1e-10, f"sylvester worst={worst:.2e}"
+
+
+@_check("synth", "closed-form Gamma matches the Sylvester solver", criterion=6)
+def _gamma(ctx):
+    if ctx.controller.selector is None:
+        return True, "no closed form for the regulating controller"
+    gamma = synthesis.gamma_closed_form(ctx.plant, ctx.controller, ctx.exo)
+    diff = np.abs(gamma - ctx.regulator.Gamma).max()
+    return diff < 1e-8, f"closed-form Gamma diff={diff:.2e}"
+
+
+@_check("wave", "undamped plant conserves energy; damped plant is passive and admissible, "
+        "int ||y||^2 <= E0/(2Q)", criterion=7)
+def _energy(ctx):
+    plant = ctx.plant
+    rng = np.random.default_rng(2718)
+    x0 = rng.standard_normal(plant.state_dim)
+    resp = loop.free_response(plant, x0, t_end=10.0, dt=0.01, damped=False)
+    drift = np.abs(resp.energies / resp.energies[0] - 1.0).max()
+    worst, decays = 0.0, True
+    for _ in range(20):
+        x0 = rng.standard_normal(plant.state_dim)
+        resp = loop.free_response(plant, x0, t_end=5.0, dt=0.002)
+        integral = np.trapezoid(np.sum(resp.outputs**2, axis=1), resp.t)
+        worst = max(worst, integral / (plant.energy(x0) / (2.0 * plant.Q_feedback)))
+        decays &= not np.any(np.diff(resp.energies) > 1e-12 * resp.energies[0])
+    detail = f"energy drift={drift:.2e}, admissibility ratio={worst:.4f}"
+    return drift < 1e-9 and worst <= 1.0 and decays, detail + ("" if decays else ", E increased")
+
+
+@_check("wave", "Bessel Wronskian J1 Y0 - J0 Y1 = 2/(pi x) at x = 1, 5, 20", criterion=7)
+def _wronskian(ctx):
+    worst = 0.0
+    for x in (1.0, 5.0, 20.0):
+        J0, Y0, _, _ = bessel.bessel_jy(0, x)
+        J1, Y1, _, _ = bessel.bessel_jy(1, x)
+        worst = max(worst, abs(J1 * Y0 - J0 * Y1 - 2.0 / (np.pi * x)))
+    return worst < 1e-10, f"wronskian={worst:.2e}"
+
+
+@_check("wave", "eigenmodes are orthonormal (2-D Gram matrix)", criterion=7)
+def _gram(ctx):
+    plant, n_theta = ctx.plant, 256
+    theta = 2 * np.pi * np.arange(n_theta) / n_theta
+    r = bessel.RADIAL_NODES
+    weights = np.outer(bessel.RADIAL_WEIGHTS * r, np.full(n_theta, 2 * np.pi / n_theta)).ravel()
+    eye = np.eye(plant.n_modes)
+    fields = np.array([plant.displacement_profile(mode, r, theta).ravel() for mode in eye])
+    err = np.abs((fields * weights) @ fields.T - eye).max()
+    return err < 1e-6, f"gram err={err:.2e}"
+
+
+@_check("loop", "stable gains of the sweep 0.05, 0.10, ..., 0.50 form a prefix; "
+        "the configured gain is stable", criterion=8)
+def _gain_sweep(ctx):
+    # K = eps K0 is the only part of a controller that depends on its gain
+    ctrl, abscissa = ctx.controller, ctx.closed_loop.abscissa
+    grid = [round(0.05 * i, 2) for i in range(1, 11)]
+    sweep = loop.find_epsilon_star(
+        ctx.plant, lambda eps: replace(ctrl, K=eps * ctrl.K0, eps=eps), ctx.exo, grid
+    )
+    table = ", ".join(f"{e:.2f}:{a:+.3f}" for e, a in sweep.entries)
+    return (
+        sweep.stable_is_prefix_from_first() and abscissa < 0,
+        f"sweep [{table}]; eps={ctrl.eps:g} abscissa {abscissa:+.4f}",
+    )
+
+
+@_check("synth", "asymptotic error bound delta < 0.01")
+def _delta(ctx):
+    bound = synthesis.error_bound_delta(ctx.regulator, ctx.closed_loop, ctx.controller.projector())
+    return bound.delta < 0.01, f"{bound.delta:.2e}"
+
+
+@_check("loop", "direct and transformed transfers agree on the exosystem directions")
+def _transfers(ctx):
+    worst = max(
+        np.linalg.norm((ctx.closed_loop.transfer(1j * w) - ctx.paper_loop.transfer(1j * w))[:, k])
+        for k, w in enumerate(ctx.exo.omegas)
+    )
+    return worst < 1e-8, f"{worst:.2e}"

@@ -6,7 +6,9 @@ eigs        Tabulate the radial eigenvalues of the configured plant.
 synth       Synthesize a controller, check the internal-model conditions and
             report the asymptotic error bound.
 simulate    Run the closed loop and export the error/energy time series.
-verify      Run the numerical invariant suites (linalg / wave / synth / loop).
+verify      Run the invariant checks of ``wavereg.checks`` (suites linalg /
+            wave / synth / loop), the same checks acceptance criteria 4-8
+            assert.
 reproduce   Shorthand for the annulus preset exports behind figures 1-4.
 
 Configs are JSON with sections plant / exosystem / controller / simulation /
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bessel, linalg, loop, serialize, synthesis
+from . import __version__, bessel, loop, serialize, synthesis
 from .exosystem import SignalSpec, SignalTerm, build_exosystem, build_sect5_exosystem, signals_at
 from .plant import assemble_wave_plant
 
@@ -283,14 +285,12 @@ def cmd_simulate(cfg, out_dir=None):
     )
     traj = loop.simulate_exact(cl, exo, x0=x0, t_end=sim.t_end, dt=sim.dt)
     series = loop.windowed_error(traj, window=sim.window)
-    pn_series = loop.windowed_error(traj, window=sim.window, weights=ctrl.projector())
     err_sq = traj.error_norms_sq()
     pn_err_sq = np.sum(np.abs(traj.errors @ ctrl.projector().T) ** 2, axis=1)
     rows = []
     n_j = series.values.size
     for i, t in enumerate(traj.t):
         j_val = float(series.values[i]) if i < n_j else ""
-        jpn_val = float(pn_series.values[i]) if i < n_j else ""
         rows.append((float(t), j_val, float(err_sq[i]), float(pn_err_sq[i]), float(traj.energies[i])))
     csv_path = out / "simulation.csv"
     serialize.save_csv(csv_path, ["t", "J", "err_sq", "pn_err_sq", "energy"], rows)
@@ -320,6 +320,8 @@ def cmd_simulate(cfg, out_dir=None):
 
 def cmd_reproduce(figure, out_dir=None, emit_svg=False):
     """Export the data grid behind one of the preset figures (1-4)."""
+    if figure not in (1, 2, 3, 4):
+        raise ValueError("figure must be one of 1, 2, 3, 4")
     cfg = sect5_config()
     cfg.output.emit_svg = emit_svg
     out = _outdir(cfg, out_dir)
@@ -356,19 +358,17 @@ def cmd_reproduce(figure, out_dir=None, emit_svg=False):
         path = out / "output_vs_reference.csv"
         serialize.save_csv(path, ["t", "theta", "y", "y_ref"], rows)
         return {"csv": path}
-    if figure == 3:
-        idx = int(round(9.0 / traj.dt))
-        radii = np.linspace(1.0, 2.0, 33)
-        field2d = plant.displacement_profile(traj.states[idx], radii, theta)
-        rows = [
-            (float(r), float(th), float(field2d[i, j]))
-            for i, r in enumerate(radii)
-            for j, th in enumerate(theta)
-        ]
-        path = out / "wave_profile_t9.csv"
-        serialize.save_csv(path, ["r", "theta", "w"], rows)
-        return {"csv": path}
-    raise ValueError("figure must be one of 1, 2, 3, 4")
+    idx = int(round(9.0 / traj.dt))  # figure 3
+    radii = np.linspace(1.0, 2.0, 33)
+    field2d = plant.displacement_profile(traj.states[idx], radii, theta)
+    rows = [
+        (float(r), float(th), float(field2d[i, j]))
+        for i, r in enumerate(radii)
+        for j, th in enumerate(theta)
+    ]
+    path = out / "wave_profile_t9.csv"
+    serialize.save_csv(path, ["r", "theta", "w"], rows)
+    return {"csv": path}
 
 
 def _svg_line_plot(path, x, series, title, ylog=False, width=720, height=440):
@@ -412,177 +412,26 @@ def _svg_line_plot(path, x, series, title, ylog=False, width=720, height=440):
         fh.write("\n".join(parts) + "\n")
 
 
-# ---------------------------------------------------------------------------
-# verification suites
+_SUITES = ("linalg", "wave", "synth", "loop")
 
 
-def _suite_linalg(seed):
-    rng = np.random.default_rng(seed)
-    checks = []
-    A = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20)) + 8 * np.eye(20)
-    B = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
-    X = linalg.solve_dense(A, B)
-    res = np.linalg.norm(A @ X - B) / np.linalg.norm(B)
-    checks.append(("solve_dense residual < 1e-10", res < 1e-10, f"{res:.2e}"))
-    M = rng.standard_normal((5, 9))
-    err = np.linalg.norm(M @ linalg.pinv(M) - np.eye(5))
-    checks.append(("pinv right-inverse identity", err < 1e-10, f"{err:.2e}"))
-    S_skew = rng.standard_normal((12, 12))
-    S_skew = S_skew - S_skew.T
-    x = rng.standard_normal(12)
-    drift = abs(np.linalg.norm(linalg.expm(S_skew, 7.3) @ x) - np.linalg.norm(x))
-    checks.append(("expm skew-adjoint isometry", drift < 1e-9, f"{drift:.2e}"))
-    Ae = rng.standard_normal((12, 12)) - 10 * np.eye(12)
-    Be = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-    om = [0.7, -1.3, 2.4]
-    diff = np.abs(
-        linalg.sylvester_diag(Ae, Be, om) - linalg.sylvester_kron(Ae, Be, om)
-    ).max()
-    checks.append(("sylvester diag vs kron", diff < 1e-10, f"{diff:.2e}"))
-    G = rng.standard_normal((6, 4))
-    smax, vmax = linalg.operator_norm(G)
-    gap = abs(np.linalg.norm(G @ vmax) - smax)
-    checks.append(("operator_norm maximizer", gap < 1e-10, f"{gap:.2e}"))
-    return checks
+def cmd_verify(suite="all", cfg=None):
+    """Run the registered invariant checks of one suite, or of all; returns
+    (all_passed, report lines)."""
+    from . import checks  # imported here: checks builds its context through this module
 
-
-def _suite_wave(seed, cfg):
-    rng = np.random.default_rng(seed)
-    checks = []
-    for xx in (1.0, 5.0, 20.0):
-        J1, _, _, _ = bessel.bessel_jy(1, xx)
-        J0, Y0, _, _ = bessel.bessel_jy(0, xx)
-        _, Y1, _, _ = bessel.bessel_jy(1, xx)
-        wr = abs(J1 * Y0 - J0 * Y1 - 2.0 / (np.pi * xx))
-        checks.append((f"Bessel Wronskian at x={xx}", wr < 1e-10, f"{wr:.2e}"))
-    plant = build_plant(cfg)
-    gram_err = 0.0
-    for i, mi in enumerate(plant.modes):
-        for mj in plant.modes[i + 1 :]:
-            if mi.radial.m == mj.radial.m and mi.parity == mj.parity:
-                gram_err = max(gram_err, abs(bessel.radial_inner_product(mi.radial, mj.radial)))
-    checks.append(("eigenmode Gram off-diagonals < 1e-6", gram_err < 1e-6, f"{gram_err:.2e}"))
-    x0 = rng.standard_normal(plant.state_dim)
-    resp = loop.free_response(plant, x0, t_end=10.0, dt=0.01, damped=False)
-    drift = np.abs(resp.energies / resp.energies[0] - 1.0).max()
-    checks.append(("undamped energy conservation", drift < 1e-9, f"{drift:.2e}"))
-    worst = 0.0
-    for _ in range(5):
-        x0 = rng.standard_normal(plant.state_dim)
-        resp = loop.free_response(plant, x0, t_end=5.0, dt=0.005)
-        y_sq = np.sum(resp.outputs**2, axis=1)
-        integral = np.trapezoid(y_sq, resp.t)
-        worst = max(worst, integral / (plant.energy(x0) / (2.0 * plant.Q_feedback)))
-        if np.any(np.diff(resp.energies) > 1e-12 * resp.energies[0]):
-            checks.append(("damped energy decay monotone", False, "energy increased"))
-            break
-    checks.append(("admissibility bound int ||y||^2 <= E0/(2Q)", worst <= 1.0, f"ratio {worst:.4f}"))
-    return checks
-
-
-def _suite_synth(seed, cfg):
-    rng = np.random.default_rng(seed)
-    checks = []
-    plant = build_plant(cfg)
-    exo = build_exo(cfg, plant)
-    reg_ctrl = synthesis.synth_regulating(plant, exo, 0.15)
-    cl = loop.assemble_direct(plant, reg_ctrl, exo)
-    reg = synthesis.solve_regulator(cl, exo)
-    scale = (
-        np.linalg.norm(cl.Ccl, 2) * np.linalg.norm(reg.Sigma, 2) + np.linalg.norm(cl.Dcl, 2)
-    )
-    ok = reg.residual2 < 1e-8 * scale
-    checks.append(("regulating controller residual2 (scaled)", ok, f"{reg.residual2:.2e}"))
-    K0p = reg_ctrl.K0 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, reg_ctrl.K0.shape))
-    bad = dataclasses.replace(reg_ctrl, K0=K0p, K=reg_ctrl.eps * K0p)
-    reg_bad = synthesis.solve_regulator(loop.assemble_direct(plant, bad, exo), exo)
-    checks.append(
-        ("10% K0 perturbation breaks regulation", reg_bad.residual2 > 1e-3, f"{reg_bad.residual2:.2e}")
-    )
-    robust = synthesis.synth_robust(plant, exo, 0.15)
-    rep = synthesis.check_g_conditions(robust)
-    checks.append(("robust controller passes G-conditions", rep.passed, str(rep)))
-    approx = synthesis.synth_approx_robust(plant, exo, cfg.controller.N, cfg.controller.epsilon)
-    rep_a = synthesis.check_g_conditions(approx)
-    expected_kernel = plant.output_dim - (2 * cfg.controller.N + 1)
-    checks.append(
-        (
-            "approx controller kernel dim = dimY - (2N+1)",
-            rep_a.kernel_dim_G2 == expected_kernel and not rep_a.passed,
-            f"kernel {rep_a.kernel_dim_G2}",
-        )
-    )
-    cl_a = loop.assemble_direct(plant, approx, exo)
-    reg_a = synthesis.solve_regulator(cl_a, exo)
-    bound = synthesis.error_bound_delta(reg_a, cl_a, approx.projector())
-    checks.append(("delta <= delta_coarse", bound.delta <= bound.delta_coarse + 1e-15,
-                   f"{bound.delta:.2e} vs {bound.delta_coarse:.2e}"))
-    checks.append(("preset delta < 0.01", bound.delta < 0.01, f"{bound.delta:.2e}"))
-    gamma_cf = synthesis.gamma_closed_form(plant, approx, exo)
-    diff = np.abs(gamma_cf - reg_a.Gamma).max()
-    checks.append(("closed-form Gamma matches solver", diff < 1e-8, f"{diff:.2e}"))
-    return checks
-
-
-def _suite_loop(seed, cfg):
-    checks = []
-    plant = build_plant(cfg)
-    exo = build_exo(cfg, plant)
-    ctrl = build_controller(cfg, plant, exo)
-    cl_d = loop.assemble_direct(plant, ctrl, exo)
-    cl_p = loop.assemble_paper_Ae(plant, ctrl, exo)
-    spec_d = linalg.eig(cl_d.Acl).eigenvalues
-    spec_p = linalg.eig(cl_p.Acl).eigenvalues
-    dist = linalg.match_spectra(spec_d, spec_p)
-    checks.append(("direct vs transformed spectra", dist < 1e-8, f"{dist:.2e}"))
-    worst = 0.0
-    for k, w in enumerate(exo.omegas):
-        phi = np.zeros(exo.q)
-        phi[k] = 1.0
-        worst = max(worst, np.linalg.norm((cl_d.transfer(1j * w) - cl_p.transfer(1j * w)) @ phi))
-    checks.append(("transfer agreement on exosystem directions", worst < 1e-8, f"{worst:.2e}"))
-    grid = [0.05 * i for i in range(1, 11)]
-    sweep = loop.find_epsilon_star(
-        plant, lambda e: build_controller_with_eps(cfg, plant, exo, e), exo, grid
-    )
-    has_prefix = sweep.stable_is_prefix_from_first()
-    checks.append(("eps sweep has stable prefix", has_prefix, f"best eps {sweep.eps_best}"))
-    near = [a for e, a in sweep.entries if abs(e - cfg.controller.epsilon) < 1e-9]
-    if near:
-        checks.append(("configured eps is stable", near[0] < 0, f"abscissa {near[0]:+.4f}"))
-    return checks
-
-
-def build_controller_with_eps(cfg, plant, exo, eps):
-    sub = dataclasses.replace(cfg.controller, epsilon=eps)
-    shadow = dataclasses.replace(cfg, controller=sub)
-    return build_controller(shadow, plant, exo)
-
-
-_SUITES = {"linalg": 1, "wave": 2, "synth": 3, "loop": 4}
-
-
-def cmd_verify(suite="all", cfg=None, seed=20250810):
-    """Run the invariant suites; returns (all_passed, report lines)."""
-    cfg = cfg or sect5_config()
-    names = list(_SUITES) if suite == "all" else [suite]
-    if any(n not in _SUITES for n in names):
+    if suite != "all" and suite not in _SUITES:
         raise ValueError(f"suite must be 'all' or one of {list(_SUITES)}")
-    suites = {
-        "linalg": lambda: _suite_linalg(seed),
-        "wave": lambda: _suite_wave(seed, cfg),
-        "synth": lambda: _suite_synth(seed, cfg),
-        "loop": lambda: _suite_loop(seed, cfg),
-    }
+    ctx = checks.Context(cfg or sect5_config())
     lines = []
     all_ok = True
-    for name in names:
-        try:
-            checks = suites[name]()
-        except Exception as exc:  # a broken configuration fails the suite, not the CLI
-            checks = [("suite completed", False, f"{type(exc).__name__}: {exc}")]
-        for label, ok, detail in checks:
-            all_ok &= bool(ok)
+    for name in _SUITES if suite == "all" else (suite,):
+        for entry in (c for c in checks.REGISTRY if c.suite == name):
+            try:
+                label, ok, detail = entry.run(ctx)
+            except Exception as exc:  # a broken configuration fails the check, not the CLI
+                label, ok, detail = entry.label, False, f"{type(exc).__name__}: {exc}"
+            all_ok &= ok
             lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {label} ({detail})")
     return all_ok, lines
 
@@ -603,9 +452,8 @@ def main(argv=None):
     add_common(sub.add_parser("synth", help="synthesize and report a controller"))
     add_common(sub.add_parser("simulate", help="run the closed loop and export CSV"))
     ver = sub.add_parser("verify", help="run numerical invariant suites")
-    ver.add_argument("--suite", default="all", choices=["all", "linalg", "wave", "synth", "loop"])
+    ver.add_argument("--suite", default="all", choices=["all", *_SUITES])
     ver.add_argument("--config", metavar="PATH", default=None)
-    ver.add_argument("--seed", type=int, default=20250810, help="seed for randomized checks")
     rep = sub.add_parser("reproduce", help="export preset figure data")
     rep.add_argument("--figure", type=int, required=True, choices=[1, 2, 3, 4])
     rep.add_argument("--out", metavar="DIR", default=None)
@@ -615,7 +463,7 @@ def main(argv=None):
     try:
         if args.command == "verify":
             cfg = load_config(args.config) if args.config else None
-            ok, lines = cmd_verify(args.suite, cfg, seed=args.seed)
+            ok, lines = cmd_verify(args.suite, cfg)
             print("\n".join(lines))
             return 0 if ok else 1
 

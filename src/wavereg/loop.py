@@ -197,10 +197,6 @@ class EpsilonSweep:
     """Spectral abscissa of the closed loop over a grid of tuning gains."""
 
     entries: tuple
-    eps_best: float
-
-    def stable_values(self):
-        return [e for e, a in self.entries if a < 0.0]
 
     def stable_is_prefix_from_first(self):
         """True if the stable gains form one contiguous run starting at the
@@ -228,7 +224,7 @@ def find_epsilon_star(plant, ctrl_family, exo, eps_grid):
     Returns
     -------
     EpsilonSweep
-        Table of (eps, abscissa) pairs and the gain minimizing the abscissa.
+        Table of (eps, abscissa) pairs.
     """
     grid = [float(e) for e in eps_grid]
     if not grid:
@@ -239,8 +235,17 @@ def find_epsilon_star(plant, ctrl_family, exo, eps_grid):
     for eps in grid:
         cl = assemble_direct(plant, ctrl_family(eps), exo)
         entries.append((eps, cl.abscissa))
-    eps_best = min(entries, key=lambda pair: pair[1])[0]
-    return EpsilonSweep(entries=tuple(entries), eps_best=eps_best)
+    return EpsilonSweep(entries=tuple(entries))
+
+
+def _time_grid(t_end, dt):
+    """Sample times 0, dt, ..., t_end; t_end must be a multiple of dt > 0."""
+    if dt <= 0 or t_end < dt:
+        raise ValueError("need dt > 0 and t_end >= dt")
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError("t_end must be an integer multiple of dt")
+    return dt * np.arange(n_steps + 1)
 
 
 def _propagate(step, X):
@@ -287,13 +292,7 @@ def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
         If the state grows beyond the configured cap (unstable loop on a
         long horizon); the message names the first sample over the cap.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < dt:
-        raise ValueError("t_end must be at least dt")
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be an integer multiple of dt")
+    t = _time_grid(t_end, dt)
     n = cl.state_dim
     q = exo.q
     aug = np.zeros((n + q, n + q), dtype=complex)
@@ -311,11 +310,10 @@ def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
     xi[n:] = exo.v0
 
     cap = _GROWTH_CAP * (1.0 + np.linalg.norm(xi))
-    t = dt * np.arange(n_steps + 1)
-    X = np.empty((n_steps + 1, n + q), dtype=complex)
+    X = np.empty((t.size, n + q), dtype=complex)
     X[0] = xi
-    errors = np.empty((n_steps + 1, cl.Ccl.shape[0]), dtype=complex)
-    energies = np.empty(n_steps + 1)
+    errors = np.empty((t.size, cl.Ccl.shape[0]), dtype=complex)
+    energies = np.empty(t.size)
     for block in _propagate(step, X):
         rows = X[block]
         # a non-finite row counts as over the cap
@@ -385,17 +383,14 @@ def free_response(plant, x0, t_end, dt, damped=True):
     :func:`simulate_exact`; used by the energy-conservation, decay and
     admissibility checks.
     """
-    if dt <= 0 or t_end < dt:
-        raise ValueError("need dt > 0 and t_end >= dt")
+    t = _time_grid(t_end, dt)
     gen = plant.As if damped else plant.A
     step = linalg.expm(gen, dt)
-    n_steps = int(round(t_end / dt))
     x0 = np.asarray(x0)
-    t = dt * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1,) + x0.shape, dtype=np.result_type(step, x0))
+    states = np.empty((t.size,) + x0.shape, dtype=np.result_type(step, x0))
     states[0] = x0
-    outputs = np.empty((n_steps + 1, plant.output_dim))
-    energies = np.empty(n_steps + 1)
+    outputs = np.empty((t.size, plant.output_dim))
+    energies = np.empty(t.size)
     for block in _propagate(step, states):
         outputs[block] = np.real(states[block] @ plant.C.T)
         energies[block] = plant.energy(states[block])

@@ -7,15 +7,17 @@ decay horizon (the one criterion 2 simulates to), not at a fixed time: the
 internal-model copies sit at i w_k - eps + O(eps^2), so the projected error
 falls no faster than the closed loop's abscissa allows and crosses 1e-8 near
 t = 100 nominally (see the test body, which prints the measured values).
+Criteria 4-8 run the checks that ``wavereg.checks`` registers for them, the
+same ones ``wavereg verify`` runs.
 """
 
 import csv
-import dataclasses
 import time
 
 import numpy as np
+import pytest
 
-from wavereg import bessel, cli, linalg, loop, synthesis
+from wavereg import checks, cli, loop, synthesis
 
 V0_NORM_SQ = 4.0  # squared Euclidean norm of v0 = (1, 1, 1, 1)
 
@@ -162,151 +164,42 @@ class TestCriterion3ExactTrackingOnYN:
             assert r["full_end"] > 1e-8, f"full error fell below 1e-8: {describe(r)}"
 
 
+@pytest.fixture(scope="module")
+def preset_checks():
+    """One preset context shared by the checks of criteria 4-8."""
+    return checks.Context(cli.sect5_config())
+
+
+def run_criterion(criterion, ctx):
+    """Run every registered check tagged with ``criterion``; print one line
+    joining their details and assert each check."""
+    results = [c.run(ctx) for c in checks.REGISTRY if c.criterion == criterion]
+    assert results, f"no check is registered for criterion {criterion}"
+    report(criterion, all(ok for _, ok, _ in results), ", ".join(d for _, _, d in results))
+    for label, ok, detail in results:
+        assert ok, f"{label}: {detail}"
+
+
 class TestCriterion4RegulatorEquations:
-    def test_exactness_and_negative_control(self, sect5_plant, sect5_exo):
-        ctrl = synthesis.synth_regulating(sect5_plant, sect5_exo, 0.15)
-        cl = loop.assemble_direct(sect5_plant, ctrl, sect5_exo)
-        reg = synthesis.solve_regulator(cl, sect5_exo)
-        scale = (
-            np.linalg.norm(cl.Ccl, 2) * np.linalg.norm(reg.Sigma, 2)
-            + np.linalg.norm(cl.Dcl, 2)
-        )
-        exact_ok = reg.residual2 < 1e-8 * scale
-        rng = np.random.default_rng(12345)
-        K0p = ctrl.K0 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, ctrl.K0.shape))
-        bad = dataclasses.replace(ctrl, K0=K0p, K=ctrl.eps * K0p)
-        reg_bad = synthesis.solve_regulator(
-            loop.assemble_direct(sect5_plant, bad, sect5_exo), sect5_exo
-        )
-        control_ok = reg_bad.residual2 > 1e-3
-        report(
-            4,
-            exact_ok and control_ok,
-            f"residual2={reg.residual2:.2e} (scale {scale:.2e}), "
-            f"perturbed residual2={reg_bad.residual2:.2e}",
-        )
-        assert exact_ok
-        assert control_ok
+    def test_exactness_and_negative_control(self, preset_checks):
+        run_criterion(4, preset_checks)
 
 
 class TestCriterion5InternalModelPrinciple:
-    def test_g_conditions(self, sect5_plant, sect5_exo, approx5):
-        robust = synthesis.synth_robust(sect5_plant, sect5_exo, 0.15)
-        rep_rob = synthesis.check_g_conditions(robust)
-        kernel_ok = True
-        kernels = {}
-        for N in (1, 3, 5, 8):
-            ctrl = (
-                approx5
-                if N == 5
-                else synthesis.synth_approx_robust(sect5_plant, sect5_exo, N, 0.15)
-            )
-            rep = synthesis.check_g_conditions(ctrl)
-            kernels[N] = rep.kernel_dim_G2
-            kernel_ok &= (not rep.passed) and rep.kernel_dim_G2 == 23 - (2 * N + 1)
-        ok = rep_rob.passed and kernel_ok
-        report(5, ok, f"robust passed={rep_rob.passed}, approx kernel dims={kernels}")
-        assert rep_rob.passed
-        assert kernel_ok
+    def test_g_conditions(self, preset_checks):
+        run_criterion(5, preset_checks)
 
 
 class TestCriterion6StructuralCrossChecks:
-    def test_cross_checks(self, sect5_plant, sect5_exo, approx5, sect5_loop, sect5_reg):
-        cl_p = loop.assemble_paper_Ae(sect5_plant, approx5, sect5_exo)
-        dist = linalg.match_spectra(
-            linalg.eig(sect5_loop.Acl).eigenvalues, linalg.eig(cl_p.Acl).eigenvalues
-        )
-        spectra_ok = dist < 1e-8
-        rng = np.random.default_rng(77)
-        sylv_worst = 0.0
-        for n, q in ((6, 2), (14, 3), (20, 4)):
-            Ae = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) - (n + 3) * np.eye(n)
-            Be = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
-            om = np.sort(rng.uniform(-3.0, 3.0, q))
-            om += 0.05 * np.arange(q)
-            S1 = linalg.sylvester_diag(Ae, Be, om)
-            S2 = linalg.sylvester_kron(Ae, Be, om)
-            sylv_worst = max(sylv_worst, np.abs(S1 - S2).max() / max(1.0, np.abs(S1).max()))
-        sylv_ok = sylv_worst < 1e-10
-        gamma = synthesis.gamma_closed_form(sect5_plant, approx5, sect5_exo)
-        gamma_diff = np.abs(gamma - sect5_reg.Gamma).max()
-        gamma_ok = gamma_diff < 1e-8
-        report(
-            6,
-            spectra_ok and sylv_ok and gamma_ok,
-            f"spectra dist={dist:.2e}, sylvester worst={sylv_worst:.2e}, "
-            f"closed-form Gamma diff={gamma_diff:.2e}",
-        )
-        assert spectra_ok and sylv_ok and gamma_ok
+    def test_cross_checks(self, preset_checks):
+        run_criterion(6, preset_checks)
 
 
 class TestCriterion7PhysicsSuite:
-    def test_physics(self, sect5_plant):
-        rng = np.random.default_rng(2718)
-        # energy conservation of the undamped plant over [0, 10]
-        x0 = rng.standard_normal(sect5_plant.state_dim)
-        resp = loop.free_response(sect5_plant, x0, t_end=10.0, dt=0.01, damped=False)
-        drift = np.abs(resp.energies / resp.energies[0] - 1.0).max()
-        energy_ok = drift < 1e-9
-        # admissibility bound for 20 random initial states
-        worst_ratio = 0.0
-        for _ in range(20):
-            x0 = rng.standard_normal(sect5_plant.state_dim)
-            resp = loop.free_response(sect5_plant, x0, t_end=5.0, dt=0.002)
-            integral = np.trapezoid(np.sum(resp.outputs**2, axis=1), resp.t)
-            worst_ratio = max(
-                worst_ratio, integral / (sect5_plant.energy(x0) / 6.0)
-            )
-        adm_ok = worst_ratio <= 1.0
-        # Bessel Wronskian
-        wr_worst = 0.0
-        for x in (1.0, 5.0, 20.0):
-            J0, Y0, _, _ = bessel.bessel_jy(0, x)
-            J1, Y1, _, _ = bessel.bessel_jy(1, x)
-            wr_worst = max(wr_worst, abs(J1 * Y0 - J0 * Y1 - 2.0 / (np.pi * x)))
-        wronskian_ok = wr_worst < 1e-10
-        # full 2-D Gram of the mode set
-        from wavereg.bessel import RADIAL_NODES, RADIAL_WEIGHTS
-
-        n_theta = 256
-        theta = 2 * np.pi * np.arange(n_theta) / n_theta
-        basis = sect5_plant.basis
-        ang = basis.evaluate(theta)
-        fields = np.empty((sect5_plant.n_modes, RADIAL_NODES.size * n_theta))
-        weights = (
-            np.outer(RADIAL_WEIGHTS * RADIAL_NODES, np.full(n_theta, 2 * np.pi / n_theta))
-        ).ravel()
-        for i, mode in enumerate(sect5_plant.modes):
-            radial = mode.radial.eval(RADIAL_NODES)
-            angular = ang[basis.index(mode.radial.m, mode.parity)]
-            fields[i] = np.outer(radial, angular).ravel()
-        gram = (fields * weights) @ fields.T
-        gram_err = np.abs(gram - np.eye(sect5_plant.n_modes)).max()
-        gram_ok = gram_err < 1e-6
-        report(
-            7,
-            energy_ok and adm_ok and wronskian_ok and gram_ok,
-            f"energy drift={drift:.2e}, admissibility ratio={worst_ratio:.4f}, "
-            f"wronskian={wr_worst:.2e}, gram err={gram_err:.2e}",
-        )
-        assert energy_ok and adm_ok and wronskian_ok and gram_ok
+    def test_physics(self, preset_checks):
+        run_criterion(7, preset_checks)
 
 
 class TestCriterion8EpsilonSweep:
-    def test_stable_prefix_and_preset_gain(self, sect5_plant, sect5_exo):
-        grid = [round(0.05 * i, 2) for i in range(1, 11)]
-        sweep = loop.find_epsilon_star(
-            sect5_plant,
-            lambda e: synthesis.synth_approx_robust(sect5_plant, sect5_exo, 5, e),
-            sect5_exo,
-            grid,
-        )
-        stable = sweep.stable_values()
-        prefix_ok = sweep.stable_is_prefix_from_first()
-        eps_015 = [a for e, a in sweep.entries if abs(e - 0.15) < 1e-12][0]
-        ok = bool(stable) and prefix_ok and eps_015 < 0
-        table = ", ".join(f"{e:.2f}:{a:+.3f}" for e, a in sweep.entries)
-        report(8, ok, f"sweep [{table}]; eps=0.15 abscissa {eps_015:+.4f}")
-        assert stable
-        assert prefix_ok
-        assert eps_015 < 0
+    def test_stable_prefix_and_preset_gain(self, preset_checks):
+        run_criterion(8, preset_checks)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from wavereg import cli, serialize
+from wavereg import checks, cli, serialize
 from wavereg.cli import RunConfig, sect5_config
 
 
@@ -202,7 +202,12 @@ class TestReproduce:
         ]
         assert candidates and abs(candidates[0] - target) < 1e-2
 
-    def test_figure_validation(self):
+    def test_figure_validation(self, monkeypatch):
+        # an unknown figure is rejected before any plant is built
+        def no_plant(cfg):
+            raise AssertionError("plant built for an unknown figure")
+
+        monkeypatch.setattr(cli, "build_plant", no_plant)
         with pytest.raises(ValueError):
             cli.cmd_reproduce(7)
 
@@ -223,6 +228,25 @@ class TestVerifyAndMain:
         ok, lines = cli.cmd_verify("synth", cfg)
         assert not ok
         assert any(line.startswith("[FAIL]") for line in lines)
+
+    def test_main_verify_all_on_small_config(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cli.save_config(small_config(tmp_path), cfg_path)
+        builds = []
+        build_plant = cli.build_plant
+
+        def counting_build_plant(cfg):
+            builds.append(cfg)
+            return build_plant(cfg)
+
+        monkeypatch.setattr(cli, "build_plant", counting_build_plant)
+        code = cli.main(["verify", "--suite", "all", "--config", str(cfg_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(builds) == 1
+        assert len(lines) == len(checks.REGISTRY)
+        assert all(line.startswith(("[PASS] ", "[FAIL] ")) for line in lines)
+        assert (code == 0) == all(line.startswith("[PASS]") for line in lines)
+        assert code in (0, 1)
 
     def test_main_verify_exit_code(self, capsys):
         assert cli.main(["verify", "--suite", "linalg"]) == 0

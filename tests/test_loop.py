@@ -239,6 +239,8 @@ class TestSimulation:
             simulate_exact(cl, exo, t_end=1.0, dt=-0.1)
         with pytest.raises(ValueError):
             simulate_exact(cl, exo, t_end=1.005, dt=0.01)
+        with pytest.raises(ValueError):
+            loop.free_response(toy_plant, np.ones(1), t_end=1.005, dt=0.01)
 
     def test_error_is_real_for_real_symmetric_data(self, sect5_loop, sect5_exo):
         traj = simulate_exact(sect5_loop, sect5_exo, t_end=1.0, dt=0.01)
