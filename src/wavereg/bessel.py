@@ -8,8 +8,8 @@ where the weights (w_Y, w_J) enforce the homogeneous condition at the inner
 boundary r = 1: (Y_m(k), J_m(k)) pins the value there (Dirichlet),
 (Y'_m(k), J'_m(k)) pins the slope (Neumann). Admissible wavenumbers k are
 the roots of the Neumann condition R'(2) = 0 at the actuated outer boundary,
-located by a bracketing scan plus bisection and polished with secant steps.
-Each mode is normalized to unit L^2 norm in the radial measure r dr.
+found per order by a vectorized scan, bisection and secant steps, with a
+spacing guard against skipped roots; Lommel's integral gives the norms.
 
 Dirichlet wavenumbers follow k ~ (n - 1/2) pi / (width), Neumann ones
 k ~ n pi; which family the simulation preset uses matters because the
@@ -25,47 +25,35 @@ import scipy.special
 
 INNER_BCS = ("dirichlet", "neumann")
 
-# Gauss-Legendre rule used for all radial integrals on [1, 2].
-_QUAD_NODES = 64
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_QUAD_NODES)
-RADIAL_NODES = 1.5 + 0.5 * _GL_X
-RADIAL_WEIGHTS = 0.5 * _GL_W
-
 ROOT_RESIDUAL_TOL = 1e-10
 _BRACKET_STEP = 0.05
 _BRACKET_START = 0.01
 _BRACKET_CAP = 400.0
+_BISECTIONS = 4  # brackets of width 0.05 / 2**4 before the secant steps
+_SECANT_STEPS = 10
 
 
 class BracketError(RuntimeError):
-    """The root scan exhausted its range before finding enough sign changes."""
+    """Root finding missed, skipped or failed to converge on a wavenumber."""
 
 
 def bessel_jy(m, x):
-    """Values and first derivatives of the Bessel functions J_m and Y_m.
+    """Values and first derivatives (J, Y, J', Y') of the Bessel functions
+    J_m and Y_m of nonnegative integer order m at arguments x > 0.
 
-    Parameters
-    ----------
-    m : int
-        Nonnegative integer order.
-    x : float or ndarray
-        Strictly positive argument (Y_m is singular at zero).
-
-    Returns
-    -------
-    (J, Y, Jp, Yp) : tuple of float or ndarray
+    Y_m comes from scipy's integer-order ``yn``, about 20 times faster than
+    ``yv``, with errors below 1e-14 of sqrt(J_m^2 + Y_m^2); the derivatives
+    come from the recurrence Z'_m = (m/x) Z_m - Z_{m+1}.
     """
     if m < 0 or int(m) != m:
         raise ValueError(f"order must be a nonnegative integer, got {m}")
     xarr = np.asarray(x, dtype=float)
     if np.any(xarr <= 0.0):
         raise ValueError("argument must be strictly positive")
-    return (
-        scipy.special.jv(m, xarr),
-        scipy.special.yv(m, xarr),
-        scipy.special.jvp(m, xarr),
-        scipy.special.yvp(m, xarr),
-    )
+    J, Y = scipy.special.jv(m, xarr), scipy.special.yn(m, xarr)
+    Jp = m / xarr * J - scipy.special.jv(m + 1, xarr)
+    Yp = m / xarr * Y - scipy.special.yn(m + 1, xarr)
+    return J, Y, Jp, Yp
 
 
 def _inner_weights(m, k, inner_bc):
@@ -131,80 +119,88 @@ class RadialMode:
         return float(self.eval(2.0))
 
 
-def _bisect_root(m, lo, hi, f_lo, inner_bc):
-    """Bisection on cross_fn down to a bracket width of 1e-12."""
-    while hi - lo > 1e-12:
+def _refine(m, lo, hi, f_lo, f_hi, inner_bc):
+    """Bisect all brackets together, then polish them with secant steps kept
+    inside the bisected brackets; returns the roots and their residuals."""
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         f_mid = cross_fn(m, mid, inner_bc)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0) != (f_mid < 0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def _secant_polish(m, k, inner_bc):
-    """A few secant steps to push the residual below ROOT_RESIDUAL_TOL."""
-    k0, k1 = k, k * (1.0 + 1e-9) + 1e-12
-    f0, f1 = cross_fn(m, k0, inner_bc), cross_fn(m, k1, inner_bc)
-    for _ in range(8):
-        if abs(f1) < ROOT_RESIDUAL_TOL or f1 == f0:
+        left = (f_lo < 0) != (f_mid < 0)
+        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
+        hi, f_hi = np.where(left, mid, hi), np.where(left, f_mid, f_hi)
+    k0, f0, k1, f1 = lo, f_lo, hi, f_hi
+    for _ in range(_SECANT_STEPS):
+        slope = f1 - f0
+        step = np.divide(f1 * (k1 - k0), slope, out=np.zeros_like(k1), where=slope != 0.0)
+        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * k1):
             break
-        k0, k1, f0 = k1, k1 - f1 * (k1 - k0) / (f1 - f0), f1
+        k0, f0 = k1, f1
+        k1 = np.clip(k1 - step, lo, hi)
         f1 = cross_fn(m, k1, inner_bc)
-    return k1 if abs(f1) <= abs(f0) else k0
+    better = np.abs(f1) <= np.abs(f0)
+    return np.where(better, k1, k0), np.where(better, f1, f0)
+
+
+def _norm_sq(m, k, inner_bc):
+    """Squared L^2([1, 2], r dr) norm of radial_profile at roots ``k``.
+
+    Lommel's integral of the cylinder function R(r) = Z_m(k r) is
+    int r R^2 dr = [r^2/2 (Z_m'(k r)^2 + (1 - m^2/(k r)^2) R^2)]_1^2, and
+    Z_m'(2k) = 0 at the outer Neumann boundary. At r = 1 the Neumann inner
+    condition leaves the R(1) term, the Dirichlet one the R'(1)/k term.
+    """
+    outer = 2.0 * (1.0 - (m / (2.0 * k)) ** 2) * radial_profile(m, k, 2.0, inner_bc) ** 2
+    if inner_bc == "neumann":
+        inner = (1.0 - (m / k) ** 2) * radial_profile(m, k, 1.0, inner_bc) ** 2
+    else:
+        inner = (radial_profile_deriv(m, k, 1.0, inner_bc) / k) ** 2
+    return outer - 0.5 * inner
 
 
 def find_radial_roots(m, count, inner_bc="dirichlet"):
     """First ``count`` positive radial eigenmodes of angular order ``m``.
 
-    Scans cross_fn on a 0.05 grid in k, bisects each sign change and
-    polishes with secant steps; the accepted residual is below
-    ``ROOT_RESIDUAL_TOL``. Normalization constants come from 64-node
-    Gauss-Legendre quadrature on [1, 2]. For the Neumann inner condition the
-    rigid k = 0 mode (zero eigenvalue, invisible in energy and velocity
-    output) is not part of the returned set.
+    One vectorized call scans cross_fn on a 0.05 grid in k, extended only if
+    it holds fewer than ``count`` sign changes; all brackets are then refined
+    together (:func:`_refine`) and normalized by :func:`_norm_sq`. For
+    the Neumann inner condition the rigid k = 0 mode (zero eigenvalue,
+    invisible in energy and velocity output) is not part of the returned set.
 
-    Raises
-    ------
-    BracketError
-        If the scan reaches its cap before ``count`` sign changes appear.
+    Raises BracketError if the scan reaches its cap before ``count`` sign
+    changes, if a residual stays above ``ROOT_RESIDUAL_TOL``, or if two
+    consecutive roots past the first lie outside [pi/2, 3 pi/2] apart: the
+    spacing tends to pi (McMahon-type asymptotics, Abramowitz & Stegun 9.5),
+    so a wider gap means the scan stepped over a pair of roots.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if inner_bc not in INNER_BCS:
-        raise ValueError(f"inner_bc must be one of {INNER_BCS}, got {inner_bc!r}")
-    modes = []
-    k_prev = _BRACKET_START
-    f_prev = cross_fn(m, k_prev, inner_bc)
-    k = k_prev
-    while len(modes) < count:
-        k = k + _BRACKET_STEP
-        if k > _BRACKET_CAP:
-            raise BracketError(
-                f"found only {len(modes)} of {count} roots for order {m} below k={_BRACKET_CAP}"
-            )
+    top = min(_BRACKET_CAP, 0.5 * m + (count + 1) * np.pi)  # above the count-th root in practice
+    while True:
+        k = np.arange(_BRACKET_START, top, _BRACKET_STEP)
         f = cross_fn(m, k, inner_bc)
-        if f == 0.0 or (f_prev < 0) != (f < 0):
-            root = _bisect_root(m, k_prev, k, f_prev, inner_bc)
-            root = _secant_polish(m, root, inner_bc)
-            if abs(cross_fn(m, root, inner_bc)) > ROOT_RESIDUAL_TOL:
-                raise BracketError(
-                    f"root polish stalled at k={root} (order {m}), residual "
-                    f"{abs(cross_fn(m, root, inner_bc)):.3e}"
-                )
-            raw = radial_profile(m, root, RADIAL_NODES, inner_bc)
-            norm_sq = np.sum(RADIAL_WEIGHTS * raw**2 * RADIAL_NODES)
-            modes.append(
-                RadialMode(
-                    m=m,
-                    n=len(modes) + 1,
-                    k=float(root),
-                    normalization=float(1.0 / np.sqrt(norm_sq)),
-                    inner_bc=inner_bc,
-                )
-            )
-        k_prev, f_prev = k, f
-    return modes
+        idx = np.flatnonzero(((f[:-1] < 0) != (f[1:] < 0)) | (f[1:] == 0.0))[:count]
+        if idx.size == count or top >= _BRACKET_CAP:
+            break
+        top = min(_BRACKET_CAP, 2.0 * top)
+    if idx.size < count:
+        raise BracketError(
+            f"found only {idx.size} of {count} roots for order {m} below k={_BRACKET_CAP}"
+        )
+    roots, residuals = _refine(m, k[idx], k[idx + 1], f[idx], f[idx + 1], inner_bc)
+    worst = int(np.argmax(np.abs(residuals)))
+    if abs(residuals[worst]) > ROOT_RESIDUAL_TOL:
+        raise BracketError(
+            f"root polish stalled at k={roots[worst]} (order {m}), residual "
+            f"{abs(residuals[worst]):.3e}"
+        )
+    gaps = np.diff(roots)
+    bad = np.flatnonzero((gaps[1:] < 0.5 * np.pi) | (gaps[1:] > 1.5 * np.pi))
+    if bad.size:
+        n = int(bad[0]) + 2  # gaps[1:] starts between roots 2 and 3
+        gap = f"roots {n} and {n + 1} of order {m} are {gaps[n - 1]:.3f} apart"
+        raise BracketError(f"{gap}, outside [pi/2, 3pi/2]: the scan skipped a root")
+    norms = 1.0 / np.sqrt(_norm_sq(m, roots, inner_bc))
+    return [
+        RadialMode(m=m, n=n, k=float(k), normalization=float(c), inner_bc=inner_bc)
+        for n, (k, c) in enumerate(zip(roots, norms), start=1)
+    ]

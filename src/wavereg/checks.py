@@ -72,14 +72,19 @@ def _regulator_equations(ctx):
     cl = loop.assemble_direct(ctx.plant, ctrl, ctx.exo)
     reg = synthesis.solve_regulator(cl, ctx.exo)
     scale = np.linalg.norm(cl.Ccl, 2) * np.linalg.norm(reg.Sigma, 2) + np.linalg.norm(cl.Dcl, 2)
+    detail = f"residual2={reg.residual2:.2e} (scale {scale:.2e})"
+    drive = np.abs(ctx.exo.E) + np.abs(ctx.exo.F)
+    if np.all(np.count_nonzero(drive > 1e-12 * drive.max(), axis=0) <= 1):
+        # the plant is channel-diagonal: K0 scaled entrywise still regulates
+        skipped = "perturbation control skipped: no frequency drives more than one channel"
+        return reg.residual2 < 1e-8 * scale, f"{detail}, {skipped}"
     rng = np.random.default_rng(12345)
     K0 = ctrl.K0 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, ctrl.K0.shape))
     bad = replace(ctrl, K0=K0, K=ctrl.eps * K0)
     reg_bad = synthesis.solve_regulator(loop.assemble_direct(ctx.plant, bad, ctx.exo), ctx.exo)
     return (
         reg.residual2 < 1e-8 * scale and reg_bad.residual2 > 1e-3,
-        f"residual2={reg.residual2:.2e} (scale {scale:.2e}), "
-        f"perturbed residual2={reg_bad.residual2:.2e}",
+        f"{detail}, perturbed residual2={reg_bad.residual2:.2e}",
     )
 
 
@@ -162,8 +167,9 @@ def _wronskian(ctx):
 def _gram(ctx):
     plant, n_theta = ctx.plant, 256
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    r = bessel.RADIAL_NODES
-    weights = np.outer(bessel.RADIAL_WEIGHTS * r, np.full(n_theta, 2 * np.pi / n_theta)).ravel()
+    x, w = np.polynomial.legendre.leggauss(64)  # oracle for the closed-form radial norms
+    r = 1.5 + 0.5 * x
+    weights = np.outer(0.5 * w * r, np.full(n_theta, 2 * np.pi / n_theta)).ravel()
     eye = np.eye(plant.n_modes)
     fields = np.array([plant.displacement_profile(mode, r, theta).ravel() for mode in eye])
     err = np.abs((fields * weights) @ fields.T - eye).max()

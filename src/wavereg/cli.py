@@ -19,6 +19,7 @@ given. All emitted CSVs are deterministic (byte-identical across runs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -111,6 +112,16 @@ class RunConfig:
             raise ValueError("controller.epsilon must be nonnegative")
         if s.dt <= 0 or s.t_end < s.dt or s.window <= 0:
             raise ValueError("simulation times must be positive with t_end >= dt")
+        # checks the pipeline repeats after building the plant, same order and messages
+        if self.exosystem.preset == "sect5" and p.m_angular - 1 < 5:
+            raise ValueError("max_order must be at least 5 for the preset signals")
+        dim_y = 2 * p.m_angular - 1
+        if c.kind == "approx" and 2 * c.N + 1 > dim_y:
+            raise ValueError(f"2N+1 = {2 * c.N + 1} exceeds the output dimension {dim_y}")
+        loop.whole_steps(s.t_end, s.dt, "t_end")
+        loop.whole_steps(s.window, s.dt, "window")
+        if s.window > s.t_end:
+            raise ValueError(f"window {s.window} does not fit into the horizon {s.t_end}")
         return self
 
     def to_dict(self):
@@ -264,14 +275,27 @@ def cmd_synth(cfg, out_dir=None):
     return payload
 
 
+@contextlib.contextmanager
+def _timed(timings, stage):
+    """Record the wall-clock seconds of one stage of a command in ``timings``."""
+    start = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - start
+
+
 def cmd_simulate(cfg, out_dir=None):
-    """Full pipeline run; writes simulation.csv and optional SVG plots."""
+    """Full pipeline run; writes simulation.csv, run_meta.json and optional SVG plots."""
     t_start = time.perf_counter()
+    timings = {}
     out = _outdir(cfg, out_dir)
-    plant = build_plant(cfg)
-    exo = build_exo(cfg, plant)
-    ctrl = build_controller(cfg, plant, exo)
-    cl = loop.assemble_direct(plant, ctrl, exo)
+    with _timed(timings, "plant"):
+        plant = build_plant(cfg)
+    with _timed(timings, "exosystem"):
+        exo = build_exo(cfg, plant)
+    with _timed(timings, "controller"):
+        ctrl = build_controller(cfg, plant, exo)
+    with _timed(timings, "assemble"):
+        cl = loop.assemble_direct(plant, ctrl, exo)
     if not cl.is_stable:
         raise ValueError(
             f"closed loop is unstable (spectral abscissa {cl.abscissa:+.4e} >= 0); not simulating"
@@ -283,17 +307,17 @@ def cmd_simulate(cfg, out_dir=None):
             _initial_state(sim.z0, ctrl.dim_z, "z0"),
         ]
     )
-    traj = loop.simulate_exact(cl, exo, x0=x0, t_end=sim.t_end, dt=sim.dt)
-    series = loop.windowed_error(traj, window=sim.window)
-    err_sq = traj.error_norms_sq()
-    pn_err_sq = np.sum(np.abs(traj.errors @ ctrl.projector().T) ** 2, axis=1)
-    rows = []
-    n_j = series.values.size
-    for i, t in enumerate(traj.t):
-        j_val = float(series.values[i]) if i < n_j else ""
-        rows.append((float(t), j_val, float(err_sq[i]), float(pn_err_sq[i]), float(traj.energies[i])))
+    with _timed(timings, "simulate"):
+        traj = loop.simulate_exact(cl, exo, x0=x0, t_end=sim.t_end, dt=sim.dt)
+        series = loop.windowed_error(traj, window=sim.window)
+        err_sq = traj.error_norms_sq()
+        pn_err_sq = np.sum(np.abs(traj.errors @ ctrl.projector().T) ** 2, axis=1)
     csv_path = out / "simulation.csv"
-    serialize.save_csv(csv_path, ["t", "J", "err_sq", "pn_err_sq", "energy"], rows)
+    with _timed(timings, "csv"):
+        # J(t) integrates over [t, t + window], so its column ends one window early
+        j_col = series.values.tolist() + [""] * (traj.t.size - series.values.size)
+        cols = (traj.t.tolist(), j_col, err_sq.tolist(), pn_err_sq.tolist(), traj.energies.tolist())
+        serialize.save_csv(csv_path, ["t", "J", "err_sq", "pn_err_sq", "energy"], list(zip(*cols)))
     if cfg.output.emit_svg:
         _svg_line_plot(
             out / "windowed_error.svg",
@@ -311,6 +335,7 @@ def cmd_simulate(cfg, out_dir=None):
         "abscissa": cl.abscissa,
         "J_final": float(series.values[-1]),
         "elapsed_s": time.perf_counter() - t_start,
+        "timings": timings,
     }
     with open(out / "run_meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -89,23 +89,6 @@ class Exosystem:
     def S(self):
         return np.diag(1j * self.omegas)
 
-    def is_conjugate_symmetric(self, tol=1e-12):
-        """True if frequencies pair as +-w with conjugate columns and v0,
-        which makes E v(t) and F v(t) real for all t."""
-        order = {w: k for k, w in enumerate(self.omegas)}
-        for k, w in enumerate(self.omegas):
-            if -w not in order:
-                return False
-            j = order[-w]
-            ok = (
-                np.allclose(self.E[:, k], self.E[:, j].conj(), atol=tol)
-                and np.allclose(self.F[:, k], self.F[:, j].conj(), atol=tol)
-                and abs(self.v0[k] - self.v0[j].conj()) <= tol
-            )
-            if not ok:
-                return False
-        return True
-
 
 def v_at(exo, t):
     """Exosystem state v(t) = exp(i omega_k t) v0_k, componentwise."""

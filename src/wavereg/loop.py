@@ -238,14 +238,19 @@ def find_epsilon_star(plant, ctrl_family, exo, eps_grid):
     return EpsilonSweep(entries=tuple(entries))
 
 
+def whole_steps(span, dt, name):
+    """Number of steps of size ``dt`` in ``span``, which must be a multiple of dt."""
+    steps = int(round(span / dt))
+    if abs(steps * dt - span) > 1e-9 * max(1.0, span):
+        raise ValueError(f"{name} must be an integer multiple of dt")
+    return steps
+
+
 def _time_grid(t_end, dt):
     """Sample times 0, dt, ..., t_end; t_end must be a multiple of dt > 0."""
     if dt <= 0 or t_end < dt:
         raise ValueError("need dt > 0 and t_end >= dt")
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be an integer multiple of dt")
-    return dt * np.arange(n_steps + 1)
+    return dt * np.arange(whole_steps(t_end, dt, "t_end") + 1)
 
 
 def _propagate(step, X):
@@ -348,9 +353,7 @@ def windowed_error(traj, window=1.0, weights=None):
         Trapezoid-rule values J(t) on the grid points t <= t_end - window.
     """
     dt = traj.dt
-    steps = int(round(window / dt))
-    if abs(steps * dt - window) > 1e-9 * max(1.0, window):
-        raise ValueError("window must be an integer multiple of dt")
+    steps = whole_steps(window, dt, "window")
     if steps < 1 or steps >= traj.t.size:
         raise WindowTooLargeError(
             f"window {window} does not fit into the horizon {traj.t[-1]}"

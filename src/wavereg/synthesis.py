@@ -153,23 +153,6 @@ def eval_transfer(As, B, C, lam):
     return C @ X
 
 
-def transfer_paper_form(As, B, C, lam):
-    """P_s(lambda) through the boundary-system formula
-    C (lambda - A_s)^{-1} (Alpha B_s - lambda B_s) + C B_s, with the modal
-    stand-ins B_s = B and Alpha B_s = (A_s + I) B (the right-inverse identity
-    of the stabilized input map absorbed into the generator action).
-
-    Algebraically identical to :func:`eval_transfer`; kept as an independent
-    evaluation path for cross-validation.
-    """
-    n = As.shape[0]
-    try:
-        X = linalg.solve_dense(lam * np.eye(n) - As, (As + np.eye(n)) @ B - lam * B)
-    except SingularMatrixError as exc:
-        raise ResonanceError(lam, f"lambda={lam} is in the spectrum of As") from exc
-    return C @ X + C @ B
-
-
 def stabilized_disturbance(plant, exo):
     """Disturbance map E_s = E - Q F of the pre-stabilized loop, with the same
     damping gain Q = ``plant.Q_feedback`` that defines ``plant.As``."""

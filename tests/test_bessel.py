@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from wavereg import bessel
+
+# 64-node Gauss-Legendre rule on [1, 2]: the quadrature oracle for radial integrals
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+RADIAL_NODES, RADIAL_WEIGHTS = 1.5 + 0.5 * _GL_X, 0.5 * _GL_W
 
 
 def j_series(m, x, terms=60):
@@ -115,9 +120,9 @@ class TestRootFinding:
 
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
     def test_orthonormal_in_radial_measure(self, inner):
-        r = bessel.RADIAL_NODES
+        r = RADIAL_NODES
         values = np.array([mode.eval(r) for mode in bessel.find_radial_roots(2, 5, inner)])
-        gram = (values * bessel.RADIAL_WEIGHTS * r) @ values.T
+        gram = (values * RADIAL_WEIGHTS * r) @ values.T
         assert np.abs(gram - np.eye(5)).max() < 1e-8
 
     def test_normalization_against_simpson_oracle(self):
@@ -138,3 +143,41 @@ class TestRootFinding:
             bessel.find_radial_roots(0, 0)
         with pytest.raises(ValueError):
             bessel.find_radial_roots(0, 2, "free")
+
+    @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
+    def test_roots_match_brentq_oracle(self, inner):
+        # scalar Brent iterations on each sign change of the 0.05 scan grid
+        grid = bessel._BRACKET_START + bessel._BRACKET_STEP * np.arange(800)
+        for m in range(12):
+            f = bessel.cross_fn(m, grid, inner)
+            idx = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))[:8]
+            oracle = [
+                scipy.optimize.brentq(
+                    lambda k: bessel.cross_fn(m, k, inner), grid[i], grid[i + 1], xtol=1e-15
+                )
+                for i in idx
+            ]
+            ks = [mode.k for mode in bessel.find_radial_roots(m, 8, inner)]
+            assert np.abs(np.array(ks) - oracle).max() < 1e-13
+
+    @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
+    def test_lommel_norm_matches_quadrature(self, inner):
+        r = RADIAL_NODES
+        for m in range(12):
+            for mode in bessel.find_radial_roots(m, 8, inner):
+                raw = bessel.radial_profile(m, mode.k, r, inner)
+                quad = 1.0 / np.sqrt(np.sum(RADIAL_WEIGHTS * raw**2 * r))
+                assert mode.normalization == pytest.approx(quad, rel=1e-13)
+
+    @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
+    def test_coarse_scan_trips_spacing_guard(self, inner, monkeypatch):
+        # 4.0-wide cells hold pairs of roots spaced ~pi, so sign changes vanish
+        monkeypatch.setattr(bessel, "_BRACKET_STEP", 4.0)
+        for m in range(12):
+            with pytest.raises(bessel.BracketError, match=r"outside \[pi/2, 3pi/2\]"):
+                bessel.find_radial_roots(m, 8, inner)
+
+    def test_scan_cap_reports_missing_roots(self, monkeypatch):
+        monkeypatch.setattr(bessel, "_BRACKET_CAP", 10.0)
+        with pytest.raises(bessel.BracketError, match="found only 3 of 8 roots"):
+            bessel.find_radial_roots(0, 8, "neumann")
