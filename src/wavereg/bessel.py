@@ -120,8 +120,8 @@ class RadialMode:
 
 
 def _refine(m, lo, hi, f_lo, f_hi, inner_bc):
-    """Bisect all brackets together, then polish them with secant steps kept
-    inside the bisected brackets; returns the roots and their residuals."""
+    """Bisect all brackets together, secant-polish them inside the bisected
+    brackets, then take the smallest residual within 4 ulps; returns roots, residuals."""
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         f_mid = cross_fn(m, mid, inner_bc)
@@ -132,13 +132,16 @@ def _refine(m, lo, hi, f_lo, f_hi, inner_bc):
     for _ in range(_SECANT_STEPS):
         slope = f1 - f0
         step = np.divide(f1 * (k1 - k0), slope, out=np.zeros_like(k1), where=slope != 0.0)
-        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * k1):
-            break
         k0, f0 = k1, f1
         k1 = np.clip(k1 - step, lo, hi)
         f1 = cross_fn(m, k1, inner_bc)
-    better = np.abs(f1) <= np.abs(f0)
-    return np.where(better, k1, k0), np.where(better, f1, f0)
+        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * k1):
+            break
+    # roundoff in f stops the secant a few ulps off: keep the smallest residual nearby
+    near = k1[:, None] + np.spacing(k1)[:, None] * np.arange(-4, 5)
+    f_near = cross_fn(m, near, inner_bc)
+    best = np.argmin(np.abs(f_near), axis=1)[:, None]
+    return np.take_along_axis(near, best, 1)[:, 0], np.take_along_axis(f_near, best, 1)[:, 0]
 
 
 def _norm_sq(m, k, inner_bc):

@@ -105,7 +105,9 @@ def main(argv=None):
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--workloads", nargs="+", default=["preset-cli", "delta-sweep", "gain-sweep"])
+    parser.add_argument(
+        "--workloads", nargs="+", default=["preset-cli", "delta-sweep", "gain-sweep"]
+    )
     parser.add_argument("--workdir", default=None, help="where the two exports go")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
@@ -118,7 +120,7 @@ def main(argv=None):
         commits[side] = export(getattr(args, side), checkouts[side])
     payload = {
         "command": f"python3 tools/bench_compare.py --base {args.base} --change {args.change} "
-        f"--pairs {args.pairs} --seconds {args.seconds:g} --out {args.out}",
+        f"--pairs {args.pairs} --seconds {args.seconds:g} --out {Path(args.out).name}",
         "commits": commits,
         "environment": {
             "nproc": os.cpu_count(),
