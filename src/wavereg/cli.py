@@ -30,7 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bessel, loop, serialize, synthesis
-from .exosystem import SignalSpec, SignalTerm, build_exosystem, build_sect5_exosystem, signals_at
+from .exosystem import (
+    SignalSpec,
+    SignalTerm,
+    build_exosystem,
+    build_sect5_exosystem,
+    require_preset_order,
+    signals_at,
+)
 from .plant import assemble_wave_plant
 
 _CONTROLLER_KINDS = ("regulating", "approx", "robust")
@@ -112,16 +119,13 @@ class RunConfig:
             raise ValueError("controller.epsilon must be nonnegative")
         if s.dt <= 0 or s.t_end < s.dt or s.window <= 0:
             raise ValueError("simulation times must be positive with t_end >= dt")
-        # checks the pipeline repeats after building the plant, same order and messages
-        if self.exosystem.preset == "sect5" and p.m_angular - 1 < 5:
-            raise ValueError("max_order must be at least 5 for the preset signals")
-        dim_y = 2 * p.m_angular - 1
-        if c.kind == "approx" and 2 * c.N + 1 > dim_y:
-            raise ValueError(f"2N+1 = {2 * c.N + 1} exceeds the output dimension {dim_y}")
+        # the pipeline's own checks, in its order, before any plant is built
+        if self.exosystem.preset == "sect5":
+            require_preset_order(p.m_angular - 1)
+        if c.kind == "approx":
+            synthesis.output_block_dim(c.N, 2 * p.m_angular - 1)
         loop.whole_steps(s.t_end, s.dt, "t_end")
-        loop.whole_steps(s.window, s.dt, "window")
-        if s.window > s.t_end:
-            raise ValueError(f"window {s.window} does not fit into the horizon {s.t_end}")
+        loop.window_steps(s.window, s.dt, s.t_end)
         return self
 
     def to_dict(self):

@@ -89,6 +89,23 @@ class Exosystem:
     def S(self):
         return np.diag(1j * self.omegas)
 
+    def is_conjugate_symmetric(self, tol=1e-12):
+        """True if frequencies pair as +-w with conjugate columns and v0,
+        which makes E v(t) and F v(t) real for all t."""
+        order = {w: k for k, w in enumerate(self.omegas)}
+        for k, w in enumerate(self.omegas):
+            if -w not in order:
+                return False
+            j = order[-w]
+            ok = (
+                np.allclose(self.E[:, k], self.E[:, j].conj(), atol=tol)
+                and np.allclose(self.F[:, k], self.F[:, j].conj(), atol=tol)
+                and abs(self.v0[k] - self.v0[j].conj()) <= tol
+            )
+            if not ok:
+                return False
+        return True
+
 
 def v_at(exo, t):
     """Exosystem state v(t) = exp(i omega_k t) v0_k, componentwise."""
@@ -145,6 +162,12 @@ def build_exosystem(reference, disturbance, max_order, grid_size=_DEFAULT_GRID, 
     return Exosystem(omegas=omegas, E=E, F=F, v0=np.asarray(v0, dtype=complex))
 
 
+def require_preset_order(max_order):
+    """Raise unless ``max_order`` resolves the non-smooth preset profiles."""
+    if max_order < 5:
+        raise ValueError("max_order must be at least 5 for the preset signals")
+
+
 def build_sect5_exosystem(max_order, grid_size=_DEFAULT_GRID):
     """Exosystem for the annulus experiment signals.
 
@@ -155,8 +178,7 @@ def build_sect5_exosystem(max_order, grid_size=_DEFAULT_GRID):
 
     Requires ``max_order >= 5`` so the non-smooth profiles are resolved.
     """
-    if max_order < 5:
-        raise ValueError("max_order must be at least 5 for the preset signals")
+    require_preset_order(max_order)
     reference = SignalSpec(
         [
             SignalTerm(lambda th: -((np.pi - th) ** 2) / (2.0 * np.pi**2), "sin", np.pi),

@@ -246,6 +246,14 @@ def whole_steps(span, dt, name):
     return steps
 
 
+def window_steps(window, dt, t_end):
+    """Steps of size ``dt`` in the window of J(t), which must fit into [0, t_end]."""
+    steps = whole_steps(window, dt, "window")
+    if steps < 1 or steps > whole_steps(t_end, dt, "t_end"):
+        raise WindowTooLargeError(f"window {window} does not fit into the horizon {t_end}")
+    return steps
+
+
 def _time_grid(t_end, dt):
     """Sample times 0, dt, ..., t_end; t_end must be a multiple of dt > 0."""
     if dt <= 0 or t_end < dt:
@@ -353,11 +361,7 @@ def windowed_error(traj, window=1.0, weights=None):
         Trapezoid-rule values J(t) on the grid points t <= t_end - window.
     """
     dt = traj.dt
-    steps = whole_steps(window, dt, "window")
-    if steps < 1 or steps >= traj.t.size:
-        raise WindowTooLargeError(
-            f"window {window} does not fit into the horizon {traj.t[-1]}"
-        )
+    steps = window_steps(window, dt, traj.t[-1])
     err = traj.errors if weights is None else traj.errors @ np.asarray(weights).T
     sq = np.sum(np.abs(err) ** 2, axis=1)
     # Sum each window's trapezoid areas directly. Differences of one running

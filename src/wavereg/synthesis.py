@@ -153,6 +153,23 @@ def eval_transfer(As, B, C, lam):
     return C @ X
 
 
+def transfer_paper_form(As, B, C, lam):
+    """P_s(lambda) through the boundary-system formula
+    C (lambda - A_s)^{-1} (Alpha B_s - lambda B_s) + C B_s, with the modal
+    stand-ins B_s = B and Alpha B_s = (A_s + I) B (the right-inverse identity
+    of the stabilized input map absorbed into the generator action).
+
+    Algebraically identical to :func:`eval_transfer`; kept as an independent
+    evaluation path for cross-validation.
+    """
+    n = As.shape[0]
+    try:
+        X = linalg.solve_dense(lam * np.eye(n) - As, (As + np.eye(n)) @ B - lam * B)
+    except SingularMatrixError as exc:
+        raise ResonanceError(lam, f"lambda={lam} is in the spectrum of As") from exc
+    return C @ X + C @ B
+
+
 def stabilized_disturbance(plant, exo):
     """Disturbance map E_s = E - Q F of the pre-stabilized loop, with the same
     damping gain Q = ``plant.Q_feedback`` that defines ``plant.As``."""
@@ -214,6 +231,13 @@ def synth_regulating(plant, exo, eps):
     )
 
 
+def output_block_dim(N, dim_y):
+    """Dimension 2N+1 of the regulated block P_N y of an output of dimension dim_y."""
+    if 2 * N + 1 > dim_y:
+        raise ValueError(f"2N+1 = {2 * N + 1} exceeds the output dimension {dim_y}")
+    return 2 * N + 1
+
+
 def synth_approx_robust(plant, exo, N, eps):
     """Approximate robust controller with internal model on Y_N.
 
@@ -233,9 +257,7 @@ def synth_approx_robust(plant, exo, N, eps):
     if N < 0:
         raise ValueError("N must be nonnegative")
     dim_y = plant.output_dim
-    dim_yn = 2 * N + 1
-    if dim_yn > dim_y:
-        raise ValueError(f"2N+1 = {dim_yn} exceeds the output dimension {dim_y}")
+    dim_yn = output_block_dim(N, dim_y)
     Ps = _frequency_data(plant, exo)
     selector = np.eye(dim_y)[:dim_yn]
     q = exo.q

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 
 from wavereg import bessel
 
@@ -176,6 +177,37 @@ class TestRootFinding:
         for m in range(12):
             with pytest.raises(bessel.BracketError, match=r"outside \[pi/2, 3pi/2\]"):
                 bessel.find_radial_roots(m, 8, inner)
+
+    @pytest.mark.parametrize(
+        "inner, m",
+        [
+            ("dirichlet", 40),
+            ("dirichlet", 41),
+            ("dirichlet", 42),
+            ("neumann", 40),
+            pytest.param(
+                "neumann",
+                41,
+                marks=pytest.mark.skipif(
+                    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="its residual needs J_{m+1}/J_m in extended precision",
+                ),
+            ),
+        ],
+    )
+    def test_high_orders_meet_residual_tolerance(self, inner, m):
+        # |w_Y| passes 1e6 at the first root, where J'_m(2k) nearly vanishes
+        modes = bessel.find_radial_roots(m, 8, inner)
+        residual = max(abs(bessel.cross_fn(m, mode.k, inner)) for mode in modes)
+        assert residual < bessel.ROOT_RESIDUAL_TOL
+
+    def test_ratio_recurrence_against_scipy(self):
+        x = np.linspace(0.5, 80.0, 400)
+        for m in range(12):
+            J, J1 = scipy.special.jv(m, x), scipy.special.jv(m + 1, x)
+            away = np.abs(J) > 0.05
+            ratio = bessel._jv_ratio(m, x[away]).astype(float)
+            assert np.abs(ratio - J1[away] / J[away]).max() < 1e-13
 
     def test_scan_cap_reports_missing_roots(self, monkeypatch):
         monkeypatch.setattr(bessel, "_BRACKET_CAP", 10.0)

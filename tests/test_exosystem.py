@@ -13,21 +13,6 @@ from wavereg.exosystem import (
 from wavereg.plant import FourierOutputBasis, project_profile
 
 
-def is_conjugate_symmetric(exo, tol=1e-12):
-    """True if frequencies pair as +-w with conjugate columns and v0, which
-    makes E v(t) and F v(t) real for all t."""
-    order = {w: k for k, w in enumerate(exo.omegas)}
-    for k, w in enumerate(exo.omegas):
-        j = order.get(-w)
-        if j is None or not (
-            np.allclose(exo.E[:, k], exo.E[:, j].conj(), atol=tol)
-            and np.allclose(exo.F[:, k], exo.F[:, j].conj(), atol=tol)
-            and abs(exo.v0[k] - exo.v0[j].conj()) <= tol
-        ):
-            return False
-    return True
-
-
 def sect5_reference_profile(theta, t):
     return -(np.pi - theta) ** 2 / (2 * np.pi**2) * np.sin(np.pi * t) - 0.5 * np.sin(
         theta / 2.0
@@ -71,7 +56,7 @@ class TestSect5Construction:
         assert np.allclose(np.diag(sect5_exo.S), 1j * sect5_exo.omegas)
 
     def test_conjugate_symmetry(self, sect5_exo):
-        assert is_conjugate_symmetric(sect5_exo)
+        assert sect5_exo.is_conjugate_symmetric()
 
     def test_signals_real(self, sect5_exo):
         for t in (0.0, 0.3, 1.7):

@@ -1,18 +1,16 @@
-"""Compare the benchmark of two commits in alternating pairs of runs.
+"""Compare the benchmark of a base commit and HEAD in alternating pairs of runs.
 
-    python3 tools/bench_compare.py --base REF [--change REF] [--pairs 10]
-        [--seconds 10] [--workloads preset-cli delta-sweep gain-sweep]
-        [--workdir DIR] --out BENCH_<n>.json
+    python3 tools/bench_compare.py --base REF --out BENCH_<n>.json
 
 Run it from the repository root. Both commits are exported with
-``git archive`` into fresh directories, and ``perfbench/run.py`` runs in
-each export, so every run measures committed files only. Pair i uses seed
-i + 1 for both commits and alternates which commit goes first, so a slow
-drift of the machine hits both sides alike. For each workload and each
-end-to-end metric of ``BENCHMARK.json`` the output holds every run, the
-median and quartiles per commit, and how many pairs the change won. One
-``--trace 1`` run per commit and workload adds the per-layer metrics named
-in ``LAYERS``.
+``git archive`` into a temporary directory, and ``perfbench/run.py`` runs in
+each export, so every run measures committed files only. Each workload of
+``BENCHMARK.json`` runs in ``PAIRS`` pairs of ``run_seconds`` each; pair i
+uses seed i + 1 for both commits and alternates which commit goes first, so
+a slow drift of the machine hits both sides alike. For each workload and
+each end-to-end metric the output holds every run, the median and quartiles
+per commit, and how many pairs HEAD won. One ``--trace 1`` run per commit
+and workload adds the per-layer metrics named in ``LAYERS``.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 LAYERS = (
     "bessel.find_radial_roots.busy_s",
     "bessel.cross_fn.calls",
@@ -69,9 +68,9 @@ def summary(values):
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": values}
 
 
-def compare(checkouts, workload, pairs, seconds, spec):
+def compare(checkouts, workload, seconds, spec):
     runs = {side: [] for side in checkouts}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = list(checkouts) if i % 2 == 0 else list(checkouts)[::-1]
         for side in order:
             runs[side].append(run(checkouts[side], workload, i + 1, seconds, 0))
@@ -94,34 +93,22 @@ def compare(checkouts, workload, pairs, seconds, spec):
             "bound": metric["bound"],
             "base": summary(values["base"]),
             "change": summary(values["change"]),
-            "change_wins": f"{wins}/{pairs}",
+            "change_wins": f"{wins}/{PAIRS}",
         }
     return result
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True)
-    parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument(
-        "--workloads", nargs="+", default=["preset-cli", "delta-sweep", "gain-sweep"]
-    )
-    parser.add_argument("--workdir", default=None, help="where the two exports go")
+    parser.add_argument("--base", required=True, help="commit to compare HEAD against")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    work = Path(tempfile.mkdtemp(prefix="bench-", dir=args.workdir))
-    checkouts, commits = {}, {}
-    for side in ("base", "change"):
-        checkouts[side] = work / side
-        commits[side] = export(getattr(args, side), checkouts[side])
+    seconds = spec["run_seconds"]
     payload = {
-        "command": f"python3 tools/bench_compare.py --base {args.base} --change {args.change} "
-        f"--pairs {args.pairs} --seconds {args.seconds:g} --out {Path(args.out).name}",
-        "commits": commits,
+        "command": f"python3 tools/bench_compare.py --base {args.base} --out {Path(args.out).name}",
+        "commits": {},
         "environment": {
             "nproc": os.cpu_count(),
             "cpu": cpu_model(),
@@ -129,18 +116,22 @@ def main(argv=None):
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "pairs": args.pairs,
-        "seconds": args.seconds,
+        "pairs": PAIRS,
+        "seconds": seconds,
         "trace0": {},
         "trace1": {},
     }
-    for workload in args.workloads:
-        payload["trace0"][workload] = compare(checkouts, workload, args.pairs, args.seconds, spec)
-        traced = {side: run(path, workload, 1, args.seconds, 1) for side, path in checkouts.items()}
-        payload["trace1"][workload] = {
-            side: {"correct": r["correct"], **{k: r["metrics"][k]["value"] for k in LAYERS}}
-            for side, r in traced.items()
-        }
+    with tempfile.TemporaryDirectory(prefix="bench-") as work:
+        checkouts = {"base": Path(work) / "base", "change": Path(work) / "change"}
+        for side, ref in (("base", args.base), ("change", "HEAD")):
+            payload["commits"][side] = export(ref, checkouts[side])
+        for workload in (w["name"] for w in spec["workloads"]):
+            payload["trace0"][workload] = compare(checkouts, workload, seconds, spec)
+            traced = {side: run(path, workload, 1, seconds, 1) for side, path in checkouts.items()}
+            payload["trace1"][workload] = {
+                side: {"correct": r["correct"], **{k: r["metrics"][k]["value"] for k in LAYERS}}
+                for side, r in traced.items()
+            }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
 
 
