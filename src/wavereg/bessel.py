@@ -10,6 +10,8 @@ boundary r = 1: (Y_m(k), J_m(k)) pins the value there (Dirichlet),
 the roots of the Neumann condition R'(2) = 0 at the actuated outer boundary,
 found per order by a vectorized scan, bisection and secant steps, with a
 spacing guard against skipped roots; Lommel's integral gives the norms.
+Near the first roots of high orders :func:`cross_fn` takes J'_m(2k) from
+the ratio J_{m+1}/J_m, which the recurrence would lose to cancellation.
 
 Dirichlet wavenumbers follow k ~ (n - 1/2) pi / (width), Neumann ones
 k ~ n pi; which family the simulation preset uses matters because the
