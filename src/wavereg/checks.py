@@ -80,7 +80,7 @@ def _regulator_equations(ctx):
         return reg.residual2 < 1e-8 * scale, f"{detail}, {skipped}"
     rng = np.random.default_rng(12345)
     K0 = ctrl.K0 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, ctrl.K0.shape))
-    bad = replace(ctrl, K0=K0, K=ctrl.eps * K0)
+    bad = replace(ctrl, K0=K0)
     reg_bad = synthesis.solve_regulator(loop.assemble_direct(ctx.plant, bad, ctx.exo), ctx.exo)
     return (
         reg.residual2 < 1e-8 * scale and reg_bad.residual2 > 1e-3,
@@ -179,12 +179,9 @@ def _gram(ctx):
 @_check("loop", "stable gains of the sweep 0.05, 0.10, ..., 0.50 form a prefix; "
         "the configured gain is stable", criterion=8)
 def _gain_sweep(ctx):
-    # K = eps K0 is the only part of a controller that depends on its gain
     ctrl, abscissa = ctx.controller, ctx.closed_loop.abscissa
     grid = [round(0.05 * i, 2) for i in range(1, 11)]
-    sweep = loop.find_epsilon_star(
-        ctx.plant, lambda eps: replace(ctrl, K=eps * ctrl.K0, eps=eps), ctx.exo, grid
-    )
+    sweep = loop.find_epsilon_star(ctx.plant, lambda eps: replace(ctrl, eps=eps), ctx.exo, grid)
     table = ", ".join(f"{e:.2f}:{a:+.3f}" for e, a in sweep.entries)
     return (
         sweep.stable_is_prefix_from_first() and abscissa < 0,

@@ -43,6 +43,13 @@ from .plant import assemble_wave_plant
 _CONTROLLER_KINDS = ("regulating", "approx", "robust")
 
 
+def _require_known(names, known, what):
+    """Raise a ValueError naming every entry of ``names`` missing from ``known``."""
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what}: {unknown}")
+
+
 @dataclass
 class PlantConfig:
     n_radial: int = 8
@@ -120,6 +127,7 @@ class RunConfig:
         if s.dt <= 0 or s.t_end < s.dt or s.window <= 0:
             raise ValueError("simulation times must be positive with t_end >= dt")
         # the pipeline's own checks, in its order, before any plant is built
+        _require_known_preset(self.exosystem.preset)
         if self.exosystem.preset == "sect5":
             require_preset_order(p.m_angular - 1)
         if c.kind == "approx":
@@ -134,14 +142,11 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data):
         cfg = cls()
-        for section in ("plant", "exosystem", "controller", "simulation", "output"):
-            if section not in data:
-                continue
+        _require_known(data, (f.name for f in dataclasses.fields(cfg)), "config sections")
+        for section, payload in data.items():
             current = getattr(cfg, section)
-            payload = dict(data[section])
-            unknown = set(payload) - {f.name for f in dataclasses.fields(current)}
-            if unknown:
-                raise ValueError(f"unknown keys in config section {section}: {sorted(unknown)}")
+            fields = (f.name for f in dataclasses.fields(current))
+            _require_known(payload, fields, f"keys in config section {section}")
             setattr(cfg, section, dataclasses.replace(current, **payload))
         if cfg.exosystem.preset is None:
             cfg.exosystem.reference = [
@@ -191,12 +196,16 @@ def _term_from_config(term, plant):
     return SignalTerm(profile=profile, temporal=term.temporal, omega=term.omega_over_pi * np.pi)
 
 
+def _require_known_preset(preset):
+    if preset not in (None, "sect5"):
+        raise ValueError(f"unknown exosystem preset {preset!r}")
+
+
 def build_exo(cfg, plant):
     e = cfg.exosystem
+    _require_known_preset(e.preset)
     if e.preset == "sect5":
         return build_sect5_exosystem(plant.basis.max_order, grid_size=e.grid_size)
-    if e.preset is not None:
-        raise ValueError(f"unknown exosystem preset {e.preset!r}")
     reference = SignalSpec([_term_from_config(t, plant) for t in e.reference])
     disturbance = SignalSpec([_term_from_config(t, plant) for t in e.disturbance])
     return build_exosystem(reference, disturbance, plant.basis.max_order, grid_size=e.grid_size)

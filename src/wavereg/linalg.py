@@ -1,7 +1,7 @@
 """Dense complex linear algebra shared by the plant, synthesis and simulation code.
 
 Contract-checked wrappers around numpy/scipy dense kernels (solve, eig, SVD,
-pseudoinverse, matrix exponential) plus the two Sylvester solvers used for
+matrix exponential) plus the two Sylvester solvers used for
 the regulator equations: a columnwise resolvent solver for diagonal harmonic
 generators and an independent Kronecker-product oracle. ``is_normal`` is a
 diagnostic only; no production path branches on it.
@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.optimize
 
 # Relative threshold below which singular values count as zero (rank tests,
-# pseudoinverses).
+# channel gains of the regulating synthesis).
 RANK_RTOL = 1e-10
 
 # Relative threshold on LU pivots below which a solve is refused as singular.
@@ -161,33 +161,6 @@ def solve_dense(A, B):
         ratio = pivots.min() / pivots.max() if pivots.max() > 0 else 0.0
         raise SingularMatrixError(f"matrix numerically singular (pivot ratio {ratio:.3e})")
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-
-
-def pinv(A, rtol=RANK_RTOL, return_rank=False):
-    """Moore-Penrose pseudoinverse with relative singular value cutoff.
-
-    Singular values below ``rtol`` times the largest one are treated as zero.
-    For a surjective ``A`` the result is the minimum-norm right inverse.
-
-    Parameters
-    ----------
-    A : (m, n) array_like
-    rtol : float
-        Relative cutoff; must be positive.
-    return_rank : bool
-        If True, also return the effective rank used in the inversion.
-    """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
-    res = svd(A)
-    s = res.singular_values
-    rank = res.rank(rtol)
-    inv_s = np.zeros_like(s)
-    inv_s[:rank] = 1.0 / s[:rank]
-    P = (res.vh.conj().T * inv_s) @ res.u.conj().T
-    if return_rank:
-        return P, rank
-    return P
 
 
 def effective_rank(A, rtol=RANK_RTOL):

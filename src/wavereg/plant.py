@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bessel import RadialMode, find_radial_roots
+from .linalg import ResonanceError
 
 
 @dataclass(frozen=True)
@@ -168,15 +169,33 @@ class ModalWavePlant:
         T_new = self.T_mod * stiffness_scale
         Q_new = self.Q_feedback * q_scale
         mu = np.array([mode.mu for mode in self.modes])
-        n = self.n_modes
-        A = np.zeros((2 * n, 2 * n))
-        A[:n, n:] = np.eye(n)
-        A[n:, :n] = -np.diag(mu * T_new / self.rho)
-        As = A - Q_new * (self.B @ self.C)
-        weights = np.concatenate([T_new * mu, np.full(n, self.rho)])
+        A, As, weights = _generators(mu, T_new, self.rho, self.B, self.C, Q_new)
         return replace(
             self, A=A, As=As, Q_feedback=Q_new, energy_weights=weights, T_mod=T_new
         )
+
+    def transfer(self, lam):
+        """Diagonal of P_s(lambda) = C (lambda - A_s)^{-1} B, one value per
+        output channel, in closed form.
+
+        Input and output are collocated and every mode drives one Fourier
+        channel, so P_s is diagonal. Channel c of the undamped plant has the
+        velocity transfer p_c = sum_j C_cj B_jc lambda / (lambda^2 + omega_j^2)
+        and the damper closes the scalar loop P_s = p / (1 + Q p).
+
+        Raises
+        ------
+        ResonanceError
+            If ``lambda`` is a pole of P_s (some value is not finite).
+        """
+        n = self.n_modes
+        omega_sq = -np.diag(self.A[n:, :n])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = (self.C[:, n:] * self.B[n:].T) @ (lam / (lam**2 + omega_sq))
+            Ps = p / (1.0 + self.Q_feedback * p)
+        if not np.all(np.isfinite(Ps)):
+            raise ResonanceError(lam, f"lambda={lam} is a pole of P_s")
+        return Ps
 
     def displacement_profile(self, x, r, theta):
         """Displacement field w(r, theta) of a state, shape (len(r), len(theta))."""
@@ -193,6 +212,18 @@ class ModalWavePlant:
             parity = mode.parity
             out += qj * np.outer(radial, ang[self.basis.index(m, parity)])
         return out
+
+
+def _generators(mu, T_mod, rho, B, C, Q_fb):
+    """Undamped generator A, damped generator As = A - Q B C and energy
+    weights of the oscillators with Laplacian eigenvalues ``mu``."""
+    n = mu.size
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, n:] = np.eye(n)
+    A[n:, :n] = -np.diag(mu * T_mod / rho)
+    As = A - Q_fb * (B @ C)
+    weights = np.concatenate([T_mod * mu, np.full(n, rho)])
+    return A, As, weights
 
 
 def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc="neumann"):
@@ -236,15 +267,11 @@ def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc=
         col = basis.index(mode.radial.m, mode.parity)
         trace[j, col] = mode.radial.boundary_trace
 
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, n:] = np.eye(n)
-    A[n:, :n] = -np.diag(mu * T_mod / rho)
     B = np.zeros((2 * n, basis.dim))
     B[n:, :] = trace / rho
     C = np.zeros((basis.dim, 2 * n))
     C[:, n:] = trace.T
-    As = A - Q_fb * (B @ C)
-    weights = np.concatenate([T_mod * mu, np.full(n, rho)])
+    A, As, weights = _generators(mu, T_mod, rho, B, C, Q_fb)
     return ModalWavePlant(
         modes=tuple(modes),
         basis=basis,

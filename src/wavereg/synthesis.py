@@ -4,8 +4,11 @@ Implements the three controller families for the pre-stabilized plant: the
 minimal regulating controller (one internal-model copy per frequency, no
 robustness), the finite-dimensional approximate robust controller (internal
 model on a truncated output space Y_N), and the robust controller (internal
-model on the full discretized output space). Also provides the transfer
-function evaluation all syntheses are driven by, the algebraic internal-model
+model on the full discretized output space). The plant's transfer P_s(i w)
+is diagonal (collocated input and output, one Fourier channel per mode), so
+every synthesis works channel by channel on the closed-form diagonal
+``plant.transfer``; the dense resolvent :func:`eval_transfer` stays as the
+oracle it is checked against. Also provides the algebraic internal-model
 test (trivial kernel of G2, trivial range intersections with i w - G1), the
 regulator-equation solver and the asymptotic tracking-error bound.
 """
@@ -20,7 +23,8 @@ from . import linalg
 from .linalg import ResonanceError, SingularMatrixError
 
 # A frequency response P_N P_s(i w) counts as surjective when its smallest
-# singular value exceeds this fraction of the largest.
+# channel gain |p_c| (its smallest singular value) exceeds this fraction of the
+# largest.
 SURJECTIVITY_RTOL = 1e-8
 
 
@@ -49,7 +53,8 @@ class Controller:
     The dynamics are z' = G1 z + G2 (y - y_ref), u = K z - Q (y - y_ref)
     with Q the plant's own damping gain ``plant.Q_feedback``.
     ``G1`` is block diagonal with blocks i w_k I of size ``block_dim`` and
-    ``K = eps * K0`` with the unscaled gain ``K0`` kept for diagnostics.
+    ``K = eps * K0``; both are derived from the stored data, so a controller
+    is re-gained with ``replace(ctrl, eps=...)``.
     ``selector`` maps output coefficients onto the internal-model copy space
     Y_N (None for the minimal regulating controller whose copies are scalar).
     """
@@ -57,28 +62,28 @@ class Controller:
     kind: str
     omegas: np.ndarray
     block_dim: int
-    G1: np.ndarray
     G2: np.ndarray
-    K: np.ndarray
     K0: np.ndarray
     eps: float
     selector: np.ndarray | None = None
 
     def __post_init__(self):
-        q = self.omegas.size
-        dim_z = q * self.block_dim
-        if self.G1.shape != (dim_z, dim_z):
-            raise ValueError(f"G1 must be {dim_z}x{dim_z}")
-        if not np.array_equal(self.G1, _internal_model_G1(self.omegas, self.block_dim)):
-            raise ValueError("G1 must be exactly block diagonal with blocks i*w_k*I")
-        if self.G2.shape[0] != dim_z or self.K.shape[1] != dim_z:
-            raise ValueError("G2/K dimensions inconsistent with G1")
+        if self.G2.shape[0] != self.dim_z or self.K0.shape[1] != self.dim_z:
+            raise ValueError(f"G2/K0 dimensions inconsistent with dim Z = {self.dim_z}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
 
     @property
+    def G1(self):
+        return _internal_model_G1(self.omegas, self.block_dim)
+
+    @property
+    def K(self):
+        return self.eps * self.K0
+
+    @property
     def dim_z(self):
-        return self.G1.shape[0]
+        return self.omegas.size * self.block_dim
 
     @property
     def dim_y(self):
@@ -177,19 +182,20 @@ def stabilized_disturbance(plant, exo):
 
 
 def _frequency_data(plant, exo):
-    """Transfer values P_s(i w_k) = C (i w_k - A_s)^{-1} B at the exosystem
-    frequencies."""
-    return [eval_transfer(plant.As, plant.B, plant.C, 1j * w) for w in exo.omegas]
+    """Diagonals of P_s(i w_k) at the exosystem frequencies, shape (q, dim_y)."""
+    return np.array([plant.transfer(1j * w) for w in exo.omegas])
 
 
 def synth_regulating(plant, exo, eps):
     """Minimal regulating controller with one scalar copy per frequency.
 
     The gain columns u_k solve P_s(i w_k) u_k = y_k for the frequency targets
-    y_k = -P_s(i w_k) E_s phi_k - F phi_k (minimum-norm solution); for a zero
-    target the column falls back to the top right singular direction of
-    P_s(i w_k), which is guaranteed outside its kernel. The injection rows
-    are G2_k = -(P_s(i w_k) u_k)^*.
+    y_k = -P_s(i w_k) E_s phi_k - F phi_k channel by channel, u_k = y_k / p_k
+    on the channels whose gain |p_k| exceeds ``RANK_RTOL`` times the largest
+    and 0 on the others (the minimum-norm solution); for a zero target the
+    column falls back to the unit vector of the largest channel gain, which
+    is outside the kernel of P_s(i w_k). The injection rows are
+    G2_k = -(P_s(i w_k) u_k)^*.
 
     Raises
     ------
@@ -200,34 +206,25 @@ def synth_regulating(plant, exo, eps):
     Ps = _frequency_data(plant, exo)
     E_s = stabilized_disturbance(plant, exo)
     q = exo.q
-    dim_u = Ps[0].shape[1]
-    dim_y = plant.output_dim
-    K0 = np.zeros((dim_u, q), dtype=complex)
-    G2 = np.zeros((q, dim_y), dtype=complex)
+    K0 = np.zeros((plant.output_dim, q), dtype=complex)
+    targets = -(Ps.T * E_s + exo.F)
     for k in range(q):
-        y_k = -(Ps[k] @ E_s[:, k] + exo.F[:, k])
-        scale = np.linalg.norm(Ps[k] @ E_s + exo.F) + 1.0
+        p, y_k = Ps[k], targets[:, k]
+        scale = np.linalg.norm(p[:, None] * E_s + exo.F) + 1.0
         if np.linalg.norm(y_k) > 1e-13 * scale:
-            u_k = linalg.pinv(Ps[k]) @ y_k
-            resid = np.linalg.norm(Ps[k] @ u_k - y_k)
+            live = np.abs(p) > linalg.RANK_RTOL * np.abs(p).max()
+            u_k = np.divide(y_k, p, out=np.zeros_like(y_k), where=live)
+            resid = np.linalg.norm(p * u_k - y_k)
             if resid > 1e-8 * np.linalg.norm(y_k):
                 raise RangeViolationError(
                     f"y_k outside range of P_s(i*{exo.omegas[k]}): residual {resid:.3e}"
                 )
         else:
-            _, u_k = linalg.operator_norm(Ps[k])
+            u_k = np.eye(p.size, dtype=complex)[np.argmax(np.abs(p))]
         K0[:, k] = u_k
-        G2[k, :] = -(Ps[k] @ u_k).conj()
+    G2 = -(Ps * K0.T).conj()
     return Controller(
-        kind="regulating",
-        omegas=exo.omegas,
-        block_dim=1,
-        G1=_internal_model_G1(exo.omegas, 1),
-        G2=G2,
-        K=eps * K0,
-        K0=K0,
-        eps=float(eps),
-        selector=None,
+        kind="regulating", omegas=exo.omegas, block_dim=1, G2=G2, K0=K0, eps=float(eps)
     )
 
 
@@ -243,46 +240,36 @@ def synth_approx_robust(plant, exo, N, eps):
 
     Y_N is the span of the output-basis functions up to angular order ``N``
     (dimension 2N + 1), P_N the corresponding coordinate projection. Each
-    gain block is the minimum-norm right inverse K0_k = (P_N P_s(i w_k))^+,
-    each injection block is -P_N, which places the internal-model loop gains
+    gain block is the minimum-norm right inverse of P_N P_s(i w_k), that is
+    K0_k = diag(1 / p_N) on Y_N with p_N the first 2N + 1 channel gains, and
+    each injection block is -P_N. This places the internal-model loop gains
     P_N P_s(i w_k) K0_k exactly at the identity and so satisfies the
     stability spectrum condition with eigenvalues -1.
 
     Raises
     ------
     RankDeficiencyError
-        If some P_N P_s(i w_k) fails the surjectivity test (smallest singular
-        value below ``SURJECTIVITY_RTOL`` times the largest).
+        If some P_N P_s(i w_k) fails the surjectivity test (smallest channel
+        gain |p_N| below ``SURJECTIVITY_RTOL`` times the largest).
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     dim_y = plant.output_dim
     dim_yn = output_block_dim(N, dim_y)
-    Ps = _frequency_data(plant, exo)
-    selector = np.eye(dim_y)[:dim_yn]
-    q = exo.q
-    dim_u = Ps[0].shape[1]
-    K0 = np.zeros((dim_u, q * dim_yn), dtype=complex)
-    G2 = np.zeros((q * dim_yn, dim_y), dtype=complex)
-    for k in range(q):
-        PNPs = selector @ Ps[k]
-        svd = linalg.svd(PNPs)
-        s = svd.singular_values
-        if s[-1] <= SURJECTIVITY_RTOL * s[0]:
+    gains = _frequency_data(plant, exo)[:, :dim_yn]
+    for w, g in zip(exo.omegas, np.abs(gains)):
+        if g.min() <= SURJECTIVITY_RTOL * g.max():
             raise RankDeficiencyError(
-                f"P_N P_s(i*{exo.omegas[k]}) not surjective: sigma_min/sigma_max "
-                f"= {s[-1] / s[0]:.3e}"
+                f"P_N P_s(i*{w}) not surjective: sigma_min/sigma_max = {g.min() / g.max():.3e}"
             )
-        blk = slice(k * dim_yn, (k + 1) * dim_yn)
-        K0[:, blk] = linalg.pinv(PNPs)
-        G2[blk, :] = -selector
+    selector = np.eye(dim_y)[:dim_yn]
+    K0 = np.zeros((dim_y, exo.q * dim_yn), dtype=complex)
+    K0[:dim_yn] = np.hstack([np.diag(1.0 / g) for g in gains])
     return Controller(
         kind="approx",
         omegas=exo.omegas,
         block_dim=dim_yn,
-        G1=_internal_model_G1(exo.omegas, dim_yn),
-        G2=G2,
-        K=eps * K0,
+        G2=np.vstack([-selector] * exo.q).astype(complex),
         K0=K0,
         eps=float(eps),
         selector=selector,
@@ -293,8 +280,8 @@ def synth_robust(plant, exo, eps):
     """Robust controller: internal model on the full discretized output space.
 
     Identical to :func:`synth_approx_robust` with Y_N = Y; with the
-    pseudoinverse gain choice the general injection -(P_s(i w_k) K0_k)^*
-    reduces to -I on Y.
+    right-inverse gain K0_k = P_s(i w_k)^{-1} the general injection
+    -(P_s(i w_k) K0_k)^* reduces to -I on Y.
     """
     return replace(synth_approx_robust(plant, exo, plant.basis.max_order, eps), kind="robust")
 
@@ -365,11 +352,8 @@ def error_bound_delta(reg_sol, closed_loop, P_N):
     Ps = _frequency_data(plant, exo)
     E_s = stabilized_disturbance(plant, exo)
     tail = np.eye(plant.output_dim) - P_N
-    coarse = 0.0
-    for k in range(exo.q):
-        z_k = reg_sol.Gamma[:, k]
-        term = Ps[k] @ (ctrl.K @ z_k) + Ps[k] @ E_s[:, k] + exo.F[:, k]
-        coarse += float(np.linalg.norm(tail @ term) ** 2)
+    terms = Ps.T * (ctrl.K @ reg_sol.Gamma + E_s) + exo.F
+    coarse = float(np.sum(np.linalg.norm(tail @ terms, axis=0) ** 2))
     return ErrorBound(delta=float(delta), v_max=v_max, delta_coarse=coarse)
 
 
@@ -379,7 +363,9 @@ def gamma_closed_form(plant, ctrl, exo):
     For the approximate/robust families the solution applied to phi_k is
     supported on the k-th copy and equals
     -eps^{-1} (P_N P_s(i w_k) K0_k)^{-1} P_N (P_s(i w_k) E_s + F) phi_k.
-    Used to cross-check the Sylvester solver.
+    The loop gain is solved as a dense matrix, not inverted by its known
+    structure, so this stays an independent cross-check of the Sylvester
+    solver.
     """
     if ctrl.selector is None:
         raise ValueError("closed form requires a projection-structured controller")
@@ -389,7 +375,7 @@ def gamma_closed_form(plant, ctrl, exo):
     Gamma = np.zeros((ctrl.dim_z, exo.q), dtype=complex)
     for k in range(exo.q):
         blk = slice(k * bd, (k + 1) * bd)
-        loop_gain = ctrl.selector @ Ps[k] @ ctrl.K0[:, blk]
-        rhs = ctrl.selector @ (Ps[k] @ E_s[:, k] + exo.F[:, k])
+        loop_gain = ctrl.selector @ (Ps[k][:, None] * ctrl.K0[:, blk])
+        rhs = ctrl.selector @ (Ps[k] * E_s[:, k] + exo.F[:, k])
         Gamma[blk, k] = -linalg.solve_dense(loop_gain, rhs) / ctrl.eps
     return Gamma

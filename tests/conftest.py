@@ -7,7 +7,7 @@ import pytest
 from wavereg.exosystem import Exosystem, SignalSpec, SignalTerm, build_exosystem, build_sect5_exosystem
 from wavereg.loop import assemble_direct
 from wavereg.plant import FourierOutputBasis, ModalWavePlant, assemble_wave_plant
-from wavereg.synthesis import solve_regulator, synth_approx_robust
+from wavereg.synthesis import eval_transfer, solve_regulator, synth_approx_robust
 
 
 @pytest.fixture(scope="session")
@@ -48,10 +48,20 @@ def small_exo(small_plant):
     return build_exosystem(reference, disturbance, small_plant.basis.max_order)
 
 
+class DenseTransferPlant(ModalWavePlant):
+    """Plant without wave structure whose channel transfer is the diagonal of
+    the dense resolvent C (lambda - As)^{-1} B, which must be diagonal."""
+
+    def transfer(self, lam):
+        P = eval_transfer(self.As, self.B, self.C, lam)
+        assert not (P - np.diag(np.diag(P))).any(), "dense transfer is not diagonal"
+        return np.diag(P)
+
+
 def scalar_plant(a=-1.0, b=1.0, c=1.0):
     """Single-state plant with As = a, B = b, C = c and no wave structure."""
     A = np.array([[a]])
-    return ModalWavePlant(
+    return DenseTransferPlant(
         modes=(),
         basis=FourierOutputBasis(0),
         A=A,

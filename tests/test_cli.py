@@ -230,6 +230,10 @@ UNSTABLE_LOOPS = [
     {"plant": {"damping_q": 0.0}},
     {"controller": {"epsilon": 2.0}},
 ]
+UNKNOWN_NAMES = [
+    {"controler": {"kind": "robust"}},
+    {"exosystem": {"preset": "bogus"}},
+]
 
 
 class TestVerifyAndMain:
@@ -284,9 +288,9 @@ class TestVerifyAndMain:
         assert cli.main(["eigs", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "eigenvalues.csv").exists()
 
-    @pytest.mark.parametrize("overrides", CONFIG_ERRORS + UNSTABLE_LOOPS)
+    @pytest.mark.parametrize("overrides", CONFIG_ERRORS + UNSTABLE_LOOPS + UNKNOWN_NAMES)
     def test_main_reports_invalid_run_in_one_line(self, tmp_path, capsys, monkeypatch, overrides):
-        if overrides in CONFIG_ERRORS:
+        if overrides not in UNSTABLE_LOOPS:
             # rejected by RunConfig.validate, before any plant is built
             def no_plant(cfg):
                 raise AssertionError("plant built for an invalid configuration")

@@ -42,37 +42,6 @@ class TestSolveDense:
             linalg.solve_dense(A, np.ones(2))
 
 
-class TestPinv:
-    def test_diagonal(self):
-        P = linalg.pinv(np.diag([2.0, 0.0]))
-        assert np.allclose(P, np.diag([0.5, 0.0]), atol=1e-14)
-
-    def test_row_min_norm(self):
-        P = linalg.pinv(np.array([[1.0, 1.0]]))
-        assert np.allclose(P, np.array([[0.5], [0.5]]), atol=1e-14)
-
-    def test_right_inverse_full_row_rank(self):
-        rng = np.random.default_rng(1)
-        A = random_complex(rng, (5, 9))
-        assert np.linalg.norm(A @ linalg.pinv(A) - np.eye(5)) < 1e-10
-
-    def test_idempotent_identity(self):
-        rng = np.random.default_rng(2)
-        for shape in [(7, 4), (4, 7), (6, 6)]:
-            A = random_complex(rng, shape)
-            P = linalg.pinv(A)
-            assert np.linalg.norm(A @ P @ A - A) < 1e-9 * np.linalg.norm(A)
-
-    def test_rank_cutoff(self):
-        P, rank = linalg.pinv(np.diag([2.0, 1e-14]), return_rank=True)
-        assert rank == 1
-        assert np.allclose(P, np.diag([0.5, 0.0]))
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            linalg.pinv(np.eye(2), rtol=0.0)
-
-
 class TestEig:
     def test_diagonal(self):
         spec = linalg.eig(np.diag([1.0, -2.0, 3.0j]))

@@ -183,9 +183,7 @@ class TestEnergyPhysics:
             kind="regulating",
             omegas=exo.omegas,
             block_dim=1,
-            G1=np.diag(1j * exo.omegas),
             G2=np.zeros((q, dim_y), dtype=complex),
-            K=np.zeros((dim_y, q), dtype=complex),
             K0=np.zeros((dim_y, q), dtype=complex),
             eps=0.0,
         )

@@ -49,6 +49,32 @@ _PROPERTY_SETTINGS = settings(max_examples=20, derandomize=True, deadline=None)
 
 
 @_PROPERTY_SETTINGS
+@given(small_problems(), st.floats(0.5, 2.0), st.floats(0.0, 2.0))
+def test_closed_form_transfer_is_the_dense_diagonal(problem, stiffness_scale, q_scale):
+    plant, exo, _ = problem
+    for p in (plant, plant.perturbed(stiffness_scale, q_scale)):
+        for w in exo.omegas:
+            dense = synthesis.eval_transfer(p.As, p.B, p.C, 1j * w)
+            diag = np.diag(dense)
+            assert not (dense - np.diag(diag)).any()
+            assert np.abs(p.transfer(1j * w) - diag).max() <= 1e-12 * np.abs(diag).max()
+
+
+@_PROPERTY_SETTINGS
+@given(small_problems())
+def test_delta_non_increasing_in_N(problem):
+    # a larger N only zeroes more rows of C_e Sigma + D_e
+    plant, exo, _ = problem
+    deltas = []
+    for N in range(1, plant.basis.max_order + 1):
+        ctrl = synthesis.synth_approx_robust(plant, exo, N, EPS)
+        cl = loop.assemble_direct(plant, ctrl, exo)
+        reg = synthesis.solve_regulator(cl, exo)
+        deltas.append(synthesis.error_bound_delta(reg, cl, ctrl.projector()).delta)
+    assert all(b <= a + 1e-15 for a, b in zip(deltas, deltas[1:])), deltas
+
+
+@_PROPERTY_SETTINGS
 @given(small_problems())
 def test_regulating_controller_regulates_exactly(problem):
     plant, exo, _ = problem

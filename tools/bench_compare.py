@@ -34,6 +34,10 @@ LAYERS = (
     "bessel.cross_fn.calls",
     "bessel.evals_per_root",
     "plant.assemble_wave_plant.self_s",
+    "synthesis.synth_approx_robust.busy_s",
+    "synthesis.eval_transfer.calls",
+    "synthesis.error_bound_delta.self_s",
+    "linalg.svd.calls",
 )
 
 
