@@ -50,6 +50,12 @@ def _require_known(names, known, what):
         raise ValueError(f"unknown {what}: {unknown}")
 
 
+def _require_known_preset(preset):
+    """Raise unless ``preset`` names a built-in exosystem (None: custom signals)."""
+    if preset not in (None, "sect5"):
+        raise ValueError(f"unknown exosystem preset {preset!r}")
+
+
 @dataclass
 class PlantConfig:
     n_radial: int = 8
@@ -194,11 +200,6 @@ def _term_from_config(term, plant):
     else:
         raise ValueError(f"unknown profile type {term.profile_type!r}")
     return SignalTerm(profile=profile, temporal=term.temporal, omega=term.omega_over_pi * np.pi)
-
-
-def _require_known_preset(preset):
-    if preset not in (None, "sect5"):
-        raise ValueError(f"unknown exosystem preset {preset!r}")
 
 
 def build_exo(cfg, plant):

@@ -291,7 +291,7 @@ class TestVerifyAndMain:
     @pytest.mark.parametrize("overrides", CONFIG_ERRORS + UNSTABLE_LOOPS + UNKNOWN_NAMES)
     def test_main_reports_invalid_run_in_one_line(self, tmp_path, capsys, monkeypatch, overrides):
         if overrides not in UNSTABLE_LOOPS:
-            # rejected by RunConfig.validate, before any plant is built
+            # rejected while the configuration is loaded, before any plant is built
             def no_plant(cfg):
                 raise AssertionError("plant built for an invalid configuration")
 
