@@ -10,8 +10,9 @@ boundary r = 1: (Y_m(k), J_m(k)) pins the value there (Dirichlet),
 the roots of the Neumann condition R'(2) = 0 at the actuated outer boundary,
 found per order by a vectorized scan, bisection and secant steps, with a
 spacing guard against skipped roots; Lommel's integral gives the norms.
-Near the first roots of high orders :func:`cross_fn` takes J'_m(2k) from
-the ratio J_{m+1}/J_m, which the recurrence would lose to cancellation.
+Each root's residual is checked relative to the scale |w_Y| + |w_J| of
+:func:`cross_fn` at that root, so the check means the same at every order;
+the ``cross_residual`` column of ``eigenvalues.csv`` stays the absolute one.
 
 Dirichlet wavenumbers follow k ~ (n - 1/2) pi / (width), Neumann ones
 k ~ n pi; which family the simulation preset uses matters because the
@@ -58,19 +59,6 @@ def bessel_jy(m, x):
     return J, Y, Jp, Yp
 
 
-def _jv_ratio(m, x):
-    """J_{m+1}(x) / J_m(x) in extended precision, by the backward recurrence
-    r_n = 1 / (2n/x - r_{n+1}) started far enough above max(x, m) that J_n(x)
-    has decayed; it inherits no error from scipy's J_m."""
-    x = np.asarray(x, dtype=np.longdouble)
-    xmax = float(np.max(x))
-    r = np.zeros_like(x)
-    with np.errstate(divide="ignore"):  # at a zero of J_{n-1}, r_n = inf and r_{n-1} = 0
-        for n in range(int(max(xmax, m) + 10.0 * np.cbrt(0.5 * xmax) + 10.0), m, -1):
-            r = 1.0 / (2 * n / x - r)
-    return r
-
-
 def _inner_weights(m, k, inner_bc):
     J, Y, Jp, Yp = bessel_jy(m, k)
     if inner_bc == "dirichlet":
@@ -99,24 +87,13 @@ def cross_fn(m, k, inner_bc="dirichlet"):
 
     For the default Dirichlet inner condition this is
     J'_m(2k) Y_m(k) - Y'_m(2k) J_m(k); the Neumann variant replaces the
-    weights by the inner derivatives. Smooth and real for k > 0.
-
-    At a root J'_m(2k) is nearly zero while |w_Y| passes 1e6 for orders near
-    40, and the recurrence (m/x) J_m - J_{m+1} cancels two scipy values of
-    about 1e-15 relative error: up to 5e-16 in J'_m, 5e-10 in the residual
-    tested against ``ROOT_RESIDUAL_TOL``. Where |w_Y| > 1e4 and
-    |J'_m(2k)| < |J_m(2k)| (so J_m is far from a zero) the derivative is
-    therefore J_m(2k) (m/2k - J_{m+1}(2k)/J_m(2k)), with the ratio from
-    :func:`_jv_ratio`.
+    weights by the inner derivatives. Smooth and real for k > 0. Its scale
+    is |w_Y| + |w_J|, which passes 1e6 near the first roots of orders near
+    40; :func:`find_radial_roots` checks residuals relative to it.
     """
     wY, wJ = _inner_weights(m, k, inner_bc)
-    x = 2.0 * np.atleast_1d(np.asarray(k, dtype=float))
-    J2, _, Jp2, Yp2 = bessel_jy(m, x)
-    steep = (np.abs(wY) > 1e4) & (np.abs(Jp2) < np.abs(J2))
-    if np.any(steep):
-        xs = x[steep].astype(np.longdouble)
-        Jp2[steep] = J2[steep] * (m / xs - _jv_ratio(m, xs))
-    return (Jp2 * wY - Yp2 * wJ).reshape(np.shape(k))[()]
+    _, _, Jp2, Yp2 = bessel_jy(m, 2.0 * np.asarray(k, dtype=float))
+    return Jp2 * wY - Yp2 * wJ
 
 
 @dataclass(frozen=True)
@@ -194,10 +171,11 @@ def find_radial_roots(m, count, inner_bc="dirichlet"):
     invisible in energy and velocity output) is not part of the returned set.
 
     Raises BracketError if the scan reaches its cap before ``count`` sign
-    changes, if a residual stays above ``ROOT_RESIDUAL_TOL``, or if two
-    consecutive roots past the first lie outside [pi/2, 3 pi/2] apart: the
-    spacing tends to pi (McMahon-type asymptotics, Abramowitz & Stegun 9.5),
-    so a wider gap means the scan stepped over a pair of roots.
+    changes, if a residual relative to cross_fn's scale |w_Y| + |w_J| at its
+    root stays above ``ROOT_RESIDUAL_TOL``, or if two consecutive roots past
+    the first lie outside [pi/2, 3 pi/2] apart: the spacing tends to pi
+    (McMahon-type asymptotics, Abramowitz & Stegun 9.5), so a wider gap
+    means the scan stepped over a pair of roots.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -214,11 +192,13 @@ def find_radial_roots(m, count, inner_bc="dirichlet"):
             f"found only {idx.size} of {count} roots for order {m} below k={_BRACKET_CAP}"
         )
     roots, residuals = _refine(m, k[idx], k[idx + 1], f[idx], f[idx + 1], inner_bc)
-    worst = int(np.argmax(np.abs(residuals)))
-    if abs(residuals[worst]) > ROOT_RESIDUAL_TOL:
+    wY, wJ = _inner_weights(m, roots, inner_bc)
+    relative = np.abs(residuals) / (np.abs(wY) + np.abs(wJ))
+    worst = int(np.argmax(relative))
+    if relative[worst] > ROOT_RESIDUAL_TOL:
         raise BracketError(
-            f"root polish stalled at k={roots[worst]} (order {m}), residual "
-            f"{abs(residuals[worst]):.3e}"
+            f"root polish stalled at k={roots[worst]} (order {m}), relative residual "
+            f"{relative[worst]:.3e}"
         )
     gaps = np.diff(roots)
     bad = np.flatnonzero((gaps[1:] < 0.5 * np.pi) | (gaps[1:] > 1.5 * np.pi))

@@ -24,6 +24,7 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,10 +36,11 @@ from .exosystem import (
     SignalTerm,
     build_exosystem,
     build_sect5_exosystem,
+    require_frequencies,
     require_preset_order,
     signals_at,
 )
-from .plant import assemble_wave_plant
+from .plant import assemble_wave_plant, require_grid
 
 _CONTROLLER_KINDS = ("regulating", "approx", "robust")
 
@@ -48,6 +50,23 @@ def _require_known(names, known, what):
     unknown = sorted(set(names) - set(known))
     if unknown:
         raise ValueError(f"unknown {what}: {unknown}")
+
+
+def _replace_checked(obj, payload, where):
+    """``dataclasses.replace(obj, **payload)`` once ``payload`` is an object
+    whose keys are fields of ``obj`` and whose values have the fields'
+    declared types; an int is accepted for a float, a bool only for a bool."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must be an object, got {payload!r}")
+    hints = typing.get_type_hints(type(obj))
+    _require_known(payload, hints, f"keys in {where}")
+    for key, value in payload.items():
+        hint = hints[key]
+        allowed = (int, float) if hint is float else hint
+        if not isinstance(value, allowed) or isinstance(value, bool) and hint not in (bool, object):
+            name = getattr(hint, "__name__", hint)
+            raise ValueError(f"{where}: {key} must be of type {name}, got {value!r}")
+    return dataclasses.replace(obj, **payload)
 
 
 def _require_known_preset(preset):
@@ -133,9 +152,14 @@ class RunConfig:
         if s.dt <= 0 or s.t_end < s.dt or s.window <= 0:
             raise ValueError("simulation times must be positive with t_end >= dt")
         # the pipeline's own checks, in its order, before any plant is built
-        _require_known_preset(self.exosystem.preset)
-        if self.exosystem.preset == "sect5":
+        e = self.exosystem
+        _require_known_preset(e.preset)
+        if e.preset == "sect5":
             require_preset_order(p.m_angular - 1)
+        else:
+            terms = [_signal_term(t) for t in (*e.reference, *e.disturbance)]
+            require_frequencies(sorted(SignalSpec(terms).frequencies()))
+        require_grid(e.grid_size, p.m_angular - 1)
         if c.kind == "approx":
             synthesis.output_block_dim(c.N, 2 * p.m_angular - 1)
         loop.whole_steps(s.t_end, s.dt, "t_end")
@@ -147,20 +171,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be an object, got {data!r}")
         cfg = cls()
         _require_known(data, (f.name for f in dataclasses.fields(cfg)), "config sections")
         for section, payload in data.items():
             current = getattr(cfg, section)
-            fields = (f.name for f in dataclasses.fields(current))
-            _require_known(payload, fields, f"keys in config section {section}")
-            setattr(cfg, section, dataclasses.replace(current, **payload))
-        if cfg.exosystem.preset is None:
-            cfg.exosystem.reference = [
-                t if isinstance(t, TermConfig) else TermConfig(**t) for t in cfg.exosystem.reference
-            ]
-            cfg.exosystem.disturbance = [
-                t if isinstance(t, TermConfig) else TermConfig(**t) for t in cfg.exosystem.disturbance
-            ]
+            setattr(cfg, section, _replace_checked(current, payload, f"config section {section}"))
+        for name in ("reference", "disturbance") if cfg.exosystem.preset is None else ():
+            terms = getattr(cfg.exosystem, name)
+            checked = [_replace_checked(TermConfig(), t, f"term of exosystem.{name}") for t in terms]
+            setattr(cfg.exosystem, name, checked)
         return cfg.validate()
 
 
@@ -187,19 +208,22 @@ def build_plant(cfg):
     )
 
 
-def _term_from_config(term, plant):
-    if term.profile_type == "fourier":
-        coeffs = np.zeros(plant.basis.dim)
-        data = np.asarray(term.profile_data, dtype=float)
-        if data.size > plant.basis.dim:
-            raise ValueError("fourier profile has more coefficients than the output basis")
-        coeffs[: data.size] = data
-        profile = lambda th: plant.basis.synthesize(coeffs, th)
-    elif term.profile_type == "samples":
-        profile = np.asarray(term.profile_data, dtype=float)
-    else:
+def _signal_term(term, profile=None):
+    """The SignalTerm of a configured term (it checks temporal and omega)."""
+    if term.profile_type not in ("fourier", "samples"):
         raise ValueError(f"unknown profile type {term.profile_type!r}")
     return SignalTerm(profile=profile, temporal=term.temporal, omega=term.omega_over_pi * np.pi)
+
+
+def _term_from_config(term, plant):
+    data = np.asarray(term.profile_data, dtype=float)
+    if term.profile_type != "fourier":
+        return _signal_term(term, data)
+    if data.size > plant.basis.dim:
+        raise ValueError("fourier profile has more coefficients than the output basis")
+    coeffs = np.zeros(plant.basis.dim)
+    coeffs[: data.size] = data
+    return _signal_term(term, lambda th: plant.basis.synthesize(coeffs, th))
 
 
 def build_exo(cfg, plant):

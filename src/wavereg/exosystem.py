@@ -59,6 +59,15 @@ class SignalSpec:
         return out
 
 
+def require_frequencies(omegas):
+    """Raise unless ``omegas`` is a nonempty vector of distinct frequencies."""
+    om = np.asarray(omegas, dtype=float)
+    if om.ndim != 1 or om.size == 0:
+        raise ValueError("omegas must be a nonempty vector")
+    if np.unique(om).size != om.size:
+        raise ValueError("exosystem frequencies must be distinct")
+
+
 @dataclass(frozen=True)
 class Exosystem:
     """Diagonal exosystem (omegas, E, F, v0) on W = C^q."""
@@ -69,12 +78,8 @@ class Exosystem:
     v0: np.ndarray
 
     def __post_init__(self):
-        om = np.asarray(self.omegas, dtype=float)
-        if om.ndim != 1 or om.size == 0:
-            raise ValueError("omegas must be a nonempty vector")
-        if np.unique(om).size != om.size:
-            raise ValueError("exosystem frequencies must be distinct")
-        q = om.size
+        require_frequencies(self.omegas)
+        q = np.size(self.omegas)
         for name, M in (("E", self.E), ("F", self.F)):
             if M.ndim != 2 or M.shape[1] != q:
                 raise ValueError(f"{name} must have {q} columns")

@@ -9,8 +9,9 @@ is diagonal (collocated input and output, one Fourier channel per mode), so
 every synthesis works channel by channel on the closed-form diagonal
 ``plant.transfer``; the dense resolvent :func:`eval_transfer` stays as the
 oracle it is checked against. Also provides the algebraic internal-model
-test (trivial kernel of G2, trivial range intersections with i w - G1), the
-regulator-equation solver and the asymptotic tracking-error bound.
+test (trivial kernel of G2, trivial range intersections with i w - G1, read
+off the row blocks of G2), the regulator-equation solver and the asymptotic
+tracking-error bound.
 """
 
 from __future__ import annotations
@@ -158,23 +159,6 @@ def eval_transfer(As, B, C, lam):
     return C @ X
 
 
-def transfer_paper_form(As, B, C, lam):
-    """P_s(lambda) through the boundary-system formula
-    C (lambda - A_s)^{-1} (Alpha B_s - lambda B_s) + C B_s, with the modal
-    stand-ins B_s = B and Alpha B_s = (A_s + I) B (the right-inverse identity
-    of the stabilized input map absorbed into the generator action).
-
-    Algebraically identical to :func:`eval_transfer`; kept as an independent
-    evaluation path for cross-validation.
-    """
-    n = As.shape[0]
-    try:
-        X = linalg.solve_dense(lam * np.eye(n) - As, (As + np.eye(n)) @ B - lam * B)
-    except SingularMatrixError as exc:
-        raise ResonanceError(lam, f"lambda={lam} is in the spectrum of As") from exc
-    return C @ X + C @ B
-
-
 def stabilized_disturbance(plant, exo):
     """Disturbance map E_s = E - Q F of the pre-stabilized loop, with the same
     damping gain Q = ``plant.Q_feedback`` that defines ``plant.As``."""
@@ -286,24 +270,23 @@ def synth_robust(plant, exo, eps):
     return replace(synth_approx_robust(plant, exo, plant.basis.max_order, eps), kind="robust")
 
 
-def check_g_conditions(ctrl, rtol=linalg.RANK_RTOL):
+def check_g_conditions(ctrl):
     """Test the two internal-model conditions of the controller.
 
     The controller contains an internal model iff G2 has trivial kernel and
     the ranges of (i w_k - G1) and G2 intersect trivially for every
-    frequency. Ranks are SVD ranks at the given relative tolerance;
-    intersection dimensions come from rank subadditivity
-    dim(R(A) cap R(B)) = rank(A) + rank(B) - rank([A, B]).
+    frequency. G1 is block diagonal i w_j I over distinct frequencies, so
+    R(i w_k - G1) holds the z whose k-th copy is zero, and its intersection
+    with R(G2) has dimension rank G2 - rank G2_k, G2_k the k-th row block.
+    Ranks count singular values above ``linalg.RANK_RTOL`` times ||G2||.
     """
-    dim_z = ctrl.dim_z
-    rank_g2 = linalg.effective_rank(ctrl.G2, rtol)
+    tol = linalg.RANK_RTOL * np.linalg.norm(ctrl.G2, 2)
+    rank_g2, *block_ranks = (
+        int(np.count_nonzero(linalg.svd(M).singular_values > tol))
+        for M in (ctrl.G2, *np.split(ctrl.G2, ctrl.omegas.size))
+    )
     kernel_dim = ctrl.dim_y - rank_g2
-    max_inter = 0
-    for w in ctrl.omegas:
-        A1 = 1j * w * np.eye(dim_z) - ctrl.G1
-        r1 = linalg.effective_rank(A1, rtol)
-        r12 = linalg.effective_rank(np.hstack([A1, ctrl.G2]), rtol)
-        max_inter = max(max_inter, r1 + rank_g2 - r12)
+    max_inter = rank_g2 - min(block_ranks)
     return GReport(
         kernel_dim_G2=kernel_dim,
         max_range_intersection_dim=max_inter,

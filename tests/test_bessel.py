@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-import scipy.special
 
 from wavereg import bessel
 
@@ -178,36 +177,46 @@ class TestRootFinding:
             with pytest.raises(bessel.BracketError, match=r"outside \[pi/2, 3pi/2\]"):
                 bessel.find_radial_roots(m, 8, inner)
 
+    @pytest.mark.parametrize("m", [40, 41, 42, 43, 44, 50, 60])
+    @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
+    def test_high_orders_meet_residual_tolerance(self, inner, m):
+        # cross_fn's scale |w_Y| + |w_J| passes 1e6 at the first roots here
+        ks = np.array([mode.k for mode in bessel.find_radial_roots(m, 8, inner)])
+        wY, wJ = bessel._inner_weights(m, ks, inner)
+        relative = np.abs(bessel.cross_fn(m, ks, inner)) / (np.abs(wY) + np.abs(wJ))
+        assert ks.size == 8 and relative.max() < bessel.ROOT_RESIDUAL_TOL
+
     @pytest.mark.parametrize(
         "inner, m",
         [
-            ("dirichlet", 40),
-            ("dirichlet", 41),
-            ("dirichlet", 42),
-            ("neumann", 40),
-            pytest.param(
-                "neumann",
-                41,
-                marks=pytest.mark.skipif(
-                    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="its residual needs J_{m+1}/J_m in extended precision",
-                ),
-            ),
+            ("neumann", 42),
+            ("neumann", 44),
+            ("neumann", 60),
+            ("dirichlet", 44),
+            ("dirichlet", 50),
+            ("dirichlet", 60),
         ],
     )
-    def test_high_orders_meet_residual_tolerance(self, inner, m):
-        # |w_Y| passes 1e6 at the first root, where J'_m(2k) nearly vanishes
-        modes = bessel.find_radial_roots(m, 8, inner)
-        residual = max(abs(bessel.cross_fn(m, mode.k, inner)) for mode in modes)
-        assert residual < bessel.ROOT_RESIDUAL_TOL
+    def test_high_order_first_root_against_mpmath(self, inner, m):
+        mpmath = pytest.importorskip("mpmath")
+        k = bessel.find_radial_roots(m, 8, inner)[0].k
+        deriv = 1 if inner == "neumann" else 0
 
-    def test_ratio_recurrence_against_scipy(self):
-        x = np.linspace(0.5, 80.0, 400)
+        def cross(x):
+            wY, wJ = mpmath.bessely(m, x, deriv), mpmath.besselj(m, x, deriv)
+            return mpmath.besselj(m, 2 * x, 1) * wY - mpmath.bessely(m, 2 * x, 1) * wJ
+
+        with mpmath.workdps(40):
+            exact = mpmath.findroot(cross, mpmath.mpf(k))
+            assert abs(float(exact - k)) <= 8 * np.spacing(k)
+
+    @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
+    def test_unpolished_roots_raise(self, inner, monkeypatch):
+        # four bisections alone leave brackets 0.003 wide, far above the tolerance
+        monkeypatch.setattr(bessel, "_SECANT_STEPS", 0)
         for m in range(12):
-            J, J1 = scipy.special.jv(m, x), scipy.special.jv(m + 1, x)
-            away = np.abs(J) > 0.05
-            ratio = bessel._jv_ratio(m, x[away]).astype(float)
-            assert np.abs(ratio - J1[away] / J[away]).max() < 1e-13
+            with pytest.raises(bessel.BracketError, match="root polish stalled"):
+                bessel.find_radial_roots(m, 8, inner)
 
     def test_scan_cap_reports_missing_roots(self, monkeypatch):
         monkeypatch.setattr(bessel, "_BRACKET_CAP", 10.0)

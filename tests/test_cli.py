@@ -234,6 +234,21 @@ UNKNOWN_NAMES = [
     {"controler": {"kind": "robust"}},
     {"exosystem": {"preset": "bogus"}},
 ]
+WRONG_TYPES = [
+    {"plant": 5},
+    {"plant": {"n_radial": "eight"}},
+    {"controller": {"N": 2.5}},
+    {"simulation": {"dt": True}},
+    {"exosystem": {"preset": None, "reference": [5]}},
+    [],
+]
+EXOSYSTEM_ERRORS = [
+    {"exosystem": {"grid_size": 64}},
+    {"exosystem": {"preset": None, "reference": [{"temporal": "tan"}]}},
+    {"exosystem": {"preset": None, "disturbance": [{"profile_type": "spline"}]}},
+    {"exosystem": {"preset": None, "reference": [{"temporal": "sin", "omega_over_pi": 0}]}},
+    {"exosystem": {"preset": None}},
+]
 
 
 class TestVerifyAndMain:
@@ -288,7 +303,9 @@ class TestVerifyAndMain:
         assert cli.main(["eigs", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "eigenvalues.csv").exists()
 
-    @pytest.mark.parametrize("overrides", CONFIG_ERRORS + UNSTABLE_LOOPS + UNKNOWN_NAMES)
+    @pytest.mark.parametrize(
+        "overrides", CONFIG_ERRORS + UNSTABLE_LOOPS + UNKNOWN_NAMES + WRONG_TYPES + EXOSYSTEM_ERRORS
+    )
     def test_main_reports_invalid_run_in_one_line(self, tmp_path, capsys, monkeypatch, overrides):
         if overrides not in UNSTABLE_LOOPS:
             # rejected while the configuration is loaded, before any plant is built

@@ -6,6 +6,7 @@ disturbance at another, both in [0.5, 8], with random Fourier profiles, and
 a truncation order N below the angular cutoff.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -96,6 +97,61 @@ def test_approx_controller_bound_and_closed_form(problem):
     assert bound.delta <= bound.delta_coarse + 1e-15
     gamma = synthesis.gamma_closed_form(plant, ctrl, exo)
     assert np.abs(gamma - reg.Gamma).max() <= 1e-8 * max(1.0, np.abs(reg.Gamma).max())
+
+
+def _dense_g_report(ctrl):
+    """Oracle: intersection dimensions from the dense ranks of i w_k - G1 and
+    [i w_k - G1, G2], dim(R(A) cap R(B)) = rank A + rank B - rank [A, B].
+    Scaling G2 changes no range, so G2 enters [A, B] at unit norm, where its
+    relative rank tolerance is not set by the frequency gaps of A."""
+    rank_g2 = linalg.effective_rank(ctrl.G2)
+    G2 = ctrl.G2 / max(np.linalg.norm(ctrl.G2, 2), np.finfo(float).tiny)
+    inter = 0
+    for w in ctrl.omegas:
+        A1 = 1j * w * np.eye(ctrl.dim_z) - ctrl.G1
+        r12 = linalg.effective_rank(np.hstack([A1, G2]))
+        inter = max(inter, linalg.effective_rank(A1) + rank_g2 - r12)
+    kernel = ctrl.dim_y - rank_g2
+    return synthesis.GReport(kernel, inter, kernel == 0 and inter == 0)
+
+
+def _ranks_are_clear(ctrl, margin=1e3):
+    """True when no singular value of G2 or of a row block lies within a
+    factor ``margin`` of the rank threshold and the frequency gaps lie far
+    above it: only then can the dense ranks, taken at other scales, not
+    round differently from the structural ones."""
+    bd = ctrl.block_dim
+    s = np.linalg.svd(ctrl.G2, compute_uv=False)
+    blocks = [ctrl.G2[k * bd : (k + 1) * bd] for k in range(ctrl.omegas.size)]
+    values = np.concatenate([s, *(np.linalg.svd(b, compute_uv=False) for b in blocks)])
+    tol = linalg.RANK_RTOL * s[0]
+    gaps = np.diff(np.sort(ctrl.omegas))
+    return not np.any((values > tol / margin) & (values < tol * margin)) and (
+        gaps.min(initial=np.inf) > margin * linalg.RANK_RTOL * np.ptp(ctrl.omegas)
+    )
+
+
+@_PROPERTY_SETTINGS
+@given(small_problems(), st.integers(0, 2**32 - 1))
+def test_structural_g_conditions_match_dense_ranks(problem, seed):
+    plant, exo, N = problem
+    approx = synthesis.synth_approx_robust(plant, exo, N, EPS)
+    # row blocks of random ranks give nonzero intersections and kernels
+    rng = np.random.default_rng(seed)
+    bd, dim_y = approx.block_dim, approx.dim_y
+    blocks = []
+    for _ in range(exo.q):
+        r = rng.integers(0, bd + 1)
+        blocks.append(rng.standard_normal((bd, r)) @ rng.standard_normal((r, dim_y)))
+    ctrls = (
+        synthesis.synth_regulating(plant, exo, EPS),
+        approx,
+        synthesis.synth_robust(plant, exo, EPS),
+        replace(approx, G2=np.vstack(blocks).astype(complex)),
+    )
+    for ctrl in ctrls:
+        if _ranks_are_clear(ctrl):
+            assert synthesis.check_g_conditions(ctrl) == _dense_g_report(ctrl)
 
 
 @_PROPERTY_SETTINGS

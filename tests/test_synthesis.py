@@ -16,10 +16,19 @@ from wavereg.synthesis import (
     synth_approx_robust,
     synth_regulating,
     synth_robust,
-    transfer_paper_form,
 )
 
 from conftest import scalar_plant, single_freq_exo
+
+
+def transfer_paper_form(As, B, C, lam):
+    """P_s(lambda) through the boundary-system formula
+    C (lambda - A_s)^{-1} (Alpha B_s - lambda B_s) + C B_s, with the modal
+    stand-ins B_s = B and Alpha B_s = (A_s + I) B: an evaluation path
+    independent of :func:`eval_transfer`'s."""
+    n = As.shape[0]
+    X = np.linalg.solve(lam * np.eye(n) - As, (As + np.eye(n)) @ B - lam * B)
+    return C @ X + C @ B
 
 
 class TestTransfer:
