@@ -68,24 +68,24 @@ def _inner_weights(m, k, inner_bc):
     raise ValueError(f"inner_bc must be one of {INNER_BCS}, got {inner_bc!r}")
 
 
-def radial_profile(m, k, r, inner_bc="dirichlet"):
+def radial_profile(m, k, r, inner_bc):
     """Unnormalized radial eigenfunction satisfying the inner condition."""
     wY, wJ = _inner_weights(m, k, inner_bc)
     Jr, Yr, _, _ = bessel_jy(m, k * np.asarray(r, dtype=float))
     return Jr * wY - Yr * wJ
 
 
-def radial_profile_deriv(m, k, r, inner_bc="dirichlet"):
+def radial_profile_deriv(m, k, r, inner_bc):
     """Radial derivative d/dr of :func:`radial_profile`."""
     wY, wJ = _inner_weights(m, k, inner_bc)
     _, _, Jpr, Ypr = bessel_jy(m, k * np.asarray(r, dtype=float))
     return k * (Jpr * wY - Ypr * wJ)
 
 
-def cross_fn(m, k, inner_bc="dirichlet"):
+def cross_fn(m, k, inner_bc):
     """Outer Neumann boundary determinant whose zeros are the wavenumbers.
 
-    For the default Dirichlet inner condition this is
+    For the Dirichlet inner condition this is
     J'_m(2k) Y_m(k) - Y'_m(2k) J_m(k); the Neumann variant replaces the
     weights by the inner derivatives. Smooth and real for k > 0. Its scale
     is |w_Y| + |w_J|, which passes 1e6 near the first roots of orders near
@@ -108,7 +108,7 @@ class RadialMode:
     n: int
     k: float
     normalization: float
-    inner_bc: str = "dirichlet"
+    inner_bc: str
 
     @property
     def mu(self):
@@ -161,7 +161,7 @@ def _norm_sq(m, k, inner_bc):
     return outer - 0.5 * inner
 
 
-def find_radial_roots(m, count, inner_bc="dirichlet"):
+def find_radial_roots(m, count, inner_bc):
     """First ``count`` positive radial eigenmodes of angular order ``m``.
 
     One vectorized call scans cross_fn on a 0.05 grid in k, extended only if

@@ -176,15 +176,22 @@ def _gram(ctx):
     return err < 1e-6, f"gram err={err:.2e}"
 
 
+def one_stable_run(abscissas):
+    """True if the stable (negative) abscissas of a gain sweep form one
+    nonempty contiguous run."""
+    stable = [i for i, a in enumerate(abscissas) if a < 0.0]
+    return bool(stable) and stable[-1] - stable[0] + 1 == len(stable)
+
+
 @_check("loop", "stable gains of the sweep 0.05, 0.10, ..., 0.50 form a prefix; "
         "the configured gain is stable", criterion=8)
 def _gain_sweep(ctx):
     ctrl, abscissa = ctx.controller, ctx.closed_loop.abscissa
     grid = [round(0.05 * i, 2) for i in range(1, 11)]
-    sweep = loop.find_epsilon_star(ctx.plant, lambda eps: replace(ctrl, eps=eps), ctx.exo, grid)
-    table = ", ".join(f"{e:.2f}:{a:+.3f}" for e, a in sweep.entries)
+    sweep = [loop.assemble_direct(ctx.plant, replace(ctrl, eps=e), ctx.exo).abscissa for e in grid]
+    table = ", ".join(f"{e:.2f}:{a:+.3f}" for e, a in zip(grid, sweep))
     return (
-        sweep.stable_is_prefix_from_first() and abscissa < 0,
+        one_stable_run(sweep) and abscissa < 0,
         f"sweep [{table}]; eps={ctrl.eps:g} abscissa {abscissa:+.4f}",
     )
 

@@ -40,7 +40,7 @@ from .exosystem import (
     require_preset_order,
     signals_at,
 )
-from .plant import assemble_wave_plant, require_grid
+from .plant import FourierOutputBasis, assemble_wave_plant, require_grid
 
 _CONTROLLER_KINDS = ("regulating", "approx", "robust")
 
@@ -157,7 +157,10 @@ class RunConfig:
         if e.preset == "sect5":
             require_preset_order(p.m_angular - 1)
         else:
-            terms = [_signal_term(t) for t in (*e.reference, *e.disturbance)]
+            basis = FourierOutputBasis(p.m_angular - 1)
+            terms = [*_terms(e, "reference", basis), *_terms(e, "disturbance", basis)]
+            for term in terms:
+                term.sampled(e.grid_size)  # checks sampled profiles against the grid
             require_frequencies(sorted(SignalSpec(terms).frequencies()))
         require_grid(e.grid_size, p.m_angular - 1)
         if c.kind == "approx":
@@ -208,22 +211,30 @@ def build_plant(cfg):
     )
 
 
-def _signal_term(term, profile=None):
-    """The SignalTerm of a configured term (it checks temporal and omega)."""
+def _term_from_config(term, where, basis):
+    """The SignalTerm of a configured term of the signal ``where``, whose
+    fourier coefficients refer to ``basis``."""
     if term.profile_type not in ("fourier", "samples"):
         raise ValueError(f"unknown profile type {term.profile_type!r}")
+    try:
+        data = np.asarray(term.profile_data, dtype=float)
+    except (TypeError, ValueError):
+        data = None
+    if data is None or data.ndim != 1 or not np.all(np.isfinite(data)):
+        raise ValueError(f"{where}: profile_data must be a list of finite numbers")
+    profile = data
+    if term.profile_type == "fourier":
+        if data.size > basis.dim:
+            raise ValueError("fourier profile has more coefficients than the output basis")
+        coeffs = np.zeros(basis.dim)
+        coeffs[: data.size] = data
+        profile = lambda th: basis.synthesize(coeffs, th)
     return SignalTerm(profile=profile, temporal=term.temporal, omega=term.omega_over_pi * np.pi)
 
 
-def _term_from_config(term, plant):
-    data = np.asarray(term.profile_data, dtype=float)
-    if term.profile_type != "fourier":
-        return _signal_term(term, data)
-    if data.size > plant.basis.dim:
-        raise ValueError("fourier profile has more coefficients than the output basis")
-    coeffs = np.zeros(plant.basis.dim)
-    coeffs[: data.size] = data
-    return _signal_term(term, lambda th: plant.basis.synthesize(coeffs, th))
+def _terms(e, name, basis):
+    """SignalTerms of the custom signal ``name`` of the exosystem section ``e``."""
+    return [_term_from_config(t, f"exosystem.{name}", basis) for t in getattr(e, name)]
 
 
 def build_exo(cfg, plant):
@@ -231,8 +242,8 @@ def build_exo(cfg, plant):
     _require_known_preset(e.preset)
     if e.preset == "sect5":
         return build_sect5_exosystem(plant.basis.max_order, grid_size=e.grid_size)
-    reference = SignalSpec([_term_from_config(t, plant) for t in e.reference])
-    disturbance = SignalSpec([_term_from_config(t, plant) for t in e.disturbance])
+    reference = SignalSpec(_terms(e, "reference", plant.basis))
+    disturbance = SignalSpec(_terms(e, "disturbance", plant.basis))
     return build_exosystem(reference, disturbance, plant.basis.max_order, grid_size=e.grid_size)
 
 

@@ -97,13 +97,6 @@ class SvdResult:
         if np.any(s < 0) or np.any(np.diff(s) > 0):
             raise ValueError("singular values must be nonnegative and nonincreasing")
 
-    def rank(self, rtol=RANK_RTOL):
-        """Number of singular values above ``rtol`` times the largest one."""
-        s = self.singular_values
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.count_nonzero(s > rtol * s[0]))
-
 
 def svd(A):
     """Compute a validated reduced SVD of ``A``.
@@ -161,11 +154,6 @@ def solve_dense(A, B):
         ratio = pivots.min() / pivots.max() if pivots.max() > 0 else 0.0
         raise SingularMatrixError(f"matrix numerically singular (pivot ratio {ratio:.3e})")
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-
-
-def effective_rank(A, rtol=RANK_RTOL):
-    """Numerical rank of ``A`` relative to its largest singular value."""
-    return svd(A).rank(rtol)
 
 
 def eig(A):

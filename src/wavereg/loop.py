@@ -1,4 +1,4 @@
-"""Closed-loop assembly, exact LTI simulation and stability/robustness sweeps.
+"""Closed-loop assembly and exact LTI simulation.
 
 The plant-controller-exosystem interconnection is assembled in two
 algebraically equivalent forms: the production form obtained by directly
@@ -17,7 +17,7 @@ the step size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +33,6 @@ BLOCK = 128
 
 class WindowTooLargeError(ValueError):
     """The averaging window does not fit into the simulated horizon."""
-
-
-class PerturbationPreconditionError(RuntimeError):
-    """A perturbed plant violates the admissibility requirement that the
-    exosystem frequencies avoid the spectrum of the pre-stabilized plant."""
 
 
 @dataclass(frozen=True)
@@ -122,27 +117,14 @@ def assemble_direct(plant, ctrl, exo):
     if ctrl.dim_y != plant.output_dim:
         raise ValueError("controller output dimension does not match the plant")
     E_s = synthesis.stabilized_disturbance(plant, exo)
-    n_p, n_z = plant.state_dim, ctrl.dim_z
-    Acl = np.zeros((n_p + n_z, n_p + n_z), dtype=complex)
-    Acl[:n_p, :n_p] = plant.As
-    Acl[:n_p, n_p:] = plant.B @ ctrl.K
-    Acl[n_p:, :n_p] = ctrl.G2 @ plant.C
-    Acl[n_p:, n_p:] = ctrl.G1
-    Bcl = np.vstack([plant.B @ E_s, ctrl.G2 @ exo.F])
-    Ccl = np.hstack([plant.C, np.zeros((plant.output_dim, n_z))]).astype(complex)
-    Dcl = exo.F.copy()
-    spec = linalg.eig(Acl)
-    return ClosedLoop(
-        Acl=Acl,
-        Bcl=Bcl,
-        Ccl=Ccl,
-        Dcl=Dcl,
-        plant_dim=n_p,
-        ctrl_dim=n_z,
-        abscissa=spec.abscissa,
-        plant=plant,
-        ctrl=ctrl,
-        exo=exo,
+    return _closed_loop(
+        plant,
+        ctrl,
+        exo,
+        [[plant.As, plant.B @ ctrl.K], [ctrl.G2 @ plant.C, ctrl.G1]],
+        Bcl=np.vstack([plant.B @ E_s, ctrl.G2 @ exo.F]),
+        Ccl=np.hstack([plant.C, np.zeros((plant.output_dim, ctrl.dim_z))]).astype(complex),
+        Dcl=exo.F.copy(),
     )
 
 
@@ -159,83 +141,41 @@ def assemble_paper_Ae(plant, ctrl, exo):
     """
     As = plant.As
     E_s = synthesis.stabilized_disturbance(plant, exo)
-    n_p, n_z = plant.state_dim, ctrl.dim_z
+    n_p = plant.state_dim
     B, C, F = plant.B, plant.C, exo.F
     M = B @ ctrl.K                             # B_s K
     AM = (As + np.eye(n_p)) @ M                # Alpha B_s K
     G1t = ctrl.G1 + ctrl.G2 @ (C @ M)          # G1 + G2 C B_s K
     CBE_F = C @ (B @ E_s) + F                  # C B_s E_s + F
-
-    Acl = np.zeros((n_p + n_z, n_p + n_z), dtype=complex)
-    Acl[:n_p, :n_p] = As - M @ (ctrl.G2 @ C)
-    Acl[:n_p, n_p:] = AM - M @ G1t
-    Acl[n_p:, :n_p] = ctrl.G2 @ C
-    Acl[n_p:, n_p:] = G1t
     S = np.diag(1j * exo.omegas)
-    Bcl = np.vstack(
-        [(As + np.eye(n_p)) @ (B @ E_s) - B @ E_s @ S - M @ (ctrl.G2 @ CBE_F), ctrl.G2 @ CBE_F]
+    return _closed_loop(
+        plant,
+        ctrl,
+        exo,
+        [[As - M @ (ctrl.G2 @ C), AM - M @ G1t], [ctrl.G2 @ C, G1t]],
+        Bcl=np.vstack(
+            [(As + np.eye(n_p)) @ (B @ E_s) - B @ E_s @ S - M @ (ctrl.G2 @ CBE_F), ctrl.G2 @ CBE_F]
+        ),
+        Ccl=np.hstack([C, C @ M]).astype(complex),
+        Dcl=CBE_F.astype(complex),
     )
-    Ccl = np.hstack([C, C @ M]).astype(complex)
-    Dcl = CBE_F.astype(complex)
-    spec = linalg.eig(Acl)
+
+
+def _closed_loop(plant, ctrl, exo, blocks, Bcl, Ccl, Dcl):
+    """The :class:`ClosedLoop` with state matrix ``np.block(blocks)`` and its abscissa."""
+    Acl = np.block(blocks).astype(complex, copy=False)
     return ClosedLoop(
         Acl=Acl,
         Bcl=Bcl,
         Ccl=Ccl,
         Dcl=Dcl,
-        plant_dim=n_p,
-        ctrl_dim=n_z,
-        abscissa=spec.abscissa,
+        plant_dim=plant.state_dim,
+        ctrl_dim=ctrl.dim_z,
+        abscissa=linalg.eig(Acl).abscissa,
         plant=plant,
         ctrl=ctrl,
         exo=exo,
     )
-
-
-@dataclass(frozen=True)
-class EpsilonSweep:
-    """Spectral abscissa of the closed loop over a grid of tuning gains."""
-
-    entries: tuple
-
-    def stable_is_prefix_from_first(self):
-        """True if the stable gains form one contiguous run starting at the
-        smallest stable grid point (the low-gain picture)."""
-        flags = [a < 0.0 for _, a in self.entries]
-        if not any(flags):
-            return False
-        first = flags.index(True)
-        run_end = first
-        while run_end < len(flags) and flags[run_end]:
-            run_end += 1
-        return not any(flags[run_end:])
-
-
-def find_epsilon_star(plant, ctrl_family, exo, eps_grid):
-    """Sweep the tuning gain and record the closed-loop spectral abscissa.
-
-    Parameters
-    ----------
-    ctrl_family : callable
-        Map eps -> Controller (same structure, scaled gain).
-    eps_grid : sequence of float
-        Nonempty, nonnegative gains to test.
-
-    Returns
-    -------
-    EpsilonSweep
-        Table of (eps, abscissa) pairs.
-    """
-    grid = [float(e) for e in eps_grid]
-    if not grid:
-        raise ValueError("eps_grid must be nonempty")
-    if any(e < 0 for e in grid):
-        raise ValueError("eps_grid entries must be nonnegative")
-    entries = []
-    for eps in grid:
-        cl = assemble_direct(plant, ctrl_family(eps), exo)
-        entries.append((eps, cl.abscissa))
-    return EpsilonSweep(entries=tuple(entries))
 
 
 def whole_steps(span, dt, name):
@@ -402,76 +342,3 @@ def free_response(plant, x0, t_end, dt, damped=True):
         outputs[block] = np.real(states[block] @ plant.C.T)
         energies[block] = plant.energy(states[block])
     return FreeResponse(t=t, states=states, outputs=outputs, energies=energies)
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    """Multiplicative plant perturbations plus additive exosystem offsets."""
-
-    q_scale: float = 1.0
-    stiffness_scale: float = 1.0
-    dE: np.ndarray | None = None
-    dF: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Outcome of re-closing the loop with a perturbed plant/exosystem."""
-
-    stable: bool
-    abscissa: float
-    delta: float | None = None
-    delta_coarse: float | None = None
-    J_final: float | None = None
-    J_mid: float | None = None
-    PN_J_final: float | None = None
-    decays: bool | None = None
-
-
-def perturb_and_verify(plant, ctrl, exo, perturbation, t_end=41.0, dt=0.01, window=1.0):
-    """Re-run the closed loop with the same controller on a perturbed plant.
-
-    Rebuilds the plant with scaled stiffness/damping and shifts the exosystem
-    maps, keeping the controller fixed. Reports the perturbed abscissa, the
-    recomputed error bound and the measured windowed errors (full and
-    P_N-projected); instability is reported, not raised.
-
-    Raises
-    ------
-    PerturbationPreconditionError
-        If some exosystem frequency enters the spectrum of the perturbed
-        pre-stabilized plant, which invalidates the admissibility class.
-    """
-    pplant = plant.perturbed(
-        stiffness_scale=perturbation.stiffness_scale, q_scale=perturbation.q_scale
-    )
-    E = exo.E if perturbation.dE is None else exo.E + perturbation.dE
-    F = exo.F if perturbation.dF is None else exo.F + perturbation.dF
-    pexo = replace(exo, E=E, F=F)
-    for w in exo.omegas:
-        try:
-            synthesis.eval_transfer(pplant.As, pplant.B, pplant.C, 1j * w)
-        except linalg.ResonanceError as exc:
-            raise PerturbationPreconditionError(
-                f"i*{w} entered the spectrum of the perturbed stabilized plant"
-            ) from exc
-    cl = assemble_direct(pplant, ctrl, pexo)
-    if not cl.is_stable:
-        return PerturbationReport(stable=False, abscissa=cl.abscissa)
-    reg = synthesis.solve_regulator(cl, pexo)
-    bound = synthesis.error_bound_delta(reg, cl, ctrl.projector())
-    traj = simulate_exact(cl, pexo, t_end=t_end, dt=dt)
-    series = windowed_error(traj, window=window)
-    pn_series = windowed_error(traj, window=window, weights=ctrl.projector())
-    J_final = float(series.values[-1])
-    J_mid = series.at(t_end / 2.0)
-    return PerturbationReport(
-        stable=True,
-        abscissa=cl.abscissa,
-        delta=bound.delta,
-        delta_coarse=bound.delta_coarse,
-        J_final=J_final,
-        J_mid=J_mid,
-        PN_J_final=float(pn_series.values[-1]),
-        decays=J_final <= J_mid + 1e-12,
-    )

@@ -1,0 +1,32 @@
+"""The benchmark's span tracer (perfbench/spans.py) patches wavereg functions
+by name; every name it lists must exist in the current package, or
+``perfbench/run.py --trace 1`` and ``tools/bench_compare.py`` break."""
+
+import importlib
+import importlib.util
+import time
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_patches_every_traced_and_counted_name():
+    spans = _load_spans()
+    names = [(m, a) for m, a, _ in spans.TRACED] + list(spans.COUNTED)
+    tracer = spans.Tracer(time.perf_counter)
+    try:
+        with tracer.installed():
+            for module, attr in names:
+                owner = importlib.import_module(f"wavereg.{module}")
+                for part in attr.split("."):
+                    owner = getattr(owner, part)
+                assert hasattr(owner, "__wrapped__"), f"{module}.{attr} is not traced"
+    finally:
+        tracer.restore()  # also after an install that failed part way

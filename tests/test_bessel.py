@@ -140,7 +140,7 @@ class TestRootFinding:
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            bessel.find_radial_roots(0, 0)
+            bessel.find_radial_roots(0, 0, "neumann")
         with pytest.raises(ValueError):
             bessel.find_radial_roots(0, 2, "free")
 

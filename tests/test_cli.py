@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,21 @@ def small_config(tmp_path, **controller):
         }
     )
     return cfg
+
+
+def custom_term(signal, **term):
+    return {"exosystem": {"preset": None, signal: [term]}}
+
+
+# term data the preset plant (23 outputs, 4096-point grid) cannot take, by message
+TERM_DATA_ERRORS = {
+    "fourier profile has more coefficients than the output basis":
+        custom_term("reference", profile_data=[1.0] * 24),
+    "sampled profile does not match the projection grid":
+        custom_term("reference", profile_type="samples", profile_data=[0.0, 1.0]),
+    "exosystem.disturbance: profile_data must be a list of finite numbers":
+        custom_term("disturbance", profile_data=[1.0, "a"]),
+}
 
 
 class TestConfig:
@@ -58,6 +74,11 @@ class TestConfig:
             RunConfig.from_dict({"simulation": {"dt": -0.01}})
         with pytest.raises(ValueError):
             RunConfig.from_dict({"plant": {"damping_q": -1.0}})
+
+    @pytest.mark.parametrize("message", TERM_DATA_ERRORS)
+    def test_term_data_rejected_by_name(self, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig.from_dict(TERM_DATA_ERRORS[message])
 
 
 class TestMatrixFormat:
@@ -248,6 +269,7 @@ EXOSYSTEM_ERRORS = [
     {"exosystem": {"preset": None, "disturbance": [{"profile_type": "spline"}]}},
     {"exosystem": {"preset": None, "reference": [{"temporal": "sin", "omega_over_pi": 0}]}},
     {"exosystem": {"preset": None}},
+    *TERM_DATA_ERRORS.values(),
 ]
 
 

@@ -180,11 +180,6 @@ class TestDecompositions:
         rec = res.u @ (res.singular_values[:, None] * res.vh)
         assert np.linalg.norm(rec - A) < 1e-10 * res.singular_values[0]
 
-    def test_effective_rank(self):
-        A = np.diag([1.0, 1e-3, 1e-15])
-        assert linalg.effective_rank(A) == 2
-        assert linalg.effective_rank(A, rtol=1e-20) == 3
-
     def test_match_spectra_permutation_invariant(self):
         rng = np.random.default_rng(9)
         vals = random_complex(rng, 15)

@@ -3,23 +3,25 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavereg import linalg, loop
+from wavereg import checks, linalg, loop
 from wavereg.exosystem import Exosystem, build_sect5_exosystem
 from wavereg.loop import (
     ClosedLoop,
-    Perturbation,
-    PerturbationPreconditionError,
     Trajectory,
     WindowTooLargeError,
     assemble_direct,
     assemble_paper_Ae,
-    find_epsilon_star,
-    perturb_and_verify,
     simulate_exact,
     windowed_error,
 )
-from wavereg.plant import FourierOutputBasis, ModalWavePlant, assemble_wave_plant
-from wavereg.synthesis import solve_regulator, synth_approx_robust, synth_regulating
+from wavereg.plant import assemble_wave_plant
+from wavereg.synthesis import (
+    error_bound_delta,
+    solve_regulator,
+    synth_approx_robust,
+    synth_regulating,
+    synth_robust,
+)
 
 from conftest import scalar_plant, single_freq_exo
 
@@ -139,27 +141,33 @@ class TestEpsilonSweep:
         # closed loop of the static-gain toy: [[-1, eps], [-1, 0]] whose
         # characteristic polynomial is s^2 + s + eps
         exo = single_freq_exo(omega=0.0)
-        family = lambda e: synth_regulating(toy_plant, exo, eps=e)
         grid = [0.05, 0.2, 0.6, 1.5]
-        sweep = find_epsilon_star(toy_plant, family, exo, grid)
-        for eps, absc in sweep.entries:
+        sweep = [
+            assemble_direct(toy_plant, synth_regulating(toy_plant, exo, eps=eps), exo).abscissa
+            for eps in grid
+        ]
+        for eps, absc in zip(grid, sweep):
             roots = np.roots([1.0, 1.0, eps])
             assert absc == pytest.approx(roots.real.max(), abs=1e-9)
-        assert sweep.stable_is_prefix_from_first()
+        assert checks.one_stable_run(sweep)
 
     def test_zero_gain_marginal(self, toy_plant):
         exo = single_freq_exo(omega=0.0)
-        family = lambda e: synth_regulating(toy_plant, exo, eps=e)
-        sweep = find_epsilon_star(toy_plant, family, exo, [0.0, 0.1])
-        assert sweep.entries[0][1] == pytest.approx(0.0, abs=1e-12)
+        cl = assemble_direct(toy_plant, synth_regulating(toy_plant, exo, eps=0.0), exo)
+        assert cl.abscissa == pytest.approx(0.0, abs=1e-12)
 
-    def test_grid_validation(self, toy_plant):
-        exo = single_freq_exo(omega=0.0)
-        family = lambda e: synth_regulating(toy_plant, exo, eps=e)
-        with pytest.raises(ValueError):
-            find_epsilon_star(toy_plant, family, exo, [])
-        with pytest.raises(ValueError):
-            find_epsilon_star(toy_plant, family, exo, [-0.1])
+    @pytest.mark.parametrize(
+        "abscissas, ok",
+        [
+            ([-0.04, -0.03, 0.02, 0.08], True),   # stable, then unstable
+            ([0.01, -0.02, -0.03, -0.01], True),  # unstable, then stable to the end
+            ([-0.04, 0.02, -0.03], False),        # stable, unstable, stable
+            ([0.01, 0.02, 0.03], False),          # all unstable
+            ([-0.01, -0.02, -0.03], True),        # all stable
+        ],
+    )
+    def test_one_stable_run_rule(self, abscissas, ok):
+        assert checks.one_stable_run(abscissas) is ok
 
 
 class TestSimulation:
@@ -349,21 +357,6 @@ class TestErrorDecomposition:
 
 
 class TestPerturbation:
-    def test_zero_perturbation_matches_nominal(self, small_plant, small_exo):
-        ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.15)
-        cl = assemble_direct(small_plant, ctrl, small_exo)
-        rep = perturb_and_verify(
-            small_plant, ctrl, small_exo, Perturbation(), t_end=21.0, dt=0.01
-        )
-        assert rep.stable
-        assert rep.abscissa == pytest.approx(cl.abscissa, abs=1e-9)
-        reg = solve_regulator(cl, small_exo)
-        from wavereg.synthesis import error_bound_delta
-
-        bound = error_bound_delta(reg, cl, ctrl.projector())
-        assert rep.delta == pytest.approx(bound.delta, rel=1e-8, abs=1e-30)
-        assert rep.decays
-
     @pytest.mark.parametrize("q_scale", [0.5, 1.5])
     def test_damping_perturbation_uses_one_gain(self, q_scale):
         # the perturbed As and E_s = E - Q F share the scaled gain, so the
@@ -372,53 +365,24 @@ class TestPerturbation:
         plant = assemble_wave_plant(3, 6, 3.0)
         exo = build_sect5_exosystem(5)
         ctrl = synth_approx_robust(plant, exo, 2, eps=0.15)
-        rep = perturb_and_verify(plant, ctrl, exo, Perturbation(q_scale=q_scale), t_end=21.0)
-        assert rep.stable
-        assert 0.0 < rep.delta <= rep.delta_coarse
-
-    def test_engineered_resonance_detected(self):
-        from wavereg.bessel import RadialMode
-        from wavereg.plant import PlantMode
-
-        radial = RadialMode(m=0, n=1, k=np.pi, normalization=1.0, inner_bc="neumann")
-
-        mode = PlantMode(radial=radial, parity="axi")
-        A = np.array([[0.0, 1.0], [-np.pi**2, 0.0]])
-        plant = ModalWavePlant(
-            modes=(mode,),
-            basis=FourierOutputBasis(0),
-            A=A,
-            B=np.array([[0.0], [0.0]]),
-            C=np.array([[0.0, 0.0]]),
-            As=A.copy(),
-            Q_feedback=0.0,
-            energy_weights=np.array([np.pi**2, 1.0]),
-            rho=1.0,
-            T_mod=1.0,
-        )
-        exo = single_freq_exo(omega=np.pi)
-        with pytest.raises(PerturbationPreconditionError):
-            perturb_and_verify(plant, None, exo, Perturbation(stiffness_scale=1.0))
+        cl = assemble_direct(plant.perturbed(q_scale=q_scale), ctrl, exo)
+        assert cl.is_stable
+        bound = error_bound_delta(solve_regulator(cl, exo), cl, ctrl.projector())
+        assert 0.0 < bound.delta <= bound.delta_coarse
 
     def test_instability_reported_not_raised(self, sect5_plant, sect5_exo, approx5):
-        rep = perturb_and_verify(
-            sect5_plant, approx5, sect5_exo, Perturbation(stiffness_scale=1.05),
-            t_end=5.0,
-        )
-        assert not rep.stable
-        assert rep.abscissa >= 0
-        assert rep.J_final is None
+        cl = assemble_direct(sect5_plant.perturbed(stiffness_scale=1.05), approx5, sect5_exo)
+        assert not cl.is_stable
+        assert cl.abscissa >= 0
 
     def test_robust_controller_tracks_under_stiffness_perturbation(
         self, sect5_plant, sect5_exo
     ):
-        from wavereg.synthesis import synth_robust
-
         rob = synth_robust(sect5_plant, sect5_exo, 0.15)
-        rep = perturb_and_verify(
-            sect5_plant, rob, sect5_exo, Perturbation(stiffness_scale=0.95),
-            t_end=41.0, dt=0.01,
-        )
-        assert rep.stable and rep.abscissa < 0
-        assert rep.PN_J_final < 1e-6
-        assert rep.decays
+        cl = assemble_direct(sect5_plant.perturbed(stiffness_scale=0.95), rob, sect5_exo)
+        assert cl.is_stable and cl.abscissa < 0
+        traj = simulate_exact(cl, sect5_exo, t_end=41.0, dt=0.01)
+        series = windowed_error(traj, window=1.0)
+        pn_series = windowed_error(traj, window=1.0, weights=rob.projector())
+        assert pn_series.values[-1] < 1e-6
+        assert series.values[-1] <= series.at(41.0 / 2.0) + 1e-12

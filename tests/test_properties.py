@@ -104,13 +104,13 @@ def _dense_g_report(ctrl):
     [i w_k - G1, G2], dim(R(A) cap R(B)) = rank A + rank B - rank [A, B].
     Scaling G2 changes no range, so G2 enters [A, B] at unit norm, where its
     relative rank tolerance is not set by the frequency gaps of A."""
-    rank_g2 = linalg.effective_rank(ctrl.G2)
+    rank_g2 = np.linalg.matrix_rank(ctrl.G2, rtol=linalg.RANK_RTOL)
     G2 = ctrl.G2 / max(np.linalg.norm(ctrl.G2, 2), np.finfo(float).tiny)
     inter = 0
     for w in ctrl.omegas:
         A1 = 1j * w * np.eye(ctrl.dim_z) - ctrl.G1
-        r12 = linalg.effective_rank(np.hstack([A1, G2]))
-        inter = max(inter, linalg.effective_rank(A1) + rank_g2 - r12)
+        r12 = np.linalg.matrix_rank(np.hstack([A1, G2]), rtol=linalg.RANK_RTOL)
+        inter = max(inter, np.linalg.matrix_rank(A1, rtol=linalg.RANK_RTOL) + rank_g2 - r12)
     kernel = ctrl.dim_y - rank_g2
     return synthesis.GReport(kernel, inter, kernel == 0 and inter == 0)
 
