@@ -117,15 +117,15 @@ def assemble_direct(plant, ctrl, exo):
     if ctrl.dim_y != plant.output_dim:
         raise ValueError("controller output dimension does not match the plant")
     E_s = synthesis.stabilized_disturbance(plant, exo)
-    return _closed_loop(
-        plant,
-        ctrl,
-        exo,
-        [[plant.As, plant.B @ ctrl.K], [ctrl.G2 @ plant.C, ctrl.G1]],
-        Bcl=np.vstack([plant.B @ E_s, ctrl.G2 @ exo.F]),
-        Ccl=np.hstack([plant.C, np.zeros((plant.output_dim, ctrl.dim_z))]).astype(complex),
-        Dcl=exo.F.copy(),
-    )
+    n_p, n_z = plant.state_dim, ctrl.dim_z
+    Acl = np.zeros((n_p + n_z, n_p + n_z), dtype=complex)
+    Acl[:n_p, :n_p] = plant.As
+    Acl[:n_p, n_p:] = plant.B @ ctrl.K
+    Acl[n_p:, :n_p] = ctrl.G2 @ plant.C
+    Acl[n_p:, n_p:] = ctrl.G1
+    Bcl = np.vstack([plant.B @ E_s, ctrl.G2 @ exo.F])
+    Ccl = np.hstack([plant.C, np.zeros((plant.output_dim, n_z))]).astype(complex)
+    return _closed_loop(Acl, Bcl, Ccl, exo.F.copy(), plant, ctrl, exo)
 
 
 def assemble_paper_Ae(plant, ctrl, exo):
@@ -141,29 +141,28 @@ def assemble_paper_Ae(plant, ctrl, exo):
     """
     As = plant.As
     E_s = synthesis.stabilized_disturbance(plant, exo)
-    n_p = plant.state_dim
+    n_p, n_z = plant.state_dim, ctrl.dim_z
     B, C, F = plant.B, plant.C, exo.F
     M = B @ ctrl.K                             # B_s K
     AM = (As + np.eye(n_p)) @ M                # Alpha B_s K
     G1t = ctrl.G1 + ctrl.G2 @ (C @ M)          # G1 + G2 C B_s K
     CBE_F = C @ (B @ E_s) + F                  # C B_s E_s + F
+
+    Acl = np.zeros((n_p + n_z, n_p + n_z), dtype=complex)
+    Acl[:n_p, :n_p] = As - M @ (ctrl.G2 @ C)
+    Acl[:n_p, n_p:] = AM - M @ G1t
+    Acl[n_p:, :n_p] = ctrl.G2 @ C
+    Acl[n_p:, n_p:] = G1t
     S = np.diag(1j * exo.omegas)
-    return _closed_loop(
-        plant,
-        ctrl,
-        exo,
-        [[As - M @ (ctrl.G2 @ C), AM - M @ G1t], [ctrl.G2 @ C, G1t]],
-        Bcl=np.vstack(
-            [(As + np.eye(n_p)) @ (B @ E_s) - B @ E_s @ S - M @ (ctrl.G2 @ CBE_F), ctrl.G2 @ CBE_F]
-        ),
-        Ccl=np.hstack([C, C @ M]).astype(complex),
-        Dcl=CBE_F.astype(complex),
+    Bcl = np.vstack(
+        [(As + np.eye(n_p)) @ (B @ E_s) - B @ E_s @ S - M @ (ctrl.G2 @ CBE_F), ctrl.G2 @ CBE_F]
     )
+    Ccl = np.hstack([C, C @ M]).astype(complex)
+    return _closed_loop(Acl, Bcl, Ccl, CBE_F.astype(complex), plant, ctrl, exo)
 
 
-def _closed_loop(plant, ctrl, exo, blocks, Bcl, Ccl, Dcl):
-    """The :class:`ClosedLoop` with state matrix ``np.block(blocks)`` and its abscissa."""
-    Acl = np.block(blocks).astype(complex, copy=False)
+def _closed_loop(Acl, Bcl, Ccl, Dcl, plant, ctrl, exo):
+    """The :class:`ClosedLoop` of these matrices, with the spectral abscissa of ``Acl``."""
     return ClosedLoop(
         Acl=Acl,
         Bcl=Bcl,
