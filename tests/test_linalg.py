@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wavereg import linalg
 
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def permute(rng, A, *rows):
+    """``A`` under a random symmetric permutation, and ``rows`` permuted alike."""
+    perm = rng.permutation(A.shape[0])
+    return (A[np.ix_(perm, perm)], *(R[perm] for R in rows))
 
 
 class TestSolveDense:
@@ -62,6 +69,22 @@ class TestEig:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             linalg.eig(np.ones((2, 3)))
+
+    def test_residual_contract_checked_per_block(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        (A,) = permute(rng, scipy.linalg.block_diag(random_complex(rng, (2, 2)),
+                                                    random_complex(rng, (3, 3))))
+        dense_eig, sizes = np.linalg.eig, []
+
+        def eig_spoiling_the_3x3_block(M):
+            sizes.append(M.shape[0])
+            w, V = dense_eig(M)
+            return w, V + 1e-3 if M.shape[0] == 3 else V
+
+        monkeypatch.setattr(linalg.np.linalg, "eig", eig_spoiling_the_3x3_block)
+        with pytest.raises(linalg.ConvergenceError):
+            linalg.eig(A)
+        assert 3 in sizes and 5 not in sizes
 
 
 class TestExpm:
@@ -127,13 +150,25 @@ class TestSylvester:
         expected = Be / (1j * np.array(om)[None, :] - d[:, None])
         assert np.allclose(S, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("n,q", [(4, 2), (12, 3), (20, 5)])
-    def test_diag_matches_kron(self, n, q):
+    @pytest.mark.parametrize(
+        "sizes,q",
+        [
+            pytest.param((4,), 2, id="4-2"),
+            pytest.param((12,), 3, id="12-3"),
+            pytest.param((20,), 5, id="20-5"),
+            pytest.param((1, 3, 5, 7), 3, id="blocks-1-3-5-7"),
+        ],
+    )
+    def test_diag_matches_kron(self, sizes, q):
+        n = sum(sizes)
         rng = np.random.default_rng(100 + n)
-        Ae = random_complex(rng, (n, n)) - (n + 2) * np.eye(n)
+        Ae = scipy.linalg.block_diag(
+            *(random_complex(rng, (m, m)) - (m + 2) * np.eye(m) for m in sizes)
+        )
         Be = random_complex(rng, (n, q))
         om = rng.uniform(-3.0, 3.0, q)
         om += 0.01 * np.arange(q)  # keep frequencies distinct
+        Ae, Be = permute(rng, Ae, Be)
         S1 = linalg.sylvester_diag(Ae, Be, om)
         S2 = linalg.sylvester_kron(Ae, Be, om)
         assert np.abs(S1 - S2).max() < 1e-10 * max(1.0, np.abs(S1).max())
@@ -142,6 +177,15 @@ class TestSylvester:
         Ae = np.array([[1j]])
         with pytest.raises(linalg.ResonanceError):
             linalg.sylvester_diag(Ae, np.array([[1.0]]), [1.0])
+        # i*omega_1 = 2i is an eigenvalue of the 2x2 block only
+        rng = np.random.default_rng(12)
+        blocks = scipy.linalg.block_diag(
+            random_complex(rng, (3, 3)) - 5.0 * np.eye(3), np.array([[2j, 1.0], [0.0, -1.0]])
+        )
+        Ae, Be = permute(rng, blocks, random_complex(rng, (5, 2)))
+        with pytest.raises(linalg.ResonanceError) as info:
+            linalg.sylvester_diag(Ae, Be, [0.5, 2.0])
+        assert info.value.omega == 2.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -3,14 +3,17 @@
 Each example draws a plant (2-3 radial modes, angular orders 0..1 to 0..3,
 either inner boundary condition), a reference at one drive frequency and a
 disturbance at another, both in [0.5, 8], with random Fourier profiles, and
-a truncation order N below the angular cutoff.
+a truncation order N below the angular cutoff. The block-wise spectrum is
+checked on random permuted block-diagonal matrices and on the preset loops.
 """
 
 from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavereg import linalg, loop, synthesis
@@ -162,6 +165,50 @@ def test_direct_and_transformed_spectra_agree(problem):
     spec_d = linalg.eig(loop.assemble_direct(plant, ctrl, exo).Acl).eigenvalues
     spec_p = linalg.eig(loop.assemble_paper_Ae(plant, ctrl, exo).Acl).eigenvalues
     assert linalg.match_spectra(spec_d, spec_p) < 1e-8
+
+
+@st.composite
+def permuted_block_diagonals(draw):
+    """A random complex block-diagonal matrix with dense blocks of size 1-8,
+    under a random symmetric permutation, and its number of blocks."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = scipy.linalg.block_diag(
+        *(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in sizes)
+    )
+    perm = rng.permutation(A.shape[0])
+    return A[np.ix_(perm, perm)], len(sizes)
+
+
+_COUPLED = np.random.default_rng(0).standard_normal((8, 8)) + 1j
+
+
+@_PROPERTY_SETTINGS
+@given(permuted_block_diagonals())
+@example((_COUPLED, 1))
+def test_blockwise_spectrum_matches_dense(matrix_and_count):
+    A, count = matrix_and_count
+    blocks = linalg._diagonal_blocks(A)
+    assert len(blocks) == count
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(A.shape[0]))
+    outside = np.ones(A.shape, dtype=bool)
+    for idx in blocks:
+        outside[np.ix_(idx, idx)] = False
+    assert not A[outside].any()
+    dist = linalg.match_spectra(linalg.eig(A).eigenvalues, np.linalg.eigvals(A))
+    assert dist <= 1e-10 * max(1.0, np.linalg.norm(A))
+
+
+@pytest.mark.parametrize("family", ["regulating", "approx1", "approx5", "approx8", "robust"])
+def test_preset_abscissa_matches_dense(sect5_plant, sect5_exo, family):
+    if family == "regulating":
+        ctrl = synthesis.synth_regulating(sect5_plant, sect5_exo, EPS)
+    elif family == "robust":
+        ctrl = synthesis.synth_robust(sect5_plant, sect5_exo, EPS)
+    else:
+        ctrl = synthesis.synth_approx_robust(sect5_plant, sect5_exo, int(family[6:]), EPS)
+    cl = loop.assemble_direct(sect5_plant, ctrl, sect5_exo)
+    assert abs(cl.abscissa - np.linalg.eigvals(cl.Acl).real.max()) <= 1e-10
 
 
 @_PROPERTY_SETTINGS

@@ -37,6 +37,10 @@ LAYERS = (
     "synthesis.synth_approx_robust.busy_s",
     "synthesis.eval_transfer.calls",
     "synthesis.error_bound_delta.self_s",
+    "synthesis.solve_regulator.self_s",
+    "loop.assemble_direct.self_s",
+    "linalg.eig.busy_s",
+    "linalg.sylvester_diag.busy_s",
     "linalg.svd.calls",
 )
 
