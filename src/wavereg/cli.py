@@ -555,7 +555,7 @@ def main(argv=None):
         elif args.command == "simulate":
             result = cmd_simulate(cfg, args.out)
             print(f"wrote {result['csv']} (final J {result['J_final']:.3e}, abscissa {result['abscissa']:+.4f})")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"wavereg: error: {exc}", file=sys.stderr)
         return 2
     return 0

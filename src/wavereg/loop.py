@@ -6,13 +6,13 @@ eliminating u and y, and the transformed form from the boundary-system
 construction, kept for cross-validation (the two are similar, so their
 spectra agree).
 
-Simulation samples the augmented constant system (x_e, v)' =
-[[Acl, Bcl], [0, S]] (x_e, v) with its one-step matrix exponential P: the
-first ``BLOCK`` samples by sequential products with P, every later block of
-``BLOCK`` samples by one matrix product with P^BLOCK applied to the block
-before it. The samples are exact for the LTI dynamics up to the exponential's
-own tolerance and roundoff; only the sliding-window error integrals depend on
-the step size.
+Simulation steps each diagonal block of the generator on its own (the
+decoupled channels of the loop), with the one-step matrix exponential of the
+block augmented by its own copy of the exosystem: the first ``BLOCK`` samples
+by sequential products, every later block of ``BLOCK`` samples by one matrix
+product with the ``BLOCK``-th power of the step. The samples are exact for
+the LTI dynamics up to the exponential's own tolerance and roundoff; only the
+sliding-window error integrals depend on the step size.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, synthesis
+from . import exosystem, linalg, synthesis
 from .linalg import OverflowCapError
 
 # Hard cap on trajectory growth relative to the initial data.
@@ -205,32 +205,45 @@ def _propagate(step, X):
 
     The first block takes ``BLOCK - 1`` sequential products with ``step``;
     every later block is one product of the block before it with
-    ``step^BLOCK``, written straight into ``X``. Yields the row slice of each
-    block as soon as it is written, so the caller can check and reduce it
-    before the next one is computed.
+    ``step^BLOCK``, written straight into ``X``.
     """
     n_rows = X.shape[0]
-    first = min(BLOCK, n_rows)
-    for k in range(1, first):
+    for k in range(1, min(BLOCK, n_rows)):
         np.matmul(step, X[k - 1], out=X[k])
-    yield slice(0, first)
-    if first == n_rows:
-        return
     leap_T = np.linalg.matrix_power(step, BLOCK).T
     for k0 in range(BLOCK, n_rows, BLOCK):
         b = min(BLOCK, n_rows - k0)
         np.matmul(X[k0 - BLOCK : k0 - BLOCK + b], leap_T, out=X[k0 : k0 + b])
-        yield slice(k0, k0 + b)
+
+
+def _sample(A, B, S, x0, v0, n_rows, dt):
+    """Samples ``x(k dt)``, k < ``n_rows``, of x' = A x + B v with v' = S v.
+
+    Each diagonal block ``idx`` of ``A`` (see :func:`linalg._diagonal_blocks`)
+    is stepped by :func:`_propagate` with the exponential of
+    ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every block carries its
+    own copy of v. Returns an (n_rows, n) array, the transpose of the
+    (n, n_rows) array the blocks fill row by row.
+    """
+    q = S.shape[0]
+    out = np.empty((A.shape[0], n_rows), dtype=complex)
+    for idx in linalg._diagonal_blocks(A):
+        m = idx.size
+        gen = np.block([[A[np.ix_(idx, idx)], B[idx]], [np.zeros((q, m)), S]])
+        X = np.empty((n_rows, m + q), dtype=complex)
+        X[0] = np.concatenate([x0[idx], v0])
+        _propagate(linalg.expm(gen, dt), X)
+        out[idx] = X[:, :m].T
+    return out.T
 
 
 def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
     """Simulate the closed loop driven by the exosystem.
 
-    The combined state (x_e, v) is sampled with the matrix exponential of the
-    augmented generator over one step, leaping ``BLOCK`` steps at a time with
-    its power (see :func:`_propagate`), so the trajectory is exact for the LTI
-    system up to roundoff; halving dt only refines the sampling. Errors and
-    energies are computed block by block.
+    The states come from :func:`_sample`, one diagonal block of ``Acl`` at a
+    time, so the trajectory is exact for the LTI system up to roundoff;
+    halving dt only refines the sampling. The growth cap, errors and energies
+    are then taken ``BLOCK`` samples at a time, with v(t) in closed form.
 
     Parameters
     ----------
@@ -240,45 +253,37 @@ def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
 
     Raises
     ------
+    ValueError
+        If ``x0`` has the wrong shape or a non-finite entry.
     OverflowCapError
         If the state grows beyond the configured cap (unstable loop on a
         long horizon); the message names the first sample over the cap.
     """
     t = _time_grid(t_end, dt)
     n = cl.state_dim
-    q = exo.q
-    aug = np.zeros((n + q, n + q), dtype=complex)
-    aug[:n, :n] = cl.Acl
-    aug[:n, n:] = cl.Bcl
-    aug[n:, n:] = np.diag(1j * exo.omegas)
-    step = linalg.expm(aug, dt)
+    x0 = np.zeros(n, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
+    if x0.shape != (n,) or not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be a finite vector of shape ({n},)")
+    states = _sample(cl.Acl, cl.Bcl, exo.S, x0, exo.v0, t.size, dt)
 
-    xi = np.zeros(n + q, dtype=complex)
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=complex)
-        if x0.shape != (n,):
-            raise ValueError(f"x0 must have shape ({n},)")
-        xi[:n] = x0
-    xi[n:] = exo.v0
-
-    cap = _GROWTH_CAP * (1.0 + np.linalg.norm(xi))
-    X = np.empty((t.size, n + q), dtype=complex)
-    X[0] = xi
+    # the cap bounds ||(x_e, v)||, and |v_k(t)| = |v0_k|
+    v_norm = np.linalg.norm(exo.v0)
+    cap = _GROWTH_CAP * (1.0 + np.hypot(np.linalg.norm(x0), v_norm))
     errors = np.empty((t.size, cl.Ccl.shape[0]), dtype=complex)
     energies = np.empty(t.size)
-    for block in _propagate(step, X):
-        rows = X[block]
-        # a non-finite row counts as over the cap
-        over = ~(np.linalg.norm(rows, axis=1) <= cap)
+    for k0 in range(0, t.size, BLOCK):
+        rows = slice(k0, k0 + BLOCK)
+        x = states[rows]
+        # a non-finite sample counts as over the cap
+        over = ~(np.hypot(np.linalg.norm(x, axis=1), v_norm) <= cap)
         if over.any():
-            first = block.start + np.argmax(over)
             raise OverflowCapError(
-                f"trajectory exceeded the growth cap at t={t[first]:.3f} "
+                f"trajectory exceeded the growth cap at t={t[k0 + np.argmax(over)]:.3f} "
                 f"(abscissa {cl.abscissa:+.3e})"
             )
-        errors[block] = rows[:, :n] @ cl.Ccl.T + rows[:, n:] @ cl.Dcl.T
-        energies[block] = cl.plant.energy(rows[:, : cl.plant_dim])
-    return Trajectory(t=t, states=X[:, :n], errors=errors, energies=energies)
+        errors[rows] = x @ cl.Ccl.T + exosystem.v_at(exo, t[rows, None]) @ cl.Dcl.T
+        energies[rows] = cl.plant.energy(x[:, : cl.plant_dim])
+    return Trajectory(t=t, states=states, errors=errors, energies=energies)
 
 
 def windowed_error(traj, window=1.0, weights=None):
@@ -324,20 +329,14 @@ class FreeResponse:
 def free_response(plant, x0, t_end, dt, damped=True):
     """Free evolution of the (un)damped plant with zero boundary input.
 
-    Samples the plant generator (``As`` if damped, ``A`` otherwise) with its
-    matrix exponential over dt, ``BLOCK`` steps at a time as in
-    :func:`simulate_exact`; used by the energy-conservation, decay and
-    admissibility checks.
+    Samples the plant generator (``As`` if damped, ``A`` otherwise) block by
+    block with the sampler of :func:`simulate_exact`, driven by no
+    exosystem; used by the energy-conservation, decay and admissibility
+    checks.
     """
     t = _time_grid(t_end, dt)
     gen = plant.As if damped else plant.A
-    step = linalg.expm(gen, dt)
-    x0 = np.asarray(x0)
-    states = np.empty((t.size,) + x0.shape, dtype=np.result_type(step, x0))
-    states[0] = x0
-    outputs = np.empty((t.size, plant.output_dim))
-    energies = np.empty(t.size)
-    for block in _propagate(step, states):
-        outputs[block] = np.real(states[block] @ plant.C.T)
-        energies[block] = plant.energy(states[block])
-    return FreeResponse(t=t, states=states, outputs=outputs, energies=energies)
+    no_input = np.zeros((gen.shape[0], 0))
+    states = _sample(gen, no_input, np.zeros((0, 0)), np.asarray(x0), np.zeros(0), t.size, dt)
+    outputs = np.real(states @ plant.C.T)
+    return FreeResponse(t=t, states=states, outputs=outputs, energies=plant.energy(states))

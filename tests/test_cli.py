@@ -341,6 +341,41 @@ class TestVerifyAndMain:
         err = capsys.readouterr().err
         assert err.startswith("wavereg: error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_main_reports_missing_config_in_one_line(self, tmp_path, capsys, command):
+        assert cli.main([command, "--config", str(tmp_path / "missing.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavereg: error: ") and err.count("\n") == 1
+        assert "missing.json" in err
+
+    @pytest.mark.parametrize(
+        "name, size, entry, message",
+        [
+            ("x0", None, None, "missing.mtx"),
+            ("z0", None, None, "missing.mtx"),
+            ("x0", 42, np.nan, "finite"),
+            ("z0", 20, np.inf, "finite"),
+        ],
+    )
+    def test_simulate_reports_bad_initial_state_in_one_line(
+        self, tmp_path, capsys, name, size, entry, message
+    ):
+        cfg = small_config(tmp_path)
+        path = tmp_path / "missing.mtx"
+        if size is not None:
+            path = tmp_path / f"{name}.mtx"
+            vec = np.zeros(size)
+            vec[1] = entry
+            serialize.save_matrix(path, vec)
+        setattr(cfg.simulation, name, {"file": str(path)})
+        cfg_path = tmp_path / "cfg.json"
+        cli.save_config(cfg, cfg_path)
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavereg: error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "simulation.csv").exists()
+
     def test_simulate_refuses_unstable_loop(self, tmp_path):
         # without the boundary damper the preset loop has abscissa +0.618
         cfg = sect5_config()

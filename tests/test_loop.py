@@ -258,30 +258,39 @@ class TestSimulation:
 class TestBlockStepping:
     @pytest.mark.parametrize("n_steps", [1, 127, 128, 129, 3 * 128 + 7])
     def test_matches_sequential_stepping(self, small_plant, small_exo, n_steps):
-        ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
-        cl = assemble_direct(small_plant, ctrl, small_exo)
-        x0 = np.random.default_rng(21).standard_normal(cl.state_dim)
+        # the approx loop splits into one block per channel; the regulating
+        # loop is one coupled block
         dt = 0.01
-        traj = simulate_exact(cl, small_exo, x0=x0, t_end=n_steps * dt, dt=dt)
-        states, errors, energies = sequential_reference(cl, small_exo, x0, n_steps, dt)
-        assert traj.states.shape == states.shape
-        assert rel_gap(traj.states, states) < 1e-12
-        assert rel_gap(traj.errors, errors) < 1e-12
-        assert rel_gap(traj.energies, energies) < 1e-12
+        for ctrl, n_blocks in [
+            (synth_approx_robust(small_plant, small_exo, 2, eps=0.12), 7),
+            (synth_regulating(small_plant, small_exo, eps=0.1), 1),
+        ]:
+            cl = assemble_direct(small_plant, ctrl, small_exo)
+            assert len(linalg._diagonal_blocks(cl.Acl)) == n_blocks
+            x0 = np.random.default_rng(21).standard_normal(cl.state_dim)
+            traj = simulate_exact(cl, small_exo, x0=x0, t_end=n_steps * dt, dt=dt)
+            states, errors, energies = sequential_reference(cl, small_exo, x0, n_steps, dt)
+            assert traj.states.shape == states.shape
+            assert rel_gap(traj.states, states) < 1e-12
+            assert rel_gap(traj.errors, errors) < 1e-12
+            assert rel_gap(traj.energies, energies) < 1e-12
 
     def test_free_response_matches_sequential_stepping(self, small_plant):
+        # the damped As is one block per output channel, the undamped A 21 2x2 blocks
         x0 = np.random.default_rng(22).standard_normal(small_plant.state_dim)
         dt, n_steps = 0.01, 2 * 128 + 45
-        resp = loop.free_response(small_plant, x0, t_end=n_steps * dt, dt=dt)
-        step = linalg.expm(small_plant.As, dt)
-        states = [x0]
-        for _ in range(n_steps):
-            states.append(step @ states[-1])
-        states = np.array(states)
-        energies = np.array([small_plant.energy(x) for x in states])
-        assert rel_gap(resp.states, states) < 1e-12
-        assert rel_gap(resp.outputs, states @ small_plant.C.T) < 1e-12
-        assert rel_gap(resp.energies, energies) < 1e-12
+        for damped, gen, n_blocks in [(True, small_plant.As, 7), (False, small_plant.A, 21)]:
+            assert len(linalg._diagonal_blocks(gen)) == n_blocks
+            resp = loop.free_response(small_plant, x0, t_end=n_steps * dt, dt=dt, damped=damped)
+            step = linalg.expm(gen, dt)
+            states = [x0]
+            for _ in range(n_steps):
+                states.append(step @ states[-1])
+            states = np.array(states)
+            energies = np.array([small_plant.energy(x) for x in states])
+            assert rel_gap(resp.states, states) < 1e-12
+            assert rel_gap(resp.outputs, states @ small_plant.C.T) < 1e-12
+            assert rel_gap(resp.energies, energies) < 1e-12
 
 
 class TestWindowedError:

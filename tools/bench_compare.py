@@ -42,6 +42,9 @@ LAYERS = (
     "linalg.eig.busy_s",
     "linalg.sylvester_diag.busy_s",
     "linalg.svd.calls",
+    "linalg.expm.calls",
+    "linalg.expm.busy_s",
+    "loop.simulate_exact.self_s",
 )
 
 
