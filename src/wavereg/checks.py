@@ -5,6 +5,11 @@ it belongs to and, where it has one, with the acceptance criterion (4-8) that
 asserts it. An entry reads what it needs from a :class:`Context` and returns
 ``(label, ok, detail)``. Random inputs come from a constant seed per check, so
 every run of a configuration checks the same data.
+
+The independent oracles that the checks hold production code against live
+here too, off the paths of the other commands: :func:`match_spectra`,
+:func:`sylvester_kron`, :func:`assemble_paper_Ae` with its :func:`transfer`,
+and :func:`gamma_closed_form`.
 """
 
 from __future__ import annotations
@@ -14,11 +19,112 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy.optimize
 
 from . import bessel, cli, linalg, loop, synthesis
 
 # Tuning gain of the regulating and robust controllers built for criteria 4 and 5.
 GAIN = 0.15
+
+
+def match_spectra(first, second):
+    """Largest pairwise distance of two eigenvalue multisets under optimal
+    matching (Hungarian assignment on absolute differences).
+
+    Sorting complex eigenvalues is unreliable when real parts are nearly
+    degenerate, so similarity-invariance checks go through the assignment.
+    """
+    a = np.asarray(first, dtype=complex).ravel()
+    b = np.asarray(second, dtype=complex).ravel()
+    if a.size != b.size:
+        raise ValueError("eigenvalue multisets must have equal size")
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def sylvester_kron(Ae, Be, omegas):
+    """Brute-force Kronecker-product solve of ``Sigma S = Ae Sigma + Be``.
+
+    Vectorizes the equation into ``(S kron I - I kron Ae) vec(Sigma) =
+    vec(Be)`` and solves it as one dense system; the independent oracle for
+    :func:`linalg.sylvester_diag` on small instances.
+    """
+    M = linalg.as_matrix(Ae, "Ae")
+    R = linalg.as_matrix(Be, "Be")
+    om = np.asarray(omegas, dtype=float)
+    if R.shape != (M.shape[0], om.size):
+        raise ValueError(f"Be must have shape {(M.shape[0], om.size)}, got {R.shape}")
+    n, q = R.shape
+    big = np.kron(np.diag(1j * om), np.eye(n)) - np.kron(np.eye(q), M)
+    try:
+        vec = linalg.solve_dense(big, R.flatten(order="F"))
+    except linalg.SingularMatrixError as exc:
+        raise linalg.ResonanceError(om, "some i*omega_k is in the spectrum of Ae") from exc
+    return vec.reshape((n, q), order="F")
+
+
+def assemble_paper_Ae(plant, ctrl, exo):
+    """Assemble the closed loop in the transformed boundary-system form.
+
+    The transformation x_e = [[I, -B_s K], [0, I]] (x, z) - (B_s E_s v, 0)
+    turns the interconnection into an ordinary input/state/output system. In
+    modal coordinates the right inverse of the stabilized input map is the
+    input matrix itself, B_s = B, and the generator acts on its range as
+    Alpha B_s = (A_s + I) B (the identity term is the boundary value of B_s).
+    This form is similar to :func:`loop.assemble_direct`, so the two share
+    their spectrum and their transfer on the exosystem directions.
+    """
+    As = plant.As
+    E_s = synthesis.stabilized_disturbance(plant, exo)
+    n_p, n_z = plant.state_dim, ctrl.dim_z
+    B, C, F = plant.B, plant.C, exo.F
+    M = B @ ctrl.K                             # B_s K
+    AM = (As + np.eye(n_p)) @ M                # Alpha B_s K
+    G1t = ctrl.G1 + ctrl.G2 @ (C @ M)          # G1 + G2 C B_s K
+    CBE_F = C @ (B @ E_s) + F                  # C B_s E_s + F
+
+    Acl = np.zeros((n_p + n_z, n_p + n_z), dtype=complex)
+    Acl[:n_p, :n_p] = As - M @ (ctrl.G2 @ C)
+    Acl[:n_p, n_p:] = AM - M @ G1t
+    Acl[n_p:, :n_p] = ctrl.G2 @ C
+    Acl[n_p:, n_p:] = G1t
+    S = np.diag(1j * exo.omegas)
+    Bcl = np.vstack(
+        [(As + np.eye(n_p)) @ (B @ E_s) - B @ E_s @ S - M @ (ctrl.G2 @ CBE_F), ctrl.G2 @ CBE_F]
+    )
+    Ccl = np.hstack([C, C @ M]).astype(complex)
+    return loop._closed_loop(Acl, Bcl, Ccl, CBE_F.astype(complex), plant, ctrl, exo)
+
+
+def transfer(cl, lam):
+    """Transfer function v -> e of the closed loop ``cl`` at the complex frequency ``lam``."""
+    X = linalg.solve_dense(lam * np.eye(cl.state_dim) - cl.Acl, cl.Bcl)
+    return cl.Ccl @ X + cl.Dcl
+
+
+def gamma_closed_form(plant, ctrl, exo):
+    """Internal-model block of the regulator solution in closed form.
+
+    For the approximate/robust families the solution applied to phi_k is
+    supported on the k-th copy and equals
+    -eps^{-1} (P_N P_s(i w_k) K0_k)^{-1} P_N (P_s(i w_k) E_s + F) phi_k.
+    The loop gain is solved as a dense matrix, not inverted by its known
+    structure, so this stays an independent cross-check of the Sylvester
+    solver.
+    """
+    if ctrl.selector is None:
+        raise ValueError("closed form requires a projection-structured controller")
+    E_s = synthesis.stabilized_disturbance(plant, exo)
+    bd = ctrl.block_dim
+    Gamma = np.zeros((ctrl.dim_z, exo.q), dtype=complex)
+    for k, w in enumerate(exo.omegas):
+        p = plant.transfer(1j * w)
+        blk = slice(k * bd, (k + 1) * bd)
+        loop_gain = ctrl.selector @ (p[:, None] * ctrl.K0[:, blk])
+        rhs = ctrl.selector @ (p * E_s[:, k] + exo.F[:, k])
+        Gamma[blk, k] = -linalg.solve_dense(loop_gain, rhs) / ctrl.eps
+    return Gamma
 
 
 class Context:
@@ -35,7 +141,7 @@ class Context:
         lambda self: loop.assemble_direct(self.plant, self.controller, self.exo)
     )
     paper_loop = cached_property(
-        lambda self: loop.assemble_paper_Ae(self.plant, self.controller, self.exo)
+        lambda self: assemble_paper_Ae(self.plant, self.controller, self.exo)
     )
     regulator = cached_property(lambda self: synthesis.solve_regulator(self.closed_loop, self.exo))
 
@@ -104,7 +210,7 @@ def _g_conditions(ctx):
 
 @_check("loop", "direct and transformed closed loops have the same spectrum", criterion=6)
 def _spectra(ctx):
-    dist = linalg.match_spectra(
+    dist = match_spectra(
         linalg.eig(ctx.closed_loop.Acl).eigenvalues, linalg.eig(ctx.paper_loop.Acl).eigenvalues
     )
     return dist < 1e-8, f"spectra dist={dist:.2e}"
@@ -120,7 +226,7 @@ def _sylvester(ctx):
         Be = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
         om = np.sort(rng.uniform(-3.0, 3.0, q)) + 0.05 * np.arange(q)
         S = linalg.sylvester_diag(Ae, Be, om)
-        gap = np.abs(S - linalg.sylvester_kron(Ae, Be, om)).max()
+        gap = np.abs(S - sylvester_kron(Ae, Be, om)).max()
         worst = max(worst, gap / max(1.0, np.abs(S).max()))
     return worst < 1e-10, f"sylvester worst={worst:.2e}"
 
@@ -129,7 +235,7 @@ def _sylvester(ctx):
 def _gamma(ctx):
     if ctx.controller.selector is None:
         return True, "no closed form for the regulating controller"
-    gamma = synthesis.gamma_closed_form(ctx.plant, ctx.controller, ctx.exo)
+    gamma = gamma_closed_form(ctx.plant, ctx.controller, ctx.exo)
     diff = np.abs(gamma - ctx.regulator.Gamma).max()
     return diff < 1e-8, f"closed-form Gamma diff={diff:.2e}"
 
@@ -205,7 +311,7 @@ def _delta(ctx):
 @_check("loop", "direct and transformed transfers agree on the exosystem directions")
 def _transfers(ctx):
     worst = max(
-        np.linalg.norm((ctx.closed_loop.transfer(1j * w) - ctx.paper_loop.transfer(1j * w))[:, k])
+        np.linalg.norm((transfer(ctx.closed_loop, 1j * w) - transfer(ctx.paper_loop, 1j * w))[:, k])
         for k, w in enumerate(ctx.exo.omegas)
     )
     return worst < 1e-8, f"{worst:.2e}"

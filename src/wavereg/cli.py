@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bessel, loop, serialize, synthesis
+from . import __version__, bessel, linalg, loop, serialize, synthesis
 from .exosystem import (
     SignalSpec,
     SignalTerm,
@@ -196,12 +196,6 @@ def sect5_config():
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         return RunConfig.from_dict(json.load(fh))
-
-
-def save_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def build_plant(cfg):
@@ -400,7 +394,6 @@ def cmd_reproduce(figure, out_dir=None, emit_svg=False):
     cfg.output.emit_svg = emit_svg
     out = _outdir(cfg, out_dir)
     if figure == 2:
-        cfg.simulation.t_end = 20.0
         return cmd_simulate(cfg, out_dir)
     plant = build_plant(cfg)
     exo = build_exo(cfg, plant)
@@ -555,7 +548,9 @@ def main(argv=None):
         elif args.command == "simulate":
             result = cmd_simulate(cfg, args.out)
             print(f"wrote {result['csv']} (final J {result['J_final']:.3e}, abscissa {result['abscissa']:+.4f})")
-    except (ValueError, OSError) as exc:
+    # what a configuration can provoke: one line and exit 2, never a bare RuntimeError
+    except (ValueError, OSError, bessel.BracketError, linalg.LinearAlgebraError,
+            synthesis.RangeViolationError, synthesis.RankDeficiencyError) as exc:
         print(f"wavereg: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -94,23 +94,6 @@ class Exosystem:
     def S(self):
         return np.diag(1j * self.omegas)
 
-    def is_conjugate_symmetric(self, tol=1e-12):
-        """True if frequencies pair as +-w with conjugate columns and v0,
-        which makes E v(t) and F v(t) real for all t."""
-        order = {w: k for k, w in enumerate(self.omegas)}
-        for k, w in enumerate(self.omegas):
-            if -w not in order:
-                return False
-            j = order[-w]
-            ok = (
-                np.allclose(self.E[:, k], self.E[:, j].conj(), atol=tol)
-                and np.allclose(self.F[:, k], self.F[:, j].conj(), atol=tol)
-                and abs(self.v0[k] - self.v0[j].conj()) <= tol
-            )
-            if not ok:
-                return False
-        return True
-
 
 def v_at(exo, t):
     """Exosystem state v(t) = exp(i omega_k t) v0_k, componentwise."""
@@ -123,12 +106,13 @@ def signals_at(exo, t):
     return exo.E @ v, -(exo.F @ v)
 
 
-def build_exosystem(reference, disturbance, max_order, grid_size=_DEFAULT_GRID, v0=None):
+def build_exosystem(reference, disturbance, max_order, grid_size=_DEFAULT_GRID):
     """Assemble the exosystem generating the given reference and disturbance.
 
     Each harmonic term is projected onto the Fourier output basis of order
     ``max_order`` and expanded over the conjugate frequency pair via
-    sin(wt) = (e^{iwt} - e^{-iwt}) / 2i and cos(wt) = (e^{iwt} + e^{-iwt}) / 2.
+    sin(wt) = (e^{iwt} - e^{-iwt}) / 2i and cos(wt) = (e^{iwt} + e^{-iwt}) / 2,
+    so that the all-ones v0 reproduces the requested signals exactly.
 
     Parameters
     ----------
@@ -138,9 +122,6 @@ def build_exosystem(reference, disturbance, max_order, grid_size=_DEFAULT_GRID, 
         Angular cutoff of the output basis the signals are projected on.
     grid_size : int
         Uniform angular grid used for the projections.
-    v0 : array_like, optional
-        Initial exosystem state; defaults to the all-ones vector, for which
-        the constructed E and F reproduce the requested signals exactly.
     """
     freqs = sorted(reference.frequencies() | disturbance.frequencies())
     omegas = np.array(freqs, dtype=float)
@@ -162,9 +143,7 @@ def build_exosystem(reference, disturbance, max_order, grid_size=_DEFAULT_GRID, 
 
     E = accumulate(disturbance)
     F = -accumulate(reference)
-    if v0 is None:
-        v0 = np.ones(q, dtype=complex)
-    return Exosystem(omegas=omegas, E=E, F=F, v0=np.asarray(v0, dtype=complex))
+    return Exosystem(omegas=omegas, E=E, F=F, v0=np.ones(q, dtype=complex))
 
 
 def require_preset_order(max_order):

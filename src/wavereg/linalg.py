@@ -1,9 +1,9 @@
 """Dense complex linear algebra shared by the plant, synthesis and simulation code.
 
 Contract-checked wrappers around numpy/scipy dense kernels (solve, eig, SVD,
-matrix exponential) plus the two Sylvester solvers used for
-the regulator equations: a columnwise resolvent solver for diagonal harmonic
-generators and an independent Kronecker-product oracle. ``eig`` and
+matrix exponential) plus the columnwise resolvent solver of the regulator
+equations for diagonal harmonic generators; its Kronecker-product oracle and
+the spectrum matching live in :mod:`wavereg.checks`. ``eig`` and
 ``sylvester_diag`` work on the diagonal blocks of their operand up to a
 permutation (the connected components of its nonzero pattern), so a closed
 loop whose channels are decoupled costs one small dense kernel per channel;
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
 
@@ -84,10 +83,6 @@ class Spectrum:
             raise ValueError("empty spectrum")
         if not np.isclose(self.abscissa, np.max(self.eigenvalues.real)):
             raise ValueError("abscissa does not match the eigenvalue real parts")
-
-    @property
-    def is_stable(self):
-        return self.abscissa < 0.0
 
 
 @dataclass(frozen=True)
@@ -293,45 +288,6 @@ def sylvester_diag(Ae, Be, omegas):
             f"Sylvester residual {resid:.3e} exceeds scaled tolerance {bound:.3e}"
         )
     return Sigma
-
-
-def sylvester_kron(Ae, Be, omegas):
-    """Brute-force Kronecker-product solve of ``Sigma S = Ae Sigma + Be``.
-
-    Vectorizes the equation into ``(S kron I - I kron Ae) vec(Sigma) =
-    vec(Be)`` and solves it as one dense system. Only intended for tests and
-    small instances; serves as the independent oracle for
-    :func:`sylvester_diag`.
-    """
-    M = as_matrix(Ae, "Ae")
-    R = as_matrix(Be, "Be")
-    om = np.asarray(omegas, dtype=float)
-    if R.shape != (M.shape[0], om.size):
-        raise ValueError(f"Be must have shape {(M.shape[0], om.size)}, got {R.shape}")
-    n, q = R.shape
-    S = np.diag(1j * om)
-    big = np.kron(S, np.eye(n)) - np.kron(np.eye(q), M)
-    try:
-        vec = solve_dense(big, R.flatten(order="F"))
-    except SingularMatrixError as exc:
-        raise ResonanceError(om, "some i*omega_k is in the spectrum of Ae") from exc
-    return vec.reshape((n, q), order="F")
-
-
-def match_spectra(first, second):
-    """Largest pairwise distance of two eigenvalue multisets under optimal
-    matching (Hungarian assignment on absolute differences).
-
-    Sorting complex eigenvalues is unreliable when real parts are nearly
-    degenerate, so similarity-invariance checks go through the assignment.
-    """
-    a = np.asarray(first, dtype=complex).ravel()
-    b = np.asarray(second, dtype=complex).ravel()
-    if a.size != b.size:
-        raise ValueError("eigenvalue multisets must have equal size")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
 
 
 def operator_norm(A):

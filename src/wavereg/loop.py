@@ -1,10 +1,8 @@
 """Closed-loop assembly and exact LTI simulation.
 
-The plant-controller-exosystem interconnection is assembled in two
-algebraically equivalent forms: the production form obtained by directly
-eliminating u and y, and the transformed form from the boundary-system
-construction, kept for cross-validation (the two are similar, so their
-spectra agree).
+The plant-controller-exosystem interconnection is assembled by directly
+eliminating u and y. The similar transformed form of the boundary-system
+construction, its cross-validation oracle, lives in :mod:`wavereg.checks`.
 
 Simulation steps each diagonal block of the generator on its own (the
 decoupled channels of the loop), with the one-step matrix exponential of the
@@ -67,12 +65,6 @@ class ClosedLoop:
     def is_stable(self):
         return self.abscissa < 0.0
 
-    def transfer(self, lam):
-        """Transfer function v -> e at the complex frequency ``lam``."""
-        n = self.state_dim
-        X = linalg.solve_dense(lam * np.eye(n) - self.Acl, self.Bcl)
-        return self.Ccl @ X + self.Dcl
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -97,12 +89,6 @@ class ErrorSeries:
 
     t: np.ndarray
     values: np.ndarray
-    window: float
-
-    def at(self, time):
-        """J at the grid point closest to ``time``."""
-        idx = int(np.argmin(np.abs(self.t - time)))
-        return float(self.values[idx])
 
 
 def assemble_direct(plant, ctrl, exo):
@@ -126,39 +112,6 @@ def assemble_direct(plant, ctrl, exo):
     Bcl = np.vstack([plant.B @ E_s, ctrl.G2 @ exo.F])
     Ccl = np.hstack([plant.C, np.zeros((plant.output_dim, n_z))]).astype(complex)
     return _closed_loop(Acl, Bcl, Ccl, exo.F.copy(), plant, ctrl, exo)
-
-
-def assemble_paper_Ae(plant, ctrl, exo):
-    """Assemble the closed loop in the transformed boundary-system form.
-
-    The transformation x_e = [[I, -B_s K], [0, I]] (x, z) - (B_s E_s v, 0)
-    turns the interconnection into an ordinary input/state/output system. In
-    modal coordinates the right inverse of the stabilized input map is the
-    input matrix itself, B_s = B, and the generator acts on its range as
-    Alpha B_s = (A_s + I) B (the identity term is the boundary value of B_s).
-    This form is similar to :func:`assemble_direct` and is used only for
-    cross-validation.
-    """
-    As = plant.As
-    E_s = synthesis.stabilized_disturbance(plant, exo)
-    n_p, n_z = plant.state_dim, ctrl.dim_z
-    B, C, F = plant.B, plant.C, exo.F
-    M = B @ ctrl.K                             # B_s K
-    AM = (As + np.eye(n_p)) @ M                # Alpha B_s K
-    G1t = ctrl.G1 + ctrl.G2 @ (C @ M)          # G1 + G2 C B_s K
-    CBE_F = C @ (B @ E_s) + F                  # C B_s E_s + F
-
-    Acl = np.zeros((n_p + n_z, n_p + n_z), dtype=complex)
-    Acl[:n_p, :n_p] = As - M @ (ctrl.G2 @ C)
-    Acl[:n_p, n_p:] = AM - M @ G1t
-    Acl[n_p:, :n_p] = ctrl.G2 @ C
-    Acl[n_p:, n_p:] = G1t
-    S = np.diag(1j * exo.omegas)
-    Bcl = np.vstack(
-        [(As + np.eye(n_p)) @ (B @ E_s) - B @ E_s @ S - M @ (ctrl.G2 @ CBE_F), ctrl.G2 @ CBE_F]
-    )
-    Ccl = np.hstack([C, C @ M]).astype(complex)
-    return _closed_loop(Acl, Bcl, Ccl, CBE_F.astype(complex), plant, ctrl, exo)
 
 
 def _closed_loop(Acl, Bcl, Ccl, Dcl, plant, ctrl, exo):
@@ -313,7 +266,7 @@ def windowed_error(traj, window=1.0, weights=None):
     # so far, which on long decaying runs reads exactly 0.
     areas = 0.5 * dt * (sq[1:] + sq[:-1])
     values = np.convolve(areas, np.ones(steps), mode="valid")
-    return ErrorSeries(t=traj.t[: traj.t.size - steps], values=values, window=float(window))
+    return ErrorSeries(t=traj.t[: traj.t.size - steps], values=values)
 
 
 @dataclass(frozen=True)

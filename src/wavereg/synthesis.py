@@ -11,7 +11,8 @@ every synthesis works channel by channel on the closed-form diagonal
 oracle it is checked against. Also provides the algebraic internal-model
 test (trivial kernel of G2, trivial range intersections with i w - G1, read
 off the row blocks of G2), the regulator-equation solver and the asymptotic
-tracking-error bound.
+tracking-error bound. The closed-form internal-model block that cross-checks
+the regulator solver lives in :mod:`wavereg.checks`.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class GReport:
 
 @dataclass(frozen=True)
 class RegulatorSolution:
-    """Solution Sigma = (Pi, Gamma) of the Sylvester regulator equation.
+    """Solution Sigma of the Sylvester regulator equation, with its
+    internal-model block ``Gamma`` (the rows below the plant state).
 
     ``residual1`` is the defect of Sigma S = A_e Sigma + B_e and
     ``residual2`` the spectral norm of C_e Sigma + D_e, which vanishes
@@ -117,7 +119,6 @@ class RegulatorSolution:
     """
 
     Sigma: np.ndarray
-    Pi: np.ndarray
     Gamma: np.ndarray
     residual1: float
     residual2: float
@@ -243,9 +244,12 @@ def synth_approx_robust(plant, exo, N, eps):
     gains = _frequency_data(plant, exo)[:, :dim_yn]
     for w, g in zip(exo.omegas, np.abs(gains)):
         if g.min() <= SURJECTIVITY_RTOL * g.max():
-            raise RankDeficiencyError(
-                f"P_N P_s(i*{w}) not surjective: sigma_min/sigma_max = {g.min() / g.max():.3e}"
+            why = (
+                f"sigma_min/sigma_max = {g.min() / g.max():.3e}"
+                if g.max() > 0
+                else "the largest channel gain sigma_max is 0"
             )
+            raise RankDeficiencyError(f"P_N P_s(i*{w}) not surjective: {why}")
     selector = np.eye(dim_y)[:dim_yn]
     K0 = np.zeros((dim_y, exo.q * dim_yn), dtype=complex)
     K0[:dim_yn] = np.hstack([np.diag(1.0 / g) for g in gains])
@@ -309,7 +313,6 @@ def solve_regulator(closed_loop, exo):
     resid2 = np.linalg.norm(closed_loop.Ccl @ Sigma + closed_loop.Dcl, 2)
     return RegulatorSolution(
         Sigma=Sigma,
-        Pi=Sigma[:n_p],
         Gamma=Sigma[n_p:],
         residual1=float(resid1),
         residual2=float(resid2),
@@ -339,26 +342,3 @@ def error_bound_delta(reg_sol, closed_loop, P_N):
     coarse = float(np.sum(np.linalg.norm(tail @ terms, axis=0) ** 2))
     return ErrorBound(delta=float(delta), v_max=v_max, delta_coarse=coarse)
 
-
-def gamma_closed_form(plant, ctrl, exo):
-    """Internal-model block of the regulator solution in closed form.
-
-    For the approximate/robust families the solution applied to phi_k is
-    supported on the k-th copy and equals
-    -eps^{-1} (P_N P_s(i w_k) K0_k)^{-1} P_N (P_s(i w_k) E_s + F) phi_k.
-    The loop gain is solved as a dense matrix, not inverted by its known
-    structure, so this stays an independent cross-check of the Sylvester
-    solver.
-    """
-    if ctrl.selector is None:
-        raise ValueError("closed form requires a projection-structured controller")
-    Ps = _frequency_data(plant, exo)
-    E_s = stabilized_disturbance(plant, exo)
-    bd = ctrl.block_dim
-    Gamma = np.zeros((ctrl.dim_z, exo.q), dtype=complex)
-    for k in range(exo.q):
-        blk = slice(k * bd, (k + 1) * bd)
-        loop_gain = ctrl.selector @ (Ps[k][:, None] * ctrl.K0[:, blk])
-        rhs = ctrl.selector @ (Ps[k] * E_s[:, k] + exo.F[:, k])
-        Gamma[blk, k] = -linalg.solve_dense(loop_gain, rhs) / ctrl.eps
-    return Gamma

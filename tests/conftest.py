@@ -48,6 +48,11 @@ def small_exo(small_plant):
     return build_exosystem(reference, disturbance, small_plant.basis.max_order)
 
 
+def series_at(series, time):
+    """J of the :class:`wavereg.loop.ErrorSeries` at the grid point closest to ``time``."""
+    return float(series.values[int(np.argmin(np.abs(series.t - time)))])
+
+
 class DenseTransferPlant(ModalWavePlant):
     """Plant without wave structure whose channel transfer is the diagonal of
     the dense resolvent C (lambda - As)^{-1} B, which must be diagonal."""

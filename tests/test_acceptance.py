@@ -19,6 +19,8 @@ import pytest
 
 from wavereg import checks, cli, loop, synthesis
 
+from conftest import series_at
+
 V0_NORM_SQ = 4.0  # squared Euclidean norm of v0 = (1, 1, 1, 1)
 
 
@@ -151,7 +153,7 @@ class TestCriterion3ExactTrackingOnYN:
 
         ok = perturbed.is_stable and all(holds(r) for r in runs)
         report(3, ok, "; ".join(describe(r) for r in runs) + "; threshold 1e-8")
-        assert pn.at(40.0) < pn.at(20.0) < pn.at(5.0)
+        assert series_at(pn, 40.0) < series_at(pn, 20.0) < series_at(pn, 5.0)
         assert perturbed.is_stable and perturbed.abscissa < 0
         for r in runs:
             # exact tracking on Y_N: numerically zero at the decay horizon,

@@ -1,12 +1,22 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavereg import checks, cli, serialize
 from wavereg.cli import RunConfig, sect5_config
+
+
+def save_config(cfg, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def small_config(tmp_path, **controller):
@@ -49,14 +59,14 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = small_config(tmp_path)
         path = tmp_path / "cfg.json"
-        cli.save_config(cfg, path)
+        save_config(cfg, path)
         loaded = cli.load_config(path)
         assert loaded == cfg
 
     def test_preset_round_trip(self, tmp_path):
         cfg = sect5_config()
         path = tmp_path / "cfg.json"
-        cli.save_config(cfg, path)
+        save_config(cfg, path)
         assert cli.load_config(path) == cfg
 
     def test_unknown_key_rejected(self):
@@ -251,6 +261,13 @@ UNSTABLE_LOOPS = [
     {"plant": {"damping_q": 0.0}},
     {"controller": {"epsilon": 2.0}},
 ]
+# valid configurations the library rejects while it builds the run
+COS_AT_ZERO = custom_term("reference", temporal="cos", omega_over_pi=0, profile_data=[1.0])
+LIBRARY_ERRORS = [
+    {"plant": {"n_radial": 150}},  # BracketError: 127 roots of order 0 below k = 400
+    COS_AT_ZERO,  # RankDeficiencyError: every velocity channel gain is 0 at omega = 0
+    {**COS_AT_ZERO, "controller": {"kind": "regulating"}},  # RangeViolationError
+]
 UNKNOWN_NAMES = [
     {"controler": {"kind": "robust"}},
     {"exosystem": {"preset": "bogus"}},
@@ -293,7 +310,7 @@ class TestVerifyAndMain:
 
     def test_main_verify_all_on_small_config(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
-        cli.save_config(small_config(tmp_path), cfg_path)
+        save_config(small_config(tmp_path), cfg_path)
         builds = []
         build_plant = cli.build_plant
 
@@ -321,15 +338,17 @@ class TestVerifyAndMain:
     def test_main_eigs_with_config(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         cfg_path = tmp_path / "cfg.json"
-        cli.save_config(cfg, cfg_path)
+        save_config(cfg, cfg_path)
         assert cli.main(["eigs", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "eigenvalues.csv").exists()
 
     @pytest.mark.parametrize(
-        "overrides", CONFIG_ERRORS + UNSTABLE_LOOPS + UNKNOWN_NAMES + WRONG_TYPES + EXOSYSTEM_ERRORS
+        "overrides",
+        CONFIG_ERRORS + UNSTABLE_LOOPS + UNKNOWN_NAMES + WRONG_TYPES + EXOSYSTEM_ERRORS
+        + LIBRARY_ERRORS,
     )
     def test_main_reports_invalid_run_in_one_line(self, tmp_path, capsys, monkeypatch, overrides):
-        if overrides not in UNSTABLE_LOOPS:
+        if overrides not in UNSTABLE_LOOPS + LIBRARY_ERRORS:
             # rejected while the configuration is loaded, before any plant is built
             def no_plant(cfg):
                 raise AssertionError("plant built for an invalid configuration")
@@ -369,7 +388,7 @@ class TestVerifyAndMain:
             serialize.save_matrix(path, vec)
         setattr(cfg.simulation, name, {"file": str(path)})
         cfg_path = tmp_path / "cfg.json"
-        cli.save_config(cfg, cfg_path)
+        save_config(cfg, cfg_path)
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("wavereg: error: ") and err.count("\n") == 1
@@ -383,3 +402,18 @@ class TestVerifyAndMain:
         with pytest.raises(ValueError, match=r"abscissa \+6\.1779e-01"):
             cli.cmd_simulate(cfg, tmp_path)
         assert not (tmp_path / "simulation.csv").exists()
+
+
+def test_cli_import_loads_no_verification_code():
+    # scipy.optimize serves only the oracles of wavereg.checks, which only `wavereg verify` imports
+    probe = (
+        "import sys, wavereg.cli; print(wavereg.cli.__file__); "
+        "print([m for m in ('scipy.optimize', 'wavereg.checks') if m in sys.modules])"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    path, loaded = run.stdout.splitlines()
+    assert Path(path).resolve() == Path(cli.__file__).resolve()
+    assert loaded == "[]"

@@ -10,7 +10,6 @@ from wavereg.loop import (
     Trajectory,
     WindowTooLargeError,
     assemble_direct,
-    assemble_paper_Ae,
     simulate_exact,
     windowed_error,
 )
@@ -23,7 +22,7 @@ from wavereg.synthesis import (
     synth_robust,
 )
 
-from conftest import scalar_plant, single_freq_exo
+from conftest import scalar_plant, series_at, single_freq_exo
 
 
 def make_trajectory(t, errors):
@@ -64,7 +63,7 @@ class TestAssembly:
         plant_spec = linalg.eig(small_plant.As).eigenvalues
         copies = np.repeat(1j * small_exo.omegas, ctrl.block_dim)
         expected = np.concatenate([plant_spec, copies])
-        assert linalg.match_spectra(linalg.eig(cl.Acl).eigenvalues, expected) < 1e-7
+        assert checks.match_spectra(linalg.eig(cl.Acl).eigenvalues, expected) < 1e-7
         assert abs(cl.abscissa) < 1e-7
 
     def test_zero_exosystem_zero_injection(self, small_plant, small_exo):
@@ -102,8 +101,8 @@ class TestPaperForm:
     def test_spectra_agree(self, small_plant, small_exo):
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
         cl_d = assemble_direct(small_plant, ctrl, small_exo)
-        cl_p = assemble_paper_Ae(small_plant, ctrl, small_exo)
-        dist = linalg.match_spectra(
+        cl_p = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
+        dist = checks.match_spectra(
             linalg.eig(cl_d.Acl).eigenvalues, linalg.eig(cl_p.Acl).eigenvalues
         )
         assert dist < 1e-8
@@ -111,17 +110,18 @@ class TestPaperForm:
     def test_transfer_on_exosystem_directions(self, small_plant, small_exo):
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
         cl_d = assemble_direct(small_plant, ctrl, small_exo)
-        cl_p = assemble_paper_Ae(small_plant, ctrl, small_exo)
+        cl_p = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
         for k, w in enumerate(small_exo.omegas):
             phi = np.zeros(small_exo.q)
             phi[k] = 1.0
-            gap = np.linalg.norm((cl_d.transfer(1j * w) - cl_p.transfer(1j * w)) @ phi)
+            gap_matrix = checks.transfer(cl_d, 1j * w) - checks.transfer(cl_p, 1j * w)
+            gap = np.linalg.norm(gap_matrix @ phi)
             assert gap < 1e-8
 
     def test_trajectories_agree_after_state_transform(self, small_plant, small_exo):
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
         cl_d = assemble_direct(small_plant, ctrl, small_exo)
-        cl_p = assemble_paper_Ae(small_plant, ctrl, small_exo)
+        cl_p = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
         E_s = small_exo.E - small_plant.Q_feedback * small_exo.F
         x0_p = np.concatenate(
             [-(small_plant.B @ E_s @ small_exo.v0), np.zeros(ctrl.dim_z)]
@@ -132,7 +132,7 @@ class TestPaperForm:
 
     def test_zero_gain_abscissa_matches(self, small_plant, small_exo):
         ctrl = synth_approx_robust(small_plant, small_exo, 1, eps=0.0)
-        cl_p = assemble_paper_Ae(small_plant, ctrl, small_exo)
+        cl_p = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
         assert abs(cl_p.abscissa) < 1e-7
 
 
@@ -394,4 +394,4 @@ class TestPerturbation:
         series = windowed_error(traj, window=1.0)
         pn_series = windowed_error(traj, window=1.0, weights=rob.projector())
         assert pn_series.values[-1] < 1e-6
-        assert series.values[-1] <= series.at(41.0 / 2.0) + 1e-12
+        assert series.values[-1] <= series_at(series, 41.0 / 2.0) + 1e-12

@@ -1,9 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from wavereg import linalg, synthesis
+from wavereg.checks import gamma_closed_form
 from wavereg.loop import assemble_direct
 from wavereg.synthesis import (
     RangeViolationError,
@@ -11,7 +13,6 @@ from wavereg.synthesis import (
     check_g_conditions,
     error_bound_delta,
     eval_transfer,
-    gamma_closed_form,
     solve_regulator,
     synth_approx_robust,
     synth_regulating,
@@ -176,8 +177,16 @@ class TestApproxRobustController:
         C[3, :] = 0.0
         B[:, 3] = 0.0
         broken = dataclasses.replace(sect5_plant, B=B, C=C, As=sect5_plant.A - 3.0 * (B @ C))
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(RankDeficiencyError) as info:
             synth_approx_robust(broken, sect5_exo, N=5, eps=0.15)
+        assert "sigma_min/sigma_max = " in str(info.value) and "nan" not in str(info.value)
+        # at omega = 0 every velocity channel gain is 0: the message says so
+        # instead of reading the ratio 0/0
+        static = single_freq_exo(0.0, dim_y=sect5_plant.output_dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficiencyError, match="largest channel gain sigma_max is 0"):
+                synth_approx_robust(sect5_plant, static, N=5, eps=0.15)
 
     def test_too_wide_subspace_rejected(self, sect5_plant, sect5_exo):
         with pytest.raises(ValueError):

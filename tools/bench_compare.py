@@ -70,7 +70,11 @@ def run(checkout, workload, seed, seconds, trace):
     """One perfbench run in ``checkout``; returns its final JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True)
+    try:
+        out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True)
+    except subprocess.CalledProcessError as exc:
+        tail = "\n".join(exc.stderr.splitlines()[-20:])
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {exc.returncode}:\n{tail}") from exc
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
