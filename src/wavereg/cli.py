@@ -13,7 +13,10 @@ reproduce   Shorthand for the annulus preset exports behind figures 1-4.
 
 Configs are JSON with sections plant / exosystem / controller / simulation /
 output; every command falls back to the built-in preset when no config is
-given. All emitted CSVs are deterministic (byte-identical across runs).
+given. A custom exosystem term gives its profile either as coefficients on
+the output basis (``fourier``) or as samples on a uniform angular grid of
+at least 8 (max order + 1) points (``samples``), projected once on that
+basis. All emitted CSVs are deterministic (byte-identical across runs).
 """
 
 from __future__ import annotations
@@ -32,15 +35,13 @@ import numpy as np
 
 from . import __version__, bessel, linalg, loop, serialize, synthesis
 from .exosystem import (
-    SignalSpec,
     SignalTerm,
     build_exosystem,
     build_sect5_exosystem,
-    require_frequencies,
     require_preset_order,
     signals_at,
 )
-from .plant import FourierOutputBasis, assemble_wave_plant, require_grid
+from .plant import FourierOutputBasis, assemble_wave_plant, project_profile
 
 _CONTROLLER_KINDS = ("regulating", "approx", "robust")
 
@@ -100,7 +101,6 @@ class ExosystemConfig:
     preset: str | None = "sect5"
     reference: list = field(default_factory=list)
     disturbance: list = field(default_factory=list)
-    grid_size: int = 4096
 
 
 @dataclass
@@ -157,12 +157,7 @@ class RunConfig:
         if e.preset == "sect5":
             require_preset_order(p.m_angular - 1)
         else:
-            basis = FourierOutputBasis(p.m_angular - 1)
-            terms = [*_terms(e, "reference", basis), *_terms(e, "disturbance", basis)]
-            for term in terms:
-                term.sampled(e.grid_size)  # checks sampled profiles against the grid
-            require_frequencies(sorted(SignalSpec(terms).frequencies()))
-        require_grid(e.grid_size, p.m_angular - 1)
+            _custom_exosystem(e, FourierOutputBasis(p.m_angular - 1))
         if c.kind == "approx":
             synthesis.output_block_dim(c.N, 2 * p.m_angular - 1)
         loop.whole_steps(s.t_end, s.dt, "t_end")
@@ -206,8 +201,9 @@ def build_plant(cfg):
 
 
 def _term_from_config(term, where, basis):
-    """The SignalTerm of a configured term of the signal ``where``, whose
-    fourier coefficients refer to ``basis``."""
+    """The SignalTerm of a configured term of the signal ``where``: fourier
+    coefficients on ``basis`` are zero-padded to its dimension, samples on a
+    uniform grid of any length n >= 8 (max order + 1) are projected on it."""
     if term.profile_type not in ("fourier", "samples"):
         raise ValueError(f"unknown profile type {term.profile_type!r}")
     try:
@@ -216,14 +212,14 @@ def _term_from_config(term, where, basis):
         data = None
     if data is None or data.ndim != 1 or not np.all(np.isfinite(data)):
         raise ValueError(f"{where}: profile_data must be a list of finite numbers")
-    profile = data
-    if term.profile_type == "fourier":
-        if data.size > basis.dim:
-            raise ValueError("fourier profile has more coefficients than the output basis")
+    if term.profile_type == "samples":
+        coeffs = project_profile(data, basis.max_order)
+    elif data.size > basis.dim:
+        raise ValueError("fourier profile has more coefficients than the output basis")
+    else:
         coeffs = np.zeros(basis.dim)
         coeffs[: data.size] = data
-        profile = lambda th: basis.synthesize(coeffs, th)
-    return SignalTerm(profile=profile, temporal=term.temporal, omega=term.omega_over_pi * np.pi)
+    return SignalTerm(coeffs=coeffs, temporal=term.temporal, omega=term.omega_over_pi * np.pi)
 
 
 def _terms(e, name, basis):
@@ -231,14 +227,18 @@ def _terms(e, name, basis):
     return [_term_from_config(t, f"exosystem.{name}", basis) for t in getattr(e, name)]
 
 
+def _custom_exosystem(e, basis):
+    """The exosystem of the custom signals of the exosystem section ``e``."""
+    reference, disturbance = _terms(e, "reference", basis), _terms(e, "disturbance", basis)
+    return build_exosystem(reference, disturbance, basis.max_order)
+
+
 def build_exo(cfg, plant):
     e = cfg.exosystem
     _require_known_preset(e.preset)
     if e.preset == "sect5":
-        return build_sect5_exosystem(plant.basis.max_order, grid_size=e.grid_size)
-    reference = SignalSpec(_terms(e, "reference", plant.basis))
-    disturbance = SignalSpec(_terms(e, "disturbance", plant.basis))
-    return build_exosystem(reference, disturbance, plant.basis.max_order, grid_size=e.grid_size)
+        return build_sect5_exosystem(plant.basis.max_order)
+    return _custom_exosystem(e, plant.basis)
 
 
 def build_controller(cfg, plant, exo):
@@ -363,15 +363,9 @@ def cmd_simulate(cfg, out_dir=None):
         serialize.save_csv(csv_path, ["t", "J", "err_sq", "pn_err_sq", "energy"], list(zip(*cols)))
     if cfg.output.emit_svg:
         _svg_line_plot(
-            out / "windowed_error.svg",
-            series.t,
-            [("J(t)", series.values)],
-            "windowed tracking error",
-            ylog=True,
+            out / "windowed_error.svg", series.t, series.values, "windowed tracking error", ylog=True
         )
-        _svg_line_plot(
-            out / "energy.svg", traj.t, [("energy", traj.energies)], "plant energy"
-        )
+        _svg_line_plot(out / "energy.svg", traj.t, traj.energies, "plant energy")
     meta = {
         "config": cfg.to_dict(),
         "version": __version__,
@@ -438,19 +432,14 @@ def cmd_reproduce(figure, out_dir=None, emit_svg=False):
     return {"csv": path}
 
 
-def _svg_line_plot(path, x, series, title, ylog=False, width=720, height=440):
-    """Minimal polyline SVG plot, no plotting dependency."""
-    margin = 50.0
+def _svg_line_plot(path, x, y, title, ylog=False):
+    """Minimal one-series polyline SVG plot, no plotting dependency."""
+    width, height, margin = 720, 440, 50.0
     x = np.asarray(x, dtype=float)
-    colors = ("#1f6fb2", "#c04a3b", "#3f9b57", "#8a5fb0")
-    transformed = []
-    for label, y in series:
-        y = np.asarray(y, dtype=float)
-        if ylog:
-            y = np.log10(np.maximum(y, 1e-300))
-        transformed.append((label, y))
-    ymin = min(float(y.min()) for _, y in transformed)
-    ymax = max(float(y.max()) for _, y in transformed)
+    y = np.asarray(y, dtype=float)
+    if ylog:
+        y = np.log10(np.maximum(y, 1e-300))
+    ymin, ymax = float(y.min()), float(y.max())
     if ymax <= ymin:
         ymax = ymin + 1.0
     xmin, xmax = float(x.min()), float(x.max())
@@ -471,9 +460,8 @@ def _svg_line_plot(path, x, series, title, ylog=False, width=720, height=440):
         f'<text x="{width - margin}" y="{height - 10}" text-anchor="end" font-size="11">'
         f'y{"(log10)" if ylog else ""}: [{ymin:.3g}, {ymax:.3g}]</text>',
     ]
-    for (label, y), color in zip(transformed, colors):
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
+    pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.2"/>')
     parts.append("</svg>")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -3,8 +3,11 @@
 The generator state obeys v' = S v with S = diag(i w_1, ..., i w_q) and feeds
 the plant through w(t) = E v(t) (boundary disturbance) and y_ref(t) = -F v(t)
 (boundary reference), both expressed as Fourier coefficients on the output
-basis. Real harmonic signals a(theta) sin(w t) + b(theta) cos(w t) are
-expanded over conjugate frequency pairs so that E v and F v stay real.
+basis. A signal is a list of harmonic terms, each a profile given by its
+coefficients on that basis times sin(w t) or cos(w t); a profile known by
+samples is projected once, with ``project_profile``, where it is defined.
+Real harmonic signals a(theta) sin(w t) + b(theta) cos(w t) are expanded
+over conjugate frequency pairs so that E v and F v stay real.
 """
 
 from __future__ import annotations
@@ -15,14 +18,15 @@ import numpy as np
 
 from .plant import project_profile
 
-_DEFAULT_GRID = 4096
+_PRESET_GRID = 4096
 
 
 @dataclass(frozen=True)
 class SignalTerm:
-    """One separable term profile(theta) * {sin, cos}(omega t)."""
+    """One separable term profile(theta) * {sin, cos}(omega t), the profile
+    given by its coefficients ``coeffs`` on the Fourier output basis."""
 
-    profile: object
+    coeffs: np.ndarray
     temporal: str
     omega: float
 
@@ -32,40 +36,10 @@ class SignalTerm:
         if self.temporal == "sin" and self.omega == 0.0:
             raise ValueError("sin term with omega = 0 is identically zero")
 
-    def sampled(self, grid_size):
-        theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
-        if callable(self.profile):
-            return np.asarray(self.profile(theta), dtype=float)
-        samples = np.asarray(self.profile, dtype=float)
-        if samples.size != grid_size:
-            raise ValueError("sampled profile does not match the projection grid")
-        return samples
 
-
-@dataclass(frozen=True)
-class SignalSpec:
-    """A finite sum of harmonic terms describing one boundary signal."""
-
-    terms: tuple
-
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def frequencies(self):
-        out = set()
-        for term in self.terms:
-            out.add(term.omega)
-            out.add(-term.omega)
-        return out
-
-
-def require_frequencies(omegas):
-    """Raise unless ``omegas`` is a nonempty vector of distinct frequencies."""
-    om = np.asarray(omegas, dtype=float)
-    if om.ndim != 1 or om.size == 0:
-        raise ValueError("omegas must be a nonempty vector")
-    if np.unique(om).size != om.size:
-        raise ValueError("exosystem frequencies must be distinct")
+def frequencies(terms):
+    """The set of frequencies +-omega of the given terms."""
+    return {s * term.omega for term in terms for s in (1.0, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -78,8 +52,12 @@ class Exosystem:
     v0: np.ndarray
 
     def __post_init__(self):
-        require_frequencies(self.omegas)
-        q = np.size(self.omegas)
+        om = np.asarray(self.omegas, dtype=float)
+        if om.ndim != 1 or om.size == 0:
+            raise ValueError("omegas must be a nonempty vector")
+        if np.unique(om).size != om.size:
+            raise ValueError("exosystem frequencies must be distinct")
+        q = om.size
         for name, M in (("E", self.E), ("F", self.F)):
             if M.ndim != 2 or M.shape[1] != q:
                 raise ValueError(f"{name} must have {q} columns")
@@ -106,39 +84,39 @@ def signals_at(exo, t):
     return exo.E @ v, -(exo.F @ v)
 
 
-def build_exosystem(reference, disturbance, max_order, grid_size=_DEFAULT_GRID):
+def build_exosystem(reference, disturbance, max_order):
     """Assemble the exosystem generating the given reference and disturbance.
 
-    Each harmonic term is projected onto the Fourier output basis of order
-    ``max_order`` and expanded over the conjugate frequency pair via
-    sin(wt) = (e^{iwt} - e^{-iwt}) / 2i and cos(wt) = (e^{iwt} + e^{-iwt}) / 2,
-    so that the all-ones v0 reproduces the requested signals exactly.
+    Each harmonic term, with its profile's coefficients on the Fourier output
+    basis of order ``max_order``, is expanded over the conjugate frequency
+    pair via sin(wt) = (e^{iwt} - e^{-iwt}) / 2i and
+    cos(wt) = (e^{iwt} + e^{-iwt}) / 2, so that the all-ones v0 reproduces
+    the requested signals exactly.
 
     Parameters
     ----------
-    reference, disturbance : SignalSpec
+    reference, disturbance : list of SignalTerm
         The tracked signal y_ref and the boundary disturbance d.
     max_order : int
-        Angular cutoff of the output basis the signals are projected on.
-    grid_size : int
-        Uniform angular grid used for the projections.
+        Angular cutoff of the output basis the profiles are given on.
     """
-    freqs = sorted(reference.frequencies() | disturbance.frequencies())
+    freqs = sorted(frequencies([*reference, *disturbance]))
     omegas = np.array(freqs, dtype=float)
     index = {w: k for k, w in enumerate(freqs)}
     dim_y = 2 * max_order + 1
     q = omegas.size
 
-    def accumulate(spec):
+    def accumulate(terms):
         M = np.zeros((dim_y, q), dtype=complex)
-        for term in spec.terms:
-            coeffs = project_profile(term.sampled(grid_size), max_order)
+        for term in terms:
+            if np.shape(term.coeffs) != (dim_y,):
+                raise ValueError(f"a term profile needs {dim_y} coefficients, one per output")
             if term.temporal == "sin":
-                M[:, index[term.omega]] += -0.5j * coeffs
-                M[:, index[-term.omega]] += 0.5j * coeffs
+                M[:, index[term.omega]] += -0.5j * term.coeffs
+                M[:, index[-term.omega]] += 0.5j * term.coeffs
             else:
-                M[:, index[term.omega]] += 0.5 * coeffs
-                M[:, index[-term.omega]] += 0.5 * coeffs
+                M[:, index[term.omega]] += 0.5 * term.coeffs
+                M[:, index[-term.omega]] += 0.5 * term.coeffs
         return M
 
     E = accumulate(disturbance)
@@ -152,27 +130,27 @@ def require_preset_order(max_order):
         raise ValueError("max_order must be at least 5 for the preset signals")
 
 
-def build_sect5_exosystem(max_order, grid_size=_DEFAULT_GRID):
+def build_sect5_exosystem(max_order):
     """Exosystem for the annulus experiment signals.
 
     Generates the reference
     y_ref = -(1/(2 pi^2)) (pi - theta)^2 sin(pi t) - (1/2) sin(theta/2) cos(2 pi t)
     and the disturbance d = cos(theta) sin(2 pi t) + sin(theta) sin(pi t) over
-    the frequencies (-2 pi, -pi, pi, 2 pi) with v0 = (1, 1, 1, 1).
+    the frequencies (-2 pi, -pi, pi, 2 pi) with v0 = (1, 1, 1, 1). Each
+    profile is projected on the output basis from ``_PRESET_GRID`` uniform
+    samples.
 
     Requires ``max_order >= 5`` so the non-smooth profiles are resolved.
     """
     require_preset_order(max_order)
-    reference = SignalSpec(
-        [
-            SignalTerm(lambda th: -((np.pi - th) ** 2) / (2.0 * np.pi**2), "sin", np.pi),
-            SignalTerm(lambda th: -0.5 * np.sin(th / 2.0), "cos", 2.0 * np.pi),
-        ]
-    )
-    disturbance = SignalSpec(
-        [
-            SignalTerm(np.cos, "sin", 2.0 * np.pi),
-            SignalTerm(np.sin, "sin", np.pi),
-        ]
-    )
-    return build_exosystem(reference, disturbance, max_order, grid_size=grid_size)
+    theta = 2.0 * np.pi * np.arange(_PRESET_GRID) / _PRESET_GRID
+
+    def term(samples, temporal, omega):
+        return SignalTerm(project_profile(samples, max_order), temporal, omega)
+
+    reference = [
+        term(-((np.pi - theta) ** 2) / (2.0 * np.pi**2), "sin", np.pi),
+        term(-0.5 * np.sin(theta / 2.0), "cos", 2.0 * np.pi),
+    ]
+    disturbance = [term(np.cos(theta), "sin", 2.0 * np.pi), term(np.sin(theta), "sin", np.pi)]
+    return build_exosystem(reference, disturbance, max_order)

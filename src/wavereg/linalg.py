@@ -31,6 +31,9 @@ PIVOT_RTOL = 1e-13
 # Commutator threshold certifying a matrix as normal, relative to ||A||_F^2.
 NORMALITY_RTOL = 1e-12
 
+# Largest ||A t||_F that expm accepts before it refuses to exponentiate.
+EXPM_NORM_CAP = 1e6
+
 
 class LinearAlgebraError(Exception):
     """Base class for numerical failures in this module."""
@@ -214,7 +217,7 @@ def is_normal(A, rtol=NORMALITY_RTOL):
     return np.linalg.norm(M @ M.conj().T - M.conj().T @ M) < rtol * scale
 
 
-def expm(A, t=1.0, norm_cap=1e6):
+def expm(A, t=1.0):
     """Matrix exponential ``exp(A t)`` by scipy's scaling-and-squaring Pade
     code, guarded by a norm cap on the input and a finiteness check on the
     result.
@@ -222,15 +225,15 @@ def expm(A, t=1.0, norm_cap=1e6):
     Raises
     ------
     OverflowCapError
-        If ``||A t||_F`` exceeds ``norm_cap`` or the result is non-finite.
+        If ``||A t||_F`` exceeds ``EXPM_NORM_CAP`` or the result is non-finite.
     """
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    if np.linalg.norm(M) * abs(t) > norm_cap:
-        raise OverflowCapError(f"||A t|| exceeds the cap {norm_cap:.3e}")
+    if np.linalg.norm(M) * abs(t) > EXPM_NORM_CAP:
+        raise OverflowCapError(f"||A t|| exceeds the cap {EXPM_NORM_CAP:.3e}")
     E = scipy.linalg.expm(M * t)
     if not np.all(np.isfinite(E)):
         raise OverflowCapError("matrix exponential overflowed")

@@ -78,12 +78,6 @@ class FourierOutputBasis:
         return np.asarray(coeffs) @ self.evaluate(theta)
 
 
-def require_grid(n, max_order):
-    """Raise unless a periodic grid of ``n`` points resolves order ``max_order``."""
-    if n < 8 * (max_order + 1):
-        raise ValueError(f"grid of {n} points too coarse for max_order={max_order}")
-
-
 def project_profile(samples, max_order):
     """Fourier coefficients of a profile sampled on a uniform periodic grid.
 
@@ -106,7 +100,8 @@ def project_profile(samples, max_order):
     if f.ndim != 1:
         raise ValueError("samples must be a one-dimensional array")
     n = f.size
-    require_grid(n, max_order)
+    if n < 8 * (max_order + 1):
+        raise ValueError(f"grid of {n} points too coarse for max_order={max_order}")
     theta = 2.0 * np.pi * np.arange(n) / n
     basis = FourierOutputBasis(max_order)
     return basis.evaluate(theta) @ f * (2.0 * np.pi / n)

@@ -40,7 +40,10 @@ def load_matrix(path):
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path} is not a wavereg matrix file")
-    rows, cols, complex_flag = (int(tok) for tok in lines[1].split())
+    header = lines[1].split() if len(lines) > 1 else []
+    if len(header) != 3 or not all(tok.isdigit() for tok in header):
+        raise ValueError(f"{path}: missing or malformed 'rows cols iscomplex' line")
+    rows, cols, complex_flag = (int(tok) for tok in header)
     data = []
     for ln in lines[2:]:
         vals = [float(tok) for tok in ln.split()]

@@ -4,7 +4,7 @@ small cheap plant for structural tests, and handcrafted scalar toys."""
 import numpy as np
 import pytest
 
-from wavereg.exosystem import Exosystem, SignalSpec, SignalTerm, build_exosystem, build_sect5_exosystem
+from wavereg.exosystem import Exosystem, SignalTerm, build_exosystem, build_sect5_exosystem
 from wavereg.loop import assemble_direct
 from wavereg.plant import FourierOutputBasis, ModalWavePlant, assemble_wave_plant
 from wavereg.synthesis import eval_transfer, solve_regulator, synth_approx_robust
@@ -41,11 +41,19 @@ def small_plant():
     return assemble_wave_plant(3, 4, 3.0)
 
 
+def harmonic_coeffs(basis, m, parity):
+    """Coefficients of the profile cos(m theta) or sin(m theta) on ``basis``."""
+    coeffs = np.zeros(basis.dim)
+    coeffs[basis.index(m, parity)] = np.sqrt(np.pi)
+    return coeffs
+
+
 @pytest.fixture(scope="session")
 def small_exo(small_plant):
-    reference = SignalSpec([SignalTerm(np.cos, "sin", np.pi)])
-    disturbance = SignalSpec([SignalTerm(np.sin, "sin", 2.0 * np.pi)])
-    return build_exosystem(reference, disturbance, small_plant.basis.max_order)
+    basis = small_plant.basis
+    reference = [SignalTerm(harmonic_coeffs(basis, 1, "cos"), "sin", np.pi)]
+    disturbance = [SignalTerm(harmonic_coeffs(basis, 1, "sin"), "sin", 2.0 * np.pi)]
+    return build_exosystem(reference, disturbance, basis.max_order)
 
 
 def series_at(series, time):

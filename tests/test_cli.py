@@ -44,11 +44,11 @@ def custom_term(signal, **term):
     return {"exosystem": {"preset": None, signal: [term]}}
 
 
-# term data the preset plant (23 outputs, 4096-point grid) cannot take, by message
+# term data the preset plant (23 outputs, max order 11) cannot take, by message
 TERM_DATA_ERRORS = {
     "fourier profile has more coefficients than the output basis":
         custom_term("reference", profile_data=[1.0] * 24),
-    "sampled profile does not match the projection grid":
+    "grid of 2 points too coarse for max_order=11":
         custom_term("reference", profile_type="samples", profile_data=[0.0, 1.0]),
     "exosystem.disturbance: profile_data must be a list of finite numbers":
         custom_term("disturbance", profile_data=[1.0, "a"]),
@@ -89,6 +89,30 @@ class TestConfig:
     def test_term_data_rejected_by_name(self, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             RunConfig.from_dict(TERM_DATA_ERRORS[message])
+
+    @pytest.mark.parametrize("n", [96, 1000])
+    def test_sampled_terms_match_fourier_terms(self, sect5_plant, n):
+        # a band-limited profile of order 11 sampled on n >= 8 * 12 points
+        # projects back to its coefficients up to roundoff
+        basis = sect5_plant.basis
+        rng = np.random.default_rng(n)
+        ref, dist = rng.uniform(-1.0, 1.0, (2, basis.dim))
+        theta = 2 * np.pi * np.arange(n) / n
+
+        def exo(profile_type, to_data):
+            def term(coeffs, temporal, omega_over_pi):
+                return {"profile_type": profile_type, "profile_data": to_data(coeffs).tolist(),
+                        "temporal": temporal, "omega_over_pi": omega_over_pi}
+
+            signals = {"reference": [term(ref, "sin", 1.0)], "disturbance": [term(dist, "cos", 2.0)]}
+            cfg = RunConfig.from_dict({"exosystem": {"preset": None, **signals}})
+            return cli.build_exo(cfg, sect5_plant)
+
+        sampled = exo("samples", lambda c: basis.synthesize(c, theta))
+        fourier = exo("fourier", lambda c: c)
+        assert np.array_equal(sampled.omegas, fourier.omegas)
+        assert np.abs(sampled.E - fourier.E).max() < 1e-12
+        assert np.abs(sampled.F - fourier.F).max() < 1e-12
 
 
 class TestMatrixFormat:
@@ -271,6 +295,7 @@ LIBRARY_ERRORS = [
 UNKNOWN_NAMES = [
     {"controler": {"kind": "robust"}},
     {"exosystem": {"preset": "bogus"}},
+    {"exosystem": {"grid_size": 64}},
 ]
 WRONG_TYPES = [
     {"plant": 5},
@@ -281,7 +306,6 @@ WRONG_TYPES = [
     [],
 ]
 EXOSYSTEM_ERRORS = [
-    {"exosystem": {"grid_size": 64}},
     {"exosystem": {"preset": None, "reference": [{"temporal": "tan"}]}},
     {"exosystem": {"preset": None, "disturbance": [{"profile_type": "spline"}]}},
     {"exosystem": {"preset": None, "reference": [{"temporal": "sin", "omega_over_pi": 0}]}},
@@ -374,6 +398,12 @@ class TestVerifyAndMain:
             ("z0", None, None, "missing.mtx"),
             ("x0", 42, np.nan, "finite"),
             ("z0", 20, np.inf, "finite"),
+            # an entry of text is the whole file: a header of the magic line only,
+            # and one whose dimension line is short
+            pytest.param("x0", None, "# wavereg matrix v1\n", "x0.mtx: missing or malformed",
+                         id="x0-magic-line-only"),
+            pytest.param("z0", None, "# wavereg matrix v1\n20 1\n", "z0.mtx: missing or malformed",
+                         id="z0-short-dimension-line"),
         ],
     )
     def test_simulate_reports_bad_initial_state_in_one_line(
@@ -381,7 +411,10 @@ class TestVerifyAndMain:
     ):
         cfg = small_config(tmp_path)
         path = tmp_path / "missing.mtx"
-        if size is not None:
+        if isinstance(entry, str):
+            path = tmp_path / f"{name}.mtx"
+            path.write_text(entry)
+        elif size is not None:
             path = tmp_path / f"{name}.mtx"
             vec = np.zeros(size)
             vec[1] = entry

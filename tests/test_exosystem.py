@@ -3,14 +3,16 @@ import pytest
 
 from wavereg.exosystem import (
     Exosystem,
-    SignalSpec,
     SignalTerm,
     build_exosystem,
     build_sect5_exosystem,
+    frequencies,
     signals_at,
     v_at,
 )
 from wavereg.plant import FourierOutputBasis, project_profile
+
+from conftest import harmonic_coeffs
 
 
 def is_conjugate_symmetric(exo, tol=1e-12):
@@ -126,27 +128,27 @@ class TestSect5Construction:
 
 class TestGeneralBuilder:
     def test_zero_maps_give_zero_signals(self):
-        zero = lambda th: np.zeros_like(th)
-        spec = SignalSpec([SignalTerm(zero, "sin", np.pi)])
+        spec = [SignalTerm(np.zeros(7), "sin", np.pi)]
         exo = build_exosystem(spec, spec, 3)
         for t in (0.0, 0.77):
             w, yref = signals_at(exo, t)
             assert np.abs(w).max() == 0.0 and np.abs(yref).max() == 0.0
 
     def test_frequency_union_sorted(self):
-        ref = SignalSpec([SignalTerm(np.cos, "sin", np.pi)])
-        dist = SignalSpec([SignalTerm(np.sin, "cos", 3.0 * np.pi)])
+        basis = FourierOutputBasis(2)
+        ref = [SignalTerm(harmonic_coeffs(basis, 1, "cos"), "sin", np.pi)]
+        dist = [SignalTerm(harmonic_coeffs(basis, 1, "sin"), "cos", 3.0 * np.pi)]
         exo = build_exosystem(ref, dist, 2)
         assert np.allclose(exo.omegas, np.pi * np.array([-3.0, -1.0, 1.0, 3.0]))
-        for term_freqs in (ref.frequencies(), dist.frequencies()):
+        for term_freqs in (frequencies(ref), frequencies(dist)):
             for w in term_freqs:
                 assert w in set(exo.omegas)
 
     def test_sampled_profile_term(self):
         n = 4096
         theta = 2 * np.pi * np.arange(n) / n
-        ref = SignalSpec([SignalTerm(np.cos(theta), "cos", np.pi)])
-        exo = build_exosystem(ref, SignalSpec([]), 2, grid_size=n)
+        ref = [SignalTerm(project_profile(np.cos(theta), 2), "cos", np.pi)]
+        exo = build_exosystem(ref, [], 2)
         _, yref = signals_at(exo, 0.0)
         expected = np.zeros(5)
         expected[1] = np.sqrt(np.pi)
@@ -154,11 +156,16 @@ class TestGeneralBuilder:
 
     def test_sin_at_zero_frequency_rejected(self):
         with pytest.raises(ValueError):
-            SignalTerm(np.cos, "sin", 0.0)
+            SignalTerm(np.ones(5), "sin", 0.0)
 
     def test_bad_temporal_factor_rejected(self):
         with pytest.raises(ValueError):
-            SignalTerm(np.cos, "tan", np.pi)
+            SignalTerm(np.ones(5), "tan", np.pi)
+
+    def test_coefficient_count_checked(self):
+        # one coefficient would broadcast over all five outputs
+        with pytest.raises(ValueError, match="needs 5 coefficients"):
+            build_exosystem([SignalTerm(np.ones(1), "cos", np.pi)], [], 2)
 
     def test_distinct_frequencies_enforced(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavereg import checks, linalg, loop
-from wavereg.exosystem import Exosystem, build_sect5_exosystem
+from wavereg.exosystem import Exosystem, SignalTerm, build_exosystem, build_sect5_exosystem
 from wavereg.loop import (
     ClosedLoop,
     Trajectory,
@@ -22,7 +22,7 @@ from wavereg.synthesis import (
     synth_robust,
 )
 
-from conftest import scalar_plant, series_at, single_freq_exo
+from conftest import harmonic_coeffs, scalar_plant, series_at, single_freq_exo
 
 
 def make_trajectory(t, errors):
@@ -259,17 +259,23 @@ class TestBlockStepping:
     @pytest.mark.parametrize("n_steps", [1, 127, 128, 129, 3 * 128 + 7])
     def test_matches_sequential_stepping(self, small_plant, small_exo, n_steps):
         # the approx loop splits into one block per channel; the regulating
-        # loop is one coupled block
+        # loop of a reference that reaches every channel is one coupled block
         dt = 0.01
-        for ctrl, n_blocks in [
-            (synth_approx_robust(small_plant, small_exo, 2, eps=0.12), 7),
-            (synth_regulating(small_plant, small_exo, eps=0.1), 1),
+        basis = small_plant.basis
+        coupled_exo = build_exosystem(
+            [SignalTerm(np.ones(basis.dim), "sin", np.pi)],
+            [SignalTerm(harmonic_coeffs(basis, 1, "sin"), "sin", 2.0 * np.pi)],
+            basis.max_order,
+        )
+        for exo, ctrl, n_blocks in [
+            (small_exo, synth_approx_robust(small_plant, small_exo, 2, eps=0.12), 7),
+            (coupled_exo, synth_regulating(small_plant, coupled_exo, eps=0.1), 1),
         ]:
-            cl = assemble_direct(small_plant, ctrl, small_exo)
+            cl = assemble_direct(small_plant, ctrl, exo)
             assert len(linalg._diagonal_blocks(cl.Acl)) == n_blocks
             x0 = np.random.default_rng(21).standard_normal(cl.state_dim)
-            traj = simulate_exact(cl, small_exo, x0=x0, t_end=n_steps * dt, dt=dt)
-            states, errors, energies = sequential_reference(cl, small_exo, x0, n_steps, dt)
+            traj = simulate_exact(cl, exo, x0=x0, t_end=n_steps * dt, dt=dt)
+            states, errors, energies = sequential_reference(cl, exo, x0, n_steps, dt)
             assert traj.states.shape == states.shape
             assert rel_gap(traj.states, states) < 1e-12
             assert rel_gap(traj.errors, errors) < 1e-12

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavereg import checks, linalg, loop, synthesis
-from wavereg.exosystem import SignalSpec, SignalTerm, build_exosystem
+from wavereg.exosystem import SignalTerm, build_exosystem
 from wavereg.plant import assemble_wave_plant
 
 EPS = 0.15
@@ -38,12 +38,8 @@ def small_problems(draw):
     coeffs = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array)
     ref_coeffs, dist_coeffs = draw(coeffs), draw(coeffs)
     w_ref, w_dist = draw(st.floats(0.5, 8.0)), draw(st.floats(0.5, 8.0))
-    reference = SignalSpec(
-        [SignalTerm(lambda th: plant.basis.synthesize(ref_coeffs, th), "sin", w_ref)]
-    )
-    disturbance = SignalSpec(
-        [SignalTerm(lambda th: plant.basis.synthesize(dist_coeffs, th), "cos", w_dist)]
-    )
+    reference = [SignalTerm(ref_coeffs, "sin", w_ref)]
+    disturbance = [SignalTerm(dist_coeffs, "cos", w_dist)]
     exo = build_exosystem(reference, disturbance, plant.basis.max_order)
     N = draw(st.integers(1, m_angular - 1))
     return plant, exo, N
