@@ -56,7 +56,8 @@ def _require_known(names, known, what):
 def _replace_checked(obj, payload, where):
     """``dataclasses.replace(obj, **payload)`` once ``payload`` is an object
     whose keys are fields of ``obj`` and whose values have the fields'
-    declared types; an int is accepted for a float, a bool only for a bool."""
+    declared types; an int is accepted for a float, a bool only for a bool,
+    and a float field must be finite."""
     if not isinstance(payload, dict):
         raise ValueError(f"{where} must be an object, got {payload!r}")
     hints = typing.get_type_hints(type(obj))
@@ -67,6 +68,8 @@ def _replace_checked(obj, payload, where):
         if not isinstance(value, allowed) or isinstance(value, bool) and hint not in (bool, object):
             name = getattr(hint, "__name__", hint)
             raise ValueError(f"{where}: {key} must be of type {name}, got {value!r}")
+        if hint is float and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{where}: {key} must be finite, got {value!r}")
     return dataclasses.replace(obj, **payload)
 
 
@@ -151,6 +154,10 @@ class RunConfig:
             raise ValueError("controller.epsilon must be nonnegative")
         if s.dt <= 0 or s.t_end < s.dt or s.window <= 0:
             raise ValueError("simulation times must be positive with t_end >= dt")
+        for name, spec in (("x0", s.x0), ("z0", s.z0)):
+            file_spec = isinstance(spec, dict) and list(spec) == ["file"]
+            if spec != "zero" and not (file_spec and isinstance(spec["file"], str)):
+                raise ValueError(f"simulation.{name} must be 'zero' or {{'file': path}}: {spec!r}")
         # the pipeline's own checks, in its order, before any plant is built
         e = self.exosystem
         _require_known_preset(e.preset)
@@ -251,14 +258,13 @@ def build_controller(cfg, plant, exo):
 
 
 def _initial_state(spec, dim, name):
+    """The initial state a validated ``x0``/``z0`` spec names, of size ``dim``."""
     if spec == "zero":
         return np.zeros(dim, dtype=complex)
-    if isinstance(spec, dict) and "file" in spec:
-        vec = serialize.load_vector(spec["file"])
-        if vec.size != dim:
-            raise ValueError(f"{name} from {spec['file']} has size {vec.size}, expected {dim}")
-        return vec
-    raise ValueError(f"{name} must be 'zero' or {{'file': path}}")
+    vec = serialize.load_vector(spec["file"])
+    if vec.size != dim:
+        raise ValueError(f"{name} from {spec['file']} has size {vec.size}, expected {dim}")
+    return vec
 
 
 def _outdir(cfg, override):
@@ -443,6 +449,8 @@ def _svg_line_plot(path, x, y, title, ylog=False):
     if ymax <= ymin:
         ymax = ymin + 1.0
     xmin, xmax = float(x.min()), float(x.max())
+    if xmax <= xmin:  # a one-point series
+        xmax = xmin + 1.0
 
     def px(v):
         return margin + (v - xmin) / (xmax - xmin) * (width - 2 * margin)

@@ -2,8 +2,9 @@
 
 Contract-checked wrappers around numpy/scipy dense kernels (solve, eig, SVD,
 matrix exponential) plus the columnwise resolvent solver of the regulator
-equations for diagonal harmonic generators; its Kronecker-product oracle and
-the spectrum matching live in :mod:`wavereg.checks`. ``eig`` and
+equations for diagonal harmonic generators; each verifies its own result and
+returns plain numpy arrays. The Kronecker-product oracle and the spectrum
+matching live in :mod:`wavereg.checks`. ``eig`` and
 ``sylvester_diag`` work on the diagonal blocks of their operand up to a
 permutation (the connected components of its nonzero pattern), so a closed
 loop whose channels are decoupled costs one small dense kernel per channel;
@@ -14,7 +15,6 @@ production path branches on it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -70,40 +70,9 @@ def as_matrix(A, name="matrix"):
     return M
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a square matrix together with the spectral abscissa.
-
-    A negative abscissa is the finite-dimensional certificate of exponential
-    stability used throughout the synthesis and simulation code.
-    """
-
-    eigenvalues: np.ndarray
-    abscissa: float
-
-    def __post_init__(self):
-        if self.eigenvalues.size == 0:
-            raise ValueError("empty spectrum")
-        if not np.isclose(self.abscissa, np.max(self.eigenvalues.real)):
-            raise ValueError("abscissa does not match the eigenvalue real parts")
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Singular value decomposition A = U @ diag(s) @ Vh with s nonincreasing."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vh: np.ndarray
-
-    def __post_init__(self):
-        s = self.singular_values
-        if np.any(s < 0) or np.any(np.diff(s) > 0):
-            raise ValueError("singular values must be nonnegative and nonincreasing")
-
-
 def svd(A):
-    """Compute a validated reduced SVD of ``A``.
+    """Reduced SVD ``(u, s, vh)`` of ``A``, as ``np.linalg.svd`` returns it
+    (``s`` nonnegative and nonincreasing), with the reconstruction verified.
 
     Raises
     ------
@@ -117,7 +86,7 @@ def svd(A):
     err = np.linalg.norm(u @ (s[:, None] * vh) - M)
     if err > RANK_RTOL * max(scale, 1.0) * max(M.shape):
         raise ConvergenceError(f"SVD reconstruction error {err:.3e} out of tolerance")
-    return SvdResult(u, s, vh)
+    return u, s, vh
 
 
 def solve_dense(A, B):
@@ -171,7 +140,7 @@ def _diagonal_blocks(M):
 
 
 def eig(A):
-    """Eigenvalues of a square matrix as a :class:`Spectrum`.
+    """Eigenvalues of a square matrix, sorted by real then imaginary part.
 
     Each diagonal block of ``A`` (see :func:`_diagonal_blocks`) is
     decomposed on its own. The eigenpair residual ``||A v - lambda v||`` is
@@ -203,9 +172,7 @@ def eig(A):
                 )
         parts.append(w)
     w = np.concatenate(parts)
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    return Spectrum(eigenvalues=w, abscissa=float(w.real.max()))
+    return w[np.lexsort((w.imag, w.real))]
 
 
 def is_normal(A, rtol=NORMALITY_RTOL):
@@ -292,18 +259,3 @@ def sylvester_diag(Ae, Be, omegas):
         )
     return Sigma
 
-
-def operator_norm(A):
-    """Largest singular value of ``A`` and a maximizing unit input vector.
-
-    Returns
-    -------
-    sigma_max : float
-    v_max : ndarray
-        Unit vector with ``||A v_max|| = sigma_max``.
-    """
-    M = as_matrix(A)
-    if not M.any():
-        raise ValueError("operator_norm of the zero matrix is ill-posed")
-    res = svd(M)
-    return float(res.singular_values[0]), res.vh[0].conj()

@@ -123,7 +123,7 @@ def _closed_loop(Acl, Bcl, Ccl, Dcl, plant, ctrl, exo):
         Dcl=Dcl,
         plant_dim=plant.state_dim,
         ctrl_dim=ctrl.dim_z,
-        abscissa=linalg.eig(Acl).abscissa,
+        abscissa=float(linalg.eig(Acl).real.max()),
         plant=plant,
         ctrl=ctrl,
         exo=exo,
@@ -279,17 +279,16 @@ class FreeResponse:
     energies: np.ndarray
 
 
-def free_response(plant, x0, t_end, dt, damped=True):
-    """Free evolution of the (un)damped plant with zero boundary input.
+def free_response(plant, x0, t_end, dt):
+    """Free evolution of the plant with zero boundary input.
 
-    Samples the plant generator (``As`` if damped, ``A`` otherwise) block by
-    block with the sampler of :func:`simulate_exact`, driven by no
-    exosystem; used by the energy-conservation, decay and admissibility
-    checks.
+    Samples the damped generator ``As`` block by block with the sampler of
+    :func:`simulate_exact`, driven by no exosystem; used by the
+    energy-conservation, decay and admissibility checks. The undamped plant
+    is ``plant.perturbed(q_scale=0.0)``.
     """
     t = _time_grid(t_end, dt)
-    gen = plant.As if damped else plant.A
-    no_input = np.zeros((gen.shape[0], 0))
-    states = _sample(gen, no_input, np.zeros((0, 0)), np.asarray(x0), np.zeros(0), t.size, dt)
+    no_input = np.zeros((plant.state_dim, 0))
+    states = _sample(plant.As, no_input, np.zeros((0, 0)), np.asarray(x0), np.zeros(0), t.size, dt)
     outputs = np.real(states @ plant.C.T)
     return FreeResponse(t=t, states=states, outputs=outputs, energies=plant.energy(states))

@@ -286,7 +286,7 @@ def check_g_conditions(ctrl):
     """
     tol = linalg.RANK_RTOL * np.linalg.norm(ctrl.G2, 2)
     rank_g2, *block_ranks = (
-        int(np.count_nonzero(linalg.svd(M).singular_values > tol))
+        int(np.count_nonzero(linalg.svd(M)[1] > tol))
         for M in (ctrl.G2, *np.split(ctrl.G2, ctrl.omegas.size))
     )
     kernel_dim = ctrl.dim_y - rank_g2
@@ -331,7 +331,8 @@ def error_bound_delta(reg_sol, closed_loop, P_N):
     plant, ctrl, exo = closed_loop.plant, closed_loop.ctrl, closed_loop.exo
     M_err = closed_loop.Ccl @ reg_sol.Sigma + closed_loop.Dcl
     if M_err.any():
-        sigma_max, v_max = linalg.operator_norm(M_err)
+        _, s, vh = linalg.svd(M_err)
+        sigma_max, v_max = float(s[0]), vh[0].conj()
     else:  # zero signals: every unit vector attains the zero norm
         sigma_max, v_max = 0.0, np.eye(exo.q, dtype=complex)[0]
     delta = sigma_max**2

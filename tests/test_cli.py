@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,13 @@ class TestSimulateCommand:
         cli.cmd_simulate(cfg, tmp_path)
         svg = (tmp_path / "windowed_error.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+        # window == t_end leaves J(t) a single point, t = 0
+        cfg.simulation.t_end = cfg.simulation.window = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.cmd_simulate(cfg.validate(), tmp_path / "one_point")
+        svg = (tmp_path / "one_point" / "windowed_error.svg").read_text()
+        assert "polyline" in svg and "nan" not in svg
 
 
 class TestReproduce:
@@ -291,6 +299,14 @@ LIBRARY_ERRORS = [
     {"plant": {"n_radial": 150}},  # BracketError: 127 roots of order 0 below k = 400
     COS_AT_ZERO,  # RankDeficiencyError: every velocity channel gain is 0 at omega = 0
     {**COS_AT_ZERO, "controller": {"kind": "regulating"}},  # RangeViolationError
+]
+# values the config layer refuses that used to fail only once the run was built
+LATE_ERRORS = [
+    {"simulation": {"t_end": float("inf")}},
+    {"plant": {"damping_q": float("nan")}},
+    {"simulation": {"x0": {"file": 0}}},
+    {"simulation": {"x0": {"file": ["a"]}}},
+    {"simulation": {"x0": 5}},
 ]
 UNKNOWN_NAMES = [
     {"controler": {"kind": "robust"}},
@@ -369,7 +385,7 @@ class TestVerifyAndMain:
     @pytest.mark.parametrize(
         "overrides",
         CONFIG_ERRORS + UNSTABLE_LOOPS + UNKNOWN_NAMES + WRONG_TYPES + EXOSYSTEM_ERRORS
-        + LIBRARY_ERRORS,
+        + LIBRARY_ERRORS + LATE_ERRORS,
     )
     def test_main_reports_invalid_run_in_one_line(self, tmp_path, capsys, monkeypatch, overrides):
         if overrides not in UNSTABLE_LOOPS + LIBRARY_ERRORS:

@@ -79,12 +79,12 @@ class TestAssembly:
 
     def test_undamped_generator_marginal(self, small_plant):
         und = small_plant.perturbed(q_scale=0.0)
-        assert abs(linalg.eig(und.As).abscissa) < 1e-8
+        assert abs(linalg.eig(und.As).real.max()) < 1e-8
 
     @pytest.mark.parametrize("inner", ["neumann", "dirichlet"])
     def test_damped_generator_stable(self, inner):
         plant = assemble_wave_plant(3, 3, 3.0, inner_bc=inner)
-        assert linalg.eig(plant.As).abscissa < 0
+        assert linalg.eig(plant.As).real.max() < 0
 
     def test_energy_positive(self, small_plant):
         rng = np.random.default_rng(12)
@@ -147,7 +147,7 @@ class TestEnergyPhysics:
     def test_undamped_energy_conserved(self, small_plant):
         rng = np.random.default_rng(13)
         x0 = rng.standard_normal(small_plant.state_dim)
-        resp = loop.free_response(small_plant, x0, t_end=10.0, dt=0.01, damped=False)
+        resp = loop.free_response(small_plant.perturbed(q_scale=0.0), x0, t_end=10.0, dt=0.01)
         drift = np.abs(resp.energies / resp.energies[0] - 1.0).max()
         assert drift < 1e-9
 

@@ -152,8 +152,7 @@ class TestApproxRobustController:
         for k in range(4):
             blk = slice(k * 11, (k + 1) * 11)
             gain = -(approx5.selector @ (Ps[k][:, None] * approx5.K0[:, blk]))
-            spec = linalg.eig(gain)
-            assert np.abs(spec.eigenvalues + 1.0).max() < 1e-10
+            assert np.abs(linalg.eig(gain) + 1.0).max() < 1e-10
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-2])
     def test_closed_loop_copies_at_minus_eps(self, sect5_plant, sect5_exo, eps):
@@ -161,7 +160,7 @@ class TestApproxRobustController:
         # copies at each i w_k to i w_k - eps + O(eps^2); the second-order
         # constant measured on the preset is at most 10.7
         ctrl = synth_approx_robust(sect5_plant, sect5_exo, 5, eps)
-        lam = linalg.eig(assemble_direct(sect5_plant, ctrl, sect5_exo).Acl).eigenvalues
+        lam = linalg.eig(assemble_direct(sect5_plant, ctrl, sect5_exo).Acl)
         for w in sect5_exo.omegas:
             nearest = lam[np.argsort(np.abs(lam - 1j * w))[: ctrl.block_dim]]
             worst = np.abs(nearest - (1j * w - eps)).max()
@@ -295,6 +294,14 @@ class TestErrorBound:
         bound = error_bound_delta(reg, cl, rob.projector())
         assert bound.delta < 1e-12
         assert bound.delta_coarse < 1e-12
+
+    def test_zero_exosystem_gives_zero_delta(self, toy_plant):
+        # C_e Sigma + D_e is the zero matrix: every unit vector maximizes it
+        exo = single_freq_exo(1.0, e=0.0, f=0.0)
+        cl = assemble_direct(toy_plant, synth_regulating(toy_plant, exo, eps=0.1), exo)
+        bound = error_bound_delta(solve_regulator(cl, exo), cl, np.eye(1))
+        assert bound.delta == 0.0
+        assert np.linalg.norm(bound.v_max) == pytest.approx(1.0, abs=1e-15)
 
     def test_delta_below_coarse(self, sect5_reg, sect5_loop, approx5):
         bound = error_bound_delta(sect5_reg, sect5_loop, approx5.projector())
