@@ -282,10 +282,10 @@ class FreeResponse:
 def free_response(plant, x0, t_end, dt):
     """Free evolution of the plant with zero boundary input.
 
-    Samples the damped generator ``As`` block by block with the sampler of
+    Samples the plant's generator ``As`` block by block with the sampler of
     :func:`simulate_exact`, driven by no exosystem; used by the
-    energy-conservation, decay and admissibility checks. The undamped plant
-    is ``plant.perturbed(q_scale=0.0)``.
+    energy-conservation, decay and admissibility checks. For the undamped
+    generator pass ``plant.perturbed(q_scale=0.0)``, whose ``As`` is ``A``.
     """
     t = _time_grid(t_end, dt)
     no_input = np.zeros((plant.state_dim, 0))
