@@ -94,7 +94,7 @@ def assemble_paper_Ae(plant, ctrl, exo):
         [(As + np.eye(n_p)) @ (B @ E_s) - B @ E_s @ S - M @ (ctrl.G2 @ CBE_F), ctrl.G2 @ CBE_F]
     )
     Ccl = np.hstack([C, C @ M]).astype(complex)
-    return loop._closed_loop(Acl, Bcl, Ccl, CBE_F.astype(complex), plant, ctrl, exo)
+    return loop.ClosedLoop(Acl, Bcl, Ccl, CBE_F.astype(complex), plant, ctrl, exo)
 
 
 def transfer(cl, lam):
@@ -113,7 +113,7 @@ def gamma_closed_form(plant, ctrl, exo):
     structure, so this stays an independent cross-check of the Sylvester
     solver.
     """
-    if ctrl.selector is None:
+    if ctrl.kind == "regulating":
         raise ValueError("closed form requires a projection-structured controller")
     E_s = synthesis.stabilized_disturbance(plant, exo)
     bd = ctrl.block_dim
@@ -121,8 +121,8 @@ def gamma_closed_form(plant, ctrl, exo):
     for k, w in enumerate(exo.omegas):
         p = plant.transfer(1j * w)
         blk = slice(k * bd, (k + 1) * bd)
-        loop_gain = ctrl.selector @ (p[:, None] * ctrl.K0[:, blk])
-        rhs = ctrl.selector @ (p * E_s[:, k] + exo.F[:, k])
+        loop_gain = p[:bd, None] * ctrl.K0[:bd, blk]
+        rhs = p[:bd] * E_s[:bd, k] + exo.F[:bd, k]
         Gamma[blk, k] = -linalg.solve_dense(loop_gain, rhs) / ctrl.eps
     return Gamma
 
@@ -231,7 +231,7 @@ def _sylvester(ctx):
 
 @_check("synth", "closed-form Gamma matches the Sylvester solver", criterion=6)
 def _gamma(ctx):
-    if ctx.controller.selector is None:
+    if ctx.controller.kind == "regulating":
         return True, "no closed form for the regulating controller"
     gamma = gamma_closed_form(ctx.plant, ctx.controller, ctx.exo)
     diff = np.abs(gamma - ctx.regulator.Gamma).max()
@@ -250,7 +250,7 @@ def _energy(ctx):
     for _ in range(20):
         x0 = rng.standard_normal(plant.state_dim)
         resp = loop.free_response(plant, x0, t_end=5.0, dt=0.002)
-        integral = np.trapezoid(np.sum(resp.outputs**2, axis=1), resp.t)
+        integral = np.trapezoid(resp.error_norms_sq(), resp.t)
         worst = max(worst, integral / (plant.energy(x0) / (2.0 * plant.Q_feedback)))
         decays &= not np.any(np.diff(resp.energies) > 1e-12 * resp.energies[0])
     detail = f"energy drift={drift:.2e}, admissibility ratio={worst:.4f}"

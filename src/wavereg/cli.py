@@ -343,12 +343,12 @@ def cmd_simulate(cfg, out_dir=None):
         exo = build_exo(cfg, plant)
     with _timed(timings, "controller"):
         ctrl = build_controller(cfg, plant, exo)
-    with _timed(timings, "assemble"):
+    with _timed(timings, "assemble"):  # the loop and its spectral abscissa
         cl = loop.assemble_direct(plant, ctrl, exo)
-    if not cl.is_stable:
-        raise ValueError(
-            f"closed loop is unstable (spectral abscissa {cl.abscissa:+.4e} >= 0); not simulating"
-        )
+        if not cl.is_stable:
+            raise ValueError(
+                f"closed loop is unstable (spectral abscissa {cl.abscissa:+.4e} >= 0); not simulating"
+            )
     sim = cfg.simulation
     x0 = np.concatenate(
         [
@@ -545,7 +545,7 @@ def main(argv=None):
             result = cmd_simulate(cfg, args.out)
             print(f"wrote {result['csv']} (final J {result['J_final']:.3e}, abscissa {result['abscissa']:+.4f})")
     # what a configuration can provoke: one line and exit 2, never a bare RuntimeError
-    except (ValueError, OSError, bessel.BracketError, linalg.LinearAlgebraError,
+    except (ValueError, OSError, MemoryError, bessel.BracketError, linalg.LinearAlgebraError,
             synthesis.RangeViolationError, synthesis.RankDeficiencyError) as exc:
         print(f"wavereg: error: {exc}", file=sys.stderr)
         return 2

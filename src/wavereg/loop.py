@@ -15,6 +15,7 @@ sliding-window error integrals depend on the step size.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,21 +36,20 @@ class WindowTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Assembled interconnection x_e' = Acl x_e + Bcl v, e = Ccl x_e + Dcl v."""
+    """Assembled interconnection x_e' = Acl x_e + Bcl v, e = Ccl x_e + Dcl v,
+    x_e the plant state over the controller state. The sizes and the spectral
+    abscissa (largest real part of the spectrum) derive from ``Acl`` and ``plant``."""
 
     Acl: np.ndarray
     Bcl: np.ndarray
     Ccl: np.ndarray
     Dcl: np.ndarray
-    plant_dim: int
-    ctrl_dim: int
-    abscissa: float
     plant: object = field(repr=False)
     ctrl: object = field(repr=False)
     exo: object = field(repr=False)
 
     def __post_init__(self):
-        n = self.plant_dim + self.ctrl_dim
+        n = self.Acl.shape[0]
         if self.Acl.shape != (n, n):
             raise ValueError("closed-loop state dimension mismatch")
         if self.Bcl.shape[0] != n or self.Ccl.shape[1] != n:
@@ -58,8 +58,16 @@ class ClosedLoop:
             raise ValueError("closed-loop feedthrough dimension mismatch")
 
     @property
+    def plant_dim(self):
+        return self.plant.state_dim
+
+    @property
     def state_dim(self):
-        return self.plant_dim + self.ctrl_dim
+        return self.Acl.shape[0]
+
+    @functools.cached_property
+    def abscissa(self):
+        return float(linalg.eig(self.Acl).real.max())
 
     @property
     def is_stable(self):
@@ -111,23 +119,7 @@ def assemble_direct(plant, ctrl, exo):
     Acl[n_p:, n_p:] = ctrl.G1
     Bcl = np.vstack([plant.B @ E_s, ctrl.G2 @ exo.F])
     Ccl = np.hstack([plant.C, np.zeros((plant.output_dim, n_z))]).astype(complex)
-    return _closed_loop(Acl, Bcl, Ccl, exo.F.copy(), plant, ctrl, exo)
-
-
-def _closed_loop(Acl, Bcl, Ccl, Dcl, plant, ctrl, exo):
-    """The :class:`ClosedLoop` of these matrices, with the spectral abscissa of ``Acl``."""
-    return ClosedLoop(
-        Acl=Acl,
-        Bcl=Bcl,
-        Ccl=Ccl,
-        Dcl=Dcl,
-        plant_dim=plant.state_dim,
-        ctrl_dim=ctrl.dim_z,
-        abscissa=float(linalg.eig(Acl).real.max()),
-        plant=plant,
-        ctrl=ctrl,
-        exo=exo,
-    )
+    return ClosedLoop(Acl, Bcl, Ccl, exo.F.copy(), plant, ctrl, exo)
 
 
 def whole_steps(span, dt, name):
@@ -269,16 +261,6 @@ def windowed_error(traj, window=1.0, weights=None):
     return ErrorSeries(t=traj.t[: traj.t.size - steps], values=values)
 
 
-@dataclass(frozen=True)
-class FreeResponse:
-    """Unforced plant run: states, boundary velocity outputs and energy."""
-
-    t: np.ndarray
-    states: np.ndarray
-    outputs: np.ndarray
-    energies: np.ndarray
-
-
 def free_response(plant, x0, t_end, dt):
     """Free evolution of the plant with zero boundary input.
 
@@ -286,9 +268,10 @@ def free_response(plant, x0, t_end, dt):
     :func:`simulate_exact`, driven by no exosystem; used by the
     energy-conservation, decay and admissibility checks. For the undamped
     generator pass ``plant.perturbed(q_scale=0.0)``, whose ``As`` is ``A``.
+    Returns a :class:`Trajectory` whose errors are the boundary velocity
+    outputs y = C x, the tracking errors against a zero reference.
     """
     t = _time_grid(t_end, dt)
     no_input = np.zeros((plant.state_dim, 0))
     states = _sample(plant.As, no_input, np.zeros((0, 0)), np.asarray(x0), np.zeros(0), t.size, dt)
-    outputs = np.real(states @ plant.C.T)
-    return FreeResponse(t=t, states=states, outputs=outputs, energies=plant.energy(states))
+    return Trajectory(t=t, states=states, errors=states @ plant.C.T, energies=plant.energy(states))

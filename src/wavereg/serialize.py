@@ -41,7 +41,7 @@ def load_matrix(path):
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path} is not a wavereg matrix file")
     header = lines[1].split() if len(lines) > 1 else []
-    if len(header) != 3 or not all(tok.isdigit() for tok in header):
+    if len(header) != 3 or not all(tok.isdigit() for tok in header) or header[2] not in ("0", "1"):
         raise ValueError(f"{path}: missing or malformed 'rows cols iscomplex' line")
     rows, cols, complex_flag = (int(tok) for tok in header)
     data = []
@@ -57,7 +57,7 @@ def load_matrix(path):
             data.append(vals)
     if len(data) != rows:
         raise ValueError(f"{path}: expected {rows} rows, found {len(data)}")
-    return np.array(data, dtype=complex if complex_flag else float)
+    return np.array(data, dtype=complex if complex_flag else float).reshape(rows, cols)
 
 
 def load_vector(path):

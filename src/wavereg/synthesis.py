@@ -39,15 +39,6 @@ class RankDeficiencyError(RuntimeError):
     """P_N P_s(i w_k) is not surjective onto the truncated output space."""
 
 
-def _internal_model_G1(omegas, block_dim):
-    q = omegas.size
-    G1 = np.zeros((q * block_dim, q * block_dim), dtype=complex)
-    for k, w in enumerate(omegas):
-        blk = slice(k * block_dim, (k + 1) * block_dim)
-        G1[blk, blk] = 1j * w * np.eye(block_dim)
-    return G1
-
-
 @dataclass(frozen=True)
 class Controller:
     """Internal-model error-feedback controller (G1, G2, K).
@@ -57,8 +48,8 @@ class Controller:
     ``G1`` is block diagonal with blocks i w_k I of size ``block_dim`` and
     ``K = eps * K0``; both are derived from the stored data, so a controller
     is re-gained with ``replace(ctrl, eps=...)``.
-    ``selector`` maps output coefficients onto the internal-model copy space
-    Y_N (None for the minimal regulating controller whose copies are scalar).
+    The copies of the approximate and robust kinds live on Y_N, the first
+    ``block_dim`` output coordinates; the regulating kind's copies are scalar.
     """
 
     kind: str
@@ -67,7 +58,6 @@ class Controller:
     G2: np.ndarray
     K0: np.ndarray
     eps: float
-    selector: np.ndarray | None = None
 
     def __post_init__(self):
         if self.G2.shape[0] != self.dim_z or self.K0.shape[1] != self.dim_z:
@@ -77,7 +67,7 @@ class Controller:
 
     @property
     def G1(self):
-        return _internal_model_G1(self.omegas, self.block_dim)
+        return np.kron(np.diag(1j * self.omegas), np.eye(self.block_dim))
 
     @property
     def K(self):
@@ -92,10 +82,10 @@ class Controller:
         return self.G2.shape[1]
 
     def projector(self):
-        """Orthogonal projector of Y onto Y_N (identity for full-space copies)."""
-        if self.selector is None:
+        """Orthogonal projector of Y onto Y_N (identity for the regulating kind)."""
+        if self.kind == "regulating":
             return np.eye(self.dim_y)
-        return self.selector.T @ self.selector
+        return np.diag((np.arange(self.dim_y) < self.block_dim).astype(float))
 
 
 @dataclass(frozen=True)
@@ -250,17 +240,15 @@ def synth_approx_robust(plant, exo, N, eps):
                 else "the largest channel gain sigma_max is 0"
             )
             raise RankDeficiencyError(f"P_N P_s(i*{w}) not surjective: {why}")
-    selector = np.eye(dim_y)[:dim_yn]
     K0 = np.zeros((dim_y, exo.q * dim_yn), dtype=complex)
     K0[:dim_yn] = np.hstack([np.diag(1.0 / g) for g in gains])
     return Controller(
         kind="approx",
         omegas=exo.omegas,
         block_dim=dim_yn,
-        G2=np.vstack([-selector] * exo.q).astype(complex),
+        G2=np.vstack([-np.eye(dim_y)[:dim_yn]] * exo.q).astype(complex),
         K0=K0,
         eps=float(eps),
-        selector=selector,
     )
 
 

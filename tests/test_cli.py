@@ -136,6 +136,13 @@ class TestMatrixFormat:
         serialize.save_matrix(path, v)
         assert np.array_equal(serialize.load_vector(path), v)
 
+    def test_zero_row_round_trip(self, tmp_path):
+        M = np.zeros((0, 3))
+        path = tmp_path / "empty.mtx"
+        serialize.save_matrix(path, M)
+        loaded = serialize.load_matrix(path)
+        assert loaded.shape == (0, 3) and loaded.dtype == M.dtype
+
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text("nonsense\n")
@@ -299,6 +306,7 @@ LIBRARY_ERRORS = [
     {"plant": {"n_radial": 150}},  # BracketError: 127 roots of order 0 below k = 400
     COS_AT_ZERO,  # RankDeficiencyError: every velocity channel gain is 0 at omega = 0
     {**COS_AT_ZERO, "controller": {"kind": "regulating"}},  # RangeViolationError
+    {"simulation": {"t_end": 1e12}},  # MemoryError: a 1e14-sample time grid
 ]
 # values the config layer refuses that used to fail only once the run was built
 LATE_ERRORS = [
@@ -420,6 +428,9 @@ class TestVerifyAndMain:
                          id="x0-magic-line-only"),
             pytest.param("z0", None, "# wavereg matrix v1\n20 1\n", "z0.mtx: missing or malformed",
                          id="z0-short-dimension-line"),
+            # the iscomplex flag is 0 or 1, not any digit
+            pytest.param("x0", None, "# wavereg matrix v1\n1 2 7\n0 0 0 0\n",
+                         "x0.mtx: missing or malformed", id="x0-complex-flag-7"),
         ],
     )
     def test_simulate_reports_bad_initial_state_in_one_line(

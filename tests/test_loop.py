@@ -80,8 +80,8 @@ class TestAssembly:
     def test_sect5_preset_stable(self, sect5_loop):
         assert sect5_loop.abscissa < 0
 
-    def test_output_matrices(self, sect5_loop, sect5_plant, sect5_exo):
-        n_z = sect5_loop.ctrl_dim
+    def test_output_matrices(self, sect5_loop, sect5_plant, sect5_exo, approx5):
+        n_z = approx5.dim_z
         assert np.array_equal(
             sect5_loop.Ccl, np.hstack([sect5_plant.C, np.zeros((23, n_z))]).astype(complex)
         )
@@ -192,13 +192,11 @@ class TestSimulation:
             Bcl=np.array([[1.0 + 0j]]),
             Ccl=np.array([[1.0 + 0j]]),
             Dcl=np.array([[0.0 + 0j]]),
-            plant_dim=1,
-            ctrl_dim=0,
-            abscissa=-1.0,
             plant=plant,
             ctrl=None,
             exo=exo,
         )
+        assert cl.abscissa == -1.0 and cl.plant_dim == 1
         traj = simulate_exact(cl, exo, t_end=5.0, dt=0.01)
         expected = (np.exp(1j * traj.t) - np.exp(-traj.t)) / (1.0 + 1j)
         assert np.abs(traj.states[:, 0] - expected).max() < 1e-9
@@ -223,13 +221,11 @@ class TestSimulation:
                 Bcl=np.array([[0.0 + 0j]]),
                 Ccl=np.array([[1.0 + 0j]]),
                 Dcl=np.array([[0.0 + 0j]]),
-                plant_dim=1,
-                ctrl_dim=0,
-                abscissa=rate,
                 plant=plant,
                 ctrl=None,
                 exo=exo,
             )
+            assert cl.abscissa == rate and cl.plant_dim == 1
             states, _, _ = sequential_reference(cl, exo, np.ones(1), n_steps, dt)
             norms = np.hypot(np.abs(states[:, 0]), np.abs(exo.v0[0]))
             first = int(np.argmax(norms > 1e12 * (1.0 + norms[0])))
@@ -293,7 +289,7 @@ class TestBlockStepping:
             states = np.array(states)
             energies = np.array([plant.energy(x) for x in states])
             assert rel_gap(resp.states, states) < 1e-12
-            assert rel_gap(resp.outputs, states @ plant.C.T) < 1e-12
+            assert rel_gap(resp.errors, states @ plant.C.T) < 1e-12
             assert rel_gap(resp.energies, energies) < 1e-12
 
 

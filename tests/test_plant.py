@@ -166,7 +166,7 @@ class TestEnergyPhysics:
         for _ in range(5):
             x0 = rng.standard_normal(small_plant.state_dim)
             resp = loop.free_response(small_plant, x0, t_end=5.0, dt=0.005)
-            integral = np.trapezoid(np.sum(resp.outputs**2, axis=1), resp.t)
+            integral = np.trapezoid(resp.error_norms_sq(), resp.t)
             assert integral <= bound_scale * small_plant.energy(x0)
 
     def test_passivity_along_driven_trajectory(self, small_plant):

@@ -142,7 +142,7 @@ class TestApproxRobustController:
         assert not G1[mask].any()
 
     def test_g2_blocks_are_minus_projection(self, approx5):
-        sel = approx5.selector
+        sel = np.eye(23)[:11]
         for k in range(4):
             assert np.array_equal(approx5.G2[k * 11 : (k + 1) * 11], -sel)
 
@@ -151,7 +151,7 @@ class TestApproxRobustController:
         Ps = synthesis._frequency_data(sect5_plant, sect5_exo)
         for k in range(4):
             blk = slice(k * 11, (k + 1) * 11)
-            gain = -(approx5.selector @ (Ps[k][:, None] * approx5.K0[:, blk]))
+            gain = -(Ps[k][:, None] * approx5.K0[:, blk])[:11]
             assert np.abs(linalg.eig(gain) + 1.0).max() < 1e-10
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-2])
@@ -187,6 +187,13 @@ class TestApproxRobustController:
             with pytest.raises(RankDeficiencyError, match="largest channel gain sigma_max is 0"):
                 synth_approx_robust(sect5_plant, static, N=5, eps=0.15)
 
+    @pytest.mark.parametrize("N", [1, 5])
+    def test_projector_keeps_first_2n_plus_1_coordinates(self, sect5_plant, sect5_exo, N):
+        ctrl = synth_approx_robust(sect5_plant, sect5_exo, N, eps=0.15)
+        expected = np.zeros((23, 23))
+        expected[: 2 * N + 1, : 2 * N + 1] = np.eye(2 * N + 1)
+        assert np.array_equal(ctrl.projector(), expected)
+
     def test_too_wide_subspace_rejected(self, sect5_plant, sect5_exo):
         with pytest.raises(ValueError):
             synth_approx_robust(sect5_plant, sect5_exo, N=12, eps=0.15)
@@ -207,6 +214,13 @@ class TestRobustController:
         for name in ("G1", "G2", "K", "K0"):
             assert np.array_equal(getattr(rob, name), getattr(full, name))
         assert rob.kind == "robust"
+
+    def test_projector_is_identity(self, sect5_plant, sect5_exo):
+        for ctrl in (
+            synth_robust(sect5_plant, sect5_exo, eps=0.15),
+            synth_regulating(sect5_plant, sect5_exo, eps=0.15),
+        ):
+            assert np.array_equal(ctrl.projector(), np.eye(23))
 
     def test_injection_blocks_are_minus_identity(self, sect5_plant, sect5_exo):
         rob = synth_robust(sect5_plant, sect5_exo, 0.15)
