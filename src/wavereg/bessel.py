@@ -9,7 +9,7 @@ boundary r = 1: (Y_m(k), J_m(k)) pins the value there (Dirichlet),
 (Y'_m(k), J'_m(k)) pins the slope (Neumann). Admissible wavenumbers k are
 the roots of the Neumann condition R'(2) = 0 at the actuated outer boundary,
 found per order by a vectorized scan, bisection and secant steps, with a
-spacing guard against skipped roots; Lommel's integral gives the norms.
+Sturm zero count against skipped roots; Lommel's integral gives the norms.
 Each root's residual is checked relative to the scale |w_Y| + |w_J| of
 :func:`cross_fn` at that root, so the check means the same at every order;
 the ``cross_residual`` column of ``eigenvalues.csv`` stays the absolute one.
@@ -71,8 +71,8 @@ def _inner_weights(m, k, inner_bc):
 def radial_profile(m, k, r, inner_bc):
     """Unnormalized radial eigenfunction satisfying the inner condition."""
     wY, wJ = _inner_weights(m, k, inner_bc)
-    Jr, Yr, _, _ = bessel_jy(m, k * np.asarray(r, dtype=float))
-    return Jr * wY - Yr * wJ
+    kr = k * np.asarray(r, dtype=float)
+    return scipy.special.jv(m, kr) * wY - scipy.special.yn(m, kr) * wJ
 
 
 def radial_profile_deriv(m, k, r, inner_bc):
@@ -172,10 +172,11 @@ def find_radial_roots(m, count, inner_bc):
 
     Raises BracketError if the scan reaches its cap before ``count`` sign
     changes, if a residual relative to cross_fn's scale |w_Y| + |w_J| at its
-    root stays above ``ROOT_RESIDUAL_TOL``, or if two consecutive roots past
-    the first lie outside [pi/2, 3 pi/2] apart: the spacing tends to pi
-    (McMahon-type asymptotics, Abramowitz & Stegun 9.5), so a wider gap
-    means the scan stepped over a pair of roots.
+    root stays above ``ROOT_RESIDUAL_TOL``, or if a mode has the wrong number
+    of sign changes on 8 * ``count`` midpoints of [1, 2]. By Sturm oscillation
+    the n-th mode has n - 1 zeros in (1, 2), or n for m = 0 with the Neumann
+    inner condition, whose excluded rigid mode comes first; a skipped root
+    adds a zero to every later mode.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -200,12 +201,15 @@ def find_radial_roots(m, count, inner_bc):
             f"root polish stalled at k={roots[worst]} (order {m}), relative residual "
             f"{relative[worst]:.3e}"
         )
-    gaps = np.diff(roots)
-    bad = np.flatnonzero((gaps[1:] < 0.5 * np.pi) | (gaps[1:] > 1.5 * np.pi))
+    r = 1.0 + (np.arange(8 * count) + 0.5) / (8 * count)
+    profiles = radial_profile(m, roots[:, None], r, inner_bc) < 0
+    zeros = np.count_nonzero(profiles[:, 1:] != profiles[:, :-1], axis=1)
+    expected = np.arange(count) + (m == 0 and inner_bc == "neumann")
+    bad = np.flatnonzero(zeros != expected)
     if bad.size:
-        n = int(bad[0]) + 2  # gaps[1:] starts between roots 2 and 3
-        gap = f"roots {n} and {n + 1} of order {m} are {gaps[n - 1]:.3f} apart"
-        raise BracketError(f"{gap}, outside [pi/2, 3pi/2]: the scan skipped a root")
+        n = int(bad[0])
+        zero_count = f"mode {n + 1} of order {m} has {zeros[n]} interior zeros, not {expected[n]}"
+        raise BracketError(f"{zero_count}: the scan skipped a root")
     norms = 1.0 / np.sqrt(_norm_sq(m, roots, inner_bc))
     return [
         RadialMode(m=m, n=n, k=float(k), normalization=float(c), inner_bc=inner_bc)

@@ -360,7 +360,7 @@ def cmd_simulate(cfg, out_dir=None):
         traj = loop.simulate_exact(cl, exo, x0=x0, t_end=sim.t_end, dt=sim.dt)
         series = loop.windowed_error(traj, window=sim.window)
         err_sq = traj.error_norms_sq()
-        pn_err_sq = np.sum(np.abs(traj.errors @ ctrl.projector().T) ** 2, axis=1)
+        pn_err_sq = traj.error_norms_sq(ctrl.projector())
     csv_path = out / "simulation.csv"
     with _timed(timings, "csv"):
         # J(t) integrates over [t, t + window], so its column ends one window early

@@ -87,8 +87,10 @@ class Trajectory:
     def dt(self):
         return float(self.t[1] - self.t[0])
 
-    def error_norms_sq(self):
-        return np.sum(np.abs(self.errors) ** 2, axis=1)
+    def error_norms_sq(self, weights=None):
+        """Squared norms ||W e(t)||^2 of the errors, W = ``weights`` or the identity."""
+        err = self.errors if weights is None else self.errors @ np.asarray(weights).T
+        return np.sum(np.abs(err) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -251,8 +253,7 @@ def windowed_error(traj, window=1.0, weights=None):
     """
     dt = traj.dt
     steps = window_steps(window, dt, traj.t[-1])
-    err = traj.errors if weights is None else traj.errors @ np.asarray(weights).T
-    sq = np.sum(np.abs(err) ** 2, axis=1)
+    sq = traj.error_norms_sq(weights)
     # Sum each window's trapezoid areas directly. Differences of one running
     # cumulative sum would lose every window below roundoff of the integral
     # so far, which on long decaying runs reads exactly 0.

@@ -55,7 +55,7 @@ def load_matrix(path):
             if len(vals) != cols:
                 raise ValueError(f"{path}: malformed row")
             data.append(vals)
-    if len(data) != rows:
+    if cols and len(data) != rows:  # the rows of a zero-column matrix are blank
         raise ValueError(f"{path}: expected {rows} rows, found {len(data)}")
     return np.array(data, dtype=complex if complex_flag else float).reshape(rows, cols)
 

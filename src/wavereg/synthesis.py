@@ -102,8 +102,9 @@ class RegulatorSolution:
     """Solution Sigma of the Sylvester regulator equation, with its
     internal-model block ``Gamma`` (the rows below the plant state).
 
-    ``residual1`` is the defect of Sigma S = A_e Sigma + B_e and
-    ``residual2`` the spectral norm of C_e Sigma + D_e, which vanishes
+    ``residual1`` is the defect of Sigma S = A_e Sigma + B_e. ``error_map``
+    is C_e Sigma + D_e, whose k-th column is the asymptotic tracking error
+    of frequency w_k; ``residual2`` is its spectral norm, which vanishes
     exactly when the controller regulates (on Y) and whose square is the
     asymptotic windowed-error bound otherwise.
     """
@@ -111,20 +112,23 @@ class RegulatorSolution:
     Sigma: np.ndarray
     Gamma: np.ndarray
     residual1: float
-    residual2: float
+    error_map: np.ndarray
+
+    @property
+    def residual2(self):
+        return float(np.linalg.norm(self.error_map, 2))
 
 
 @dataclass(frozen=True)
 class ErrorBound:
     """Asymptotic windowed tracking-error bound.
 
-    ``delta`` is the squared operator norm of C_e Sigma + D_e achieved by the
-    unit vector ``v_max``; ``delta_coarse`` is the per-frequency upper bound
-    that avoids the maximizer.
+    ``delta`` is the squared spectral norm of the error map C_e Sigma + D_e,
+    ``delta_coarse`` the squared Frobenius norm of its (I - P_N)-tail; the
+    check delta <= delta_coarse asserts P_N (C_e Sigma + D_e) ~ 0.
     """
 
     delta: float
-    v_max: np.ndarray
     delta_coarse: float
 
     def __post_init__(self):
@@ -291,43 +295,28 @@ def solve_regulator(closed_loop, exo):
 
     Returns the partitioned solution along with the Sylvester defect
     (residual1, spectral norm, scaled check inside the solver) and the
-    regulation defect residual2 = ||C_e Sigma + D_e||.
+    error map C_e Sigma + D_e.
     """
     Sigma = linalg.sylvester_diag(closed_loop.Acl, closed_loop.Bcl, exo.omegas)
-    n_p = closed_loop.plant_dim
     resid1 = np.linalg.norm(
         Sigma * (1j * exo.omegas) - closed_loop.Acl @ Sigma - closed_loop.Bcl, 2
     )
-    resid2 = np.linalg.norm(closed_loop.Ccl @ Sigma + closed_loop.Dcl, 2)
     return RegulatorSolution(
         Sigma=Sigma,
-        Gamma=Sigma[n_p:],
+        Gamma=Sigma[closed_loop.plant_dim:],
         residual1=float(resid1),
-        residual2=float(resid2),
+        error_map=closed_loop.Ccl @ Sigma + closed_loop.Dcl,
     )
 
 
 def error_bound_delta(reg_sol, closed_loop, P_N):
     """Asymptotic windowed-error bound of the closed loop.
 
-    ``delta`` is the squared norm of the residual operator C_e Sigma + D_e
-    together with its maximizing unit vector; ``delta_coarse`` sums the
-    squared (I - P_N)-tails of the per-frequency synthesis vectors
-    P_s(i w_k) K z_k + P_s(i w_k) E_s phi_k + F phi_k with z_k the
-    internal-model columns of the regulator solution.
+    ``delta`` is the squared spectral norm of the error map C_e Sigma + D_e;
+    ``delta_coarse`` sums the squared (I - P_N)-tails of its columns, the
+    per-frequency errors P_s(i w_k) (K z_k + E_s phi_k) + F phi_k with z_k
+    the internal-model columns of the regulator solution.
     """
-    plant, ctrl, exo = closed_loop.plant, closed_loop.ctrl, closed_loop.exo
-    M_err = closed_loop.Ccl @ reg_sol.Sigma + closed_loop.Dcl
-    if M_err.any():
-        _, s, vh = linalg.svd(M_err)
-        sigma_max, v_max = float(s[0]), vh[0].conj()
-    else:  # zero signals: every unit vector attains the zero norm
-        sigma_max, v_max = 0.0, np.eye(exo.q, dtype=complex)[0]
-    delta = sigma_max**2
-    Ps = _frequency_data(plant, exo)
-    E_s = stabilized_disturbance(plant, exo)
-    tail = np.eye(plant.output_dim) - P_N
-    terms = Ps.T * (ctrl.K @ reg_sol.Gamma + E_s) + exo.F
-    coarse = float(np.sum(np.linalg.norm(tail @ terms, axis=0) ** 2))
-    return ErrorBound(delta=float(delta), v_max=v_max, delta_coarse=coarse)
-
+    M = reg_sol.error_map
+    coarse = float(np.linalg.norm(M - P_N @ M) ** 2)
+    return ErrorBound(delta=reg_sol.residual2**2, delta_coarse=coarse)

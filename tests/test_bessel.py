@@ -174,8 +174,26 @@ class TestRootFinding:
         # 4.0-wide cells hold pairs of roots spaced ~pi, so sign changes vanish
         monkeypatch.setattr(bessel, "_BRACKET_STEP", 4.0)
         for m in range(12):
-            with pytest.raises(bessel.BracketError, match=r"outside \[pi/2, 3pi/2\]"):
+            with pytest.raises(bessel.BracketError, match="the scan skipped a root"):
                 bessel.find_radial_roots(m, 8, inner)
+
+    @pytest.mark.parametrize("skipped", [1, 2])
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
+    def test_scan_past_first_roots_raises(self, inner, m, skipped, monkeypatch):
+        # a scan that starts just past root 1 (or 2) finds roots 2..9 (or 3..10),
+        # with gaps the spacing alone cannot tell from a complete set
+        k_skipped = bessel.find_radial_roots(m, skipped, inner)[-1].k
+        monkeypatch.setattr(bessel, "_BRACKET_START", k_skipped + 1e-3)
+        with pytest.raises(bessel.BracketError, match=f"mode 1 of order {m} has"):
+            bessel.find_radial_roots(m, 8, inner)
+
+    @pytest.mark.parametrize("m", [0, 1, 30, 60])
+    @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
+    def test_zero_count_certifies_twenty_roots(self, inner, m):
+        # 8 * count sample points resolve the n - 1 zeros of every mode up to n = 20
+        modes = bessel.find_radial_roots(m, 20, inner)
+        assert [mode.n for mode in modes] == list(range(1, 21))
 
     @pytest.mark.parametrize("m", [40, 41, 42, 43, 44, 50, 60])
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])

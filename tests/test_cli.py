@@ -143,6 +143,13 @@ class TestMatrixFormat:
         loaded = serialize.load_matrix(path)
         assert loaded.shape == (0, 3) and loaded.dtype == M.dtype
 
+    def test_zero_column_round_trip(self, tmp_path):
+        M = np.zeros((3, 0))
+        path = tmp_path / "empty.mtx"
+        serialize.save_matrix(path, M)
+        loaded = serialize.load_matrix(path)
+        assert loaded.shape == (3, 0) and loaded.dtype == M.dtype
+
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text("nonsense\n")
@@ -289,53 +296,69 @@ class TestReproduce:
             cli.cmd_reproduce(7)
 
 
-CONFIG_ERRORS = [
-    {"controller": {"N": 12}},
-    {"simulation": {"t_end": 1.005, "dt": 0.01}},
-    {"simulation": {"window": 2.0, "t_end": 1.0}},
-    {"plant": {"m_angular": 5}},
-    {"plant": {"damping_q": -1.0}},
-]
-UNSTABLE_LOOPS = [
-    {"plant": {"damping_q": 0.0}},
-    {"controller": {"epsilon": 2.0}},
-]
+# Each table maps a case's test id to its configuration. The ids are pinned to
+# the names the cases had when they were numbered by position, so that adding
+# a case renames no other; a new case takes an id that names its config.
+CONFIG_ERRORS = {
+    "overrides0": {"controller": {"N": 12}},
+    "overrides1": {"simulation": {"t_end": 1.005, "dt": 0.01}},
+    "overrides2": {"simulation": {"window": 2.0, "t_end": 1.0}},
+    "overrides3": {"plant": {"m_angular": 5}},
+    "overrides4": {"plant": {"damping_q": -1.0}},
+}
+UNSTABLE_LOOPS = {
+    "overrides5": {"plant": {"damping_q": 0.0}},
+    "overrides6": {"controller": {"epsilon": 2.0}},
+}
+UNKNOWN_NAMES = {
+    "overrides7": {"controler": {"kind": "robust"}},
+    "overrides8": {"exosystem": {"preset": "bogus"}},
+    "overrides9": {"exosystem": {"grid_size": 64}},
+}
+WRONG_TYPES = {
+    "overrides10": {"plant": 5},
+    "overrides11": {"plant": {"n_radial": "eight"}},
+    "overrides12": {"controller": {"N": 2.5}},
+    "overrides13": {"simulation": {"dt": True}},
+    "overrides14": {"exosystem": {"preset": None, "reference": [5]}},
+    "overrides15": [],
+}
+EXOSYSTEM_ERRORS = {
+    "overrides16": {"exosystem": {"preset": None, "reference": [{"temporal": "tan"}]}},
+    "overrides17": {"exosystem": {"preset": None, "disturbance": [{"profile_type": "spline"}]}},
+    "overrides18": {
+        "exosystem": {"preset": None, "reference": [{"temporal": "sin", "omega_over_pi": 0}]}
+    },
+    "overrides19": {"exosystem": {"preset": None}},
+    **dict(zip(["overrides20", "overrides21", "overrides22"], TERM_DATA_ERRORS.values())),
+}
 # valid configurations the library rejects while it builds the run
 COS_AT_ZERO = custom_term("reference", temporal="cos", omega_over_pi=0, profile_data=[1.0])
-LIBRARY_ERRORS = [
-    {"plant": {"n_radial": 150}},  # BracketError: 127 roots of order 0 below k = 400
-    COS_AT_ZERO,  # RankDeficiencyError: every velocity channel gain is 0 at omega = 0
-    {**COS_AT_ZERO, "controller": {"kind": "regulating"}},  # RangeViolationError
-    {"simulation": {"t_end": 1e12}},  # MemoryError: a 1e14-sample time grid
-]
+LIBRARY_ERRORS = {
+    # BracketError: 127 roots of order 0 below k = 400
+    "overrides23": {"plant": {"n_radial": 150}},
+    # RankDeficiencyError: every velocity channel gain is 0 at omega = 0
+    "overrides24": COS_AT_ZERO,
+    # RangeViolationError
+    "overrides25": {**COS_AT_ZERO, "controller": {"kind": "regulating"}},
+    # MemoryError: a 1e14-sample time grid
+    "overrides26": {"simulation": {"t_end": 1e12}},
+}
 # values the config layer refuses that used to fail only once the run was built
-LATE_ERRORS = [
-    {"simulation": {"t_end": float("inf")}},
-    {"plant": {"damping_q": float("nan")}},
-    {"simulation": {"x0": {"file": 0}}},
-    {"simulation": {"x0": {"file": ["a"]}}},
-    {"simulation": {"x0": 5}},
+LATE_ERRORS = {
+    "overrides27": {"simulation": {"t_end": float("inf")}},
+    "overrides28": {"plant": {"damping_q": float("nan")}},
+    "overrides29": {"simulation": {"x0": {"file": 0}}},
+    "overrides30": {"simulation": {"x0": {"file": ["a"]}}},
+    "overrides31": {"simulation": {"x0": 5}},
+}
+INVALID_RUNS = [
+    pytest.param(overrides, id=name)
+    for table in (CONFIG_ERRORS, UNSTABLE_LOOPS, UNKNOWN_NAMES, WRONG_TYPES, EXOSYSTEM_ERRORS,
+                  LIBRARY_ERRORS, LATE_ERRORS)
+    for name, overrides in table.items()
 ]
-UNKNOWN_NAMES = [
-    {"controler": {"kind": "robust"}},
-    {"exosystem": {"preset": "bogus"}},
-    {"exosystem": {"grid_size": 64}},
-]
-WRONG_TYPES = [
-    {"plant": 5},
-    {"plant": {"n_radial": "eight"}},
-    {"controller": {"N": 2.5}},
-    {"simulation": {"dt": True}},
-    {"exosystem": {"preset": None, "reference": [5]}},
-    [],
-]
-EXOSYSTEM_ERRORS = [
-    {"exosystem": {"preset": None, "reference": [{"temporal": "tan"}]}},
-    {"exosystem": {"preset": None, "disturbance": [{"profile_type": "spline"}]}},
-    {"exosystem": {"preset": None, "reference": [{"temporal": "sin", "omega_over_pi": 0}]}},
-    {"exosystem": {"preset": None}},
-    *TERM_DATA_ERRORS.values(),
-]
+BUILT_RUNS = [*UNSTABLE_LOOPS.values(), *LIBRARY_ERRORS.values()]
 
 
 class TestVerifyAndMain:
@@ -390,13 +413,9 @@ class TestVerifyAndMain:
         assert cli.main(["eigs", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "eigenvalues.csv").exists()
 
-    @pytest.mark.parametrize(
-        "overrides",
-        CONFIG_ERRORS + UNSTABLE_LOOPS + UNKNOWN_NAMES + WRONG_TYPES + EXOSYSTEM_ERRORS
-        + LIBRARY_ERRORS + LATE_ERRORS,
-    )
+    @pytest.mark.parametrize("overrides", INVALID_RUNS)
     def test_main_reports_invalid_run_in_one_line(self, tmp_path, capsys, monkeypatch, overrides):
-        if overrides not in UNSTABLE_LOOPS + LIBRARY_ERRORS:
+        if overrides not in BUILT_RUNS:
             # rejected while the configuration is loaded, before any plant is built
             def no_plant(cfg):
                 raise AssertionError("plant built for an invalid configuration")

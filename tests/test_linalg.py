@@ -194,7 +194,7 @@ class TestSylvester:
 
 class TestOperatorNorm:
     """The largest singular value s[0] of ``linalg.svd`` and its input
-    direction vh[0]^* (``synthesis.error_bound_delta`` reads both)."""
+    direction vh[0]^*, the maximizer of ||A v|| over unit vectors v."""
 
     def test_diagonal(self):
         _, s, vh = linalg.svd(np.diag([3.0, 1.0]))

@@ -346,6 +346,16 @@ class TestWindowedError:
         series = windowed_error(traj, window=1.0, weights=P)
         assert np.abs(series.values - 1.0).max() < 1e-12
 
+    def test_error_norms_sq_applies_weights(self):
+        rng = np.random.default_rng(17)
+        t = np.arange(0.0, 0.5001, 0.01)
+        errors = rng.standard_normal((t.size, 3)) + 1j * rng.standard_normal((t.size, 3))
+        traj = make_trajectory(t, errors)
+        P = np.diag([1.0, 1.0, 0.0])
+        explicit = np.array([np.vdot(P @ e, P @ e).real for e in errors])
+        assert np.allclose(traj.error_norms_sq(P), explicit, rtol=1e-14, atol=0.0)
+        assert np.allclose(traj.error_norms_sq(), np.linalg.norm(errors, axis=1) ** 2, rtol=1e-14)
+
 
 class TestErrorDecomposition:
     def test_transient_decays_at_abscissa_rate(self, small_plant, small_exo):

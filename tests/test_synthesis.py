@@ -315,12 +315,10 @@ class TestErrorBound:
         cl = assemble_direct(toy_plant, synth_regulating(toy_plant, exo, eps=0.1), exo)
         bound = error_bound_delta(solve_regulator(cl, exo), cl, np.eye(1))
         assert bound.delta == 0.0
-        assert np.linalg.norm(bound.v_max) == pytest.approx(1.0, abs=1e-15)
 
     def test_delta_below_coarse(self, sect5_reg, sect5_loop, approx5):
         bound = error_bound_delta(sect5_reg, sect5_loop, approx5.projector())
         assert bound.delta <= bound.delta_coarse + 1e-15
-        assert abs(np.linalg.norm(bound.v_max) - 1.0) < 1e-12
 
     def test_preset_meets_target(self, sect5_reg, sect5_loop, approx5):
         bound = error_bound_delta(sect5_reg, sect5_loop, approx5.projector())
@@ -329,4 +327,30 @@ class TestErrorBound:
     def test_delta_is_squared_operator_norm(self, sect5_reg, sect5_loop, approx5):
         bound = error_bound_delta(sect5_reg, sect5_loop, approx5.projector())
         M = sect5_loop.Ccl @ sect5_reg.Sigma + sect5_loop.Dcl
-        assert bound.delta == pytest.approx(np.linalg.norm(M @ bound.v_max) ** 2, rel=1e-10)
+        assert bound.delta == pytest.approx(np.linalg.norm(M, 2) ** 2, rel=1e-10)
+
+    def test_error_map_is_regulator_output(self, sect5_reg, sect5_loop):
+        M = sect5_loop.Ccl @ sect5_reg.Sigma + sect5_loop.Dcl
+        assert np.array_equal(sect5_reg.error_map, M)
+
+    def test_delta_is_residual2_squared(self, sect5_reg, sect5_loop, approx5):
+        bound = error_bound_delta(sect5_reg, sect5_loop, approx5.projector())
+        assert bound.delta == sect5_reg.residual2**2
+
+    def test_delta_coarse_is_tail_frobenius_norm(self, sect5_reg, sect5_loop, approx5):
+        P = approx5.projector()
+        bound = error_bound_delta(sect5_reg, sect5_loop, P)
+        tail = (np.eye(P.shape[0]) - P) @ sect5_reg.error_map
+        assert bound.delta_coarse == pytest.approx(np.sum(np.abs(tail) ** 2), rel=1e-13)
+
+    def test_delta_coarse_matches_per_frequency_errors(
+        self, sect5_plant, sect5_exo, sect5_reg, sect5_loop, approx5
+    ):
+        # the tails of P_s(i w_k) (K z_k + E_s phi_k) + F phi_k, from the transfer
+        P = approx5.projector()
+        Ps = synthesis._frequency_data(sect5_plant, sect5_exo)
+        E_s = synthesis.stabilized_disturbance(sect5_plant, sect5_exo)
+        terms = Ps.T * (approx5.K @ sect5_reg.Gamma + E_s) + sect5_exo.F
+        oracle = np.sum(np.abs((np.eye(P.shape[0]) - P) @ terms) ** 2)
+        bound = error_bound_delta(sect5_reg, sect5_loop, P)
+        assert bound.delta_coarse == pytest.approx(oracle, rel=1e-10)
