@@ -202,8 +202,8 @@ def find_radial_roots(m, count, inner_bc):
             f"{relative[worst]:.3e}"
         )
     r = 1.0 + (np.arange(8 * count) + 0.5) / (8 * count)
-    profiles = radial_profile(m, roots[:, None], r, inner_bc) < 0
-    zeros = np.count_nonzero(profiles[:, 1:] != profiles[:, :-1], axis=1)
+    negative = radial_profile(m, roots[:, None], r, inner_bc) < 0
+    zeros = np.count_nonzero(negative[:, 1:] != negative[:, :-1], axis=1)
     expected = np.arange(count) + (m == 0 and inner_bc == "neumann")
     bad = np.flatnonzero(zeros != expected)
     if bad.size:

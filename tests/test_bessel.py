@@ -191,9 +191,9 @@ class TestRootFinding:
     @pytest.mark.parametrize("m", [0, 1, 30, 60])
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
     def test_zero_count_certifies_twenty_roots(self, inner, m):
-        # 8 * count sample points resolve the n - 1 zeros of every mode up to n = 20
-        modes = bessel.find_radial_roots(m, 20, inner)
-        assert [mode.n for mode in modes] == list(range(1, 21))
+        # 8 * count sample points resolve the n - 1 zeros of every mode up to
+        # n = 20, so the zero count raises no false alarm
+        assert len(bessel.find_radial_roots(m, 20, inner)) == 20
 
     @pytest.mark.parametrize("m", [40, 41, 42, 43, 44, 50, 60])
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
