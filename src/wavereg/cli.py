@@ -409,14 +409,13 @@ def cmd_reproduce(figure, out_dir=None, emit_svg=False):
         return {"csv": path}
     ctrl = build_controller(cfg, plant, exo)
     cl = loop.assemble_direct(plant, ctrl, exo)
-    traj = loop.simulate_exact(cl, exo, t_end=10.0, dt=0.01)
+    traj = loop.simulate_exact(cl, exo, t_end=10.0 if figure == 1 else 9.0, dt=0.01)
     if figure == 1:
         rows = []
-        stride = 10  # sample profiles every 0.1s
-        for i in range(0, traj.t.size, stride):
+        for i in range(0, traj.t.size, 10):  # sample profiles every 0.1s
             t = float(traj.t[i])
-            y_coeffs = np.real(cl.Ccl @ traj.states[i])
             _, yref_coeffs = signals_at(exo, t)
+            y_coeffs = np.real(traj.errors[i] + yref_coeffs)  # e = y - y_ref
             y_prof = plant.basis.synthesize(y_coeffs, theta)
             r_prof = plant.basis.synthesize(np.real(yref_coeffs), theta)
             rows.extend(
@@ -425,9 +424,8 @@ def cmd_reproduce(figure, out_dir=None, emit_svg=False):
         path = out / "output_vs_reference.csv"
         serialize.save_csv(path, ["t", "theta", "y", "y_ref"], rows)
         return {"csv": path}
-    idx = int(round(9.0 / traj.dt))  # figure 3
     radii = np.linspace(1.0, 2.0, 33)
-    field2d = plant.displacement_profile(traj.states[idx], radii, theta)
+    field2d = plant.displacement_profile(traj.states[-1], radii, theta)  # figure 3: t = 9
     rows = [
         (float(r), float(th), float(field2d[i, j]))
         for i, r in enumerate(radii)

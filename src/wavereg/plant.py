@@ -157,10 +157,8 @@ class ModalWavePlant:
         return self.basis.dim
 
     def energy(self, x):
-        """Discrete wave energy of a (complex) state vector, or of each state
-        in a stack whose last axis is the state (one value per state)."""
-        e = np.sum(self.energy_weights * np.abs(np.asarray(x)) ** 2, axis=-1)
-        return float(e) if e.ndim == 0 else e
+        """Discrete wave energy of a (complex) state vector."""
+        return float(np.sum(self.energy_weights * np.abs(np.asarray(x)) ** 2))
 
     def perturbed(self, stiffness_scale=1.0, q_scale=1.0):
         """Same mode set with scaled stiffness T and/or damping gain Q."""

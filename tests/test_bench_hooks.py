@@ -30,3 +30,23 @@ def test_tracer_patches_every_traced_and_counted_name():
                 assert hasattr(owner, "__wrapped__"), f"{module}.{attr} is not traced"
     finally:
         tracer.restore()  # also after an install that failed part way
+
+
+def test_tracer_records_trajectory_work(small_plant, small_exo):
+    # the simulate_exact hook reads the Trajectory fields; a renamed field
+    # would break --trace 1 runs and tools/bench_compare.py
+    spans = _load_spans()
+    from wavereg import loop, synthesis
+
+    ctrl = synthesis.synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
+    cl = loop.assemble_direct(small_plant, ctrl, small_exo)
+    tracer = spans.Tracer(time.perf_counter)
+    try:
+        with tracer.installed():
+            loop.simulate_exact(cl, small_exo, t_end=1.0, dt=0.01)
+    finally:
+        tracer.restore()
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["loop.simulate_exact.calls"] == 1
+    assert metrics["loop.simulate_exact.steps"] == 100
+    assert metrics["loop.simulate_exact.state_mb"] > 0.0

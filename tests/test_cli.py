@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavereg import checks, cli, serialize
+from wavereg import checks, cli, loop, serialize
 from wavereg.cli import RunConfig, sect5_config
+
+from test_loop import sequential_reference
 
 
 def save_config(cfg, path):
@@ -269,7 +271,44 @@ class TestSimulateCommand:
         assert "polyline" in svg and "nan" not in svg
 
 
+@pytest.fixture(scope="module")
+def preset_run():
+    """The preset loop and its first 10 s of states from the per-step oracle."""
+    cfg = sect5_config()
+    plant = cli.build_plant(cfg)
+    exo = cli.build_exo(cfg, plant)
+    cl = loop.assemble_direct(plant, cli.build_controller(cfg, plant, exo), exo)
+    states, _, _ = sequential_reference(cl, exo, np.zeros(cl.state_dim), 1000, 0.01)
+    return cl, states
+
+
+def read_rows(path):
+    with open(path) as fh:
+        return [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+
+
 class TestReproduce:
+    def test_figure1_output_is_real_part_of_c_x(self, tmp_path, preset_run):
+        cl, states = preset_run
+        rows = read_rows(cli.cmd_reproduce(1, out_dir=tmp_path)["csv"])
+        theta = np.linspace(0.0, 2.0 * np.pi, 129)
+        assert len(rows) == 101 * theta.size  # profiles every 0.1 s up to t = 10
+        for i in (0, 370, 1000):
+            block = np.array(rows[(i // 10) * theta.size : (i // 10 + 1) * theta.size])
+            y = cl.plant.basis.synthesize(np.real(cl.Ccl @ states[i]), theta)
+            assert np.all(block[:, 0] == pytest.approx(0.01 * i, abs=1e-12))
+            assert np.abs(block[:, 1] - theta).max() == 0.0
+            assert np.abs(block[:, 2] - y).max() < 1e-10 * max(1.0, np.abs(y).max())
+
+    def test_figure3_profile_is_state_at_t9(self, tmp_path, preset_run):
+        cl, states = preset_run
+        rows = np.array(read_rows(cli.cmd_reproduce(3, out_dir=tmp_path)["csv"]))
+        radii, theta = np.linspace(1.0, 2.0, 33), np.linspace(0.0, 2.0 * np.pi, 129)
+        w = cl.plant.displacement_profile(states[900], radii, theta)
+        assert rows.shape == (radii.size * theta.size, 3)
+        assert np.abs(rows[:, 0] - np.repeat(radii, theta.size)).max() == 0.0
+        assert np.abs(rows[:, 2] - w.ravel()).max() < 1e-10 * max(1.0, np.abs(w).max())
+
     def test_figure4_disturbance_grid(self, tmp_path):
         result = cli.cmd_reproduce(4, out_dir=tmp_path)
         with open(result["csv"]) as fh:

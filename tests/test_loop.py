@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ def make_trajectory(t, errors):
     errors = np.asarray(errors, dtype=complex)
     if errors.ndim == 1:
         errors = errors[:, None]
-    zeros = np.zeros((t.size, 1), dtype=complex)
-    return Trajectory(t=t, states=zeros, errors=errors, energies=np.zeros(t.size))
+    last = np.zeros((1, 1), dtype=complex)
+    return Trajectory(t=t, states=last, errors=errors, energies=np.zeros(t.size))
 
 
 def sequential_reference(cl, exo, x0, n_steps, dt):
@@ -177,6 +178,7 @@ class TestSimulation:
         traj = simulate_exact(cl, exo, t_end=2.0, dt=0.01)
         assert np.abs(traj.states).max() == 0.0
         assert np.abs(traj.errors).max() == 0.0
+        assert np.abs(traj.energies).max() == 0.0
 
     def test_scalar_analytic_solution(self):
         # x' = -x + e^{it}, x(0) = 0  ->  x(t) = (e^{it} - e^{-t}) / (1 + i)
@@ -199,14 +201,15 @@ class TestSimulation:
         assert cl.abscissa == -1.0 and cl.plant_dim == 1
         traj = simulate_exact(cl, exo, t_end=5.0, dt=0.01)
         expected = (np.exp(1j * traj.t) - np.exp(-traj.t)) / (1.0 + 1j)
-        assert np.abs(traj.states[:, 0] - expected).max() < 1e-9
+        # Ccl = 1 and Dcl = 0, so the error is the state
+        assert np.abs(traj.errors[:, 0] - expected).max() < 1e-9
 
     def test_halving_dt_is_consistent(self, small_plant, small_exo):
         ctrl = synth_approx_robust(small_plant, small_exo, 1, eps=0.1)
         cl = assemble_direct(small_plant, ctrl, small_exo)
         t1 = simulate_exact(cl, small_exo, t_end=2.0, dt=0.02)
         t2 = simulate_exact(cl, small_exo, t_end=2.0, dt=0.01)
-        assert np.abs(t1.states - t2.states[::2]).max() < 1e-9
+        assert np.abs(t1.errors - t2.errors[::2]).max() < 1e-9
 
     def test_unstable_growth_capped(self):
         # x' = 40 x crosses the cap near t = 0.71, inside the first block;
@@ -244,6 +247,14 @@ class TestSimulation:
         with pytest.raises(ValueError):
             loop.free_response(toy_plant, np.ones(1), t_end=1.005, dt=0.01)
 
+    def test_initial_state_validation(self, small_plant):
+        # both entry points share one check: an x0 with extra entries, or
+        # one with a NaN, is refused, not cut short or propagated
+        n = small_plant.state_dim
+        for x0 in (np.ones(n + 4), np.concatenate([[np.nan], np.ones(n - 1)])):
+            with pytest.raises(ValueError, match="x0 must be a finite vector"):
+                loop.free_response(small_plant, x0, t_end=1.0, dt=0.01)
+
     def test_error_is_real_for_real_symmetric_data(self, sect5_loop, sect5_exo):
         traj = simulate_exact(sect5_loop, sect5_exo, t_end=1.0, dt=0.01)
         assert np.abs(traj.errors.imag).max() < 1e-10
@@ -270,8 +281,9 @@ class TestBlockStepping:
             x0 = np.random.default_rng(21).standard_normal(cl.state_dim)
             traj = simulate_exact(cl, exo, x0=x0, t_end=n_steps * dt, dt=dt)
             states, errors, energies = sequential_reference(cl, exo, x0, n_steps, dt)
-            assert traj.states.shape == states.shape
-            assert rel_gap(traj.states, states) < 1e-12
+            assert traj.states.shape == (1, cl.state_dim)
+            assert rel_gap(traj.states[0], states[-1]) < 1e-12
+            assert traj.errors.shape == errors.shape
             assert rel_gap(traj.errors, errors) < 1e-12
             assert rel_gap(traj.energies, energies) < 1e-12
 
@@ -288,9 +300,30 @@ class TestBlockStepping:
                 states.append(step @ states[-1])
             states = np.array(states)
             energies = np.array([plant.energy(x) for x in states])
-            assert rel_gap(resp.states, states) < 1e-12
+            assert resp.states.shape == (1, plant.state_dim)
+            assert rel_gap(resp.states[0], states[-1]) < 1e-12
             assert rel_gap(resp.errors, states @ plant.C.T) < 1e-12
             assert rel_gap(resp.energies, energies) < 1e-12
+
+
+class TestMemory:
+    def test_peak_allocation_scales_with_outputs_not_states(self, small_plant, small_exo):
+        # each block is reduced as soon as it is filled: the peak is a few
+        # (n_rows, outputs + widest block + q) arrays, not the (n_rows, n) history
+        ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
+        cl = assemble_direct(small_plant, ctrl, small_exo)
+        widest = max(idx.size for idx in linalg._diagonal_blocks(cl.Acl))
+        per_row = cl.Ccl.shape[0] + widest + small_exo.q
+        assert cl.state_dim > 2 * per_row
+        simulate_exact(cl, small_exo, t_end=1.0, dt=0.01)  # warm up lazy imports
+        n_rows = 10_001
+        tracemalloc.start()
+        try:
+            simulate_exact(cl, small_exo, t_end=(n_rows - 1) * 0.01, dt=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * n_rows * per_row  # complex128 entries
 
 
 class TestWindowedError:

@@ -189,10 +189,10 @@ class TestEnergyPhysics:
         )
         cl = loop.assemble_direct(plant, idle, exo)
         traj = loop.simulate_exact(cl, exo, t_end=4.0, dt=0.002)
-        states = traj.states[:, : plant.state_dim]
-        energies = np.array([plant.energy(x) for x in states])
-        u = np.array([exo.E @ (np.exp(1j * exo.omegas * t) * exo.v0) for t in traj.t])
-        y = states @ plant.C.T
+        energies = traj.energies
+        v = np.exp(1j * np.outer(traj.t, exo.omegas)) * exo.v0
+        u = v @ exo.E.T
+        y = traj.errors - v @ exo.F.T  # e = C x + F v
         power = 2.0 * np.real(np.sum(np.conj(u) * y, axis=1))
         injected = np.concatenate(
             [[0.0], np.cumsum(0.002 * 0.5 * (power[1:] + power[:-1]))]

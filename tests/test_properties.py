@@ -220,8 +220,8 @@ def test_energy_balance_along_blocked_trajectory(problem):
     dt, t_end = 0.002, 2.0
     traj = loop.simulate_exact(cl, exo, t_end=t_end, dt=dt)
     assert traj.t.size > 3 * loop.BLOCK
-    y = traj.states[:, : plant.state_dim] @ plant.C.T
     v = np.exp(1j * np.outer(traj.t, exo.omegas)) * exo.v0
+    y = traj.errors - v @ exo.F.T  # e = C x + F v
     u = v @ synthesis.stabilized_disturbance(plant, exo).T - plant.Q_feedback * y
     power = 2.0 * np.real(np.sum(np.conj(u) * y, axis=1))
     injected = np.concatenate([[0.0], np.cumsum(0.5 * dt * (power[1:] + power[:-1]))])

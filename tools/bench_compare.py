@@ -95,6 +95,7 @@ def compare(checkouts, workload, seconds, spec):
             "correct_runs": sum(r["correct"] for r in rs),
             "attempted": sum(r["attempted"] for r in rs),
             "failed": sum(r["failed"] for r in rs),
+            "attempted_per_run": [r["attempted"] for r in rs],
         }
         for side, rs in runs.items()
     }
