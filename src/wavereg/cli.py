@@ -301,6 +301,7 @@ def cmd_synth(cfg, out_dir=None):
     cl = loop.assemble_direct(plant, ctrl, exo)
     reg = synthesis.solve_regulator(cl, exo)
     bound = synthesis.error_bound_delta(reg, cl, ctrl.projector())
+    blocks = sorted((idx.size for idx in linalg._diagonal_blocks(cl.Acl)), reverse=True)
     payload = {
         "kind": ctrl.kind,
         "epsilon": ctrl.eps,
@@ -312,6 +313,7 @@ def cmd_synth(cfg, out_dir=None):
             "passed": report.passed,
         },
         "closed_loop_abscissa": cl.abscissa,
+        "closed_loop_blocks": blocks,
         "regulator_residual1": reg.residual1,
         "regulator_residual2": reg.residual2,
         "delta": bound.delta,

@@ -4,12 +4,13 @@ Contract-checked wrappers around numpy/scipy dense kernels (solve, eig, SVD,
 matrix exponential) plus the columnwise resolvent solver of the regulator
 equations for diagonal harmonic generators; each verifies its own result and
 returns plain numpy arrays. The Kronecker-product oracle and the spectrum
-matching live in :mod:`wavereg.checks`. ``eig`` and
-``sylvester_diag`` work on the diagonal blocks of their operand up to a
-permutation (the connected components of its nonzero pattern), so a closed
-loop whose channels are decoupled costs one small dense kernel per channel;
-a fully coupled operand is one block. ``is_normal`` is a diagnostic only; no
-production path branches on it.
+matching live in :mod:`wavereg.checks`. ``eig`` and ``sylvester_diag`` work
+on the diagonal blocks of their operand M up to a permutation (the connected
+components of its entries above eps*||M||_F; a smaller entry lies within the
+backward error of the dense kernel on M), so a closed loop whose channels are
+decoupled costs one small dense kernel per channel; a fully coupled operand
+is one block. ``is_normal`` is a diagnostic only; no production path
+branches on it.
 """
 
 from __future__ import annotations
@@ -131,10 +132,12 @@ def solve_dense(A, B):
 
 def _diagonal_blocks(M):
     """Index sets of the diagonal blocks of the square matrix ``M`` up to a
-    permutation: the connected components of its symmetrized nonzero pattern,
-    so that ``M`` has no nonzero entry outside ``M[np.ix_(idx, idx)]``."""
+    permutation: the connected components of its symmetrized pattern of
+    entries above eps*||M||_F; each entry between blocks lies within the
+    backward error of a dense kernel on ``M``. NaN and Inf stay in, for the finiteness checks."""
+    zero = np.isfinite(M) & (np.abs(M) <= np.finfo(float).eps * np.linalg.norm(M))
     count, labels = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix(M != 0), directed=False
+        scipy.sparse.csr_matrix(~zero), directed=False
     )
     return [np.flatnonzero(labels == c) for c in range(count)]
 
@@ -142,10 +145,10 @@ def _diagonal_blocks(M):
 def eig(A):
     """Eigenvalues of a square matrix, sorted by real then imaginary part.
 
-    Each diagonal block of ``A`` (see :func:`_diagonal_blocks`) is
-    decomposed on its own. The eigenpair residual ``||A v - lambda v||`` is
-    verified against ``1e-8 ||A||_F`` of the whole matrix for every returned
-    pair.
+    Each diagonal block of ``A`` (its entries above eps*||A||_F, see
+    :func:`_diagonal_blocks`) is decomposed on its own. The eigenpair
+    residual ``||A v - lambda v||`` is verified against ``1e-8 ||A||_F`` of
+    the whole matrix for every returned pair.
 
     Raises
     ------
@@ -164,7 +167,7 @@ def eig(A):
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
         if scale > 0:
-            # the block's eigenvectors, padded with zeros, are eigenvectors of M
+            # padded with zeros, the block's eigenvectors are M's up to roundoff
             resid = np.linalg.norm(block @ V - V * w, axis=0).max()
             if resid > 1e-8 * scale:
                 raise ConvergenceError(
@@ -212,10 +215,10 @@ def sylvester_diag(Ae, Be, omegas):
 
     Applied to the k-th Euclidean basis vector the equation decouples into
     the resolvent solves ``(i*omega_k - Ae) Sigma_k = Be_k``. Each of them
-    splits further over the diagonal blocks of ``Ae`` (see
-    :func:`_diagonal_blocks`): the rows ``idx`` of a block solve
-    ``(i*omega_k - Ae[idx, idx]) Sigma[idx, k] = Be[idx, k]``, which is how
-    the columns are computed here.
+    splits further over the diagonal blocks of ``Ae`` (its entries above
+    eps*||Ae||_F, see :func:`_diagonal_blocks`): the rows ``idx`` of a block
+    solve ``(i*omega_k - Ae[idx, idx]) Sigma[idx, k] = Be[idx, k]``, which is
+    how the columns are computed here.
 
     Parameters
     ----------

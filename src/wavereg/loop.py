@@ -168,9 +168,9 @@ def _propagate(step, X):
 def _sample(A, B, S, x0, v0, n_rows, dt, C, w):
     """Reduced samples of x' = A x + B v with v' = S v at k dt, k < ``n_rows``.
 
-    Each diagonal block ``idx`` of ``A`` (see :func:`linalg._diagonal_blocks`)
-    is stepped by :func:`_propagate` with the exponential of
-    ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every block carries its
+    Each diagonal block ``idx`` of ``A`` (its entries above eps*||A||_F, see
+    :func:`linalg._diagonal_blocks`) is stepped by :func:`_propagate` with the
+    exponential of ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every block carries its
     own copy of v, and reduced once filled to what it returns: the outputs
     ``C x``, the two rows ``sum_j w_j |x_j|^2`` and ``||x||^2``, and the last sample.
     Raises ``ValueError`` if ``x0`` has the wrong shape or a non-finite entry.

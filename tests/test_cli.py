@@ -207,6 +207,15 @@ class TestSynthCommand:
         assert payload["closed_loop_abscissa"] < 0
 
 
+    def test_sect5_report_records_closed_loop_blocks(self, tmp_path):
+        # per channel 16 plant states, plus 4 controller states for the 11 channels in Y_5
+        payload = cli.cmd_synth(sect5_config(), tmp_path / "a")
+        assert payload["closed_loop_blocks"] == [20] * 11 + [16] * 12
+        cli.cmd_synth(sect5_config(), tmp_path / "b")
+        report = "synth_report.json"
+        assert (tmp_path / "a" / report).read_bytes() == (tmp_path / "b" / report).read_bytes()
+
+
 class TestSimulateCommand:
     def test_csv_schema_and_tail(self, tmp_path):
         cfg = small_config(tmp_path)

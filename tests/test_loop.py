@@ -255,6 +255,18 @@ class TestSimulation:
             with pytest.raises(ValueError, match="x0 must be a finite vector"):
                 loop.free_response(small_plant, x0, t_end=1.0, dt=0.01)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coupling_rejected(self, small_plant, small_exo, bad):
+        # a NaN or Inf between two channel blocks must reach the kernels'
+        # finiteness check, not be dropped by the roundoff threshold
+        ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
+        cl = assemble_direct(small_plant, ctrl, small_exo)
+        blocks = linalg._diagonal_blocks(cl.Acl)
+        Acl = cl.Acl.copy()
+        Acl[blocks[0][0], blocks[1][0]] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            simulate_exact(dataclasses.replace(cl, Acl=Acl), small_exo, t_end=1.0, dt=0.01)
+
     def test_error_is_real_for_real_symmetric_data(self, sect5_loop, sect5_exo):
         traj = simulate_exact(sect5_loop, sect5_exo, t_end=1.0, dt=0.01)
         assert np.abs(traj.errors.imag).max() < 1e-10
@@ -304,6 +316,28 @@ class TestBlockStepping:
             assert rel_gap(resp.states[0], states[-1]) < 1e-12
             assert rel_gap(resp.errors, states @ plant.C.T) < 1e-12
             assert rel_gap(resp.energies, energies) < 1e-12
+
+
+    def test_regulating_preset_loop_splits_at_roundoff(self, sect5_plant, sect5_exo):
+        # its only cross-channel entries are projection roundoff of E and F,
+        # at most eps*||Acl||_F, so it is one block per channel group
+        ctrl = synth_regulating(sect5_plant, sect5_exo, 0.15)
+        cl = assemble_direct(sect5_plant, ctrl, sect5_exo)
+        sizes = sorted((idx.size for idx in linalg._diagonal_blocks(cl.Acl)), reverse=True)
+        assert sizes == [212] + [16] * 10
+        dt, n_steps = 0.01, 50
+        x0 = np.random.default_rng(23).standard_normal(cl.state_dim)
+        traj = simulate_exact(cl, sect5_exo, x0=x0, t_end=n_steps * dt, dt=dt)
+        states, errors, energies = sequential_reference(cl, sect5_exo, x0, n_steps, dt)
+        assert rel_gap(traj.states[0], states[-1]) < 1e-12
+        assert rel_gap(traj.errors, errors) < 1e-12
+        assert rel_gap(traj.energies, energies) < 1e-12
+        reg = solve_regulator(cl, sect5_exo)  # raises unless its residual check passes
+        dense = np.column_stack([
+            np.linalg.solve(1j * w * np.eye(cl.state_dim) - cl.Acl, cl.Bcl[:, k])
+            for k, w in enumerate(sect5_exo.omegas)
+        ])
+        assert rel_gap(reg.Sigma, dense) < 1e-12
 
 
 class TestMemory:

@@ -4,7 +4,8 @@ Each example draws a plant (2-3 radial modes, angular orders 0..1 to 0..3,
 either inner boundary condition), a reference at one drive frequency and a
 disturbance at another, both in [0.5, 8], with random Fourier profiles, and
 a truncation order N below the angular cutoff. The block-wise spectrum is
-checked on random permuted block-diagonal matrices and on the preset loops.
+checked on random permuted block-diagonal matrices, also under coupling at
+roundoff level, and on the preset loops.
 """
 
 from dataclasses import replace
@@ -193,6 +194,26 @@ def test_blockwise_spectrum_matches_dense(matrix_and_count):
     assert not A[outside].any()
     dist = checks.match_spectra(linalg.eig(A), np.linalg.eigvals(A))
     assert dist <= 1e-10 * max(1.0, np.linalg.norm(A))
+
+
+@_PROPERTY_SETTINGS
+@given(permuted_block_diagonals(), st.integers(0, 2**32 - 1))
+def test_roundoff_coupling_keeps_blocks_split(matrix_and_count, seed):
+    # every dense block is nonzero throughout, so the zeros of A are exactly
+    # the entries between two blocks
+    A, count = matrix_and_count
+    rng = np.random.default_rng(seed)
+    between = A == 0
+    phase = np.exp(2j * np.pi * rng.uniform(size=A.shape))
+    noise = 0.5 * np.finfo(float).eps * np.linalg.norm(A) * rng.uniform(size=A.shape) * phase
+    noisy = np.where(between, noise, A)
+    assert len(linalg._diagonal_blocks(noisy)) == count
+    dist = checks.match_spectra(linalg.eig(noisy), np.linalg.eigvals(noisy))
+    assert dist <= 1e-10 * max(1.0, np.linalg.norm(A))
+    if count > 1:
+        i, j = np.argwhere(between)[rng.integers(np.count_nonzero(between))]
+        noisy[i, j] = 1e-12 * np.linalg.norm(A)
+        assert len(linalg._diagonal_blocks(noisy)) == count - 1
 
 
 @pytest.mark.parametrize("family", ["regulating", "approx1", "approx5", "approx8", "robust"])

@@ -35,7 +35,6 @@ LAYERS = (
     "bessel.evals_per_root",
     "plant.assemble_wave_plant.self_s",
     "synthesis.synth_approx_robust.busy_s",
-    "synthesis.eval_transfer.calls",
     "synthesis.error_bound_delta.self_s",
     "synthesis.solve_regulator.self_s",
     "loop.assemble_direct.self_s",
