@@ -6,11 +6,11 @@ construction, its cross-validation oracle, lives in :mod:`wavereg.checks`.
 
 Simulation steps each diagonal block of the generator on its own (the
 decoupled channels of the loop), with the one-step matrix exponential of the
-block augmented by its own copy of the exosystem: the first ``BLOCK`` samples
-by sequential products, every later block of ``BLOCK`` samples by one matrix
-product with the ``BLOCK``-th power of the step. Each block is reduced to
-its outputs and weighted squared norms once filled, so no state history is
-kept. The samples are exact for the LTI dynamics up to the exponential's own
+block augmented by its own copy of the exosystem. A block is filled by
+doubling: the samples [k, 2k) are the samples [0, k) times the k-th power of
+the step, which is squared between passes. Each block is reduced to its
+outputs and weighted squared norms once filled, so no state history is kept.
+The samples are exact for the LTI dynamics up to the exponential's own
 tolerance and roundoff; only the sliding-window error integrals depend on dt.
 """
 
@@ -26,9 +26,6 @@ from .linalg import OverflowCapError
 
 # Hard cap on trajectory growth relative to the initial data.
 _GROWTH_CAP = 1e12
-
-# Samples per block of the time stepping (see _propagate).
-BLOCK = 128
 
 
 class WindowTooLargeError(ValueError):
@@ -150,28 +147,29 @@ def _time_grid(t_end, dt):
 
 
 def _propagate(step, X):
-    """Fill ``X[k] = step^k X[0]`` in place, ``BLOCK`` rows at a time.
+    """Fill ``X[k] = step^k X[0]`` in place by doubling.
 
-    The first block takes ``BLOCK - 1`` sequential products with ``step``;
-    every later block is one product of the block before it with
-    ``step^BLOCK``, written straight into ``X``.
+    Each pass writes rows ``[k, 2k)`` as rows ``[0, k)`` times ``step^k``, and
+    the power is squared while another pass follows, so n rows take about
+    2 log2(n) products.
     """
-    n_rows = X.shape[0]
-    for k in range(1, min(BLOCK, n_rows)):
-        np.matmul(step, X[k - 1], out=X[k])
-    leap_T = np.linalg.matrix_power(step, BLOCK).T
-    for k0 in range(BLOCK, n_rows, BLOCK):
-        b = min(BLOCK, n_rows - k0)
-        np.matmul(X[k0 - BLOCK : k0 - BLOCK + b], leap_T, out=X[k0 : k0 + b])
+    n_rows, k, power = X.shape[0], 1, step
+    while k < n_rows:
+        b = min(k, n_rows - k)
+        np.matmul(X[:b], power.T, out=X[k : k + b])
+        k *= 2
+        if k < n_rows:
+            power = power @ power
 
 
 def _sample(A, B, S, x0, v0, n_rows, dt, C, w):
     """Reduced samples of x' = A x + B v with v' = S v at k dt, k < ``n_rows``.
 
     Each diagonal block ``idx`` of ``A`` (its entries above eps*||A||_F, see
-    :func:`linalg._diagonal_blocks`) is stepped by :func:`_propagate` with the
-    exponential of ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every block carries its
-    own copy of v, and reduced once filled to what it returns: the outputs
+    :func:`linalg._diagonal_blocks`) is filled by doubling (:func:`_propagate`)
+    from the exponential of ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every
+    block carries its own copy of v. The exponentials are all taken before any
+    filling. Each block is reduced once filled to what it returns: the outputs
     ``C x``, the two rows ``sum_j w_j |x_j|^2`` and ``||x||^2``, and the last sample.
     Raises ``ValueError`` if ``x0`` has the wrong shape or a non-finite entry.
     """

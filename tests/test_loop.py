@@ -212,9 +212,10 @@ class TestSimulation:
         assert np.abs(t1.errors - t2.errors[::2]).max() < 1e-9
 
     def test_unstable_growth_capped(self):
-        # x' = 40 x crosses the cap near t = 0.71, inside the first block;
-        # x' = 10 x near t = 2.85, in the third. The message names the first
-        # step over the cap in both.
+        # x' = 40 x crosses the cap near t = 0.71, at a sample of the doubling
+        # pass that fills rows 64-127; x' = 10 x near t = 2.85, in the pass
+        # that fills rows 256-511. The message names the first step over the
+        # cap in both.
         plant = scalar_plant(a=5.0)
         exo = single_freq_exo(omega=1.0)
         dt = 0.01
@@ -276,7 +277,8 @@ class TestBlockStepping:
     @pytest.mark.parametrize("n_steps", [1, 127, 128, 129, 3 * 128 + 7])
     def test_matches_sequential_stepping(self, small_plant, small_exo, n_steps):
         # the approx loop splits into one block per channel; the regulating
-        # loop of a reference that reaches every channel is one coupled block
+        # loop of a reference that reaches every channel is one coupled block.
+        # 127, 128 and 129 steps straddle the doubling pass that starts at row 128.
         dt = 0.01
         basis = small_plant.basis
         coupled_exo = build_exosystem(
@@ -298,6 +300,18 @@ class TestBlockStepping:
             assert traj.errors.shape == errors.shape
             assert rel_gap(traj.errors, errors) < 1e-12
             assert rel_gap(traj.energies, energies) < 1e-12
+
+    def test_long_horizon_matches_sequential_stepping(self, small_plant, small_exo):
+        # 2**12 + 4 rows: the last doubling pass fills rows 4096-4099 with the
+        # step squared 12 times, so roundoff of the powers has to stay small
+        dt, n_steps = 0.01, 2**12 + 3
+        cl = assemble_direct(small_plant, synth_approx_robust(small_plant, small_exo, 2, eps=0.12), small_exo)
+        x0 = np.random.default_rng(23).standard_normal(cl.state_dim)
+        traj = simulate_exact(cl, small_exo, x0=x0, t_end=n_steps * dt, dt=dt)
+        states, errors, energies = sequential_reference(cl, small_exo, x0, n_steps, dt)
+        assert rel_gap(traj.states[0], states[-1]) < 1e-12
+        assert rel_gap(traj.errors, errors) < 1e-12
+        assert rel_gap(traj.energies, energies) < 1e-12
 
     def test_free_response_matches_sequential_stepping(self, small_plant):
         # the damped As is one block per output channel, the undamped one 21 2x2 blocks
