@@ -6,12 +6,12 @@ construction, its cross-validation oracle, lives in :mod:`wavereg.checks`.
 
 Simulation steps each diagonal block of the generator on its own (the
 decoupled channels of the loop), with the one-step matrix exponential of the
-block augmented by its own copy of the exosystem. A block is filled by
-doubling: the samples [k, 2k) are the samples [0, k) times the k-th power of
-the step, which is squared between passes. Each block is reduced to its
-outputs and weighted squared norms once filled, so no state history is kept.
-The samples are exact for the LTI dynamics up to the exponential's own
-tolerance and roundoff; only the sliding-window error integrals depend on dt.
+block augmented by its own copy of the exosystem, filling its samples by
+doubling: the samples [k, 2k) are the samples [0, k) times step^k. Each block
+is reduced to its outputs and weighted squared norms once filled, so no state
+history is kept. The samples are exact for the LTI dynamics up to the
+exponential's own tolerance and roundoff; only the sliding-window error
+integrals depend on dt.
 """
 
 from __future__ import annotations
@@ -147,16 +147,11 @@ def _time_grid(t_end, dt):
 
 
 def _propagate(step, X):
-    """Fill ``X[k] = step^k X[0]`` in place by doubling.
-
-    Each pass writes rows ``[k, 2k)`` as rows ``[0, k)`` times ``step^k``, and
-    the power is squared while another pass follows, so n rows take about
-    2 log2(n) products.
-    """
+    """Fill ``X[k] = step^k X[0]`` in place by doubling: each pass writes rows
+    ``[k, 2k)`` as rows ``[0, k)`` times ``step^k``, squared between passes."""
     n_rows, k, power = X.shape[0], 1, step
     while k < n_rows:
-        b = min(k, n_rows - k)
-        np.matmul(X[:b], power.T, out=X[k : k + b])
+        np.matmul(X[: min(k, n_rows - k)], power.T, out=X[k : 2 * k])
         k *= 2
         if k < n_rows:
             power = power @ power
@@ -167,10 +162,9 @@ def _sample(A, B, S, x0, v0, n_rows, dt, C, w):
 
     Each diagonal block ``idx`` of ``A`` (its entries above eps*||A||_F, see
     :func:`linalg._diagonal_blocks`) is filled by doubling (:func:`_propagate`)
-    from the exponential of ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every
-    block carries its own copy of v. The exponentials are all taken before any
-    filling. Each block is reduced once filled to what it returns: the outputs
-    ``C x``, the two rows ``sum_j w_j |x_j|^2`` and ``||x||^2``, and the last sample.
+    with the exponential of ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every
+    block carries its own copy of v, and reduced once filled to what it returns:
+    the outputs ``C x``, the rows ``sum_j w_j |x_j|^2`` and ``||x||^2``, and the last sample.
     Raises ``ValueError`` if ``x0`` has the wrong shape or a non-finite entry.
     """
     n, q = A.shape[0], S.shape[0]
@@ -181,7 +175,7 @@ def _sample(A, B, S, x0, v0, n_rows, dt, C, w):
     sq = np.zeros((2, n_rows))
     last = np.empty(n, dtype=complex)
     blocks = linalg._diagonal_blocks(A)
-    # all expm calls before any stepping: interleaved with matmul, each took 20-60x longer on 2 CPUs
+    # all expm calls before any filling: interleaved with matmul, each took 20-60x longer on 2 CPUs
     gens = [np.block([[A[np.ix_(i, i)], B[i]], [np.zeros((q, i.size)), S]]) for i in blocks]
     steps = [linalg.expm(gen, dt) for gen in gens]
     buf = np.empty(n_rows * (max(idx.size for idx in blocks) + q), dtype=complex)
