@@ -164,7 +164,7 @@ def _sample(A, B, S, x0, v0, n_rows, dt, C, w):
     :func:`linalg._diagonal_blocks`) is filled by doubling (:func:`_propagate`)
     with the exponential of ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every
     block carries its own copy of v, and reduced once filled to what it returns:
-    the outputs ``C x``, the rows ``sum_j w_j |x_j|^2`` and ``||x||^2``, and the last sample.
+    the outputs ``C x``, the two rows ``sum_j w_j |x_j|^2`` and ``||x||^2``, and the last sample.
     Raises ``ValueError`` if ``x0`` has the wrong shape or a non-finite entry.
     """
     n, q = A.shape[0], S.shape[0]
