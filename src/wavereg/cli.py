@@ -301,7 +301,7 @@ def cmd_synth(cfg, out_dir=None):
     cl = loop.assemble_direct(plant, ctrl, exo)
     reg = synthesis.solve_regulator(cl, exo)
     bound = synthesis.error_bound_delta(reg, cl, ctrl.projector())
-    blocks = sorted((idx.size for idx in linalg._diagonal_blocks(cl.Acl)), reverse=True)
+    blocks = sorted((idx.size for idx in cl.blocks), reverse=True)
     payload = {
         "kind": ctrl.kind,
         "epsilon": ctrl.eps,

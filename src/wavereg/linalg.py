@@ -4,13 +4,10 @@ Contract-checked wrappers around numpy/scipy dense kernels (solve, eig, SVD,
 matrix exponential) plus the columnwise resolvent solver of the regulator
 equations for diagonal harmonic generators; each verifies its own result and
 returns plain numpy arrays. The Kronecker-product oracle and the spectrum
-matching live in :mod:`wavereg.checks`. ``eig`` and ``sylvester_diag`` work
-on the diagonal blocks of their operand M up to a permutation (the connected
-components of its entries above eps*||M||_F; a smaller entry lies within the
-backward error of the dense kernel on M), so a closed loop whose channels are
-decoupled costs one small dense kernel per channel; a fully coupled operand
-is one block. ``is_normal`` is a diagnostic only; no production path
-branches on it.
+matching live in :mod:`wavereg.checks`. :func:`_diagonal_blocks` finds the
+diagonal blocks of a matrix up to a permutation; a closed loop partitions its
+generator once (``ClosedLoop.blocks``) and hands the blocks to the kernels
+here. ``is_normal`` is a diagnostic only; no production path branches on it.
 """
 
 from __future__ import annotations
@@ -145,10 +142,8 @@ def _diagonal_blocks(M):
 def eig(A):
     """Eigenvalues of a square matrix, sorted by real then imaginary part.
 
-    Each diagonal block of ``A`` (its entries above eps*||A||_F, see
-    :func:`_diagonal_blocks`) is decomposed on its own. The eigenpair
-    residual ``||A v - lambda v||`` is verified against ``1e-8 ||A||_F`` of
-    the whole matrix for every returned pair.
+    The eigenpair residual ``||A v - lambda v||`` is verified against
+    ``1e-8 ||A||_F`` for every returned pair.
 
     Raises
     ------
@@ -158,23 +153,17 @@ def eig(A):
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
+    try:
+        w, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
     scale = np.linalg.norm(M)
-    parts = []
-    for idx in _diagonal_blocks(M):
-        block = M[np.ix_(idx, idx)]
-        try:
-            w, V = np.linalg.eig(block)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-        if scale > 0:
-            # padded with zeros, the block's eigenvectors are M's up to roundoff
-            resid = np.linalg.norm(block @ V - V * w, axis=0).max()
-            if resid > 1e-8 * scale:
-                raise ConvergenceError(
-                    f"eigenpair residual {resid:.3e} exceeds 1e-8*||A|| = {1e-8 * scale:.3e}"
-                )
-        parts.append(w)
-    w = np.concatenate(parts)
+    if scale > 0:
+        resid = np.linalg.norm(M @ V - V * w, axis=0).max()
+        if resid > 1e-8 * scale:
+            raise ConvergenceError(
+                f"eigenpair residual {resid:.3e} exceeds 1e-8*||A|| = {1e-8 * scale:.3e}"
+            )
     return w[np.lexsort((w.imag, w.real))]
 
 
@@ -214,11 +203,8 @@ def sylvester_diag(Ae, Be, omegas):
     """Solve ``Sigma S = Ae Sigma + Be`` for ``S = diag(i*omega_k)``.
 
     Applied to the k-th Euclidean basis vector the equation decouples into
-    the resolvent solves ``(i*omega_k - Ae) Sigma_k = Be_k``. Each of them
-    splits further over the diagonal blocks of ``Ae`` (its entries above
-    eps*||Ae||_F, see :func:`_diagonal_blocks`): the rows ``idx`` of a block
-    solve ``(i*omega_k - Ae[idx, idx]) Sigma[idx, k] = Be[idx, k]``, which is
-    how the columns are computed here.
+    the resolvent solves ``(i*omega_k - Ae) Sigma_k = Be_k``, which is how
+    the columns are computed here.
 
     Parameters
     ----------
@@ -245,15 +231,12 @@ def sylvester_diag(Ae, Be, omegas):
     om = np.asarray(omegas, dtype=float)
     if R.shape != (M.shape[0], om.size):
         raise ValueError(f"Be must have shape {(M.shape[0], om.size)}, got {R.shape}")
-    Sigma = np.empty(R.shape, dtype=complex)
-    for idx in _diagonal_blocks(M):
-        block = M[np.ix_(idx, idx)]
-        eye = np.eye(idx.size)
-        for k, w in enumerate(om):
-            try:
-                Sigma[idx, k] = solve_dense(1j * w * eye - block, R[idx, k])
-            except SingularMatrixError as exc:
-                raise ResonanceError(w) from exc
+    Sigma, eye = np.empty(R.shape, dtype=complex), np.eye(M.shape[0])
+    for k, w in enumerate(om):
+        try:
+            Sigma[:, k] = solve_dense(1j * w * eye - M, R[:, k])
+        except SingularMatrixError as exc:
+            raise ResonanceError(w) from exc
     resid = np.linalg.norm(Sigma * (1j * om) - M @ Sigma - R)
     bound = 1e-8 * (np.linalg.norm(M) * np.linalg.norm(Sigma) + np.linalg.norm(R))
     if resid > bound:

@@ -4,14 +4,15 @@ The plant-controller-exosystem interconnection is assembled by directly
 eliminating u and y. The similar transformed form of the boundary-system
 construction, its cross-validation oracle, lives in :mod:`wavereg.checks`.
 
-Simulation steps each diagonal block of the generator on its own (the
-decoupled channels of the loop), with the one-step matrix exponential of the
-block augmented by its own copy of the exosystem, filling its samples by
-doubling: the samples [k, 2k) are the samples [0, k) times step^k. Each block
-is reduced to its outputs and weighted squared norms once filled, so no state
-history is kept. The samples are exact for the LTI dynamics up to the
-exponential's own tolerance and roundoff; only the sliding-window error
-integrals depend on dt.
+A :class:`ClosedLoop` partitions its generator into diagonal blocks (the
+decoupled channels of the loop) once; its spectrum, the regulator solve and
+the simulation read that partition. Simulation steps each block on its own,
+with the one-step matrix exponential of the block augmented by its own copy
+of the exosystem, filling its samples by doubling: the samples [k, 2k) are
+the samples [0, k) times step^k. Each block is reduced to its outputs and
+weighted squared norms once filled, so no state history is kept. The samples
+are exact for the LTI dynamics up to the exponential's own tolerance and
+roundoff; only the sliding-window error integrals depend on dt.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ class WindowTooLargeError(ValueError):
 @dataclass(frozen=True)
 class ClosedLoop:
     """Assembled interconnection x_e' = Acl x_e + Bcl v, e = Ccl x_e + Dcl v,
-    x_e the plant state over the controller state. The sizes and the spectral
-    abscissa (largest real part of the spectrum) derive from ``Acl`` and ``plant``."""
+    x_e the plant state over the controller state. The sizes, the diagonal
+    ``blocks`` of ``Acl`` (:func:`linalg._diagonal_blocks`, computed once), the
+    ``spectrum`` (per block, sorted by real then imaginary part) and its
+    abscissa derive from ``Acl`` and ``plant``."""
 
     Acl: np.ndarray
     Bcl: np.ndarray
@@ -64,8 +67,17 @@ class ClosedLoop:
         return self.Acl.shape[0]
 
     @functools.cached_property
+    def blocks(self):
+        return linalg._diagonal_blocks(self.Acl)
+
+    @functools.cached_property
+    def spectrum(self):
+        w = np.concatenate([linalg.eig(self.Acl[np.ix_(idx, idx)]) for idx in self.blocks])
+        return w[np.lexsort((w.imag, w.real))]
+
+    @functools.cached_property
     def abscissa(self):
-        return float(linalg.eig(self.Acl).real.max())
+        return float(self.spectrum.real.max())
 
     @property
     def is_stable(self):
@@ -157,11 +169,11 @@ def _propagate(step, X):
             power = power @ power
 
 
-def _sample(A, B, S, x0, v0, n_rows, dt, C, w):
+def _sample(A, blocks, B, S, x0, v0, n_rows, dt, C, w):
     """Reduced samples of x' = A x + B v with v' = S v at k dt, k < ``n_rows``.
 
-    Each diagonal block ``idx`` of ``A`` (its entries above eps*||A||_F, see
-    :func:`linalg._diagonal_blocks`) is filled by doubling (:func:`_propagate`)
+    Each diagonal block ``idx`` in ``blocks``, the partition of ``A`` by
+    :func:`linalg._diagonal_blocks`, is filled by doubling (:func:`_propagate`)
     with the exponential of ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every
     block carries its own copy of v, and reduced once filled to what it returns:
     the outputs ``C x``, the two rows ``sum_j w_j |x_j|^2`` and ``||x||^2``, and the last sample.
@@ -174,7 +186,6 @@ def _sample(A, B, S, x0, v0, n_rows, dt, C, w):
     y = np.zeros((n_rows, C.shape[0]), dtype=complex)
     sq = np.zeros((2, n_rows))
     last = np.empty(n, dtype=complex)
-    blocks = linalg._diagonal_blocks(A)
     # all expm calls before any filling: interleaved with matmul, each took 20-60x longer on 2 CPUs
     gens = [np.block([[A[np.ix_(i, i)], B[i]], [np.zeros((q, i.size)), S]]) for i in blocks]
     steps = [linalg.expm(gen, dt) for gen in gens]
@@ -197,7 +208,7 @@ def _sample(A, B, S, x0, v0, n_rows, dt, C, w):
 def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
     """Simulate the closed loop driven by the exosystem.
 
-    :func:`_sample` steps one diagonal block of ``Acl`` at a time, so the
+    :func:`_sample` steps one block of ``cl.blocks`` at a time, so the
     samples are exact for the LTI system up to roundoff; halving dt only
     refines the sampling. It keeps no state history, only the outputs, the
     plant energy, ||x_e||^2 and the last state; the errors add Dcl v(t).
@@ -220,7 +231,7 @@ def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
     n = cl.state_dim
     x0 = np.zeros(n) if x0 is None else x0
     w = np.pad(cl.plant.energy_weights, (0, n - cl.plant_dim))  # zero on controller states
-    errors, sq, last = _sample(cl.Acl, cl.Bcl, exo.S, x0, exo.v0, t.size, dt, cl.Ccl, w)
+    errors, sq, last = _sample(cl.Acl, cl.blocks, cl.Bcl, exo.S, x0, exo.v0, t.size, dt, cl.Ccl, w)
     # the cap bounds ||(x_e, v)||, |v_k(t)| = |v0_k|; a non-finite sample is over it
     norms = np.hypot(np.sqrt(sq[1]), np.linalg.norm(exo.v0))
     over = ~(norms <= _GROWTH_CAP * (1.0 + norms[0]))
@@ -274,6 +285,7 @@ def free_response(plant, x0, t_end, dt):
     checked as in :func:`simulate_exact`.
     """
     t = _time_grid(t_end, dt)
-    no_input, w = np.zeros((plant.state_dim, 0)), plant.energy_weights
-    y, sq, last = _sample(plant.As, no_input, np.zeros((0, 0)), x0, np.zeros(0), t.size, dt, plant.C, w)
+    As, no_input = plant.As, np.zeros((plant.state_dim, 0))
+    y, sq, last = _sample(As, linalg._diagonal_blocks(As), no_input, np.zeros((0, 0)), x0,
+                          np.zeros(0), t.size, dt, plant.C, plant.energy_weights)
     return Trajectory(t=t, states=last[None], errors=y, energies=sq[0])

@@ -293,14 +293,16 @@ def check_g_conditions(ctrl):
 def solve_regulator(closed_loop, exo):
     """Solve the regulator Sylvester equation of the assembled closed loop.
 
-    Returns the partitioned solution along with the Sylvester defect
-    (residual1, spectral norm, scaled check inside the solver) and the
-    error map C_e Sigma + D_e.
+    Each diagonal block of the loop (``closed_loop.blocks``) is solved on its
+    own. Returns the partitioned solution along with the Sylvester defect of
+    the whole loop (residual1, spectral norm; a scaled check per block inside
+    the solver) and the error map C_e Sigma + D_e.
     """
-    Sigma = linalg.sylvester_diag(closed_loop.Acl, closed_loop.Bcl, exo.omegas)
-    resid1 = np.linalg.norm(
-        Sigma * (1j * exo.omegas) - closed_loop.Acl @ Sigma - closed_loop.Bcl, 2
-    )
+    Acl, Bcl = closed_loop.Acl, closed_loop.Bcl
+    Sigma = np.empty(Bcl.shape, dtype=complex)
+    for idx in closed_loop.blocks:
+        Sigma[idx] = linalg.sylvester_diag(Acl[np.ix_(idx, idx)], Bcl[idx], exo.omegas)
+    resid1 = np.linalg.norm(Sigma * (1j * exo.omegas) - Acl @ Sigma - Bcl, 2)
     return RegulatorSolution(
         Sigma=Sigma,
         Gamma=Sigma[closed_loop.plant_dim:],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavereg.exosystem import Exosystem, SignalTerm, build_exosystem, build_sect5_exosystem
-from wavereg.loop import assemble_direct
+from wavereg.loop import ClosedLoop, assemble_direct
 from wavereg.plant import FourierOutputBasis, ModalWavePlant, assemble_wave_plant
 from wavereg.synthesis import eval_transfer, solve_regulator, synth_approx_robust
 
@@ -101,3 +101,10 @@ def single_freq_exo(omega, e=0.0, f=-1.0, dim_y=1):
     return Exosystem(
         omegas=np.array([float(omega)]), E=E, F=F, v0=np.ones(1, dtype=complex)
     )
+
+
+def bare_loop(A):
+    """A :class:`ClosedLoop` with generator ``A`` and no inputs, outputs,
+    plant, controller or exosystem: the block path of ``spectrum`` on ``A``."""
+    n = A.shape[0]
+    return ClosedLoop(A, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0)), None, None, None)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavereg import checks, cli, loop, serialize
+from wavereg import checks, cli, linalg, loop, serialize
 from wavereg.cli import RunConfig, sect5_config
 
 from test_loop import sequential_reference
@@ -214,6 +214,23 @@ class TestSynthCommand:
         cli.cmd_synth(sect5_config(), tmp_path / "b")
         report = "synth_report.json"
         assert (tmp_path / "a" / report).read_bytes() == (tmp_path / "b" / report).read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(cli.cmd_simulate, id="simulate"),
+    pytest.param(cli.cmd_synth, id="synth"),
+])
+def test_preset_command_partitions_its_loop_once(tmp_path, monkeypatch, command):
+    # the spectrum, the regulator solve, the sampler and the report all read cl.blocks
+    partition, calls = linalg._diagonal_blocks, []
+
+    def counted(M):
+        calls.append(M.shape)
+        return partition(M)
+
+    monkeypatch.setattr(linalg, "_diagonal_blocks", counted)
+    command(sect5_config(), tmp_path)
+    assert len(calls) == 1
 
 
 class TestSimulateCommand:

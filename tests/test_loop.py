@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wavereg import checks, linalg, loop
 from wavereg.exosystem import Exosystem, SignalTerm, build_exosystem, build_sect5_exosystem
@@ -23,7 +24,7 @@ from wavereg.synthesis import (
     synth_robust,
 )
 
-from conftest import harmonic_coeffs, scalar_plant, series_at, single_freq_exo
+from conftest import bare_loop, harmonic_coeffs, scalar_plant, series_at, single_freq_exo
 
 
 def make_trajectory(t, errors):
@@ -87,6 +88,25 @@ class TestAssembly:
             sect5_loop.Ccl, np.hstack([sect5_plant.C, np.zeros((23, n_z))]).astype(complex)
         )
         assert np.array_equal(sect5_loop.Dcl, sect5_exo.F)
+
+    def test_spectrum_checks_residual_per_block(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        A = scipy.linalg.block_diag(
+            *(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in (2, 3))
+        )
+        perm = rng.permutation(5)
+        cl = bare_loop(A[np.ix_(perm, perm)])
+        dense_eig, sizes = np.linalg.eig, []
+
+        def eig_spoiling_the_3x3_block(M):
+            sizes.append(M.shape[0])
+            w, V = dense_eig(M)
+            return w, V + 1e-3 if M.shape[0] == 3 else V
+
+        monkeypatch.setattr(linalg.np.linalg, "eig", eig_spoiling_the_3x3_block)
+        with pytest.raises(linalg.ConvergenceError):
+            cl.spectrum
+        assert 3 in sizes and 5 not in sizes
 
     def test_dimension_mismatch_rejected(self, small_plant, sect5_exo):
         ctrl = synth_regulating(small_plant, dataclasses.replace(

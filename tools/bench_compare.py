@@ -9,8 +9,10 @@ each export, so every run measures committed files only. Each workload of
 uses seed i + 1 for both commits and alternates which commit goes first, so
 a slow drift of the machine hits both sides alike. For each workload and
 each end-to-end metric the output holds every run, the median and quartiles
-per commit, and how many pairs HEAD won. One ``--trace 1`` run per commit
-and workload adds the per-layer metrics named in ``LAYERS``.
+per commit, and how many pairs HEAD won. ``TRACED_PAIRS`` more pairs of
+``--trace 1`` runs per workload, alternating in the same way, add the
+per-layer metrics named in ``LAYERS``, each as every run with its median and
+quartiles per commit: a single traced run can be off by a factor of two.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+TRACED_PAIRS = 3
 LAYERS = (
     "bessel.find_radial_roots.busy_s",
     "bessel.cross_fn.calls",
@@ -39,6 +42,7 @@ LAYERS = (
     "synthesis.solve_regulator.self_s",
     "loop.assemble_direct.self_s",
     "linalg.eig.busy_s",
+    "linalg.eig.n3_sum",
     "linalg.sylvester_diag.busy_s",
     "linalg.svd.calls",
     "linalg.expm.calls",
@@ -82,13 +86,20 @@ def summary(values):
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": values}
 
 
-def compare(checkouts, workload, seconds, spec):
+def alternate(checkouts, workload, seconds, pairs, trace):
+    """Runs of both sides in ``pairs`` pairs; pair i uses seed i + 1, and every
+    other pair runs the change first."""
     runs = {side: [] for side in checkouts}
-    for i in range(PAIRS):
+    for i in range(pairs):
         order = list(checkouts) if i % 2 == 0 else list(checkouts)[::-1]
         for side in order:
-            runs[side].append(run(checkouts[side], workload, i + 1, seconds, 0))
-            print(f"{workload} pair {i + 1} {side} done", file=sys.stderr, flush=True)
+            runs[side].append(run(checkouts[side], workload, i + 1, seconds, trace))
+            print(f"{workload} trace {trace} pair {i + 1} {side} done", file=sys.stderr, flush=True)
+    return runs
+
+
+def compare(checkouts, workload, seconds, spec):
+    runs = alternate(checkouts, workload, seconds, PAIRS, 0)
     result = {
         side: {
             "correct_runs": sum(r["correct"] for r in rs),
@@ -132,6 +143,7 @@ def main(argv=None):
             "scipy": scipy.__version__,
         },
         "pairs": PAIRS,
+        "traced_pairs": TRACED_PAIRS,
         "seconds": seconds,
         "trace0": {},
         "trace1": {},
@@ -142,10 +154,13 @@ def main(argv=None):
             payload["commits"][side] = export(ref, checkouts[side])
         for workload in (w["name"] for w in spec["workloads"]):
             payload["trace0"][workload] = compare(checkouts, workload, seconds, spec)
-            traced = {side: run(path, workload, 1, seconds, 1) for side, path in checkouts.items()}
+            traced = alternate(checkouts, workload, seconds, TRACED_PAIRS, 1)
             payload["trace1"][workload] = {
-                side: {"correct": r["correct"], **{k: r["metrics"][k]["value"] for k in LAYERS}}
-                for side, r in traced.items()
+                side: {
+                    "correct_runs": sum(r["correct"] for r in rs),
+                    **{k: summary([r["metrics"][k]["value"] for r in rs]) for k in LAYERS},
+                }
+                for side, rs in traced.items()
             }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
 
