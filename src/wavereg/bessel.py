@@ -7,9 +7,11 @@ The radial eigenfunctions are cross products of Bessel functions,
 where the weights (w_Y, w_J) enforce the homogeneous condition at the inner
 boundary r = 1: (Y_m(k), J_m(k)) pins the value there (Dirichlet),
 (Y'_m(k), J'_m(k)) pins the slope (Neumann). Admissible wavenumbers k are
-the roots of the Neumann condition R'(2) = 0 at the actuated outer boundary,
-found per order by a vectorized scan, bisection and secant steps, with a
-Sturm zero count against skipped roots; Lommel's integral gives the norms.
+the roots of the Neumann condition R'(2) = 0 at the actuated outer boundary.
+One Chebyshev collocation eigenproblem per order seeds them (Trefethen,
+*Spectral Methods in MATLAB*, SIAM 2000, ``cheb``), secant steps on
+:func:`cross_fn` polish them, and a Sturm zero count guards against skipped
+roots; Lommel's integral, closed at r = 1 by the Wronskian, gives the norms.
 Each root's residual is checked relative to the scale |w_Y| + |w_J| of
 :func:`cross_fn` at that root, so the check means the same at every order;
 the ``cross_residual`` column of ``eigenvalues.csv`` stays the absolute one.
@@ -29,10 +31,8 @@ import scipy.special
 INNER_BCS = ("dirichlet", "neumann")
 
 ROOT_RESIDUAL_TOL = 1e-10
-_BRACKET_STEP = 0.05
-_BRACKET_START = 0.01
 _BRACKET_CAP = 400.0
-_BISECTIONS = 4  # brackets of width 0.05 / 2**4 before the secant steps
+_SEED_WIDTH = 1e-6  # relative half-width of the bracket around each seed
 _SECANT_STEPS = 10
 
 
@@ -75,13 +75,6 @@ def radial_profile(m, k, r, inner_bc):
     return scipy.special.jv(m, kr) * wY - scipy.special.yn(m, kr) * wJ
 
 
-def radial_profile_deriv(m, k, r, inner_bc):
-    """Radial derivative d/dr of :func:`radial_profile`."""
-    wY, wJ = _inner_weights(m, k, inner_bc)
-    _, _, Jpr, Ypr = bessel_jy(m, k * np.asarray(r, dtype=float))
-    return k * (Jpr * wY - Ypr * wJ)
-
-
 def cross_fn(m, k, inner_bc):
     """Outer Neumann boundary determinant whose zeros are the wavenumbers.
 
@@ -101,13 +94,15 @@ class RadialMode:
     """One radial eigenmode of the annulus Laplacian.
 
     ``normalization`` scales :func:`radial_profile` to unit norm in
-    L^2([1, 2], r dr); the Laplacian eigenvalue is ``k**2``.
+    L^2([1, 2], r dr), and ``boundary_trace`` is the normalized profile on
+    the actuated boundary r = 2; the Laplacian eigenvalue is ``k**2``.
     """
 
     m: int
     n: int
     k: float
     normalization: float
+    boundary_trace: float
     inner_bc: str
 
     @property
@@ -118,22 +113,70 @@ class RadialMode:
         """Normalized radial profile at radius ``r``."""
         return self.normalization * radial_profile(self.m, self.k, r, self.inner_bc)
 
-    @property
-    def boundary_trace(self):
-        """Value of the normalized profile on the actuated boundary r = 2."""
-        return float(self.eval(2.0))
+
+def _collocation_wavenumbers(m, count, inner_bc):
+    """Ascending wavenumbers of a Chebyshev collocation of
+    -(1/r)(r R')' + (m/r)^2 R = k^2 R on [1, 2], the first ``count`` about
+    1e-11 relative off. The boundary values are eliminated (R'(2) = 0, and
+    R'(1) = 0 or R(1) = 0); the rigid mode of m = 0 with the Neumann inner
+    condition comes first and is dropped.
+    """
+    n = 24 + 3 * count + m // 2
+    j = np.arange(n + 1)
+    x = np.cos(np.pi * j / n)  # r = 2 at j = 0, r = 1 at j = n
+    r = 1.5 + 0.5 * x
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
+    D = 2.0 * (D - np.diag(D.sum(axis=1)))  # d/dr on the nodes
+    L = -D @ D - D / r[:, None] + np.diag((m / r) ** 2)
+    edge = [0, n] if inner_bc == "neumann" else [0]
+    inside = j[1:n]
+    edge_values = np.linalg.solve(D[np.ix_(edge, edge)], D[np.ix_(edge, inside)])
+    A = L[np.ix_(inside, inside)] - L[np.ix_(inside, edge)] @ edge_values
+    mu = np.sort(np.linalg.eigvals(A).real)
+    return np.sqrt(mu[1:] if m == 0 and inner_bc == "neumann" else mu)
 
 
-def _refine(m, lo, hi, f_lo, f_hi, inner_bc):
-    """Bisect all brackets together, then secant-polish them inside the
-    bisected brackets; returns roots and residuals."""
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        f_mid = cross_fn(m, mid, inner_bc)
-        left = (f_lo < 0) != (f_mid < 0)
-        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
-        hi, f_hi = np.where(left, mid, hi), np.where(left, f_mid, f_hi)
-    k0, f0, k1, f1 = lo, f_lo, hi, f_hi
+def find_radial_roots(m, count, inner_bc):
+    """First ``count`` positive radial eigenmodes of angular order ``m``.
+
+    Each seed of :func:`_collocation_wavenumbers` is bracketed by
+    +-``_SEED_WIDTH`` relative, and all brackets are secant-polished together,
+    each step clipped to its bracket. The rigid k = 0 mode of the Neumann
+    inner condition (invisible in energy and velocity output) is not returned.
+
+    Raises BracketError if fewer than ``count`` seeds lie below the cap, if a
+    bracket holds no sign change of cross_fn, if a residual relative to
+    cross_fn's scale |w_Y| + |w_J| at its root stays above
+    ``ROOT_RESIDUAL_TOL``, or if a mode has the wrong number of sign changes
+    on 8 * ``count`` midpoints of [1, 2]. By Sturm oscillation the n-th mode
+    has n - 1 zeros in (1, 2), or n for m = 0 with the Neumann inner
+    condition, whose excluded rigid mode comes first; a skipped root adds a
+    zero to every later mode.
+
+    Lommel's integral of the cylinder function R(r) = Z_m(k r) is
+    int r R^2 dr = [r^2/2 (Z_m'(k r)^2 + (1 - m^2/(k r)^2) R^2)]_1^2, and
+    Z_m'(2k) = 0 at the outer boundary. At r = 1 the Wronskian
+    J Y' - J' Y = 2/(pi k) gives R(1) = 2/(pi k) for the Neumann inner
+    condition and R'(1)/k = -2/(pi k) for the Dirichlet one.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    seeds = _collocation_wavenumbers(m, count, inner_bc)[:count]
+    seeds = seeds[seeds < _BRACKET_CAP]
+    if seeds.size < count:
+        raise BracketError(
+            f"found only {seeds.size} of {count} roots for order {m} below k={_BRACKET_CAP}"
+        )
+    lo, hi = seeds * (1.0 - _SEED_WIDTH), seeds * (1.0 + _SEED_WIDTH)
+    k0, k1 = lo, hi
+    f0, f1 = cross_fn(m, np.stack([lo, hi]), inner_bc)
+    unbracketed = np.flatnonzero(np.sign(f0) * np.sign(f1) > 0)
+    if unbracketed.size:
+        raise BracketError(
+            f"cross_fn of order {m} keeps its sign within {_SEED_WIDTH:g} of the seed "
+            f"k={seeds[unbracketed[0]]}"
+        )
     for _ in range(_SECANT_STEPS):
         slope = f1 - f0
         step = np.divide(f1 * (k1 - k0), slope, out=np.zeros_like(k1), where=slope != 0.0)
@@ -142,59 +185,9 @@ def _refine(m, lo, hi, f_lo, f_hi, inner_bc):
         f1 = cross_fn(m, k1, inner_bc)
         if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * k1):
             break
-    return k1, f1
-
-
-def _norm_sq(m, k, inner_bc):
-    """Squared L^2([1, 2], r dr) norm of radial_profile at roots ``k``.
-
-    Lommel's integral of the cylinder function R(r) = Z_m(k r) is
-    int r R^2 dr = [r^2/2 (Z_m'(k r)^2 + (1 - m^2/(k r)^2) R^2)]_1^2, and
-    Z_m'(2k) = 0 at the outer Neumann boundary. At r = 1 the Neumann inner
-    condition leaves the R(1) term, the Dirichlet one the R'(1)/k term.
-    """
-    outer = 2.0 * (1.0 - (m / (2.0 * k)) ** 2) * radial_profile(m, k, 2.0, inner_bc) ** 2
-    if inner_bc == "neumann":
-        inner = (1.0 - (m / k) ** 2) * radial_profile(m, k, 1.0, inner_bc) ** 2
-    else:
-        inner = (radial_profile_deriv(m, k, 1.0, inner_bc) / k) ** 2
-    return outer - 0.5 * inner
-
-
-def find_radial_roots(m, count, inner_bc):
-    """First ``count`` positive radial eigenmodes of angular order ``m``.
-
-    One vectorized call scans cross_fn on a 0.05 grid in k, extended only if
-    it holds fewer than ``count`` sign changes; all brackets are then refined
-    together (:func:`_refine`) and normalized by :func:`_norm_sq`. For
-    the Neumann inner condition the rigid k = 0 mode (zero eigenvalue,
-    invisible in energy and velocity output) is not part of the returned set.
-
-    Raises BracketError if the scan reaches its cap before ``count`` sign
-    changes, if a residual relative to cross_fn's scale |w_Y| + |w_J| at its
-    root stays above ``ROOT_RESIDUAL_TOL``, or if a mode has the wrong number
-    of sign changes on 8 * ``count`` midpoints of [1, 2]. By Sturm oscillation
-    the n-th mode has n - 1 zeros in (1, 2), or n for m = 0 with the Neumann
-    inner condition, whose excluded rigid mode comes first; a skipped root
-    adds a zero to every later mode.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    top = min(_BRACKET_CAP, 0.5 * m + (count + 1) * np.pi)  # above the count-th root in practice
-    while True:
-        k = np.arange(_BRACKET_START, top, _BRACKET_STEP)
-        f = cross_fn(m, k, inner_bc)
-        idx = np.flatnonzero(((f[:-1] < 0) != (f[1:] < 0)) | (f[1:] == 0.0))[:count]
-        if idx.size == count or top >= _BRACKET_CAP:
-            break
-        top = min(_BRACKET_CAP, 2.0 * top)
-    if idx.size < count:
-        raise BracketError(
-            f"found only {idx.size} of {count} roots for order {m} below k={_BRACKET_CAP}"
-        )
-    roots, residuals = _refine(m, k[idx], k[idx + 1], f[idx], f[idx + 1], inner_bc)
+    roots = k1
     wY, wJ = _inner_weights(m, roots, inner_bc)
-    relative = np.abs(residuals) / (np.abs(wY) + np.abs(wJ))
+    relative = np.abs(f1) / (np.abs(wY) + np.abs(wJ))
     worst = int(np.argmax(relative))
     if relative[worst] > ROOT_RESIDUAL_TOL:
         raise BracketError(
@@ -209,9 +202,14 @@ def find_radial_roots(m, count, inner_bc):
     if bad.size:
         n = int(bad[0])
         zero_count = f"mode {n + 1} of order {m} has {zeros[n]} interior zeros, not {expected[n]}"
-        raise BracketError(f"{zero_count}: the scan skipped a root")
-    norms = 1.0 / np.sqrt(_norm_sq(m, roots, inner_bc))
+        raise BracketError(f"{zero_count}: a root was skipped")
+    outer = radial_profile(m, roots, 2.0, inner_bc)
+    inner = (2.0 / (np.pi * roots)) ** 2  # R(1)^2 or (R'(1)/k)^2, by the Wronskian
+    if inner_bc == "neumann":
+        inner *= 1.0 - (m / roots) ** 2
+    norms = 1.0 / np.sqrt(2.0 * (1.0 - (m / (2.0 * roots)) ** 2) * outer**2 - 0.5 * inner)
     return [
-        RadialMode(m=m, n=n, k=float(k), normalization=float(c), inner_bc=inner_bc)
-        for n, (k, c) in enumerate(zip(roots, norms), start=1)
+        RadialMode(m=m, n=n, k=float(k), normalization=float(c), boundary_trace=float(c * R2),
+                   inner_bc=inner_bc)
+        for n, (k, c, R2) in enumerate(zip(roots, norms, outer), start=1)
     ]

@@ -302,6 +302,7 @@ def _gain_sweep(ctx):
 
 @_check("synth", "asymptotic error bound delta < 0.01")
 def _delta(ctx):
+    ctx.closed_loop.require_stable()  # delta bounds the error of a stable loop only
     bound = synthesis.error_bound_delta(ctx.regulator, ctx.closed_loop, ctx.controller.projector())
     return bound.delta < 0.01, f"{bound.delta:.2e}"
 

@@ -295,10 +295,11 @@ def cmd_synth(cfg, out_dir=None):
     plant = build_plant(cfg)
     exo = build_exo(cfg, plant)
     ctrl = build_controller(cfg, plant, exo)
+    cl = loop.assemble_direct(plant, ctrl, exo)
+    cl.require_stable()  # delta bounds the error of a stable loop only
     for name, M in (("G1", ctrl.G1), ("G2", ctrl.G2), ("K", ctrl.K), ("K0", ctrl.K0)):
         serialize.save_matrix(out / f"controller_{name}.mtx", M)
     report = synthesis.check_g_conditions(ctrl)
-    cl = loop.assemble_direct(plant, ctrl, exo)
     reg = synthesis.solve_regulator(cl, exo)
     bound = synthesis.error_bound_delta(reg, cl, ctrl.projector())
     blocks = sorted((idx.size for idx in cl.blocks), reverse=True)
@@ -347,10 +348,7 @@ def cmd_simulate(cfg, out_dir=None):
         ctrl = build_controller(cfg, plant, exo)
     with _timed(timings, "assemble"):  # the loop and its spectral abscissa
         cl = loop.assemble_direct(plant, ctrl, exo)
-        if not cl.is_stable:
-            raise ValueError(
-                f"closed loop is unstable (spectral abscissa {cl.abscissa:+.4e} >= 0); not simulating"
-            )
+        cl.require_stable()
     sim = cfg.simulation
     x0 = np.concatenate(
         [

@@ -83,6 +83,13 @@ class ClosedLoop:
     def is_stable(self):
         return self.abscissa < 0.0
 
+    def require_stable(self):
+        """Refuse, naming the abscissa, a loop that is not exponentially stable."""
+        if not self.is_stable:
+            raise ValueError(
+                f"closed loop is unstable (spectral abscissa {self.abscissa:+.4e} >= 0)"
+            )
+
 
 @dataclass(frozen=True)
 class Trajectory:

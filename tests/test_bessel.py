@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavereg import bessel
 
@@ -83,7 +85,9 @@ class TestCrossFunction:
     @pytest.mark.parametrize("m", [0, 1, 5])
     @pytest.mark.parametrize("k", [0.8, 2.3, 7.1])
     def test_neumann_inner_slope_vanishes(self, m, k):
-        assert abs(bessel.radial_profile_deriv(m, k, 1.0, "neumann")) < 1e-13 * k
+        # R'(1) = k (J'_m(k) Y'_m(k) - Y'_m(k) J'_m(k))
+        _, _, Jp, Yp = bessel.bessel_jy(m, k)
+        assert abs(k * (Jp * Yp - Yp * Jp)) < 1e-13 * k
 
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
     def test_sign_scan_brackets_first_root(self, inner):
@@ -94,7 +98,9 @@ class TestCrossFunction:
 
     def test_outer_slope_vanishes_at_root(self):
         mode = bessel.find_radial_roots(0, 1, "dirichlet")[0]
-        assert abs(bessel.radial_profile_deriv(0, mode.k, 2.0, "dirichlet")) < 1e-9
+        J, Y, _, _ = bessel.bessel_jy(0, mode.k)
+        _, _, Jp2, Yp2 = bessel.bessel_jy(0, 2.0 * mode.k)
+        assert abs(mode.k * (Jp2 * Y - Yp2 * J)) < 1e-9
 
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
     def test_asymptotic_spacing_pi(self, inner):
@@ -137,6 +143,7 @@ class TestRootFinding:
         for inner in ("dirichlet", "neumann"):
             for mode in bessel.find_radial_roots(3, 4, inner):
                 assert abs(mode.boundary_trace) > 1e-3
+                assert mode.boundary_trace == pytest.approx(mode.eval(2.0), rel=1e-15)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -145,20 +152,24 @@ class TestRootFinding:
             bessel.find_radial_roots(0, 2, "free")
 
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
-    def test_roots_match_brentq_oracle(self, inner):
-        # scalar Brent iterations on each sign change of the 0.05 scan grid
-        grid = bessel._BRACKET_START + bessel._BRACKET_STEP * np.arange(800)
-        for m in range(12):
-            f = bessel.cross_fn(m, grid, inner)
-            idx = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))[:8]
-            oracle = [
-                scipy.optimize.brentq(
-                    lambda k: bessel.cross_fn(m, k, inner), grid[i], grid[i + 1], xtol=1e-15
-                )
-                for i in idx
-            ]
-            ks = [mode.k for mode in bessel.find_radial_roots(m, 8, inner)]
-            assert np.abs(np.array(ks) - oracle).max() < 1e-13
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(m=st.integers(0, 60), count=st.integers(1, 30))
+    @example(m=0, count=1)
+    @example(m=60, count=30)
+    def test_roots_match_brentq_oracle(self, inner, m, count):
+        # scalar Brent iterations on each sign change of a 0.05 grid in k that
+        # reaches past root count (spacing below pi, first root below m/2 + pi)
+        grid = np.arange(0.01, 0.5 * m + (count + 1) * np.pi, 0.05)
+        f = bessel.cross_fn(m, grid, inner)
+        idx = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))[:count]
+        oracle = [
+            scipy.optimize.brentq(
+                lambda k: bessel.cross_fn(m, k, inner), grid[i], grid[i + 1], xtol=1e-15
+            )
+            for i in idx
+        ]
+        ks = [mode.k for mode in bessel.find_radial_roots(m, count, inner)]
+        assert len(oracle) == count and np.abs(np.array(ks) - oracle).max() < 1e-13
 
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
     def test_lommel_norm_matches_quadrature(self, inner):
@@ -169,31 +180,37 @@ class TestRootFinding:
                 quad = 1.0 / np.sqrt(np.sum(RADIAL_WEIGHTS * raw**2 * r))
                 assert mode.normalization == pytest.approx(quad, rel=1e-13)
 
-    @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
-    def test_coarse_scan_trips_spacing_guard(self, inner, monkeypatch):
-        # 4.0-wide cells hold pairs of roots spaced ~pi, so sign changes vanish
-        monkeypatch.setattr(bessel, "_BRACKET_STEP", 4.0)
-        for m in range(12):
-            with pytest.raises(bessel.BracketError, match="the scan skipped a root"):
-                bessel.find_radial_roots(m, 8, inner)
-
     @pytest.mark.parametrize("skipped", [1, 2])
     @pytest.mark.parametrize("m", [0, 3])
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
     def test_scan_past_first_roots_raises(self, inner, m, skipped, monkeypatch):
-        # a scan that starts just past root 1 (or 2) finds roots 2..9 (or 3..10),
-        # with gaps the spacing alone cannot tell from a complete set
-        k_skipped = bessel.find_radial_roots(m, skipped, inner)[-1].k
-        monkeypatch.setattr(bessel, "_BRACKET_START", k_skipped + 1e-3)
+        # seeds that start past root 1 (or 2) polish to true roots 2..9 (or
+        # 3..10); only the zero count tells them from a complete set
+        seeds = bessel._collocation_wavenumbers
+        monkeypatch.setattr(
+            bessel, "_collocation_wavenumbers", lambda *args: seeds(*args)[skipped:]
+        )
         with pytest.raises(bessel.BracketError, match=f"mode 1 of order {m} has"):
             bessel.find_radial_roots(m, 8, inner)
+
+    @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
+    def test_moved_seed_raises(self, inner, monkeypatch):
+        # a seed 1e-3 off its root leaves cross_fn one sign on its bracket
+        seeds = bessel._collocation_wavenumbers
+        monkeypatch.setattr(
+            bessel, "_collocation_wavenumbers", lambda *args: seeds(*args) * (1.0 + 1e-3)
+        )
+        for m in (0, 3, 40):
+            with pytest.raises(bessel.BracketError, match=f"cross_fn of order {m} keeps its sign"):
+                bessel.find_radial_roots(m, 8, inner)
 
     @pytest.mark.parametrize("m", [0, 1, 30, 60])
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
     def test_zero_count_certifies_twenty_roots(self, inner, m):
         # 8 * count sample points resolve the n - 1 zeros of every mode up to
-        # n = 20, so the zero count raises no false alarm
-        assert len(bessel.find_radial_roots(m, 20, inner)) == 20
+        # n = 20 (and 30), so the zero count raises no false alarm
+        for count in (20, 30):
+            assert len(bessel.find_radial_roots(m, count, inner)) == count
 
     @pytest.mark.parametrize("m", [40, 41, 42, 43, 44, 50, 60])
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
@@ -230,7 +247,7 @@ class TestRootFinding:
 
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
     def test_unpolished_roots_raise(self, inner, monkeypatch):
-        # four bisections alone leave brackets 0.003 wide, far above the tolerance
+        # the seed brackets alone, 2e-6 relative wide, leave residuals far above the tolerance
         monkeypatch.setattr(bessel, "_SECANT_STEPS", 0)
         for m in range(12):
             with pytest.raises(bessel.BracketError, match="root polish stalled"):

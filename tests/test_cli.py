@@ -547,6 +547,22 @@ class TestVerifyAndMain:
             cli.cmd_simulate(cfg, tmp_path)
         assert not (tmp_path / "simulation.csv").exists()
 
+    def test_synth_refuses_unstable_loop(self, tmp_path):
+        # the delta of an unstable loop bounds nothing; simulate's refusal, word for word
+        cfg = sect5_config()
+        cfg.plant.damping_q = 0.0
+        message = r"^closed loop is unstable \(spectral abscissa \+6\.1779e-01 >= 0\)$"
+        with pytest.raises(ValueError, match=message):
+            cli.cmd_synth(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []  # no synth_report.json, no controller matrices
+
+    def test_delta_check_fails_on_unstable_loop(self):
+        cfg = sect5_config()
+        cfg.plant.damping_q = 0.0
+        ok, lines = cli.cmd_verify("synth", cfg)
+        (line,) = [line for line in lines if "error bound delta" in line]
+        assert not ok and line.startswith("[FAIL]") and "abscissa +6.1779e-01" in line
+
 
 def test_cli_import_loads_no_verification_code():
     # scipy.optimize serves only the oracles of wavereg.checks, which only `wavereg verify` imports
