@@ -247,9 +247,8 @@ def _energy(ctx):
     resp = loop.free_response(plant.perturbed(q_scale=0.0), x0, t_end=10.0, dt=0.01)
     drift = np.abs(resp.energies / resp.energies[0] - 1.0).max()
     worst, decays = 0.0, True
-    for _ in range(20):
-        x0 = rng.standard_normal(plant.state_dim)
-        resp = loop.free_response(plant, x0, t_end=5.0, dt=0.002)
+    x0s = rng.standard_normal((20, plant.state_dim))
+    for x0, resp in zip(x0s, loop.free_response(plant, x0s, t_end=5.0, dt=0.002)):
         integral = np.trapezoid(resp.error_norms_sq(), resp.t)
         worst = max(worst, integral / (plant.energy(x0) / (2.0 * plant.Q_feedback)))
         decays &= not np.any(np.diff(resp.energies) > 1e-12 * resp.energies[0])

@@ -1,13 +1,15 @@
-"""Dense complex linear algebra shared by the plant, synthesis and simulation code.
+"""Dense linear algebra shared by the plant, synthesis and simulation code.
 
 Contract-checked wrappers around numpy/scipy dense kernels (solve, eig, SVD,
 matrix exponential) plus the columnwise resolvent solver of the regulator
 equations for diagonal harmonic generators; each verifies its own result and
-returns plain numpy arrays. The Kronecker-product oracle and the spectrum
-matching live in :mod:`wavereg.checks`. :func:`_diagonal_blocks` finds the
-diagonal blocks of a matrix up to a permutation; a closed loop partitions its
-generator once (``ClosedLoop.blocks``) and hands the blocks to the kernels
-here. ``is_normal`` is a diagnostic only; no production path branches on it.
+returns plain numpy arrays. The solve, eig, SVD and Sylvester kernels work in
+complex arithmetic; the matrix exponential keeps a real operand real, so the
+sampler steps real blocks in real arithmetic. The Kronecker-product oracle
+and the spectrum matching live in :mod:`wavereg.checks`.
+:func:`_diagonal_blocks` finds the diagonal blocks of a matrix up to a
+permutation; a closed loop partitions its generator once
+(``ClosedLoop.blocks``) and hands the blocks to the kernels here. ``is_normal`` is a diagnostic only; no production path branches on it.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ class OverflowCapError(LinearAlgebraError):
     """A matrix exponential or trajectory exceeded the configured growth cap."""
 
 
-def as_matrix(A, name="matrix"):
-    """Return ``A`` as a 2-D complex array, rejecting non-finite entries."""
-    M = np.atleast_2d(np.asarray(A, dtype=complex))
+def as_matrix(A, name="matrix", dtype=complex):
+    """Return ``A`` as a 2-D array of ``dtype``, rejecting non-finite entries."""
+    M = np.atleast_2d(np.asarray(A, dtype=dtype))
     if M.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got ndim={M.ndim}")
     if not np.all(np.isfinite(M)):
@@ -179,14 +181,15 @@ def is_normal(A, rtol=NORMALITY_RTOL):
 def expm(A, t=1.0):
     """Matrix exponential ``exp(A t)`` by scipy's scaling-and-squaring Pade
     code, guarded by a norm cap on the input and a finiteness check on the
-    result.
+    result. A real ``A`` gives a real result.
 
     Raises
     ------
     OverflowCapError
         If ``||A t||_F`` exceeds ``EXPM_NORM_CAP`` or the result is non-finite.
     """
-    M = as_matrix(A)
+    A = np.asarray(A)
+    M = as_matrix(A, dtype=np.result_type(A, float))
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if not np.isfinite(t):

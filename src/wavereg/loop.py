@@ -6,13 +6,21 @@ construction, its cross-validation oracle, lives in :mod:`wavereg.checks`.
 
 A :class:`ClosedLoop` partitions its generator into diagonal blocks (the
 decoupled channels of the loop) once; its spectrum, the regulator solve and
-the simulation read that partition. Simulation steps each block on its own,
-with the one-step matrix exponential of the block augmented by its own copy
-of the exosystem, filling its samples by doubling: the samples [k, 2k) are
-the samples [0, k) times step^k. Each block is reduced to its outputs and
-weighted squared norms once filled, so no state history is kept. The samples
-are exact for the LTI dynamics up to the exponential's own tolerance and
-roundoff; only the sliding-window error integrals depend on dt.
+the simulation read that partition. The loop stays in the paper's complex
+coordinates; only the sampler maps it. Its plant, reference and disturbance
+are real, and its exosystem and internal model come in conjugate +-omega
+pairs, so a unitary map that pairs each controller copy and exosystem
+coordinate with its partner makes the loop real (:func:`_real_form`); a loop
+without that symmetry is sampled as it is, in complex arithmetic, by the same
+code. The sampler steps each block on its own, stored state-major as
+(states, samples) with the block's own copy of the exosystem, and fills the
+samples by doubling: the samples [k, 2k) are the samples [0, k) times
+step^k, one GEMM per pass. Each block is reduced to its outputs and weighted
+squared norms by two more GEMMs once filled, so no state history is kept.
+:func:`free_response` samples many initial states of the plant in one fill,
+side by side in the same buffer. The samples are exact for the LTI dynamics
+up to the exponential's own tolerance and roundoff; only the sliding-window
+error integrals depend on dt.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exosystem, linalg, synthesis
+from . import linalg, synthesis
 from .linalg import OverflowCapError
 
 # Hard cap on trajectory growth relative to the initial data.
@@ -94,7 +102,9 @@ class ClosedLoop:
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled closed-loop run: tracking errors and plant energy at each time
-    ``t``; ``states`` is the last state x_e(t_end) alone, as a (1, n) row."""
+    ``t``; ``states`` is the last state x_e(t_end) alone, as a (1, n) row in
+    the loop's own coordinates. ``errors`` is real when the run was sampled in
+    real arithmetic."""
 
     t: np.ndarray
     states: np.ndarray
@@ -165,60 +175,183 @@ def _time_grid(t_end, dt):
     return dt * np.arange(whole_steps(t_end, dt, "t_end") + 1)
 
 
-def _propagate(step, X):
-    """Fill ``X[k] = step^k X[0]`` in place by doubling: each pass writes rows
-    ``[k, 2k)`` as rows ``[0, k)`` times ``step^k``, squared between passes."""
-    n_rows, k, power = X.shape[0], 1, step
-    while k < n_rows:
-        np.matmul(X[: min(k, n_rows - k)], power.T, out=X[k : 2 * k])
+def _propagate(step, X, filled):
+    """Fill the columns of the state-major ``X`` by doubling: the first
+    ``filled`` columns hold the samples at time 0, and each pass writes
+    columns ``[k, 2k)`` as columns ``[0, k)`` times ``step^(k / filled)``,
+    one GEMM per pass, the power squared between passes."""
+    n_cols, k, power = X.shape[1], filled, step
+    while k < n_cols:
+        np.matmul(power, X[:, : min(k, n_cols - k)], out=X[:, k : 2 * k])
         k *= 2
-        if k < n_rows:
+        if k < n_cols:
             power = power @ power
 
 
-def _sample(A, blocks, B, S, x0, v0, n_rows, dt, C, w):
-    """Reduced samples of x' = A x + B v with v' = S v at k dt, k < ``n_rows``.
+def _initial_rows(x0, n, batch=False):
+    """``x0`` as rows (r, n): one state of shape (n,) or, with ``batch``, rows
+    of them. Raises ``ValueError`` on any other shape or a non-finite entry."""
+    x0 = np.asarray(x0)
+    if x0.shape[-1:] != (n,) or x0.ndim > 1 + batch or x0.size == 0 or not np.isfinite(x0).all():
+        rows = f" or rows of shape (r, {n})" if batch else ""
+        raise ValueError(f"x0 must be a finite vector of shape ({n},){rows}")
+    return np.atleast_2d(x0)
 
-    Each diagonal block ``idx`` in ``blocks``, the partition of ``A`` by
-    :func:`linalg._diagonal_blocks`, is filled by doubling (:func:`_propagate`)
-    with the exponential of ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every
-    block carries its own copy of v, and reduced once filled to what it returns:
-    the outputs ``C x``, the two rows ``sum_j w_j |x_j|^2`` and ``||x||^2``, and the last sample.
-    Raises ``ValueError`` if ``x0`` has the wrong shape or a non-finite entry.
+
+def _sample(A, blocks, B, S, x0, v0, n_rows, dt, C, D, w):
+    """Reduced samples of x' = A x + B v, v' = S v, at k dt for k < ``n_rows``,
+    from each initial state of the rows ``x0`` (r, n) with the same ``v0``.
+
+    Runs in the dtype of its operands. Each diagonal block ``idx`` in
+    ``blocks``, a partition of ``A`` into uncoupled blocks, is stored
+    state-major as ``(m + q, n_rows * r)``, the r states of each sample side
+    by side. It is filled by doubling (:func:`_propagate`) with the
+    exponential of ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every block
+    carries its own copy of v, and reduced once filled by two GEMMs: the
+    outputs ``C x`` and the rows ``sum_j w_j |x_j|^2`` and ``||x||^2``. The last
+    block's copy of v adds ``D v`` to the outputs. Returns the outputs
+    (p, n_rows, r), the two norm rows (2, n_rows, r) and the last samples (r, n).
     """
-    n, q = A.shape[0], S.shape[0]
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != (n,) or not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be a finite vector of shape ({n},)")
-    y = np.zeros((n_rows, C.shape[0]), dtype=complex)
-    sq = np.zeros((2, n_rows))
-    last = np.empty(n, dtype=complex)
+    n, q, r = A.shape[0], S.shape[0], x0.shape[0]
+    cols = n_rows * r
+    dtype = np.result_type(A, B, S, C, D, x0, v0)
+    y = np.zeros((C.shape[0], cols), dtype=dtype)
+    sq = np.zeros((2, cols))
+    last = np.empty((r, n), dtype=dtype)
     # all expm calls before any filling: interleaved with matmul, each took 20-60x longer on 2 CPUs
     gens = [np.block([[A[np.ix_(i, i)], B[i]], [np.zeros((q, i.size)), S]]) for i in blocks]
     steps = [linalg.expm(gen, dt) for gen in gens]
-    buf = np.empty(n_rows * (max(idx.size for idx in blocks) + q), dtype=complex)
+    buf = np.empty((max(idx.size for idx in blocks) + q) * cols, dtype=dtype)
     for idx, step in zip(blocks, steps):
         m = idx.size
-        X = buf[: n_rows * (m + q)].reshape(n_rows, m + q)  # one buffer for all blocks
-        X[0] = np.concatenate([x0[idx], v0])
-        _propagate(step, X)
-        # einsum, not matmul: many small BLAS calls cost more than they save
+        X = buf[: (m + q) * cols].reshape(m + q, cols)  # one buffer for all blocks
+        X[:m, :r] = x0[:, idx].T
+        X[m:, :r] = v0[:, None]
+        _propagate(step, X, r)
         rows = np.flatnonzero(C[:, idx].any(axis=1))
-        y[:, rows] += np.einsum("km,om->ko", X[:, :m], C[np.ix_(rows, idx)])
-        parts = X.view(float)[:, : 2 * m]  # Re x_j, Im x_j side by side
-        sq[0] += np.einsum("kj,kj,j->k", parts, parts, np.repeat(w[idx], 2))
-        sq[1] += np.einsum("kj,kj->k", parts, parts)
-        last[idx] = X[-1, :m]
-    return y, sq, last
+        y[rows] += C[np.ix_(rows, idx)] @ X[:m]
+        sq += np.stack([w[idx], np.ones(m)]) @ (X[:m] * X[:m].conj()).real
+        last[:, idx] = X[:m, cols - r :].T
+    y += D @ X[m:]
+    return y.reshape(-1, n_rows, r), sq.reshape(2, n_rows, r), last
+
+
+def _pairs(omegas):
+    """Index pairs (f, s), f < s, with ``omegas[s] = -omegas[f]``; None
+    unless the frequencies are closed under negation. omega = 0 pairs with
+    itself and is in no pair."""
+    index = {w: k for k, w in enumerate(omegas)}
+    partner = np.array([index.get(-w, -1) for w in omegas])
+    if (partner < 0).any():
+        return None
+    first = np.flatnonzero(partner > np.arange(partner.size))
+    return first, partner[first]
+
+
+def _swap(size, f, s):
+    perm = np.arange(size)
+    perm[f], perm[s] = s, f
+    return perm
+
+
+def _pair(M, f, s, j=1j):
+    """M U^T, U the unitary pair map acting on the last axis of M: entries f
+    and s become (M_f + M_s) / sqrt 2 and j (M_s - M_f) / sqrt 2, the others
+    stay. ``j = -1j`` gives M U^H."""
+    out = M.astype(complex)
+    a, b = M[..., f], M[..., s]
+    out[..., f], out[..., s] = (a + b) / np.sqrt(2.0), j * (b - a) / np.sqrt(2.0)
+    return out
+
+
+def _unpair(R, f, s):
+    """R conj(U), the inverse of :func:`_pair` on the last axis of R."""
+    out = R.astype(complex)
+    a, b = R[..., f], R[..., s]
+    out[..., f], out[..., s] = (a + 1j * b) / np.sqrt(2.0), (a - 1j * b) / np.sqrt(2.0)
+    return out
+
+
+def _conj_symmetric(M, rows, cols):
+    """Whether ``M[rows][:, cols]`` equals conj(M) exactly, for involutions
+    ``rows`` and ``cols``: they map the nonzero entries onto the nonzero
+    entries, so checking those suffices."""
+    i, j = np.nonzero(M != 0)  # faster than np.nonzero(M) on complex M
+    return np.array_equal(M[rows[i], cols[j]], M[i, j].conj())
+
+
+def _real_form(cl, exo, x0):
+    """The sampler's operands (A, B, S, C, D, x0, v0) and blocks of the loop,
+    and the pairs (f, s) that map its last state back.
+
+    The exosystem and the internal model come in conjugate pairs: each
+    exosystem coordinate and each controller copy (k, b) at omega has a
+    partner at -omega. If every frequency has its partner and Acl, Bcl, Ccl,
+    Dcl, v0 and ``x0`` are exactly conjugate-symmetric under the partner
+    swap, the unitary pair map U (:func:`_pair`) of the loop's and the
+    exosystem's pairs, the identity on the plant, makes the loop real: each
+    operand is Re(U M U^H), its imaginary part being roundoff, computed block
+    by block for Acl, and the blocks of partner copies merge. Otherwise the
+    operands are the loop's own, in complex dtype, and there are no pairs.
+    """
+    none = np.zeros(0, dtype=int)
+    ops = (cl.Acl, cl.Bcl, exo.S, cl.Ccl, cl.Dcl, x0, exo.v0)
+    pq = _pairs(exo.omegas)
+    pc = None if cl.ctrl is None else _pairs(cl.ctrl.omegas)
+    if pq is None or pc is None:
+        return ops, cl.blocks, (none, none)
+    bd, n_p, n = cl.ctrl.block_dim, cl.plant_dim, cl.state_dim
+    f, s = (n_p + (k[:, None] * bd + np.arange(bd)).ravel() for k in pc)
+    p, pe = _swap(n, f, s), _swap(exo.q, *pq)
+    if not (
+        _conj_symmetric(cl.Acl, p, p)
+        and _conj_symmetric(cl.Bcl, p, pe)
+        and _conj_symmetric(cl.Ccl, np.arange(cl.Ccl.shape[0]), p)
+        and _conj_symmetric(cl.Dcl, np.arange(cl.Dcl.shape[0]), pe)
+        and _conj_symmetric(x0, np.arange(x0.shape[0]), p)
+        and np.array_equal(exo.v0[pe], exo.v0.conj())
+    ):
+        return ops, cl.blocks, (none, none)
+
+    def real(M, rows, cols):  # Re(U_rows M U_cols^H)
+        return _pair(_pair(M, *cols, -1j).T, *rows).T.real
+
+    label = np.empty(n, dtype=int)
+    for c, idx in enumerate(cl.blocks):
+        label[idx] = c
+    partner = np.arange(len(cl.blocks))
+    partner[label[f]], partner[label[s]] = label[s], label[f]  # the swap maps blocks onto blocks
+    blocks = [np.union1d(idx, cl.blocks[partner[c]]) for c, idx in enumerate(cl.blocks)
+              if partner[c] >= c]
+    local = np.empty(n, dtype=int)
+    for c, idx in enumerate(blocks):
+        label[idx], local[idx] = c, np.arange(idx.size)
+    A = np.zeros((n, n))
+    for c, idx in enumerate(blocks):
+        mine = label[f] == c
+        pairs = (local[f[mine]], local[s[mine]])
+        A[np.ix_(idx, idx)] = real(cl.Acl[np.ix_(idx, idx)], pairs, pairs)
+    ops = (
+        A,
+        real(cl.Bcl, (f, s), pq),
+        real(exo.S, pq, pq),
+        real(cl.Ccl, (none, none), (f, s)),
+        real(cl.Dcl, (none, none), pq),
+        _pair(x0, f, s).real,
+        _pair(exo.v0, *pq).real,
+    )
+    return ops, blocks, (f, s)
 
 
 def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
     """Simulate the closed loop driven by the exosystem.
 
-    :func:`_sample` steps one block of ``cl.blocks`` at a time, so the
-    samples are exact for the LTI system up to roundoff; halving dt only
-    refines the sampling. It keeps no state history, only the outputs, the
-    plant energy, ||x_e||^2 and the last state; the errors add Dcl v(t).
+    :func:`_sample` steps one block at a time, so the samples are exact for
+    the LTI system up to roundoff; halving dt only refines the sampling. It
+    runs in real arithmetic when :func:`_real_form` finds the loop's real
+    form, and in complex arithmetic on the loop as it is otherwise. It keeps
+    no state history, only the errors C x + D v, the plant energy,
+    ||x_e||^2 and the last state, mapped back to the loop's coordinates.
 
     Parameters
     ----------
@@ -236,19 +369,21 @@ def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
     """
     t = _time_grid(t_end, dt)
     n = cl.state_dim
-    x0 = np.zeros(n) if x0 is None else x0
+    x0 = _initial_rows(np.zeros(n) if x0 is None else x0, n)
     w = np.pad(cl.plant.energy_weights, (0, n - cl.plant_dim))  # zero on controller states
-    errors, sq, last = _sample(cl.Acl, cl.blocks, cl.Bcl, exo.S, x0, exo.v0, t.size, dt, cl.Ccl, w)
+    (A, B, S, C, D, x0, v0), blocks, pairs = _real_form(cl, exo, x0)
+    errors, sq, last = _sample(A, blocks, B, S, x0, v0, t.size, dt, C, D, w)
     # the cap bounds ||(x_e, v)||, |v_k(t)| = |v0_k|; a non-finite sample is over it
-    norms = np.hypot(np.sqrt(sq[1]), np.linalg.norm(exo.v0))
+    norms = np.hypot(np.sqrt(sq[1, :, 0]), np.linalg.norm(exo.v0))
     over = ~(norms <= _GROWTH_CAP * (1.0 + norms[0]))
     if over.any():
         raise OverflowCapError(
             f"trajectory exceeded the growth cap at t={t[np.argmax(over)]:.3f} "
             f"(abscissa {cl.abscissa:+.3e})"
         )
-    errors += exosystem.v_at(exo, t[:, None]) @ cl.Dcl.T  # errors held Ccl x so far
-    return Trajectory(t=t, states=last[None], errors=errors, energies=sq[0])
+    return Trajectory(
+        t=t, states=_unpair(last, *pairs), errors=errors[:, :, 0].T, energies=sq[0, :, 0]
+    )
 
 
 def windowed_error(traj, window=1.0, weights=None):
@@ -287,12 +422,18 @@ def free_response(plant, x0, t_end, dt):
     :func:`simulate_exact`, driven by no exosystem; used by the
     energy-conservation, decay and admissibility checks. For the undamped
     generator pass ``plant.perturbed(q_scale=0.0)``, whose ``As`` is ``A``.
-    Returns a :class:`Trajectory` whose errors are the boundary velocity
-    outputs y = C x, the tracking errors against a zero reference. ``x0`` is
-    checked as in :func:`simulate_exact`.
+    ``x0`` is one state (n,) or rows (r, n) of them, checked as in
+    :func:`simulate_exact`; all rows share one fill, in the dtype of ``As``
+    and ``x0``. Returns one :class:`Trajectory`, or a list of one per row,
+    whose errors are the boundary velocity outputs y = C x, the tracking
+    errors against a zero reference.
     """
     t = _time_grid(t_end, dt)
-    As, no_input = plant.As, np.zeros((plant.state_dim, 0))
-    y, sq, last = _sample(As, linalg._diagonal_blocks(As), no_input, np.zeros((0, 0)), x0,
-                          np.zeros(0), t.size, dt, plant.C, plant.energy_weights)
-    return Trajectory(t=t, states=last[None], errors=y, energies=sq[0])
+    rows = _initial_rows(x0, plant.state_dim, batch=True)
+    As, p = plant.As, plant.output_dim
+    y, sq, last = _sample(As, linalg._diagonal_blocks(As), np.zeros((As.shape[0], 0)),
+                          np.zeros((0, 0)), rows, np.zeros(0), t.size, dt, plant.C,
+                          np.zeros((p, 0)), plant.energy_weights)
+    trajs = [Trajectory(t=t, states=last[i : i + 1], errors=y[:, :, i].T, energies=sq[0, :, i])
+             for i in range(rows.shape[0])]
+    return trajs[0] if np.ndim(x0) == 1 else trajs

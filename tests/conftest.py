@@ -1,9 +1,11 @@
 """Shared fixtures: the full simulation preset (built once per session), a
-small cheap plant for structural tests, and handcrafted scalar toys."""
+small cheap plant for structural tests, handcrafted scalar toys, and the
+per-step oracle of the sampler."""
 
 import numpy as np
 import pytest
 
+from wavereg import linalg
 from wavereg.exosystem import Exosystem, SignalTerm, build_exosystem, build_sect5_exosystem
 from wavereg.loop import ClosedLoop, assemble_direct
 from wavereg.plant import FourierOutputBasis, ModalWavePlant, assemble_wave_plant
@@ -108,3 +110,26 @@ def bare_loop(A):
     plant, controller or exosystem: the block path of ``spectrum`` on ``A``."""
     n = A.shape[0]
     return ClosedLoop(A, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0)), None, None, None)
+
+
+def sequential_reference(cl, exo, x0, n_steps, dt):
+    """Per-step oracle for simulate_exact: one product with the one-step
+    exponential per sample, errors and energies one state at a time."""
+    n, q = cl.state_dim, exo.q
+    aug = np.zeros((n + q, n + q), dtype=complex)
+    aug[:n, :n] = cl.Acl
+    aug[:n, n:] = cl.Bcl
+    aug[n:, n:] = np.diag(1j * exo.omegas)
+    step = linalg.expm(aug, dt)
+    xi = np.concatenate([np.asarray(x0, dtype=complex), exo.v0])
+    states, errors, energies = [], [], []
+    for _ in range(n_steps + 1):
+        states.append(xi[:n])
+        errors.append(cl.Ccl @ xi[:n] + cl.Dcl @ xi[n:])
+        energies.append(cl.plant.energy(xi[: cl.plant_dim]))
+        xi = step @ xi
+    return np.array(states), np.array(errors), np.array(energies)
+
+
+def rel_gap(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()

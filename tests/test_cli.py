@@ -13,7 +13,7 @@ import pytest
 from wavereg import checks, cli, linalg, loop, serialize
 from wavereg.cli import RunConfig, sect5_config
 
-from test_loop import sequential_reference
+from conftest import sequential_reference
 
 
 def save_config(cfg, path):

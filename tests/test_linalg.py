@@ -115,6 +115,18 @@ class TestExpm:
         with pytest.raises(linalg.OverflowCapError):
             linalg.expm(1e5 * np.eye(3), 100.0)
 
+    def test_real_input_stays_real(self):
+        # a real block gives a float64 result, the complex call's to roundoff;
+        # the finiteness check still refuses it
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((12, 12))
+        E = linalg.expm(A, 0.3)
+        assert E.dtype == np.float64
+        assert np.abs(E - linalg.expm(A.astype(complex), 0.3)).max() < 1e-14 * np.abs(E).max()
+        A[3, 4] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            linalg.expm(A, 0.3)
+
 
 class TestSylvester:
     def test_scalar_formula(self):

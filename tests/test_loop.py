@@ -24,7 +24,15 @@ from wavereg.synthesis import (
     synth_robust,
 )
 
-from conftest import bare_loop, harmonic_coeffs, scalar_plant, series_at, single_freq_exo
+from conftest import (
+    bare_loop,
+    harmonic_coeffs,
+    rel_gap,
+    scalar_plant,
+    sequential_reference,
+    series_at,
+    single_freq_exo,
+)
 
 
 def make_trajectory(t, errors):
@@ -33,29 +41,6 @@ def make_trajectory(t, errors):
         errors = errors[:, None]
     last = np.zeros((1, 1), dtype=complex)
     return Trajectory(t=t, states=last, errors=errors, energies=np.zeros(t.size))
-
-
-def sequential_reference(cl, exo, x0, n_steps, dt):
-    """Per-step oracle for simulate_exact: one product with the one-step
-    exponential per sample, errors and energies one state at a time."""
-    n, q = cl.state_dim, exo.q
-    aug = np.zeros((n + q, n + q), dtype=complex)
-    aug[:n, :n] = cl.Acl
-    aug[:n, n:] = cl.Bcl
-    aug[n:, n:] = np.diag(1j * exo.omegas)
-    step = linalg.expm(aug, dt)
-    xi = np.concatenate([np.asarray(x0, dtype=complex), exo.v0])
-    states, errors, energies = [], [], []
-    for _ in range(n_steps + 1):
-        states.append(xi[:n])
-        errors.append(cl.Ccl @ xi[:n] + cl.Dcl @ xi[n:])
-        energies.append(cl.plant.energy(xi[: cl.plant_dim]))
-        xi = step @ xi
-    return np.array(states), np.array(errors), np.array(energies)
-
-
-def rel_gap(a, b):
-    return np.abs(a - b).max() / np.abs(b).max()
 
 
 class TestAssembly:
@@ -221,7 +206,9 @@ class TestSimulation:
         assert cl.abscissa == -1.0 and cl.plant_dim == 1
         traj = simulate_exact(cl, exo, t_end=5.0, dt=0.01)
         expected = (np.exp(1j * traj.t) - np.exp(-traj.t)) / (1.0 + 1j)
-        # Ccl = 1 and Dcl = 0, so the error is the state
+        # Ccl = 1 and Dcl = 0, so the error is the state; e^{it} has no
+        # partner e^{-it}, so the loop has no real form and samples in complex
+        assert traj.errors.dtype == np.complex128
         assert np.abs(traj.errors[:, 0] - expected).max() < 1e-9
 
     def test_halving_dt_is_consistent(self, small_plant, small_exo):
@@ -288,9 +275,19 @@ class TestSimulation:
         with pytest.raises(ValueError, match="NaN or Inf"):
             simulate_exact(dataclasses.replace(cl, Acl=Acl), small_exo, t_end=1.0, dt=0.01)
 
-    def test_error_is_real_for_real_symmetric_data(self, sect5_loop, sect5_exo):
-        traj = simulate_exact(sect5_loop, sect5_exo, t_end=1.0, dt=0.01)
-        assert np.abs(traj.errors.imag).max() < 1e-10
+    def test_error_is_real_for_real_symmetric_data(self, sect5_plant, sect5_exo, sect5_loop):
+        # the preset signals are real and its three loops exactly
+        # conjugate-symmetric, so each samples in float64; the last state is
+        # mapped back to the loop's own complex coordinates
+        loops = [sect5_loop] + [
+            assemble_direct(sect5_plant, synth(sect5_plant, sect5_exo, 0.15), sect5_exo)
+            for synth in (synth_regulating, synth_robust)
+        ]
+        for cl in loops:
+            traj = simulate_exact(cl, sect5_exo, t_end=1.0, dt=0.01)
+            assert traj.errors.dtype == np.float64 and traj.energies.dtype == np.float64
+            assert traj.states.shape == (1, cl.state_dim)
+            assert traj.states.dtype == np.complex128
 
 
 class TestBlockStepping:
@@ -342,6 +339,22 @@ class TestBlockStepping:
             assert rel_gap(resp.energies, energies) < 1e-12
 
 
+    def test_free_response_batch_matches_single_states(self, small_plant):
+        # rows of initial states share one fill; each row's trajectory is the
+        # one its own call gives, up to the roundoff of the wider GEMMs
+        rng = np.random.default_rng(24)
+        real_rows = rng.standard_normal((4, small_plant.state_dim))
+        complex_rows = real_rows + 1j * rng.standard_normal(real_rows.shape)
+        for rows in (real_rows, complex_rows):
+            batch = loop.free_response(small_plant, rows, t_end=3.0, dt=0.01)
+            assert len(batch) == rows.shape[0]
+            for x0, resp in zip(rows, batch):
+                single = loop.free_response(small_plant, x0, t_end=3.0, dt=0.01)
+                assert resp.errors.dtype == single.errors.dtype == rows.dtype
+                assert rel_gap(resp.errors, single.errors) < 1e-13
+                assert rel_gap(resp.energies, single.energies) < 1e-13
+                assert rel_gap(resp.states, single.states) < 1e-13
+
     def test_regulating_preset_loop_splits_at_roundoff(self, sect5_plant, sect5_exo):
         # its only cross-channel entries are projection roundoff of E and F,
         # at most eps*||Acl||_F, so it is one block per channel group
@@ -367,7 +380,8 @@ class TestBlockStepping:
 class TestMemory:
     def test_peak_allocation_scales_with_outputs_not_states(self, small_plant, small_exo):
         # each block is reduced as soon as it is filled: the peak is a few
-        # (n_rows, outputs + widest block + q) arrays, not the (n_rows, n) history
+        # (outputs + widest block + q, n_rows) arrays, not the (n, n_rows)
+        # history; the loop samples in real arithmetic, 8 bytes an entry
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
         cl = assemble_direct(small_plant, ctrl, small_exo)
         widest = max(idx.size for idx in linalg._diagonal_blocks(cl.Acl))
@@ -381,7 +395,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 16 * n_rows * per_row  # complex128 entries
+        assert peak < 3 * 8 * n_rows * per_row  # float64 entries
 
 
 class TestWindowedError:

@@ -5,7 +5,8 @@ either inner boundary condition), a reference at one drive frequency and a
 disturbance at another, both in [0.5, 8], with random Fourier profiles, and
 a truncation order N below the angular cutoff. The block-wise spectrum is
 checked on random permuted block-diagonal matrices, also under coupling at
-roundoff level, and on the preset loops.
+roundoff level, and on the preset loops. The sampler is checked against the
+per-step oracle in both the real form and complex arithmetic.
 """
 
 from dataclasses import replace
@@ -21,7 +22,7 @@ from wavereg import checks, linalg, loop, synthesis
 from wavereg.exosystem import SignalTerm, build_exosystem
 from wavereg.plant import assemble_wave_plant
 
-from conftest import bare_loop
+from conftest import bare_loop, rel_gap, sequential_reference
 
 EPS = 0.15
 
@@ -252,3 +253,42 @@ def test_energy_balance_along_blocked_trajectory(problem):
     quadrature = t_end / 12.0 * np.abs(np.diff(power, 2)).max()
     scale = max(traj.energies.max(), np.abs(power).max())
     assert drift.max() <= 2.0 * quadrature + 1e-10 * scale
+
+
+def _partner_symmetric(ctrl, z):
+    """``z`` with each controller copy at -omega replaced by the conjugate of
+    its partner's copy at omega: the exactly conjugate-symmetric z0."""
+    copies = z.reshape(ctrl.omegas.size, ctrl.block_dim).copy()
+    for k, w in enumerate(ctrl.omegas):
+        if w < 0:
+            copies[k] = copies[list(ctrl.omegas).index(-w)].conj()
+    return copies.ravel()
+
+
+@_PROPERTY_SETTINGS
+@given(small_problems(), st.sampled_from(["regulating", "approx", "robust"]),
+       st.integers(0, 2**32 - 1))
+def test_sampler_matches_per_step_oracle(problem, kind, seed):
+    # a conjugate-symmetric z0 keeps the loop's real form and samples in
+    # float64; any other complex z0 samples the loop as it is, in complex128.
+    # 150 steps straddle the doubling pass that starts at row 128.
+    plant, exo, N = problem
+    if kind == "regulating":
+        ctrl = synthesis.synth_regulating(plant, exo, EPS)
+    elif kind == "approx":
+        ctrl = synthesis.synth_approx_robust(plant, exo, N, EPS)
+    else:
+        ctrl = synthesis.synth_robust(plant, exo, EPS)
+    cl = loop.assemble_direct(plant, ctrl, exo)
+    rng = np.random.default_rng(seed)
+    x_p = rng.standard_normal(plant.state_dim)
+    z = rng.standard_normal(ctrl.dim_z) + 1j * rng.standard_normal(ctrl.dim_z)
+    dt, n_steps = 0.01, 150
+    for z0, dtype in ((_partner_symmetric(ctrl, z), np.float64), (z, np.complex128)):
+        x0 = np.concatenate([x_p, z0])
+        traj = loop.simulate_exact(cl, exo, x0=x0, t_end=n_steps * dt, dt=dt)
+        states, errors, energies = sequential_reference(cl, exo, x0, n_steps, dt)
+        assert traj.errors.dtype == dtype
+        assert rel_gap(traj.states[0], states[-1]) < 1e-12
+        assert rel_gap(traj.errors, errors) < 1e-12
+        assert rel_gap(traj.energies, energies) < 1e-12
