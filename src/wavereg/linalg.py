@@ -9,7 +9,8 @@ sampler steps real blocks in real arithmetic. The Kronecker-product oracle
 and the spectrum matching live in :mod:`wavereg.checks`.
 :func:`_diagonal_blocks` finds the diagonal blocks of a matrix up to a
 permutation; a closed loop partitions its generator once
-(``ClosedLoop.blocks``) and hands the blocks to the kernels here. ``is_normal`` is a diagnostic only; no production path branches on it.
+(``ClosedLoop.blocks``) and hands the blocks to the kernels here.
+``is_normal`` is a diagnostic only; no production path branches on it.
 """
 
 from __future__ import annotations
