@@ -9,9 +9,10 @@ decoupled channels of the loop) once; its spectrum, the regulator solve and
 the simulation read that partition. The loop stays in the paper's complex
 coordinates; only the sampler maps it. Its plant, reference and disturbance
 are real, and its exosystem and internal model come in conjugate +-omega
-pairs, so a unitary map that pairs each controller copy and exosystem
-coordinate with its partner makes the loop real (:func:`_real_form`); a loop
-without that symmetry is sampled as it is, in complex arithmetic, by the same
+pairs, so the unitary map that pairs each controller copy and exosystem
+coordinate with its partner makes the loop real. :func:`_real_form` maps
+every operand once and keeps the real parts only if they come out exactly
+real; any other loop is sampled as it is, in complex arithmetic, by the same
 code. The sampler steps each block on its own, stored state-major as
 (states, samples) with the block's own copy of the exosystem, and fills the
 samples by doubling: the samples [k, 2k) are the samples [0, k) times
@@ -102,9 +103,9 @@ class ClosedLoop:
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled closed-loop run: tracking errors and plant energy at each time
-    ``t``; ``states`` is the last state x_e(t_end) alone, as a (1, n) row in
-    the loop's own coordinates. ``errors`` is real when the run was sampled in
-    real arithmetic."""
+    ``t``; ``states`` is the last state x_e(t_end) alone, as a complex (1, n)
+    row in the loop's own coordinates. ``errors`` is float64 when the loop
+    was sampled in its real form, complex otherwise."""
 
     t: np.ndarray
     states: np.ndarray
@@ -248,99 +249,53 @@ def _pairs(omegas):
     return first, partner[first]
 
 
-def _swap(size, f, s):
-    perm = np.arange(size)
-    perm[f], perm[s] = s, f
-    return perm
+# sqrt 2 times the unitary pair map U on one pair (f, s): U x has the
+# entries (x_f + x_s) / sqrt 2 and i (x_s - x_f) / sqrt 2 there
+_U = np.array([[1, 1], [-1j, 1j]])
 
 
-def _pair(M, f, s, j=1j):
-    """M U^T, U the unitary pair map acting on the last axis of M: entries f
-    and s become (M_f + M_s) / sqrt 2 and j (M_s - M_f) / sqrt 2, the others
-    stay. ``j = -1j`` gives M U^H."""
-    out = M.astype(complex)
+def _pair(M, f, s, T):
+    """In place, the entries f and s of the last axis of the complex ``M``
+    become ``[M_f, M_s] T / sqrt 2``, pair by pair; returns M. ``T = _U.T``
+    gives M U^T, ``_U.conj().T`` gives M U^H, and ``_U.conj()`` undoes M U^T."""
     a, b = M[..., f], M[..., s]
-    out[..., f], out[..., s] = (a + b) / np.sqrt(2.0), j * (b - a) / np.sqrt(2.0)
-    return out
-
-
-def _unpair(R, f, s):
-    """R conj(U), the inverse of :func:`_pair` on the last axis of R."""
-    out = R.astype(complex)
-    a, b = R[..., f], R[..., s]
-    out[..., f], out[..., s] = (a + 1j * b) / np.sqrt(2.0), (a - 1j * b) / np.sqrt(2.0)
-    return out
-
-
-def _conj_symmetric(M, rows, cols):
-    """Whether ``M[rows][:, cols]`` equals conj(M) exactly, for involutions
-    ``rows`` and ``cols``: they map the nonzero entries onto the nonzero
-    entries, so checking those suffices."""
-    i, j = np.nonzero(M != 0)  # faster than np.nonzero(M) on complex M
-    return np.array_equal(M[rows[i], cols[j]], M[i, j].conj())
+    M[..., f] = (a * T[0, 0] + b * T[1, 0]) / np.sqrt(2.0)
+    M[..., s] = (a * T[0, 1] + b * T[1, 1]) / np.sqrt(2.0)
+    return M
 
 
 def _real_form(cl, exo, x0):
-    """The sampler's operands (A, B, S, C, D, x0, v0) and blocks of the loop,
-    and the pairs (f, s) that map its last state back.
+    """The sampler's operands (A, B, S, C, D, x0, v0) of the loop, and the
+    pairs (f, s) that map its last state back.
 
     The exosystem and the internal model come in conjugate pairs: each
     exosystem coordinate and each controller copy (k, b) at omega has a
-    partner at -omega. If every frequency has its partner and Acl, Bcl, Ccl,
-    Dcl, v0 and ``x0`` are exactly conjugate-symmetric under the partner
-    swap, the unitary pair map U (:func:`_pair`) of the loop's and the
-    exosystem's pairs, the identity on the plant, makes the loop real: each
-    operand is Re(U M U^H), its imaginary part being roundoff, computed block
-    by block for Acl, and the blocks of partner copies merge. Otherwise the
-    operands are the loop's own, in complex dtype, and there are no pairs.
+    partner at -omega. The unitary pair map U of the loop's and the
+    exosystem's pairs, the identity on the plant, maps each operand M to
+    U M U^H (x0 and v0 to U x), once, in one complex copy. If every
+    frequency has its partner, each partner pair lies in one block of
+    ``cl.blocks``, and every mapped operand is exactly real, the operands are
+    their real parts; an exactly conjugate-symmetric loop is. Otherwise they
+    are the loop's own, sampled in complex arithmetic, and there are no pairs.
     """
-    none = np.zeros(0, dtype=int)
-    ops = (cl.Acl, cl.Bcl, exo.S, cl.Ccl, cl.Dcl, x0, exo.v0)
+    no = (np.zeros(0, dtype=int),) * 2
+    ops = (cl.Acl, cl.Bcl, exo.S, cl.Ccl, cl.Dcl, x0.T, exo.v0[:, None])  # x0, v0 as columns
     pq = _pairs(exo.omegas)
     pc = None if cl.ctrl is None else _pairs(cl.ctrl.omegas)
-    if pq is None or pc is None:
-        return ops, cl.blocks, (none, none)
-    bd, n_p, n = cl.ctrl.block_dim, cl.plant_dim, cl.state_dim
-    f, s = (n_p + (k[:, None] * bd + np.arange(bd)).ravel() for k in pc)
-    p, pe = _swap(n, f, s), _swap(exo.q, *pq)
-    if not (
-        _conj_symmetric(cl.Acl, p, p)
-        and _conj_symmetric(cl.Bcl, p, pe)
-        and _conj_symmetric(cl.Ccl, np.arange(cl.Ccl.shape[0]), p)
-        and _conj_symmetric(cl.Dcl, np.arange(cl.Dcl.shape[0]), pe)
-        and _conj_symmetric(x0, np.arange(x0.shape[0]), p)
-        and np.array_equal(exo.v0[pe], exo.v0.conj())
-    ):
-        return ops, cl.blocks, (none, none)
-
-    def real(M, rows, cols):  # Re(U_rows M U_cols^H)
-        return _pair(_pair(M, *cols, -1j).T, *rows).T.real
-
-    label = np.empty(n, dtype=int)
-    for c, idx in enumerate(cl.blocks):
-        label[idx] = c
-    partner = np.arange(len(cl.blocks))
-    partner[label[f]], partner[label[s]] = label[s], label[f]  # the swap maps blocks onto blocks
-    blocks = [np.union1d(idx, cl.blocks[partner[c]]) for c, idx in enumerate(cl.blocks)
-              if partner[c] >= c]
-    local = np.empty(n, dtype=int)
-    for c, idx in enumerate(blocks):
-        label[idx], local[idx] = c, np.arange(idx.size)
-    A = np.zeros((n, n))
-    for c, idx in enumerate(blocks):
-        mine = label[f] == c
-        pairs = (local[f[mine]], local[s[mine]])
-        A[np.ix_(idx, idx)] = real(cl.Acl[np.ix_(idx, idx)], pairs, pairs)
-    ops = (
-        A,
-        real(cl.Bcl, (f, s), pq),
-        real(exo.S, pq, pq),
-        real(cl.Ccl, (none, none), (f, s)),
-        real(cl.Dcl, (none, none), pq),
-        _pair(x0, f, s).real,
-        _pair(exo.v0, *pq).real,
-    )
-    return ops, blocks, (f, s)
+    if pq is not None and pc is not None:
+        bd, n_p = cl.ctrl.block_dim, cl.plant_dim
+        pc = tuple(n_p + (k[:, None] * bd + np.arange(bd)).ravel() for k in pc)
+        label = np.empty(cl.state_dim, dtype=int)
+        for c, idx in enumerate(cl.blocks):
+            label[idx] = c
+        mapped = [np.array(M, dtype=complex) for M in ops]
+        sides = zip((pc, pc, pq, no, no, pc, pq), (pc, pq, pq, pc, pq, no, no))
+        for M, (rows, cols) in zip(mapped, sides):
+            _pair(_pair(M, *cols, _U.conj().T).T, *rows, _U.T)  # U M U^H
+        if np.array_equal(label[pc[0]], label[pc[1]]) and not any(M.imag.any() for M in mapped):
+            A, B, S, C, D, x, v = (M.real for M in mapped)
+            return (A, B, S, C, D, x.T, v[:, 0]), pc
+    return (*ops[:5], x0, exo.v0), no
 
 
 def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
@@ -348,10 +303,11 @@ def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
 
     :func:`_sample` steps one block at a time, so the samples are exact for
     the LTI system up to roundoff; halving dt only refines the sampling. It
-    runs in real arithmetic when :func:`_real_form` finds the loop's real
-    form, and in complex arithmetic on the loop as it is otherwise. It keeps
-    no state history, only the errors C x + D v, the plant energy,
-    ||x_e||^2 and the last state, mapped back to the loop's coordinates.
+    samples the operands of :func:`_real_form` on the loop's ``blocks``: in
+    float64 when the mapped loop came out exactly real, in complex128 on the
+    loop as it is otherwise. It keeps no state history, only the errors
+    C x + D v, the plant energy, ||x_e||^2 and the last state, mapped back to
+    the loop's coordinates.
 
     Parameters
     ----------
@@ -371,8 +327,8 @@ def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
     n = cl.state_dim
     x0 = _initial_rows(np.zeros(n) if x0 is None else x0, n)
     w = np.pad(cl.plant.energy_weights, (0, n - cl.plant_dim))  # zero on controller states
-    (A, B, S, C, D, x0, v0), blocks, pairs = _real_form(cl, exo, x0)
-    errors, sq, last = _sample(A, blocks, B, S, x0, v0, t.size, dt, C, D, w)
+    (A, B, S, C, D, x0, v0), pairs = _real_form(cl, exo, x0)
+    errors, sq, last = _sample(A, cl.blocks, B, S, x0, v0, t.size, dt, C, D, w)
     # the cap bounds ||(x_e, v)||, |v_k(t)| = |v0_k|; a non-finite sample is over it
     norms = np.hypot(np.sqrt(sq[1, :, 0]), np.linalg.norm(exo.v0))
     over = ~(norms <= _GROWTH_CAP * (1.0 + norms[0]))
@@ -381,9 +337,8 @@ def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
             f"trajectory exceeded the growth cap at t={t[np.argmax(over)]:.3f} "
             f"(abscissa {cl.abscissa:+.3e})"
         )
-    return Trajectory(
-        t=t, states=_unpair(last, *pairs), errors=errors[:, :, 0].T, energies=sq[0, :, 0]
-    )
+    states = _pair(last.astype(complex), *pairs, _U.conj())  # back to the loop's coordinates
+    return Trajectory(t=t, states=states, errors=errors[:, :, 0].T, energies=sq[0, :, 0])
 
 
 def windowed_error(traj, window=1.0, weights=None):

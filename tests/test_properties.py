@@ -6,7 +6,9 @@ disturbance at another, both in [0.5, 8], with random Fourier profiles, and
 a truncation order N below the angular cutoff. The block-wise spectrum is
 checked on random permuted block-diagonal matrices, also under coupling at
 roundoff level, and on the preset loops. The sampler is checked against the
-per-step oracle in both the real form and complex arithmetic.
+per-step oracle in both the real form and complex arithmetic, also on loops
+that must leave the real form: a Bcl entry one ulp off its symmetry, and a
++-omega copy pair cut off from the plant (the preset's among them).
 """
 
 from dataclasses import replace
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavereg import checks, linalg, loop, synthesis
-from wavereg.exosystem import SignalTerm, build_exosystem
+from wavereg.exosystem import SignalTerm, build_exosystem, build_sect5_exosystem
 from wavereg.plant import assemble_wave_plant
 
 from conftest import bare_loop, rel_gap, sequential_reference
@@ -265,12 +267,27 @@ def _partner_symmetric(ctrl, z):
     return copies.ravel()
 
 
+def _cut_pair(ctrl):
+    """``ctrl`` with the copies of its first +-omega pair cut off from the
+    plant (their G2 rows and K0 columns zeroed), and those copies' first
+    coordinates in the controller state."""
+    first = [k[0] * ctrl.block_dim for k in loop._pairs(ctrl.omegas)]
+    cut = np.concatenate([np.arange(k, k + ctrl.block_dim) for k in first])
+    G2, K0 = ctrl.G2.copy(), ctrl.K0.copy()
+    G2[cut], K0[:, cut] = 0.0, 0.0
+    return replace(ctrl, G2=G2, K0=K0), first
+
+
 @_PROPERTY_SETTINGS
 @given(small_problems(), st.sampled_from(["regulating", "approx", "robust"]),
        st.integers(0, 2**32 - 1))
+@example(problem=(_plant(8, 12, "neumann"), build_sect5_exosystem(11), 5), kind="regulating",
+         seed=0)  # the preset; its cut pair is copies 0 and 3, which gives 13 blocks
 def test_sampler_matches_per_step_oracle(problem, kind, seed):
     # a conjugate-symmetric z0 keeps the loop's real form and samples in
-    # float64; any other complex z0 samples the loop as it is, in complex128.
+    # float64. Any other complex z0, one Bcl entry one ulp up, or a +-omega
+    # copy pair cut off from the plant (its partners in different blocks)
+    # samples the loop as it is, in complex128.
     # 150 steps straddle the doubling pass that starts at row 128.
     plant, exo, N = problem
     if kind == "regulating":
@@ -283,9 +300,18 @@ def test_sampler_matches_per_step_oracle(problem, kind, seed):
     rng = np.random.default_rng(seed)
     x_p = rng.standard_normal(plant.state_dim)
     z = rng.standard_normal(ctrl.dim_z) + 1j * rng.standard_normal(ctrl.dim_z)
+    x0 = np.concatenate([x_p, _partner_symmetric(ctrl, z)])
+    Bcl = cl.Bcl.copy()
+    i = np.unravel_index(np.abs(Bcl.real).argmax(), Bcl.shape)
+    Bcl[i] = np.nextafter(Bcl[i].real, np.inf) + 1j * Bcl[i].imag
+    cut, first = _cut_pair(ctrl)
+    cut_cl = loop.assemble_direct(plant, cut, exo)
+    block_of = {j: c for c, idx in enumerate(cut_cl.blocks) for j in idx}
+    assert block_of[plant.state_dim + first[0]] != block_of[plant.state_dim + first[1]]
+    cases = [(cl, x0, np.float64), (cl, np.concatenate([x_p, z]), np.complex128),
+             (replace(cl, Bcl=Bcl), x0, np.complex128), (cut_cl, x0, np.complex128)]
     dt, n_steps = 0.01, 150
-    for z0, dtype in ((_partner_symmetric(ctrl, z), np.float64), (z, np.complex128)):
-        x0 = np.concatenate([x_p, z0])
+    for cl, x0, dtype in cases:
         traj = loop.simulate_exact(cl, exo, x0=x0, t_end=n_steps * dt, dt=dt)
         states, errors, energies = sequential_reference(cl, exo, x0, n_steps, dt)
         assert traj.errors.dtype == dtype
