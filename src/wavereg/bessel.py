@@ -10,11 +10,10 @@ boundary r = 1: (Y_m(k), J_m(k)) pins the value there (Dirichlet),
 the roots of the Neumann condition R'(2) = 0 at the actuated outer boundary.
 One Chebyshev collocation eigenproblem per order seeds them (Trefethen,
 *Spectral Methods in MATLAB*, SIAM 2000, ``cheb``), secant steps on
-:func:`cross_fn` polish them, and a Sturm zero count guards against skipped
-roots; Lommel's integral, closed at r = 1 by the Wronskian, gives the norms.
-Each root's residual is checked relative to the scale |w_Y| + |w_J| of
-:func:`cross_fn` at that root, so the check means the same at every order;
-the ``cross_residual`` column of ``eigenvalues.csv`` stays the absolute one.
+:func:`cross_fn` polish them to residuals relative to its scale, and disjoint
+brackets with one Sturm zero count per order certify that none is skipped;
+Lommel's integral, closed at r = 1 by the Wronskian, gives the norms. The
+``cross_residual`` column of ``eigenvalues.csv`` stays the absolute residual.
 
 Dirichlet wavenumbers follow k ~ (n - 1/2) pi / (width), Neumann ones
 k ~ n pi; which family the simulation preset uses matters because the
@@ -145,14 +144,14 @@ def find_radial_roots(m, count, inner_bc):
     each step clipped to its bracket. The rigid k = 0 mode of the Neumann
     inner condition (invisible in energy and velocity output) is not returned.
 
-    Raises BracketError if fewer than ``count`` seeds lie below the cap, if a
-    bracket holds no sign change of cross_fn, if a residual relative to
-    cross_fn's scale |w_Y| + |w_J| at its root stays above
-    ``ROOT_RESIDUAL_TOL``, or if a mode has the wrong number of sign changes
-    on 8 * ``count`` midpoints of [1, 2]. By Sturm oscillation the n-th mode
-    has n - 1 zeros in (1, 2), or n for m = 0 with the Neumann inner
-    condition, whose excluded rigid mode comes first; a skipped root adds a
-    zero to every later mode.
+    The roots are exactly the first ``count``: each bracket holds a sign
+    change of cross_fn and its root passes the residual check, so each k is
+    the one wavenumber in its bracket (at most 8e-4 wide; roots of orders
+    0..60 lie at least 1.67 apart), and disjoint brackets make the roots
+    distinct and ascending. By Sturm oscillation the n-th mode has n - 1
+    zeros in (1, 2), n for m = 0 with the Neumann inner condition, so a last
+    mode with that many sign changes on 8 * ``count`` midpoints is the
+    count-th. BracketError names the order and the failed condition.
 
     Lommel's integral of the cylinder function R(r) = Z_m(k r) is
     int r R^2 dr = [r^2/2 (Z_m'(k r)^2 + (1 - m^2/(k r)^2) R^2)]_1^2, and
@@ -169,6 +168,8 @@ def find_radial_roots(m, count, inner_bc):
             f"found only {seeds.size} of {count} roots for order {m} below k={_BRACKET_CAP}"
         )
     lo, hi = seeds * (1.0 - _SEED_WIDTH), seeds * (1.0 + _SEED_WIDTH)
+    if np.any(hi[:-1] >= lo[1:]):
+        raise BracketError(f"seed brackets of order {m} overlap: two seeds share a root")
     k0, k1 = lo, hi
     f0, f1 = cross_fn(m, np.stack([lo, hi]), inner_bc)
     unbracketed = np.flatnonzero(np.sign(f0) * np.sign(f1) > 0)
@@ -195,14 +196,11 @@ def find_radial_roots(m, count, inner_bc):
             f"{relative[worst]:.3e}"
         )
     r = 1.0 + (np.arange(8 * count) + 0.5) / (8 * count)
-    negative = radial_profile(m, roots[:, None], r, inner_bc) < 0
-    zeros = np.count_nonzero(negative[:, 1:] != negative[:, :-1], axis=1)
-    expected = np.arange(count) + (m == 0 and inner_bc == "neumann")
-    bad = np.flatnonzero(zeros != expected)
-    if bad.size:
-        n = int(bad[0])
-        zero_count = f"mode {n + 1} of order {m} has {zeros[n]} interior zeros, not {expected[n]}"
-        raise BracketError(f"{zero_count}: a root was skipped")
+    zeros = np.count_nonzero(np.diff(radial_profile(m, roots[-1], r, inner_bc) < 0))
+    expected = count - 1 + (m == 0 and inner_bc == "neumann")
+    if zeros != expected:
+        raise BracketError(f"mode {count} of order {m} has {zeros} interior zeros, not "
+                           f"{expected}: a root was skipped")
     outer = radial_profile(m, roots, 2.0, inner_bc)
     inner = (2.0 / (np.pi * roots)) ** 2  # R(1)^2 or (R'(1)/k)^2, by the Wronskian
     if inner_bc == "neumann":

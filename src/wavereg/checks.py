@@ -8,8 +8,8 @@ every run of a configuration checks the same data.
 
 The independent oracles that the checks hold production code against live
 here too, off the paths of the other commands: :func:`match_spectra`,
-:func:`sylvester_kron`, :func:`assemble_paper_Ae` with its :func:`transfer`,
-and :func:`gamma_closed_form`.
+:func:`sylvester_kron`, :func:`assemble_paper_Ae` and
+:func:`gamma_closed_form`.
 """
 
 from __future__ import annotations
@@ -95,12 +95,6 @@ def assemble_paper_Ae(plant, ctrl, exo):
     )
     Ccl = np.hstack([C, C @ M]).astype(complex)
     return loop.ClosedLoop(Acl, Bcl, Ccl, CBE_F.astype(complex), plant, ctrl, exo)
-
-
-def transfer(cl, lam):
-    """Transfer function v -> e of the closed loop ``cl`` at the complex frequency ``lam``."""
-    X = linalg.solve_dense(lam * np.eye(cl.state_dim) - cl.Acl, cl.Bcl)
-    return cl.Ccl @ X + cl.Dcl
 
 
 def gamma_closed_form(plant, ctrl, exo):
@@ -308,8 +302,11 @@ def _delta(ctx):
 
 @_check("loop", "direct and transformed transfers agree on the exosystem directions")
 def _transfers(ctx):
+    def transfer(cl, w):  # v -> e of the loop ``cl`` at i w
+        return synthesis.eval_transfer(cl.Acl, cl.Bcl, cl.Ccl, 1j * w) + cl.Dcl
+
     worst = max(
-        np.linalg.norm((transfer(ctx.closed_loop, 1j * w) - transfer(ctx.paper_loop, 1j * w))[:, k])
+        np.linalg.norm((transfer(ctx.closed_loop, w) - transfer(ctx.paper_loop, w))[:, k])
         for k, w in enumerate(ctx.exo.omegas)
     )
     return worst < 1e-8, f"{worst:.2e}"

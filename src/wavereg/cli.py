@@ -390,6 +390,8 @@ def cmd_reproduce(figure, out_dir=None, emit_svg=False):
     """Export the data grid behind one of the preset figures (1-4)."""
     if figure not in (1, 2, 3, 4):
         raise ValueError("figure must be one of 1, 2, 3, 4")
+    if emit_svg and figure != 2:
+        raise ValueError(f"--svg renders figure 2 only, not figure {figure}")
     cfg = sect5_config()
     cfg.output.emit_svg = emit_svg
     out = _outdir(cfg, out_dir)
@@ -518,7 +520,7 @@ def main(argv=None):
     rep = sub.add_parser("reproduce", help="export preset figure data")
     rep.add_argument("--figure", type=int, required=True, choices=[1, 2, 3, 4])
     rep.add_argument("--out", metavar="DIR", default=None)
-    rep.add_argument("--svg", action="store_true", help="also emit SVG plots")
+    rep.add_argument("--svg", action="store_true", help="also emit SVG plots (figure 2 only)")
 
     args = parser.parse_args(argv)
     try:

@@ -272,11 +272,11 @@ def _real_form(cl, exo, x0):
     exosystem coordinate and each controller copy (k, b) at omega has a
     partner at -omega. The unitary pair map U of the loop's and the
     exosystem's pairs, the identity on the plant, maps each operand M to
-    U M U^H (x0 and v0 to U x), once, in one complex copy. If every
-    frequency has its partner, each partner pair lies in one block of
+    U M U^H (x0 and v0 to U x), once, in one complex copy at a time. If
+    every frequency has its partner, each partner pair lies in one block of
     ``cl.blocks``, and every mapped operand is exactly real, the operands are
-    their real parts; an exactly conjugate-symmetric loop is. Otherwise they
-    are the loop's own, sampled in complex arithmetic, and there are no pairs.
+    copies of their real parts; an exactly conjugate-symmetric loop is.
+    Otherwise they are the loop's own, sampled in complex128, with no pairs.
     """
     no = (np.zeros(0, dtype=int),) * 2
     ops = (cl.Acl, cl.Bcl, exo.S, cl.Ccl, cl.Dcl, x0.T, exo.v0[:, None])  # x0, v0 as columns
@@ -288,12 +288,12 @@ def _real_form(cl, exo, x0):
         label = np.empty(cl.state_dim, dtype=int)
         for c, idx in enumerate(cl.blocks):
             label[idx] = c
-        mapped = [np.array(M, dtype=complex) for M in ops]
         sides = zip((pc, pc, pq, no, no, pc, pq), (pc, pq, pq, pc, pq, no, no))
-        for M, (rows, cols) in zip(mapped, sides):
-            _pair(_pair(M, *cols, _U.conj().T).T, *rows, _U.T)  # U M U^H
-        if np.array_equal(label[pc[0]], label[pc[1]]) and not any(M.imag.any() for M in mapped):
-            A, B, S, C, D, x, v = (M.real for M in mapped)
+        mapped = (_pair(_pair(np.array(M, dtype=complex), *c, _U.conj().T).T, *r, _U.T).T
+                  for M, (r, c) in zip(ops, sides))  # U M U^H, one complex copy at a time
+        real = [M.real.copy() for M in mapped if not M.imag.any()]  # no complex copy outlives
+        if len(real) == len(ops) and np.array_equal(label[pc[0]], label[pc[1]]):
+            A, B, S, C, D, x, v = real
             return (A, B, S, C, D, x.T, v[:, 0]), pc
     return (*ops[:5], x0, exo.v0), no
 

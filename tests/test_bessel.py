@@ -185,12 +185,24 @@ class TestRootFinding:
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
     def test_scan_past_first_roots_raises(self, inner, m, skipped, monkeypatch):
         # seeds that start past root 1 (or 2) polish to true roots 2..9 (or
-        # 3..10); only the zero count tells them from a complete set
+        # 3..10); only the last mode's zero count tells them from a complete set
         seeds = bessel._collocation_wavenumbers
         monkeypatch.setattr(
             bessel, "_collocation_wavenumbers", lambda *args: seeds(*args)[skipped:]
         )
-        with pytest.raises(bessel.BracketError, match=f"mode 1 of order {m} has"):
+        with pytest.raises(bessel.BracketError, match=f"mode 8 of order {m} has"):
+            bessel.find_radial_roots(m, 8, inner)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
+    def test_repeated_seed_raises(self, inner, m, monkeypatch):
+        # seeds that repeat root 1 and drop root 2 end on a true root 8 whose
+        # zero count is right; only the disjoint brackets tell them apart
+        seeds = bessel._collocation_wavenumbers
+        monkeypatch.setattr(
+            bessel, "_collocation_wavenumbers", lambda *args: seeds(*args)[[0, 0, 2, 3, 4, 5, 6, 7]]
+        )
+        with pytest.raises(bessel.BracketError, match=f"order {m} overlap: two seeds share a root"):
             bessel.find_radial_roots(m, 8, inner)
 
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])

@@ -360,6 +360,19 @@ class TestReproduce:
         with pytest.raises(ValueError):
             cli.cmd_reproduce(7)
 
+    @pytest.mark.parametrize("figure", [1, 3, 4])
+    def test_svg_refused_for_figures_without_one(self, tmp_path, capsys, monkeypatch, figure):
+        # only figure 2 renders SVG; the others refuse --svg before any plant is built
+        def no_plant(cfg):
+            raise AssertionError("plant built for a refused --svg")
+
+        monkeypatch.setattr(cli, "build_plant", no_plant)
+        argv = ["reproduce", "--figure", str(figure), "--svg", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavereg: error:") and len(err.splitlines()) == 1
+        assert "figure 2 only" in err and not any(tmp_path.iterdir())
+
 
 # Each table maps a case's test id to its configuration. The ids are pinned to
 # the names the cases had when they were numbered by position, so that adding

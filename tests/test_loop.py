@@ -18,6 +18,7 @@ from wavereg.loop import (
 from wavereg.plant import assemble_wave_plant
 from wavereg.synthesis import (
     error_bound_delta,
+    eval_transfer,
     solve_regulator,
     synth_approx_robust,
     synth_regulating,
@@ -118,7 +119,8 @@ class TestPaperForm:
         for k, w in enumerate(small_exo.omegas):
             phi = np.zeros(small_exo.q)
             phi[k] = 1.0
-            gap_matrix = checks.transfer(cl_d, 1j * w) - checks.transfer(cl_p, 1j * w)
+            gap_matrix = (eval_transfer(cl_d.Acl, cl_d.Bcl, cl_d.Ccl, 1j * w) + cl_d.Dcl
+                          - eval_transfer(cl_p.Acl, cl_p.Bcl, cl_p.Ccl, 1j * w) - cl_p.Dcl)
             gap = np.linalg.norm(gap_matrix @ phi)
             assert gap < 1e-8
 
