@@ -162,6 +162,10 @@ class RunConfig:
         e = self.exosystem
         _require_known_preset(e.preset)
         if e.preset == "sect5":
+            for name in ("reference", "disturbance"):
+                if getattr(e, name):
+                    raise ValueError(f"exosystem.{name} must be empty: preset {e.preset!r} "
+                                     "fixes the signals (set preset to null for custom terms)")
             require_preset_order(p.m_angular - 1)
         else:
             _custom_exosystem(e, FourierOutputBasis(p.m_angular - 1))
@@ -277,15 +281,12 @@ def cmd_eigs(cfg, out_dir=None):
     """Write the radial eigenvalue table (m, n, k, mu, residual) as CSV."""
     out = _outdir(cfg, out_dir)
     p = cfg.plant
-    rows = []
-    for m in range(p.m_angular):
-        for mode in bessel.find_radial_roots(m, p.n_radial, inner_bc=p.inner_bc):
-            rows.append(
-                (mode.m, mode.n, float(mode.k), float(mode.mu),
-                 float(abs(bessel.cross_fn(mode.m, mode.k, p.inner_bc))))
-            )
+    modes = [mode for m in range(p.m_angular)
+             for mode in bessel.find_radial_roots(m, p.n_radial, inner_bc=p.inner_bc)]
+    table = {key: np.array([getattr(mode, key) for mode in modes]) for key in "m n k mu".split()}
+    residuals = [bessel.cross_fn(mode.m, mode.k, p.inner_bc) for mode in modes]
     path = out / "eigenvalues.csv"
-    serialize.save_csv(path, ["m", "n", "k", "mu", "cross_residual"], rows)
+    serialize.save_csv(path, {**table, "cross_residual": np.abs(residuals)})
     return path
 
 
@@ -364,9 +365,8 @@ def cmd_simulate(cfg, out_dir=None):
     csv_path = out / "simulation.csv"
     with _timed(timings, "csv"):
         # J(t) integrates over [t, t + window], so its column ends one window early
-        j_col = series.values.tolist() + [""] * (traj.t.size - series.values.size)
-        cols = (traj.t.tolist(), j_col, err_sq.tolist(), pn_err_sq.tolist(), traj.energies.tolist())
-        serialize.save_csv(csv_path, ["t", "J", "err_sq", "pn_err_sq", "energy"], list(zip(*cols)))
+        serialize.save_csv(csv_path, {"t": traj.t, "J": series.values, "err_sq": err_sq,
+                                      "pn_err_sq": pn_err_sq, "energy": traj.energies})
     if cfg.output.emit_svg:
         _svg_line_plot(
             out / "windowed_error.svg", series.t, series.values, "windowed tracking error", ylog=True
@@ -400,41 +400,32 @@ def cmd_reproduce(figure, out_dir=None, emit_svg=False):
     plant = build_plant(cfg)
     exo = build_exo(cfg, plant)
     theta = np.linspace(0.0, 2.0 * np.pi, 129)
+    profile = plant.basis.synthesize  # one row of samples on theta per row of coefficients
+
+    def grid(name, samples):  # the (name, theta) columns of a row-major profile grid
+        first, th = np.meshgrid(samples, theta, indexing="ij")
+        return {name: first, "theta": th}
+
     if figure == 4:
-        rows = []
-        for t in np.arange(0.0, 6.0 + 1e-12, 0.05):
-            w, _ = signals_at(exo, float(t))
-            profile = plant.basis.synthesize(np.real(w), theta)
-            rows.extend((float(t), float(th), float(val)) for th, val in zip(theta, profile))
-        path = out / "disturbance.csv"
-        serialize.save_csv(path, ["t", "theta", "d"], rows)
-        return {"csv": path}
-    ctrl = build_controller(cfg, plant, exo)
-    cl = loop.assemble_direct(plant, ctrl, exo)
-    traj = loop.simulate_exact(cl, exo, t_end=10.0 if figure == 1 else 9.0, dt=0.01)
-    if figure == 1:
-        rows = []
-        for i in range(0, traj.t.size, 10):  # sample profiles every 0.1s
-            t = float(traj.t[i])
-            _, yref_coeffs = signals_at(exo, t)
-            y_coeffs = np.real(traj.errors[i] + yref_coeffs)  # e = y - y_ref
-            y_prof = plant.basis.synthesize(y_coeffs, theta)
-            r_prof = plant.basis.synthesize(np.real(yref_coeffs), theta)
-            rows.extend(
-                (t, float(th), float(a), float(b)) for th, a, b in zip(theta, y_prof, r_prof)
-            )
-        path = out / "output_vs_reference.csv"
-        serialize.save_csv(path, ["t", "theta", "y", "y_ref"], rows)
-        return {"csv": path}
-    radii = np.linspace(1.0, 2.0, 33)
-    field2d = plant.displacement_profile(traj.states[-1], radii, theta)  # figure 3: t = 9
-    rows = [
-        (float(r), float(th), float(field2d[i, j]))
-        for i, r in enumerate(radii)
-        for j, th in enumerate(theta)
-    ]
-    path = out / "wave_profile_t9.csv"
-    serialize.save_csv(path, ["r", "theta", "w"], rows)
+        t = np.arange(0.0, 6.0 + 1e-12, 0.05)
+        w, _ = signals_at(exo, t)
+        name, columns = "disturbance.csv", {**grid("t", t), "d": profile(np.real(w), theta)}
+    else:
+        ctrl = build_controller(cfg, plant, exo)
+        cl = loop.assemble_direct(plant, ctrl, exo)
+        traj = loop.simulate_exact(cl, exo, t_end=10.0 if figure == 1 else 9.0, dt=0.01)
+        if figure == 1:
+            t = traj.t[::10]  # profiles every 0.1 s
+            _, yref = signals_at(exo, t)
+            y = np.real(traj.errors[::10] + yref)  # e = y - y_ref
+            name, y_ref = "output_vs_reference.csv", profile(np.real(yref), theta)
+            columns = {**grid("t", t), "y": profile(y, theta), "y_ref": y_ref}
+        else:
+            radii = np.linspace(1.0, 2.0, 33)
+            field2d = plant.displacement_profile(traj.states[-1], radii, theta)  # figure 3: t = 9
+            name, columns = "wave_profile_t9.csv", {**grid("r", radii), "w": field2d}
+    path = out / name
+    serialize.save_csv(path, columns)
     return {"csv": path}
 
 

@@ -74,14 +74,16 @@ class Exosystem:
 
 
 def v_at(exo, t):
-    """Exosystem state v(t) = exp(i omega_k t) v0_k, componentwise."""
-    return np.exp(1j * exo.omegas * t) * exo.v0
+    """Exosystem state v(t) = exp(i omega_k t) v0_k, componentwise; one row
+    per time for an array of times ``t``."""
+    return np.exp(1j * exo.omegas * np.asarray(t)[..., None]) * exo.v0
 
 
 def signals_at(exo, t):
-    """Disturbance and reference coefficients (w, y_ref) at time ``t``."""
+    """Disturbance and reference coefficients (w, y_ref) at time ``t``; one
+    row per time for an array of times ``t``."""
     v = v_at(exo, t)
-    return exo.E @ v, -(exo.F @ v)
+    return v @ exo.E.T, -(v @ exo.F.T)
 
 
 def build_exosystem(reference, disturbance, max_order):

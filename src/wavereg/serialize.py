@@ -2,14 +2,13 @@
 
 Matrices go to a diffable, language-neutral format: a comment header, one
 line ``rows cols iscomplex``, then row-major entries with "re im" pairs for
-complex data. All floats are written with 17 significant digits, which
-round-trips every double exactly, so re-running a deterministic pipeline
-reproduces files byte for byte.
+complex data. CSV tables are named columns: a header line, then one
+CRLF-terminated row per entry. All floats are written with 17 significant
+digits, which round-trips every double exactly, so re-running a
+deterministic pipeline reproduces files byte for byte.
 """
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
@@ -21,15 +20,13 @@ def _fmt(x):
 
 
 def save_matrix(path, M):
-    """Write a real or complex matrix (or vector) to ``path``."""
+    """Write a real or complex matrix (or vector) to ``path``; a complex
+    matrix is written as the real array of its "re im" pairs."""
     A = np.atleast_2d(np.asarray(M))
     complex_flag = int(np.iscomplexobj(A))
+    values = np.ascontiguousarray(A, dtype=complex if complex_flag else float).view(float)
     lines = [_MAGIC, f"{A.shape[0]} {A.shape[1]} {complex_flag}"]
-    for row in A:
-        if complex_flag:
-            lines.append(" ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in row))
-        else:
-            lines.append(" ".join(_fmt(float(x)) for x in row))
+    lines += [" ".join(map(_fmt, row)) for row in values.tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -44,20 +41,14 @@ def load_matrix(path):
     if len(header) != 3 or not all(tok.isdigit() for tok in header) or header[2] not in ("0", "1"):
         raise ValueError(f"{path}: missing or malformed 'rows cols iscomplex' line")
     rows, cols, complex_flag = (int(tok) for tok in header)
-    data = []
-    for ln in lines[2:]:
-        vals = [float(tok) for tok in ln.split()]
-        if complex_flag:
-            if len(vals) != 2 * cols:
-                raise ValueError(f"{path}: malformed complex row")
-            data.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(cols)])
-        else:
-            if len(vals) != cols:
-                raise ValueError(f"{path}: malformed row")
-            data.append(vals)
+    width = cols * (1 + complex_flag)  # the real entries of a row
+    data = [[float(tok) for tok in ln.split()] for ln in lines[2:]]
+    if any(len(vals) != width for vals in data):
+        raise ValueError(f"{path}: malformed {'complex ' * complex_flag}row")
     if cols and len(data) != rows:  # the rows of a zero-column matrix are blank
         raise ValueError(f"{path}: expected {rows} rows, found {len(data)}")
-    return np.array(data, dtype=complex if complex_flag else float).reshape(rows, cols)
+    values = np.array(data, dtype=float).reshape(rows, width)
+    return values.view(complex) if complex_flag else values
 
 
 def load_vector(path):
@@ -65,10 +56,17 @@ def load_vector(path):
     return load_matrix(path).ravel()
 
 
-def save_csv(path, header, rows):
-    """Write a CSV table; floats get 17 significant digits (exact round trip)."""
+def save_csv(path, columns):
+    """Write the named ``columns``, in order, as a CSV table.
+
+    Each column is an array, flattened in row-major order. The table has a
+    header line and one CRLF-terminated row per entry of the first column;
+    a shorter column ends in empty cells. Floats get 17 significant digits
+    (exact round trip), other values are written with ``str``.
+    """
+    cells = [[_fmt(v) if isinstance(v, float) else str(v) for v in np.ravel(col).tolist()]
+             for col in columns.values()]
+    n = len(cells[0])
+    rows = zip(*(col + [""] * (n - len(col)) for col in cells))
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        fh.write("\r\n".join([",".join(columns), *map(",".join, rows)]) + "\r\n")

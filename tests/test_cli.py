@@ -88,6 +88,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig.from_dict({"plant": {"damping_q": -1.0}})
 
+    @pytest.mark.parametrize("name", ["reference", "disturbance"])
+    def test_preset_refuses_signal_terms(self, name):
+        # the preset fixes its signals, so terms beside it would be ignored
+        with pytest.raises(ValueError, match=rf"exosystem\.{name} .*preset 'sect5'"):
+            RunConfig.from_dict({"exosystem": {name: [{"bogus": 1}]}})
+
     @pytest.mark.parametrize("message", TERM_DATA_ERRORS)
     def test_term_data_rejected_by_name(self, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -120,17 +126,25 @@ class TestConfig:
 
 class TestMatrixFormat:
     def test_real_round_trip(self, tmp_path):
-        M = np.array([[1.0, -2.5], [0.25, 1e-17]])
+        # bit for bit, with the sign of -0.0, the smallest subnormal and both
+        # infinities; an integer matrix comes back as its float values
+        floats = np.array([[1.0, -2.5, -0.0, np.inf], [0.25, 1e-17, 5e-324, -np.inf]])
         path = tmp_path / "m.mtx"
-        serialize.save_matrix(path, M)
-        assert np.array_equal(serialize.load_matrix(path), M)
+        for M in (floats, np.arange(-3, 3).reshape(2, 3)):
+            serialize.save_matrix(path, M)
+            loaded = serialize.load_matrix(path)
+            assert loaded.dtype == float and loaded.shape == M.shape
+            assert loaded.tobytes() == M.astype(float).tobytes()
 
     def test_complex_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
         M = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        M[0, 0], M[1, 1], M[2, 2] = complex(1.0, np.inf), complex(-0.0, -0.0), complex(5e-324, -np.inf)
         path = tmp_path / "m.mtx"
         serialize.save_matrix(path, M)
-        assert np.array_equal(serialize.load_matrix(path), M)
+        loaded = serialize.load_matrix(path)
+        assert loaded.dtype == complex and loaded.shape == M.shape
+        assert loaded.tobytes() == M.tobytes()
 
     def test_vector_round_trip(self, tmp_path):
         v = np.array([1.0 + 2.0j, -0.5j])
@@ -157,6 +171,20 @@ class TestMatrixFormat:
         path.write_text("nonsense\n")
         with pytest.raises(ValueError):
             serialize.load_matrix(path)
+
+
+def test_csv_golden_bytes(tmp_path):
+    # named columns in order, CRLF line ends, 17-digit floats, integers with
+    # str, and a short column that ends in empty cells
+    path = tmp_path / "table.csv"
+    serialize.save_csv(path, {"n": np.arange(1, 4), "x": np.array([0.1, -0.0, 1e300]),
+                              "J": np.array([2.0 / 3.0])})
+    assert path.read_bytes() == (
+        b"n,x,J\r\n"
+        b"1,0.10000000000000001,0.66666666666666663\r\n"
+        b"2,-0,\r\n"
+        b"3,1.0000000000000001e+300,\r\n"
+    )
 
 
 class TestEigsCommand:
@@ -408,6 +436,7 @@ EXOSYSTEM_ERRORS = {
         "exosystem": {"preset": None, "reference": [{"temporal": "sin", "omega_over_pi": 0}]}
     },
     "overrides19": {"exosystem": {"preset": None}},
+    "preset-with-terms": {"exosystem": {"reference": [{"bogus": 1}], "disturbance": [42]}},
     **dict(zip(["overrides20", "overrides21", "overrides22"], TERM_DATA_ERRORS.values())),
 }
 # valid configurations the library rejects while it builds the run

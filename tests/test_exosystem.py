@@ -47,6 +47,15 @@ class TestStateFlow:
     def test_initial_state(self, sect5_exo):
         assert np.allclose(v_at(sect5_exo, 0.0), sect5_exo.v0)
 
+    def test_array_of_times_gives_rows_of_scalar_calls(self, sect5_exo):
+        t = np.random.default_rng(5).uniform(0.0, 50.0, 7)
+        w, yref = signals_at(sect5_exo, t)
+        assert w.shape == yref.shape == (t.size, sect5_exo.E.shape[0])
+        for row, ti in enumerate(t):
+            w_i, yref_i = signals_at(sect5_exo, ti)
+            assert np.abs(w[row] - w_i).max() <= 1e-15
+            assert np.abs(yref[row] - yref_i).max() <= 1e-15
+
     def test_half_period_flips_sign(self):
         exo = Exosystem(
             omegas=np.array([np.pi]),

@@ -47,6 +47,9 @@ LAYERS = (
     "linalg.expm.calls",
     "linalg.expm.busy_s",
     "loop.simulate_exact.self_s",
+    "serialize.save_csv.busy_s",
+    "serialize.save_matrix.busy_s",
+    "serialize.load_matrix.busy_s",
 )
 
 
