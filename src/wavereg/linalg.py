@@ -1,12 +1,13 @@
 """Dense linear algebra shared by the plant, synthesis and simulation code.
 
 Contract-checked wrappers around numpy/scipy dense kernels (solve, eig, SVD,
-matrix exponential) plus the columnwise resolvent solver of the regulator
-equations for diagonal harmonic generators; each verifies its own result and
-returns plain numpy arrays. The solve, eig, SVD and Sylvester kernels work in
-complex arithmetic; the matrix exponential keeps a real operand real, so the
-sampler steps real blocks in real arithmetic. The Kronecker-product oracle
-and the spectrum matching live in :mod:`wavereg.checks`.
+matrix exponential); each verifies its own result and returns plain numpy
+arrays. The solve, eig and SVD kernels work in complex arithmetic; the matrix
+exponential keeps a real operand real, so the sampler steps real blocks in
+real arithmetic. :func:`sylvester_diag`, the columnwise resolvent solver of
+Sylvester equations with a diagonal harmonic generator, is an oracle: no
+production path calls it, and :mod:`wavereg.checks` holds the regulator
+solve against it block by block, and it against the Kronecker-product solve.
 :func:`_diagonal_blocks` finds the diagonal blocks of a matrix up to a
 permutation; a closed loop partitions its generator once
 (``ClosedLoop.blocks``) and hands the blocks to the kernels here.
@@ -204,31 +205,13 @@ def expm(A, t=1.0):
 
 
 def sylvester_diag(Ae, Be, omegas):
-    """Solve ``Sigma S = Ae Sigma + Be`` for ``S = diag(i*omega_k)``.
+    """Solve ``Sigma S = Ae Sigma + Be`` for ``S = diag(i*omega_k)``, one
+    resolvent solve ``(i*omega_k - Ae) Sigma_k = Be_k`` per column k of the
+    (n, q) ``Be``; the oracle of the regulator solve, off the production path.
 
-    Applied to the k-th Euclidean basis vector the equation decouples into
-    the resolvent solves ``(i*omega_k - Ae) Sigma_k = Be_k``, which is how
-    the columns are computed here.
-
-    Parameters
-    ----------
-    Ae : (n, n) array_like
-    Be : (n, q) array_like
-        One column per frequency.
-    omegas : sequence of float
-        Real frequencies; ``i*omega_k`` must avoid the spectrum of ``Ae``.
-
-    Returns
-    -------
-    Sigma : (n, q) ndarray
-
-    Raises
-    ------
-    ResonanceError
-        If some ``i*omega_k - Ae`` is numerically singular.
-    ConvergenceError
-        If the assembled residual violates
-        ``1e-8 (||Ae|| ||Sigma|| + ||Be||)``.
+    Raises ``ResonanceError`` if some ``i*omega_k - Ae`` is numerically
+    singular, and ``ConvergenceError`` if the residual exceeds
+    ``1e-8 (||Ae|| ||Sigma|| + ||Be||)`` (Frobenius norms).
     """
     M = as_matrix(Ae, "Ae")
     R = as_matrix(Be, "Be")

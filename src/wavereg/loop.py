@@ -5,8 +5,9 @@ eliminating u and y. The similar transformed form of the boundary-system
 construction, its cross-validation oracle, lives in :mod:`wavereg.checks`.
 
 A :class:`ClosedLoop` partitions its generator into diagonal blocks (the
-decoupled channels of the loop) once; its spectrum, the regulator solve and
-the simulation read that partition. The loop stays in the paper's complex
+decoupled channels of the loop) once; its spectrum and the simulation read
+that partition (the regulator solve works from the plant's closed forms and
+does not). The loop stays in the paper's complex
 coordinates; only the sampler maps it. Its plant, reference and disturbance
 are real, and its exosystem and internal model come in conjugate +-omega
 pairs, so the unitary map that pairs each controller copy and exosystem

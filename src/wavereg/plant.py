@@ -195,6 +195,16 @@ class ModalWavePlant:
             raise ResonanceError(lam, f"lambda={lam} is a pole of P_s")
         return Ps
 
+    def input_resolvent(self, lam):
+        """(lambda - A_s)^{-1} B = (lambda - A)^{-1} B (I - Q P_s(lambda)) in
+        closed form: oscillator j turns a force b into the position
+        b / (lambda^2 + omega_j^2) and lambda times that as velocity. Raises
+        ``ResonanceError`` as :meth:`transfer` does."""
+        n = self.n_modes
+        gain = 1.0 - self.Q_feedback * self.transfer(lam)
+        force = self.B[n:] * gain / (lam**2 - np.diag(self.A[n:, :n]))[:, None]
+        return np.vstack([force, lam * force])
+
     def displacement_profile(self, x, r, theta):
         """Displacement field w(r, theta) of a state, shape (len(r), len(theta))."""
         rv = np.atleast_1d(np.asarray(r, dtype=float))

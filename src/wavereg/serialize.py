@@ -61,12 +61,16 @@ def save_csv(path, columns):
 
     Each column is an array, flattened in row-major order. The table has a
     header line and one CRLF-terminated row per entry of the first column;
-    a shorter column ends in empty cells. Floats get 17 significant digits
-    (exact round trip), other values are written with ``str``.
+    a shorter column ends in empty cells, and a longer one raises
+    ``ValueError``. Floats get 17 significant digits (exact round trip), other
+    values are written with ``str``.
     """
     cells = [[_fmt(v) if isinstance(v, float) else str(v) for v in np.ravel(col).tolist()]
              for col in columns.values()]
     n = len(cells[0])
+    for name, col in zip(columns, cells):
+        if len(col) > n:
+            raise ValueError(f"column {name!r} has {len(col)} entries, the first has {n}")
     rows = zip(*(col + [""] * (n - len(col)) for col in cells))
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write("\r\n".join([",".join(columns), *map(",".join, rows)]) + "\r\n")

@@ -11,8 +11,9 @@ every synthesis works channel by channel on the closed-form diagonal
 oracle it is checked against. Also provides the algebraic internal-model
 test (trivial kernel of G2, trivial range intersections with i w - G1, read
 off the row blocks of G2), the regulator-equation solver and the asymptotic
-tracking-error bound. The closed-form internal-model block that cross-checks
-the regulator solver lives in :mod:`wavereg.checks`.
+tracking-error bound. The regulator solver, too, works from the plant's
+closed forms, one controller-space solve per frequency; its oracle, dense
+Sylvester solves on the loop's diagonal blocks, lives in :mod:`wavereg.checks`.
 """
 
 from __future__ import annotations
@@ -291,22 +292,33 @@ def check_g_conditions(ctrl):
 
 
 def solve_regulator(closed_loop, exo):
-    """Solve the regulator Sylvester equation of the assembled closed loop.
-
-    Each diagonal block of the loop (``closed_loop.blocks``) is solved on its
-    own. Returns the partitioned solution along with the Sylvester defect of
-    the whole loop (residual1, spectral norm; a scaled check per block inside
-    the solver) and the error map C_e Sigma + D_e.
+    """Solve the regulator equation Sigma S = Acl Sigma + Bcl of the directly
+    assembled loop, one frequency at a time, from the plant's closed forms:
+    with P_k = P_s(i w_k), ((i w_k - G1) - G2 P_k K) z_k = G2 (P_k E_s + F) phi_k
+    gives the controller rows and (i w_k - A_s)^{-1} B (K z_k + E_s phi_k) the
+    plant rows. Raises ``ResonanceError(w_k)`` at a singular controller-space
+    matrix or a pole of P_s, and ``ConvergenceError`` if the defect residual1
+    (spectral norm) exceeds 1e-8 (||Acl|| ||Sigma|| + ||Bcl||) (Frobenius).
     """
+    plant, ctrl, n_p = closed_loop.plant, closed_loop.ctrl, closed_loop.plant_dim
+    E_s, K = stabilized_disturbance(plant, exo), ctrl.K
+    copies = np.repeat(ctrl.omegas, ctrl.block_dim)  # the diagonal of G1 / i
+    Sigma = np.empty(closed_loop.Bcl.shape, dtype=complex)
+    for k, w in enumerate(exo.omegas):
+        try:
+            p = plant.transfer(1j * w)
+            M = np.diag(1j * (w - copies)) - ctrl.G2 @ (p[:, None] * K)
+            Sigma[n_p:, k] = z = linalg.solve_dense(M, ctrl.G2 @ (p * E_s[:, k] + exo.F[:, k]))
+            Sigma[:n_p, k] = plant.input_resolvent(1j * w) @ (K @ z + E_s[:, k])
+        except (ResonanceError, SingularMatrixError) as exc:
+            raise ResonanceError(w) from exc
     Acl, Bcl = closed_loop.Acl, closed_loop.Bcl
-    Sigma = np.empty(Bcl.shape, dtype=complex)
-    for idx in closed_loop.blocks:
-        Sigma[idx] = linalg.sylvester_diag(Acl[np.ix_(idx, idx)], Bcl[idx], exo.omegas)
     resid1 = np.linalg.norm(Sigma * (1j * exo.omegas) - Acl @ Sigma - Bcl, 2)
+    bound = 1e-8 * (np.linalg.norm(Acl) * np.linalg.norm(Sigma) + np.linalg.norm(Bcl))
+    if resid1 > bound:
+        raise linalg.ConvergenceError(f"regulator residual {resid1:.3e} exceeds {bound:.3e}")
     return RegulatorSolution(
-        Sigma=Sigma,
-        Gamma=Sigma[closed_loop.plant_dim:],
-        residual1=float(resid1),
+        Sigma=Sigma, Gamma=Sigma[n_p:], residual1=float(resid1),
         error_map=closed_loop.Ccl @ Sigma + closed_loop.Dcl,
     )
 

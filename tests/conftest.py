@@ -65,12 +65,16 @@ def series_at(series, time):
 
 class DenseTransferPlant(ModalWavePlant):
     """Plant without wave structure whose channel transfer is the diagonal of
-    the dense resolvent C (lambda - As)^{-1} B, which must be diagonal."""
+    the dense resolvent C (lambda - As)^{-1} B, which must be diagonal, and
+    whose input resolvent (lambda - As)^{-1} B is a dense solve."""
 
     def transfer(self, lam):
         P = eval_transfer(self.As, self.B, self.C, lam)
         assert not (P - np.diag(np.diag(P))).any(), "dense transfer is not diagonal"
         return np.diag(P)
+
+    def input_resolvent(self, lam):
+        return linalg.solve_dense(lam * np.eye(self.state_dim) - self.As, self.B)
 
 
 def scalar_plant(a=-1.0, b=1.0, c=1.0):

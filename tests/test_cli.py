@@ -187,6 +187,14 @@ def test_csv_golden_bytes(tmp_path):
     )
 
 
+def test_csv_refuses_column_longer_than_the_first(tmp_path):
+    # a longer column would be cut short without a word
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="column 'b' has 2 entries, the first has 1"):
+        serialize.save_csv(path, {"a": np.array([1.0]), "b": np.array([1.0, 2.0])})
+    assert not path.exists()
+
+
 class TestEigsCommand:
     def test_sect5_table(self, tmp_path):
         path = cli.cmd_eigs(sect5_config(), tmp_path)
@@ -249,7 +257,7 @@ class TestSynthCommand:
     pytest.param(cli.cmd_synth, id="synth"),
 ])
 def test_preset_command_partitions_its_loop_once(tmp_path, monkeypatch, command):
-    # the spectrum, the regulator solve, the sampler and the report all read cl.blocks
+    # the spectrum, the sampler and the report all read cl.blocks
     partition, calls = linalg._diagonal_blocks, []
 
     def counted(M):

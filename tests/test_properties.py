@@ -64,6 +64,8 @@ def test_closed_form_transfer_is_the_dense_diagonal(problem, stiffness_scale, q_
             diag = np.diag(dense)
             assert not (dense - np.diag(diag)).any()
             assert np.abs(p.transfer(1j * w) - diag).max() <= 1e-12 * np.abs(diag).max()
+            dense = linalg.solve_dense(1j * w * np.eye(p.state_dim) - p.As, p.B)
+            assert rel_gap(p.input_resolvent(1j * w), dense) <= 1e-12
 
 
 @_PROPERTY_SETTINGS
@@ -92,16 +94,27 @@ def test_regulating_controller_regulates_exactly(problem):
 
 
 @_PROPERTY_SETTINGS
-@given(small_problems())
-def test_approx_controller_bound_and_closed_form(problem):
+@given(small_problems(), st.floats(0.5, 2.0), st.floats(0.0, 2.0))
+def test_approx_controller_bound_and_closed_form(problem, stiffness_scale, q_scale):
+    # the closed-form regulator solve matches the per-block Sylvester oracle
+    # for every controller kind, also around plants it was not designed for
     plant, exo, N = problem
     ctrl = synthesis.synth_approx_robust(plant, exo, N, EPS)
     cl = loop.assemble_direct(plant, ctrl, exo)
-    reg = synthesis.solve_regulator(cl, exo)
-    bound = synthesis.error_bound_delta(reg, cl, ctrl.projector())
+    bound = synthesis.error_bound_delta(synthesis.solve_regulator(cl, exo), cl, ctrl.projector())
     assert bound.delta <= bound.delta_coarse + 1e-15
-    gamma = checks.gamma_closed_form(plant, ctrl, exo)
-    assert np.abs(gamma - reg.Gamma).max() <= 1e-8 * max(1.0, np.abs(reg.Gamma).max())
+    others = [s(plant, exo, EPS) for s in (synthesis.synth_regulating, synthesis.synth_robust)]
+    for p in (plant, plant.perturbed(stiffness_scale, q_scale)):
+        for c in (ctrl, *others):
+            cl = loop.assemble_direct(p, c, exo)
+            try:
+                sigma = synthesis.solve_regulator(cl, exo).Sigma
+            except linalg.ResonanceError:
+                with pytest.raises(linalg.ResonanceError):
+                    checks.sylvester_blocks(cl, exo.omegas)
+                continue
+            oracle = checks.sylvester_blocks(cl, exo.omegas)
+            assert np.abs(sigma - oracle).max() <= 1e-8 * max(1.0, np.abs(sigma).max())
 
 
 def _dense_g_report(ctrl):

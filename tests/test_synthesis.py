@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavereg import linalg, synthesis
-from wavereg.checks import gamma_closed_form
+from wavereg.checks import sylvester_blocks
 from wavereg.loop import assemble_direct
 from wavereg.synthesis import (
     RangeViolationError,
@@ -282,14 +282,35 @@ class TestRegulatorEquations:
         M = sect5_loop.Ccl @ sect5_reg.Sigma + sect5_loop.Dcl
         assert np.linalg.norm(approx5.projector() @ M, 2) < 1e-8
 
-    def test_gamma_closed_form_matches_solver(self, sect5_plant, sect5_exo, approx5, sect5_reg):
-        gamma = gamma_closed_form(sect5_plant, approx5, sect5_exo)
-        assert np.abs(gamma - sect5_reg.Gamma).max() < 1e-8
+    def test_gamma_closed_form_matches_solver(self, sect5_loop, sect5_exo, sect5_reg):
+        oracle = sylvester_blocks(sect5_loop, sect5_exo.omegas)
+        assert np.abs(sect5_reg.Sigma - oracle).max() < 1e-8 * max(1.0, np.abs(oracle).max())
 
-    def test_gamma_closed_form_needs_projection_structure(self, sect5_plant, sect5_exo):
-        ctrl = synth_regulating(sect5_plant, sect5_exo, 0.15)
-        with pytest.raises(ValueError):
-            gamma_closed_form(sect5_plant, ctrl, sect5_exo)
+    def test_idle_controller_is_resonant(self, sect5_plant, sect5_exo):
+        # with K = 0 each internal-model copy sits undamped on its own frequency
+        idle = synth_approx_robust(sect5_plant, sect5_exo, 5, 0.0)
+        with pytest.raises(linalg.ResonanceError) as info:
+            solve_regulator(assemble_direct(sect5_plant, idle, sect5_exo), sect5_exo)
+        assert info.value.omega in sect5_exo.omegas
+
+    def test_plant_pole_is_resonant(self):
+        # i*0 is a pole of the integrator plant, so P_s(i w) does not exist there
+        plant, exo = scalar_plant(a=0.0), single_freq_exo(0.0)
+        ones = np.ones((1, 1), dtype=complex)
+        ctrl = synthesis.Controller("regulating", exo.omegas, 1, -ones, ones, eps=0.1)
+        with pytest.raises(linalg.ResonanceError) as info:
+            solve_regulator(assemble_direct(plant, ctrl, exo), exo)
+        assert info.value.omega == 0.0
+
+    def test_residual_check_refuses_wrong_plant_rows(self, small_plant, small_exo, monkeypatch):
+        ctrl = synth_approx_robust(small_plant, small_exo, 2, 0.15)
+        cl = assemble_direct(small_plant, ctrl, small_exo)
+        resolvent = type(small_plant).input_resolvent
+        monkeypatch.setattr(
+            type(small_plant), "input_resolvent", lambda self, lam: 1.01 * resolvent(self, lam)
+        )
+        with pytest.raises(linalg.ConvergenceError):
+            solve_regulator(cl, small_exo)
 
     def test_negative_control_breaks_regulation(self, sect5_plant, sect5_exo):
         ctrl = synth_regulating(sect5_plant, sect5_exo, 0.15)

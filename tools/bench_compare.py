@@ -43,6 +43,7 @@ LAYERS = (
     "linalg.eig.busy_s",
     "linalg.eig.n3_sum",
     "linalg.sylvester_diag.busy_s",
+    "linalg.solve_dense.calls",
     "linalg.svd.calls",
     "linalg.expm.calls",
     "linalg.expm.busy_s",
@@ -50,6 +51,7 @@ LAYERS = (
     "serialize.save_csv.busy_s",
     "serialize.save_matrix.busy_s",
     "serialize.load_matrix.busy_s",
+    "st_blas.speedup",
 )
 
 
