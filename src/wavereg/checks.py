@@ -9,7 +9,7 @@ every run of a configuration checks the same data.
 The independent oracles that the checks hold production code against live
 here too, off the paths of the other commands: :func:`match_spectra`,
 :func:`sylvester_kron`, :func:`sylvester_blocks` (the regulator solution
-from :func:`linalg.sylvester_diag` on each diagonal block of the loop) and
+from :func:`linalg.sylvester_diag` on each diagonal block of ``Acl``) and
 :func:`assemble_paper_Ae`.
 """
 
@@ -100,11 +100,11 @@ def assemble_paper_Ae(plant, ctrl, exo):
 
 def sylvester_blocks(closed_loop, omegas):
     """Regulator solution Sigma of ``closed_loop`` by a dense
-    :func:`linalg.sylvester_diag` solve on each of its diagonal blocks; the
-    oracle for :func:`synthesis.solve_regulator`."""
+    :func:`linalg.sylvester_diag` solve on each diagonal block of its own
+    ``Acl``; the oracle for :func:`synthesis.solve_regulator`."""
     Acl, Bcl = closed_loop.Acl, closed_loop.Bcl
     Sigma = np.empty(Bcl.shape, dtype=complex)
-    for idx in closed_loop.blocks:
+    for idx in linalg._diagonal_blocks(Acl):
         Sigma[idx] = linalg.sylvester_diag(Acl[np.ix_(idx, idx)], Bcl[idx], omegas)
     return Sigma
 

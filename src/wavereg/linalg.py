@@ -1,17 +1,13 @@
 """Dense linear algebra shared by the plant, synthesis and simulation code.
 
 Contract-checked wrappers around numpy/scipy dense kernels (solve, eig, SVD,
-matrix exponential); each verifies its own result and returns plain numpy
-arrays. The solve, eig and SVD kernels work in complex arithmetic; the matrix
-exponential keeps a real operand real, so the sampler steps real blocks in
-real arithmetic. :func:`sylvester_diag`, the columnwise resolvent solver of
-Sylvester equations with a diagonal harmonic generator, is an oracle: no
-production path calls it, and :mod:`wavereg.checks` holds the regulator
-solve against it block by block, and it against the Kronecker-product solve.
-:func:`_diagonal_blocks` finds the diagonal blocks of a matrix up to a
-permutation; a closed loop partitions its generator once
-(``ClosedLoop.blocks``) and hands the blocks to the kernels here.
-``is_normal`` is a diagnostic only; no production path branches on it.
+matrix exponential); each verifies its own result. eig and expm keep a real
+operand real; solve and SVD work in complex arithmetic.
+:func:`_diagonal_blocks` partitions a matrix into its diagonal blocks up to
+a permutation; a closed loop partitions its pair-form generator once.
+:func:`sylvester_diag` is an oracle that :mod:`wavereg.checks` holds the
+regulator solve against, and ``is_normal`` a diagnostic; no production path
+calls either.
 """
 
 from __future__ import annotations
@@ -145,6 +141,8 @@ def _diagonal_blocks(M):
 
 def eig(A):
     """Eigenvalues of a square matrix, sorted by real then imaginary part.
+    A real ``A`` is kept real, so its complex eigenvalues come in exactly
+    conjugate pairs.
 
     The eigenpair residual ``||A v - lambda v||`` is verified against
     ``1e-8 ||A||_F`` for every returned pair.
@@ -154,7 +152,8 @@ def eig(A):
     ConvergenceError
         If the QR iteration fails or the residual contract is violated.
     """
-    M = as_matrix(A)
+    A = np.asarray(A)
+    M = as_matrix(A, dtype=np.result_type(A, float))
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     try:

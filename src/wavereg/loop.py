@@ -4,25 +4,19 @@ The plant-controller-exosystem interconnection is assembled by directly
 eliminating u and y. The similar transformed form of the boundary-system
 construction, its cross-validation oracle, lives in :mod:`wavereg.checks`.
 
-A :class:`ClosedLoop` partitions its generator into diagonal blocks (the
-decoupled channels of the loop) once; its spectrum and the simulation read
-that partition (the regulator solve works from the plant's closed forms and
-does not). The loop stays in the paper's complex
-coordinates; only the sampler maps it. Its plant, reference and disturbance
-are real, and its exosystem and internal model come in conjugate +-omega
-pairs, so the unitary map that pairs each controller copy and exosystem
-coordinate with its partner makes the loop real. :func:`_real_form` maps
-every operand once and keeps the real parts only if they come out exactly
-real; any other loop is sampled as it is, in complex arithmetic, by the same
-code. The sampler steps each block on its own, stored state-major as
-(states, samples) with the block's own copy of the exosystem, and fills the
-samples by doubling: the samples [k, 2k) are the samples [0, k) times
-step^k, one GEMM per pass. Each block is reduced to its outputs and weighted
-squared norms by two more GEMMs once filled, so no state history is kept.
-:func:`free_response` samples many initial states of the plant in one fill,
-side by side in the same buffer. The samples are exact for the LTI dynamics
-up to the exponential's own tolerance and roundoff; only the sliding-window
-error integrals depend on dt.
+The plant, reference and disturbance are real, and the exosystem and the
+internal model come in conjugate +-omega pairs, so the unitary map U that
+pairs each controller copy (and exosystem coordinate) with its partner makes
+the loop real. A :class:`ClosedLoop` maps its generator to these pair
+coordinates once (``A_pair``); its diagonal blocks, its spectrum and the
+sampler all read that one matrix. :func:`simulate_exact` maps the other
+operands the same way and samples in their common dtype, float64 when all
+are exactly real. The sampler steps each block on its own with its own copy
+of the exosystem, filling the samples by doubling (samples [k, 2k) are
+samples [0, k) times step^k, one GEMM per pass), and reduces each block to
+outputs and weighted squared norms once filled, so no state history is kept.
+The samples are exact up to the exponential's tolerance and roundoff; only
+the sliding-window error integrals depend on dt.
 """
 
 from __future__ import annotations
@@ -46,10 +40,11 @@ class WindowTooLargeError(ValueError):
 @dataclass(frozen=True)
 class ClosedLoop:
     """Assembled interconnection x_e' = Acl x_e + Bcl v, e = Ccl x_e + Dcl v,
-    x_e the plant state over the controller state. The sizes, the diagonal
-    ``blocks`` of ``Acl`` (:func:`linalg._diagonal_blocks`, computed once), the
-    ``spectrum`` (per block, sorted by real then imaginary part) and its
-    abscissa derive from ``Acl`` and ``plant``."""
+    x_e the plant state over the controller state. ``pairs`` (f, s) are the
+    state indices of the controller copies at +-omega, and ``A_pair`` is
+    U Acl U^H for the pair map U on them: float64 when exactly real. The
+    diagonal ``blocks`` of ``A_pair`` and the ``spectrum`` (per block, sorted
+    by real then imaginary part) read it; each is computed once."""
 
     Acl: np.ndarray
     Bcl: np.ndarray
@@ -77,12 +72,25 @@ class ClosedLoop:
         return self.Acl.shape[0]
 
     @functools.cached_property
+    def pairs(self):
+        if self.ctrl is None:
+            return _NO_PAIRS
+        bd, offset = self.ctrl.block_dim, self.state_dim - self.ctrl.dim_z
+        return tuple(offset + (k[:, None] * bd + np.arange(bd)).ravel()
+                     for k in _pairs(self.ctrl.omegas))
+
+    @functools.cached_property
+    def A_pair(self):
+        return _mapped(self.Acl, self.pairs, self.pairs)
+
+    @functools.cached_property
     def blocks(self):
-        return linalg._diagonal_blocks(self.Acl)
+        return linalg._diagonal_blocks(self.A_pair)
 
     @functools.cached_property
     def spectrum(self):
-        w = np.concatenate([linalg.eig(self.Acl[np.ix_(idx, idx)]) for idx in self.blocks])
+        A = self.A_pair
+        w = np.concatenate([linalg.eig(A[np.ix_(idx, idx)]) for idx in self.blocks])
         return w[np.lexsort((w.imag, w.real))]
 
     @functools.cached_property
@@ -104,9 +112,8 @@ class ClosedLoop:
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled closed-loop run: tracking errors and plant energy at each time
-    ``t``; ``states`` is the last state x_e(t_end) alone, as a complex (1, n)
-    row in the loop's own coordinates. ``errors`` is float64 when the loop
-    was sampled in its real form, complex otherwise."""
+    ``t``, the errors in the dtype the sampler ran in; ``states`` is the last
+    state x_e(t_end) alone, a complex (1, n) row in the loop's coordinates."""
 
     t: np.ndarray
     states: np.ndarray
@@ -239,16 +246,15 @@ def _sample(A, blocks, B, S, x0, v0, n_rows, dt, C, D, w):
 
 
 def _pairs(omegas):
-    """Index pairs (f, s), f < s, with ``omegas[s] = -omegas[f]``; None
-    unless the frequencies are closed under negation. omega = 0 pairs with
-    itself and is in no pair."""
+    """Index pairs (f, s), f < s, with ``omegas[s] = -omegas[f]``. A frequency
+    without a partner, and omega = 0, is in no pair."""
     index = {w: k for k, w in enumerate(omegas)}
     partner = np.array([index.get(-w, -1) for w in omegas])
-    if (partner < 0).any():
-        return None
     first = np.flatnonzero(partner > np.arange(partner.size))
     return first, partner[first]
 
+
+_NO_PAIRS = (np.zeros(0, dtype=int),) * 2
 
 # sqrt 2 times the unitary pair map U on one pair (f, s): U x has the
 # entries (x_f + x_s) / sqrt 2 and i (x_s - x_f) / sqrt 2 there
@@ -265,50 +271,24 @@ def _pair(M, f, s, T):
     return M
 
 
-def _real_form(cl, exo, x0):
-    """The sampler's operands (A, B, S, C, D, x0, v0) of the loop, and the
-    pairs (f, s) that map its last state back.
-
-    The exosystem and the internal model come in conjugate pairs: each
-    exosystem coordinate and each controller copy (k, b) at omega has a
-    partner at -omega. The unitary pair map U of the loop's and the
-    exosystem's pairs, the identity on the plant, maps each operand M to
-    U M U^H (x0 and v0 to U x), once, in one complex copy at a time. If
-    every frequency has its partner, each partner pair lies in one block of
-    ``cl.blocks``, and every mapped operand is exactly real, the operands are
-    copies of their real parts; an exactly conjugate-symmetric loop is.
-    Otherwise they are the loop's own, sampled in complex128, with no pairs.
-    """
-    no = (np.zeros(0, dtype=int),) * 2
-    ops = (cl.Acl, cl.Bcl, exo.S, cl.Ccl, cl.Dcl, x0.T, exo.v0[:, None])  # x0, v0 as columns
-    pq = _pairs(exo.omegas)
-    pc = None if cl.ctrl is None else _pairs(cl.ctrl.omegas)
-    if pq is not None and pc is not None:
-        bd, n_p = cl.ctrl.block_dim, cl.plant_dim
-        pc = tuple(n_p + (k[:, None] * bd + np.arange(bd)).ravel() for k in pc)
-        label = np.empty(cl.state_dim, dtype=int)
-        for c, idx in enumerate(cl.blocks):
-            label[idx] = c
-        sides = zip((pc, pc, pq, no, no, pc, pq), (pc, pq, pq, pc, pq, no, no))
-        mapped = (_pair(_pair(np.array(M, dtype=complex), *c, _U.conj().T).T, *r, _U.T).T
-                  for M, (r, c) in zip(ops, sides))  # U M U^H, one complex copy at a time
-        real = [M.real.copy() for M in mapped if not M.imag.any()]  # no complex copy outlives
-        if len(real) == len(ops) and np.array_equal(label[pc[0]], label[pc[1]]):
-            A, B, S, C, D, x, v = real
-            return (A, B, S, C, D, x.T, v[:, 0]), pc
-    return (*ops[:5], x0, exo.v0), no
+def _mapped(M, rows, cols):
+    """U M U^H for the 2-D ``M``, U the pair map on the pairs ``rows`` (f, s)
+    of its rows and on the pairs ``cols`` of its columns, in one complex
+    copy; a float64 copy of the result when it is exactly real."""
+    P = _pair(_pair(np.array(M, dtype=complex), *cols, _U.conj().T).T, *rows, _U.T).T
+    return P if P.imag.any() else P.real.copy()
 
 
 def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
     """Simulate the closed loop driven by the exosystem.
 
-    :func:`_sample` steps one block at a time, so the samples are exact for
-    the LTI system up to roundoff; halving dt only refines the sampling. It
-    samples the operands of :func:`_real_form` on the loop's ``blocks``: in
-    float64 when the mapped loop came out exactly real, in complex128 on the
-    loop as it is otherwise. It keeps no state history, only the errors
-    C x + D v, the plant energy, ||x_e||^2 and the last state, mapped back to
-    the loop's coordinates.
+    :func:`_sample` steps ``cl.A_pair`` one block at a time, so the samples
+    are exact for the LTI system up to roundoff; halving dt only refines the
+    sampling. The other operands and x0, v0 are mapped to the same pair
+    coordinates (the exosystem's own +-omega pairs for v), each a float64
+    copy when exactly real, and the sampler runs in their common dtype. It
+    keeps no state history, only the errors C x + D v, the plant energy,
+    ||x_e||^2 and the last state, mapped back to the loop's coordinates.
 
     Parameters
     ----------
@@ -328,8 +308,11 @@ def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
     n = cl.state_dim
     x0 = _initial_rows(np.zeros(n) if x0 is None else x0, n)
     w = np.pad(cl.plant.energy_weights, (0, n - cl.plant_dim))  # zero on controller states
-    (A, B, S, C, D, x0, v0), pairs = _real_form(cl, exo, x0)
-    errors, sq, last = _sample(A, cl.blocks, B, S, x0, v0, t.size, dt, C, D, w)
+    pc, pq, no = cl.pairs, _pairs(exo.omegas), _NO_PAIRS
+    B, S = _mapped(cl.Bcl, pc, pq), _mapped(exo.S, pq, pq)
+    C, D = _mapped(cl.Ccl, no, pc), _mapped(cl.Dcl, no, pq)
+    x, v = _mapped(x0.T, pc, no).T, _mapped(exo.v0[:, None], pq, no)[:, 0]
+    errors, sq, last = _sample(cl.A_pair, cl.blocks, B, S, x, v, t.size, dt, C, D, w)
     # the cap bounds ||(x_e, v)||, |v_k(t)| = |v0_k|; a non-finite sample is over it
     norms = np.hypot(np.sqrt(sq[1, :, 0]), np.linalg.norm(exo.v0))
     over = ~(norms <= _GROWTH_CAP * (1.0 + norms[0]))
@@ -338,7 +321,7 @@ def simulate_exact(cl, exo, x0=None, t_end=20.0, dt=0.01):
             f"trajectory exceeded the growth cap at t={t[np.argmax(over)]:.3f} "
             f"(abscissa {cl.abscissa:+.3e})"
         )
-    states = _pair(last.astype(complex), *pairs, _U.conj())  # back to the loop's coordinates
+    states = _pair(last.astype(complex), *pc, _U.conj())  # back to the loop's coordinates
     return Trajectory(t=t, states=states, errors=errors[:, :, 0].T, energies=sq[0, :, 0])
 
 

@@ -172,25 +172,34 @@ class ModalWavePlant:
             self, A=A, As=As, Q_feedback=Q_new, energy_weights=weights, T_mod=T_new
         )
 
+    def _oscillators(self, lam):
+        """lambda^2 + omega_j^2 for each oscillator j, and beta with
+        beta[c, j] = C_cj B_jc, oscillator j's gain on its channel c."""
+        n = self.n_modes
+        return lam**2 - np.diag(self.A[n:, :n]), self.C[:, n:] * self.B[n:].T
+
     def transfer(self, lam):
         """Diagonal of P_s(lambda) = C (lambda - A_s)^{-1} B, one value per
         output channel, in closed form.
 
         Input and output are collocated and every mode drives one Fourier
         channel, so P_s is diagonal. Channel c of the undamped plant has the
-        velocity transfer p_c = sum_j C_cj B_jc lambda / (lambda^2 + omega_j^2)
-        and the damper closes the scalar loop P_s = p / (1 + Q p).
+        velocity transfer p_c = sum_j beta_cj lambda / (lambda^2 + omega_j^2),
+        and the damper closes the scalar loop P_s = p / (1 + Q p). At an
+        undamped eigenfrequency lambda = i omega_j, p_c is infinite on the
+        mode's channel and P_s = 1 / (1/p + Q) = 1/Q there.
 
         Raises
         ------
         ResonanceError
-            If ``lambda`` is a pole of P_s (some value is not finite).
+            If ``lambda`` is a pole of P_s (some value is not finite), as an
+            undamped eigenfrequency is when Q = 0.
         """
-        n = self.n_modes
-        omega_sq = -np.diag(self.A[n:, :n])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = (self.C[:, n:] * self.B[n:].T) @ (lam / (lam**2 + omega_sq))
-            Ps = p / (1.0 + self.Q_feedback * p)
+        d, beta = self._oscillators(lam)
+        with np.errstate(all="ignore"):  # a pole is refused below
+            p = beta @ np.divide(lam, d, out=np.zeros(d.shape, dtype=complex), where=d != 0)
+            Ps = np.where(beta[:, d == 0].any(axis=1), np.reciprocal(self.Q_feedback),
+                          p / (1.0 + self.Q_feedback * p))
         if not np.all(np.isfinite(Ps)):
             raise ResonanceError(lam, f"lambda={lam} is a pole of P_s")
         return Ps
@@ -198,11 +207,16 @@ class ModalWavePlant:
     def input_resolvent(self, lam):
         """(lambda - A_s)^{-1} B = (lambda - A)^{-1} B (I - Q P_s(lambda)) in
         closed form: oscillator j turns a force b into the position
-        b / (lambda^2 + omega_j^2) and lambda times that as velocity. Raises
-        ``ResonanceError`` as :meth:`transfer` does."""
-        n = self.n_modes
+        b (1 - Q P_s) / (lambda^2 + omega_j^2) and lambda times that as
+        velocity. At its undamped eigenfrequency that is 0/0, with the limit
+        b / (Q lambda beta_j). Raises ``ResonanceError`` as :meth:`transfer`
+        does."""
         gain = 1.0 - self.Q_feedback * self.transfer(lam)
-        force = self.B[n:] * gain / (lam**2 - np.diag(self.A[n:, :n]))[:, None]
+        (d, beta), B = self._oscillators(lam), self.B[self.n_modes :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            force = B * gain / d[:, None]
+        hit = d == 0
+        force[hit] = B[hit] / (self.Q_feedback * lam * beta.sum(axis=0)[hit, None])
         return np.vstack([force, lam * force])
 
     def displacement_profile(self, x, r, theta):

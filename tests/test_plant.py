@@ -4,7 +4,9 @@ import pytest
 from wavereg import linalg, loop
 from wavereg.exosystem import Exosystem
 from wavereg.plant import FourierOutputBasis, assemble_wave_plant, project_profile
-from wavereg.synthesis import Controller
+from wavereg.synthesis import Controller, eval_transfer
+
+from conftest import rel_gap
 
 
 class TestProjection:
@@ -141,6 +143,31 @@ class TestAssembly:
         idx = small_plant.basis.index(mode.radial.m, mode.parity)
         expected = np.outer(mode.radial.eval(r), small_plant.basis.evaluate(theta)[idx])
         assert np.abs(field - expected).max() < 1e-12
+
+
+class TestTransfer:
+    def test_finite_at_undamped_eigenfrequencies(self, small_plant):
+        # at lambda = i omega_j the undamped p is infinite on the mode's
+        # channel, but the damped P_s = 1/Q there and the resolvent is finite
+        plant, n = small_plant, small_plant.n_modes
+        eye = np.eye(plant.state_dim)
+        for j in range(n):
+            lam = 1j * np.sqrt(-plant.A[n + j, j])
+            assert lam**2 == plant.A[n + j, j]  # exactly on the resonance
+            dense = np.diag(eval_transfer(plant.As, plant.B, plant.C, lam))
+            Ps = plant.transfer(lam)
+            assert np.abs(Ps - dense).max() <= 1e-12 * np.abs(dense).max()
+            channel = np.flatnonzero(plant.C[:, n + j])
+            assert np.all(Ps[channel] == 1.0 / plant.Q_feedback)
+            dense = linalg.solve_dense(lam * eye - plant.As, plant.B)
+            assert rel_gap(plant.input_resolvent(lam), dense) <= 1e-12
+
+    def test_undamped_eigenfrequency_is_a_pole_without_damping(self, small_plant):
+        plant, n = small_plant.perturbed(q_scale=0.0), small_plant.n_modes
+        lam = 1j * np.sqrt(-plant.A[n + 5, 5])
+        for evaluate in (plant.transfer, plant.input_resolvent):
+            with pytest.raises(linalg.ResonanceError, match="is a pole of P_s"):
+                evaluate(lam)
 
 
 class TestEnergyPhysics:

@@ -6,9 +6,9 @@ disturbance at another, both in [0.5, 8], with random Fourier profiles, and
 a truncation order N below the angular cutoff. The block-wise spectrum is
 checked on random permuted block-diagonal matrices, also under coupling at
 roundoff level, and on the preset loops. The sampler is checked against the
-per-step oracle in both the real form and complex arithmetic, also on loops
-that must leave the real form: a Bcl entry one ulp off its symmetry, and a
-+-omega copy pair cut off from the plant (the preset's among them).
+per-step oracle in real and in complex arithmetic: a complex z0 or a Bcl
+entry one ulp off its symmetry samples in complex128, and a +-omega copy
+pair cut off from the plant (the preset's among them) stays real.
 """
 
 from dataclasses import replace
@@ -234,16 +234,30 @@ def test_roundoff_coupling_keeps_blocks_split(matrix_and_count, seed):
         assert len(linalg._diagonal_blocks(noisy)) == count - 1
 
 
+def _preset_loop(plant, exo, family):
+    if family == "regulating":
+        ctrl = synthesis.synth_regulating(plant, exo, EPS)
+    elif family == "robust":
+        ctrl = synthesis.synth_robust(plant, exo, EPS)
+    else:
+        ctrl = synthesis.synth_approx_robust(plant, exo, int(family[6:]), EPS)
+    return loop.assemble_direct(plant, ctrl, exo)
+
+
 @pytest.mark.parametrize("family", ["regulating", "approx1", "approx5", "approx8", "robust"])
 def test_preset_abscissa_matches_dense(sect5_plant, sect5_exo, family):
-    if family == "regulating":
-        ctrl = synthesis.synth_regulating(sect5_plant, sect5_exo, EPS)
-    elif family == "robust":
-        ctrl = synthesis.synth_robust(sect5_plant, sect5_exo, EPS)
-    else:
-        ctrl = synthesis.synth_approx_robust(sect5_plant, sect5_exo, int(family[6:]), EPS)
-    cl = loop.assemble_direct(sect5_plant, ctrl, sect5_exo)
+    cl = _preset_loop(sect5_plant, sect5_exo, family)
     assert abs(cl.abscissa - np.linalg.eigvals(cl.Acl).real.max()) <= 1e-10
+
+
+@pytest.mark.parametrize("family", ["regulating", "approx5", "robust"])
+def test_preset_spectrum_closed_under_conjugation(sect5_plant, sect5_exo, family):
+    # the pair form of a preset loop is real, so its eigenvalues come in
+    # exactly conjugate pairs
+    cl = _preset_loop(sect5_plant, sect5_exo, family)
+    w = cl.spectrum
+    assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+    assert abs(cl.abscissa - np.linalg.eigvals(cl.Acl).real.max()) <= 1e-12
 
 
 @_PROPERTY_SETTINGS
@@ -297,10 +311,10 @@ def _cut_pair(ctrl):
 @example(problem=(_plant(8, 12, "neumann"), build_sect5_exosystem(11), 5), kind="regulating",
          seed=0)  # the preset; its cut pair is copies 0 and 3, which gives 13 blocks
 def test_sampler_matches_per_step_oracle(problem, kind, seed):
-    # a conjugate-symmetric z0 keeps the loop's real form and samples in
-    # float64. Any other complex z0, one Bcl entry one ulp up, or a +-omega
-    # copy pair cut off from the plant (its partners in different blocks)
-    # samples the loop as it is, in complex128.
+    # a conjugate-symmetric z0 samples in float64 on the real pair form, and
+    # so does a +-omega copy pair cut off from the plant: its partners lie in
+    # different blocks of Acl but share one block of the pair form. Any
+    # other complex z0, or one Bcl entry one ulp up, samples in complex128.
     # 150 steps straddle the doubling pass that starts at row 128.
     plant, exo, N = problem
     if kind == "regulating":
@@ -320,9 +334,9 @@ def test_sampler_matches_per_step_oracle(problem, kind, seed):
     cut, first = _cut_pair(ctrl)
     cut_cl = loop.assemble_direct(plant, cut, exo)
     block_of = {j: c for c, idx in enumerate(cut_cl.blocks) for j in idx}
-    assert block_of[plant.state_dim + first[0]] != block_of[plant.state_dim + first[1]]
+    assert block_of[plant.state_dim + first[0]] == block_of[plant.state_dim + first[1]]
     cases = [(cl, x0, np.float64), (cl, np.concatenate([x_p, z]), np.complex128),
-             (replace(cl, Bcl=Bcl), x0, np.complex128), (cut_cl, x0, np.complex128)]
+             (replace(cl, Bcl=Bcl), x0, np.complex128), (cut_cl, x0, np.float64)]
     dt, n_steps = 0.01, 150
     for cl, x0, dtype in cases:
         traj = loop.simulate_exact(cl, exo, x0=x0, t_end=n_steps * dt, dt=dt)
