@@ -16,7 +16,8 @@ output; every command falls back to the built-in preset when no config is
 given. A custom exosystem term gives its profile either as coefficients on
 the output basis (``fourier``) or as samples on a uniform angular grid of
 at least 8 (max order + 1) points (``samples``), projected once on that
-basis. All emitted CSVs are deterministic (byte-identical across runs).
+basis. Emitted CSV, matrix and report files are byte-identical across
+reruns at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
