@@ -1,8 +1,9 @@
 """Dense linear algebra shared by the plant, synthesis and simulation code.
 
-Contract-checked wrappers around numpy/scipy dense kernels (solve, eig, SVD,
-matrix exponential); each verifies its own result. eig and expm keep a real
-operand real; solve and SVD work in complex arithmetic.
+Contract-checked wrappers around numpy dense kernels (eig, SVD, the
+Pade-13 matrix exponential of Higham 2005) and scipy's LU (solve); each
+verifies its own result. eig and expm keep a real operand real; solve and SVD
+work in complex arithmetic.
 :func:`_diagonal_blocks` partitions a matrix into its diagonal blocks up to
 a permutation; a closed loop partitions its pair-form generator once.
 :func:`sylvester_diag` is an oracle that :mod:`wavereg.checks` holds the
@@ -16,8 +17,6 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
 
 # Relative threshold below which singular values count as zero (rank tests,
 # channel gains of the regulating synthesis).
@@ -31,6 +30,17 @@ NORMALITY_RTOL = 1e-12
 
 # Largest ||A t||_F that expm accepts before it refuses to exponentiate.
 EXPM_NORM_CAP = 1e6
+
+# Pade-13 coefficients b_0..b_13, scaled to b_0 = 1 so that a zero matrix
+# gives exactly the identity, and the 1-norm up to which the unscaled
+# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
+# Appl. 26(4), 2005, Table 2.3).
+_PADE13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1,
+]) / 64764752532480000
+_THETA13 = 5.371920351148152
 
 
 class LinearAlgebraError(Exception):
@@ -130,13 +140,24 @@ def solve_dense(A, B):
 def _diagonal_blocks(M):
     """Index sets of the diagonal blocks of the square matrix ``M`` up to a
     permutation: the connected components of its symmetrized pattern of
-    entries above eps*||M||_F; each entry between blocks lies within the
-    backward error of a dense kernel on ``M``. NaN and Inf stay in, for the finiteness checks."""
+    entries above eps*||M||_F, found by reachability from the lowest free
+    index, in that order. Each entry between blocks lies within the backward
+    error of a dense kernel on ``M``. NaN and Inf stay in, for the finiteness
+    checks."""
     zero = np.isfinite(M) & (np.abs(M) <= np.finfo(float).eps * np.linalg.norm(M))
-    count, labels = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix(~zero), directed=False
-    )
-    return [np.flatnonzero(labels == c) for c in range(count)]
+    linked = ~zero | ~zero.T
+    free = np.ones(M.shape[0], dtype=bool)
+    blocks = []
+    while free.any():
+        block = np.zeros_like(free)
+        new = block.copy()
+        new[np.argmax(free)] = True
+        while new.any():
+            block |= new
+            new = linked[new].any(axis=0) & ~block
+        free &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
 
 
 def eig(A):
@@ -180,9 +201,9 @@ def is_normal(A, rtol=NORMALITY_RTOL):
 
 
 def expm(A, t=1.0):
-    """Matrix exponential ``exp(A t)`` by scipy's scaling-and-squaring Pade
-    code, guarded by a norm cap on the input and a finiteness check on the
-    result. A real ``A`` gives a real result.
+    """Matrix exponential ``exp(A t)`` by Pade-13 scaling and squaring
+    (Higham 2005) in numpy, guarded by a norm cap on the input and a
+    finiteness check on the result. A real ``A`` gives a real result.
 
     Raises
     ------
@@ -197,7 +218,21 @@ def expm(A, t=1.0):
         raise ValueError("t must be finite")
     if np.linalg.norm(M) * abs(t) > EXPM_NORM_CAP:
         raise OverflowCapError(f"||A t|| exceeds the cap {EXPM_NORM_CAP:.3e}")
-    E = scipy.linalg.expm(M * t)
+    norm1 = np.abs(M).sum(axis=0).max(initial=0.0) * abs(t)
+    s = max(0, int(np.ceil(np.log2(norm1 / _THETA13)))) if norm1 > 0 else 0
+    X = M * (t / 2.0**s)
+    b, eye = _PADE13, np.eye(M.shape[0])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    W = X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6 + b[5] * X4 + b[3] * X2
+    U = X @ (W + b[1] * eye)
+    V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye
+    E = np.linalg.solve(V - U, V + U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow reaches the caller only through the finiteness check
+        for _ in range(s):
+            E = E @ E
     if not np.all(np.isfinite(E)):
         raise OverflowCapError("matrix exponential overflowed")
     return E

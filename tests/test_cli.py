@@ -627,3 +627,20 @@ def test_cli_import_loads_no_verification_code():
     path, loaded = run.stdout.splitlines()
     assert Path(path).resolve() == Path(cli.__file__).resolve()
     assert loaded == "[]"
+
+
+def test_preset_runs_load_no_scipy_sparse(tmp_path):
+    """The preset ``simulate`` and ``synth`` leave scipy.sparse unloaded: expm and
+    the block partition run in numpy. scipy.linalg stays loaded, because
+    ``linalg.solve_dense`` needs scipy's LU factors for its pivot test."""
+    probe = (
+        "import sys; from wavereg import cli; cfg = cli.sect5_config(); "
+        f"cli.cmd_simulate(cfg, {str(tmp_path)!r}); cli.cmd_synth(cfg, {str(tmp_path)!r}); "
+        "print([m for m in sys.modules if m == 'scipy.sparse' or m.startswith('scipy.sparse.')])"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "simulation.csv").exists() and (tmp_path / "synth_report.json").exists()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -74,7 +76,9 @@ class TestEig:
 class TestExpm:
     def test_zero_matrix(self):
         for t in (0.0, 1.0, 17.5):
-            assert np.allclose(linalg.expm(np.zeros((4, 4)), t), np.eye(4), atol=1e-14)
+            for dtype in (float, complex):
+                E = linalg.expm(np.zeros((4, 4), dtype=dtype), t)
+                assert E.dtype == dtype and np.array_equal(E, np.eye(4))
 
     def test_unitary_diagonal(self):
         omega = np.array([1.0, -3.0, np.pi])
@@ -114,6 +118,31 @@ class TestExpm:
     def test_norm_cap(self):
         with pytest.raises(linalg.OverflowCapError):
             linalg.expm(1e5 * np.eye(3), 100.0)
+
+    def test_overflow_below_cap_fails_only_through_the_contract(self):
+        # ||A t||_F = 1.7e5 passes the cap, exp(1e5) overflows in the squarings;
+        # no RuntimeWarning may come first, even when warnings are errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(linalg.OverflowCapError, match="overflowed"):
+                linalg.expm(1e3 * np.eye(3), 100.0)
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["s=0", "s>0"])
+    def test_scipy_oracle(self, scaled):
+        # ||A t||_1 on one side of theta_13: the unscaled Pade approximant
+        # agrees to roundoff, the squarings compound it
+        rng = np.random.default_rng(8 + scaled)
+        for k in range(60):
+            n = int(rng.integers(1, 61))
+            A = rng.standard_normal((n, n))
+            if k % 2:
+                A = A + 1j * rng.standard_normal((n, n))
+            t = 10 ** rng.uniform(0.0, 2.0) if scaled else 10 ** rng.uniform(-3.0, 0.0)
+            t *= linalg._THETA13 / np.abs(A).sum(axis=0).max()
+            E, ref = linalg.expm(A, t), scipy.linalg.expm(A * t)
+            assert E.dtype == ref.dtype == (complex if k % 2 else np.float64)
+            rtol = 1e-10 if scaled else 1e-13
+            assert np.linalg.norm(E - ref) <= rtol * np.linalg.norm(ref)
 
     def test_real_input_stays_real(self):
         # a real block gives a float64 result, the complex call's to roundoff;
