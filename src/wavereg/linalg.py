@@ -219,7 +219,7 @@ def expm(A, t=1.0):
     if np.linalg.norm(M) * abs(t) > EXPM_NORM_CAP:
         raise OverflowCapError(f"||A t|| exceeds the cap {EXPM_NORM_CAP:.3e}")
     norm1 = np.abs(M).sum(axis=0).max(initial=0.0) * abs(t)
-    s = max(0, int(np.ceil(np.log2(norm1 / _THETA13)))) if norm1 > 0 else 0
+    s = int(np.ceil(np.log2(norm1 / _THETA13))) if norm1 > _THETA13 else 0
     X = M * (t / 2.0**s)
     b, eye = _PADE13, np.eye(M.shape[0])
     X2 = X @ X
