@@ -23,10 +23,11 @@ the outer circle is dropped consistently from both input and output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .bessel import RadialMode, find_radial_roots
+from .bessel import find_radial_roots
 from .linalg import ResonanceError
 
 
@@ -57,12 +58,6 @@ class FourierOutputBasis:
         if not 1 <= m <= self.max_order:
             raise ValueError(f"order {m} outside 1..{self.max_order}")
         return 2 * m - 1 if parity == "cos" else 2 * m
-
-    def labels(self):
-        out = ["const"]
-        for m in range(1, self.max_order + 1):
-            out += [f"cos{m}", f"sin{m}"]
-        return out
 
     def evaluate(self, theta):
         """Matrix of basis values, shape (dim, len(theta))."""
@@ -107,40 +102,31 @@ def project_profile(samples, max_order):
     return basis.evaluate(theta) @ f * (2.0 * np.pi / n)
 
 
-_PARITIES = {0: ("axi",), None: ("cos", "sin")}
-
-
-@dataclass(frozen=True)
-class PlantMode:
-    """One scalar oscillator of the modal plant."""
-
-    radial: RadialMode
-    parity: str
-
-    @property
-    def mu(self):
-        return self.radial.mu
-
-
 @dataclass(frozen=True)
 class ModalWavePlant:
-    """Finite-dimensional wave plant in modal coordinates.
+    """Wave plant in modal coordinates: a bank of collocated oscillators,
+    one per Laplacian eigenmode, each driving one Fourier output channel.
 
-    ``A`` is the undamped generator, ``As = A - B Q_feedback C`` the plant
-    pre-stabilized by the boundary damper. ``energy_weights`` define the
-    discrete energy norm ||x||_E^2 = sum_i w_i |x_i|^2 (stiffness-weighted
-    positions plus mass-weighted velocities), in which the undamped ``A`` is
+    Stored fields: ``modes`` (the :class:`~wavereg.bessel.RadialMode` of
+    each oscillator), ``channels`` (int array, the ``basis`` index of each
+    oscillator's channel), ``basis``, the boundary damping gain
+    ``Q_feedback``, the mass density ``rho`` and the stiffness ``T_mod``.
+
+    Derived from them on first use and cached, so that a
+    ``dataclasses.replace`` of any field gives a consistent plant: ``mu``
+    (eigenvalues k^2), ``trace`` (n_modes x output_dim boundary traces, row j
+    nonzero only at ``channels[j]``), the undamped generator ``A`` (stiffness
+    -mu T_mod / rho), ``B = [0; trace / rho]``, ``C = [0, trace^T]``,
+    ``As = A - Q_feedback B C`` pre-stabilized by the damper, and the
+    ``energy_weights`` (T_mod mu on positions, rho on velocities) of
+    ||x||_E^2 = sum_i w_i |x_i|^2, in which the undamped ``A`` is
     skew-adjoint.
     """
 
     modes: tuple
+    channels: np.ndarray
     basis: FourierOutputBasis
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    As: np.ndarray
     Q_feedback: float
-    energy_weights: np.ndarray
     rho: float
     T_mod: float
 
@@ -150,11 +136,43 @@ class ModalWavePlant:
 
     @property
     def state_dim(self):
-        return self.A.shape[0]
+        return 2 * self.n_modes
 
     @property
     def output_dim(self):
         return self.basis.dim
+
+    @cached_property
+    def mu(self):
+        return np.array([mode.mu for mode in self.modes])
+
+    @cached_property
+    def trace(self):
+        trace = np.zeros((self.n_modes, self.output_dim))
+        trace[range(self.n_modes), self.channels] = [mode.boundary_trace for mode in self.modes]
+        return trace
+
+    @cached_property
+    def A(self):
+        n = self.n_modes
+        zero, stiffness = np.zeros((n, n)), -np.diag(self.mu * self.T_mod / self.rho)
+        return np.block([[zero, np.eye(n)], [stiffness, zero]])
+
+    @cached_property
+    def B(self):
+        return np.vstack([np.zeros_like(self.trace), self.trace / self.rho])
+
+    @cached_property
+    def C(self):
+        return np.hstack([np.zeros_like(self.trace.T), self.trace.T])
+
+    @cached_property
+    def As(self):
+        return self.A - self.Q_feedback * (self.B @ self.C)
+
+    @cached_property
+    def energy_weights(self):
+        return np.concatenate([self.T_mod * self.mu, np.full(self.n_modes, self.rho)])
 
     def energy(self, x):
         """Discrete wave energy of a (complex) state vector."""
@@ -164,19 +182,13 @@ class ModalWavePlant:
         """Same mode set with scaled stiffness T and/or damping gain Q."""
         if stiffness_scale <= 0:
             raise ValueError("stiffness_scale must be positive")
-        T_new = self.T_mod * stiffness_scale
-        Q_new = self.Q_feedback * q_scale
-        mu = np.array([mode.mu for mode in self.modes])
-        A, As, weights = _generators(mu, T_new, self.rho, self.B, self.C, Q_new)
-        return replace(
-            self, A=A, As=As, Q_feedback=Q_new, energy_weights=weights, T_mod=T_new
-        )
+        return replace(self, T_mod=self.T_mod * stiffness_scale,
+                       Q_feedback=self.Q_feedback * q_scale)
 
     def _oscillators(self, lam):
-        """lambda^2 + omega_j^2 for each oscillator j, and beta with
-        beta[c, j] = C_cj B_jc, oscillator j's gain on its channel c."""
-        n = self.n_modes
-        return lam**2 - np.diag(self.A[n:, :n]), self.C[:, n:] * self.B[n:].T
+        """lambda^2 + omega_j^2 (omega_j^2 = mu_j T_mod / rho) for each oscillator j,
+        and beta[c, j] = trace_jc^2 / rho, oscillator j's gain on its channel c."""
+        return lam**2 + self.mu * self.T_mod / self.rho, self.trace.T * (self.trace / self.rho).T
 
     def transfer(self, lam):
         """Diagonal of P_s(lambda) = C (lambda - A_s)^{-1} B, one value per
@@ -212,40 +224,23 @@ class ModalWavePlant:
         b / (Q lambda beta_j). Raises ``ResonanceError`` as :meth:`transfer`
         does."""
         gain = 1.0 - self.Q_feedback * self.transfer(lam)
-        (d, beta), B = self._oscillators(lam), self.B[self.n_modes :]
+        (d, beta), b = self._oscillators(lam), self.trace / self.rho
         with np.errstate(divide="ignore", invalid="ignore"):
-            force = B * gain / d[:, None]
+            force = b * gain / d[:, None]
         hit = d == 0
-        force[hit] = B[hit] / (self.Q_feedback * lam * beta.sum(axis=0)[hit, None])
+        force[hit] = b[hit] / (self.Q_feedback * lam * beta.sum(axis=0)[hit, None])
         return np.vstack([force, lam * force])
 
     def displacement_profile(self, x, r, theta):
         """Displacement field w(r, theta) of a state, shape (len(r), len(theta))."""
         rv = np.atleast_1d(np.asarray(r, dtype=float))
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        ang = self.basis.evaluate(th)
-        out = np.zeros((rv.size, th.size))
+        ang = self.basis.evaluate(theta)
+        out = np.zeros((rv.size, ang.shape[1]))
         q = np.real(np.asarray(x)[: self.n_modes])
-        for qj, mode in zip(q, self.modes):
-            if qj == 0.0:
-                continue
-            radial = mode.radial.eval(rv)
-            m = mode.radial.m
-            parity = mode.parity
-            out += qj * np.outer(radial, ang[self.basis.index(m, parity)])
+        for qj, mode, channel in zip(q, self.modes, self.channels):
+            if qj != 0.0:
+                out += qj * np.outer(mode.eval(rv), ang[channel])
         return out
-
-
-def _generators(mu, T_mod, rho, B, C, Q_fb):
-    """Undamped generator A, damped generator As = A - Q B C and energy
-    weights of the oscillators with Laplacian eigenvalues ``mu``."""
-    n = mu.size
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, n:] = np.eye(n)
-    A[n:, :n] = -np.diag(mu * T_mod / rho)
-    As = A - Q_fb * (B @ C)
-    weights = np.concatenate([T_mod * mu, np.full(n, rho)])
-    return A, As, weights
 
 
 def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc="neumann"):
@@ -276,33 +271,11 @@ def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc=
     if rho <= 0 or T_mod <= 0:
         raise ValueError("rho and T_mod must be positive")
     basis = FourierOutputBasis(m_angular - 1)
-    modes = []
+    modes, channels = [], []
     for m in range(m_angular):
         radials = find_radial_roots(m, n_radial, inner_bc=inner_bc)
-        for parity in _PARITIES.get(m, _PARITIES[None]):
-            modes.extend(PlantMode(radial=rm, parity=parity) for rm in radials)
-
-    n = len(modes)
-    mu = np.array([mode.mu for mode in modes])
-    trace = np.zeros((n, basis.dim))
-    for j, mode in enumerate(modes):
-        col = basis.index(mode.radial.m, mode.parity)
-        trace[j, col] = mode.radial.boundary_trace
-
-    B = np.zeros((2 * n, basis.dim))
-    B[n:, :] = trace / rho
-    C = np.zeros((basis.dim, 2 * n))
-    C[:, n:] = trace.T
-    A, As, weights = _generators(mu, T_mod, rho, B, C, Q_fb)
-    return ModalWavePlant(
-        modes=tuple(modes),
-        basis=basis,
-        A=A,
-        B=B,
-        C=C,
-        As=As,
-        Q_feedback=float(Q_fb),
-        energy_weights=weights,
-        rho=float(rho),
-        T_mod=float(T_mod),
-    )
+        for parity in ("axi",) if m == 0 else ("cos", "sin"):
+            modes += radials
+            channels += [basis.index(m, parity)] * len(radials)
+    return ModalWavePlant(modes=tuple(modes), channels=np.array(channels), basis=basis,
+                          Q_feedback=float(Q_fb), rho=float(rho), T_mod=float(T_mod))

@@ -2,13 +2,15 @@
 small cheap plant for structural tests, handcrafted scalar toys, and the
 per-step oracle of the sampler."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from wavereg import linalg
 from wavereg.exosystem import Exosystem, SignalTerm, build_exosystem, build_sect5_exosystem
 from wavereg.loop import ClosedLoop, assemble_direct
-from wavereg.plant import FourierOutputBasis, ModalWavePlant, assemble_wave_plant
+from wavereg.plant import FourierOutputBasis, assemble_wave_plant
 from wavereg.synthesis import eval_transfer, solve_regulator, synth_approx_robust
 
 
@@ -63,10 +65,27 @@ def series_at(series, time):
     return float(series.values[int(np.argmin(np.abs(series.t - time)))])
 
 
-class DenseTransferPlant(ModalWavePlant):
-    """Plant without wave structure whose channel transfer is the diagonal of
-    the dense resolvent C (lambda - As)^{-1} B, which must be diagonal, and
-    whose input resolvent (lambda - As)^{-1} B is a dense solve."""
+@dataclass(frozen=True)
+class DensePlant:
+    """Plant without wave structure, given by its dense matrices: what the
+    loop and the synthesis read of a plant. Its channel transfer is the
+    diagonal of the dense resolvent C (lambda - As)^{-1} B, which must be
+    diagonal, and its input resolvent (lambda - As)^{-1} B a dense solve."""
+
+    As: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    Q_feedback: float
+    energy_weights: np.ndarray
+    basis: FourierOutputBasis
+
+    @property
+    def state_dim(self):
+        return self.As.shape[0]
+
+    @property
+    def output_dim(self):
+        return self.basis.dim
 
     def transfer(self, lam):
         P = eval_transfer(self.As, self.B, self.C, lam)
@@ -76,21 +95,19 @@ class DenseTransferPlant(ModalWavePlant):
     def input_resolvent(self, lam):
         return linalg.solve_dense(lam * np.eye(self.state_dim) - self.As, self.B)
 
+    def energy(self, x):
+        return float(np.sum(self.energy_weights * np.abs(np.asarray(x)) ** 2))
+
 
 def scalar_plant(a=-1.0, b=1.0, c=1.0):
     """Single-state plant with As = a, B = b, C = c and no wave structure."""
-    A = np.array([[a]])
-    return DenseTransferPlant(
-        modes=(),
-        basis=FourierOutputBasis(0),
-        A=A,
+    return DensePlant(
+        As=np.array([[a]]),
         B=np.array([[b]]),
         C=np.array([[c]]),
-        As=A.copy(),
         Q_feedback=0.0,
         energy_weights=np.ones(1),
-        rho=1.0,
-        T_mod=1.0,
+        basis=FourierOutputBasis(0),
     )
 
 

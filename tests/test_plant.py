@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,13 +58,12 @@ class TestProjection:
         G = basis.evaluate(theta) @ basis.evaluate(theta).T * (2 * np.pi / n)
         assert np.abs(G - np.eye(basis.dim)).max() < 1e-12
 
-    def test_index_and_labels(self):
+    def test_index(self):
         basis = FourierOutputBasis(3)
         assert basis.dim == 7
         assert basis.index(0, "axi") == 0
         assert basis.index(2, "cos") == 3
         assert basis.index(2, "sin") == 4
-        assert basis.labels() == ["const", "cos1", "sin1", "cos2", "sin2", "cos3", "sin3"]
         with pytest.raises(ValueError):
             basis.index(1, "axi")
         with pytest.raises(ValueError):
@@ -102,10 +103,8 @@ class TestAssembly:
         w_theta = 2 * np.pi / n_theta
         basis = small_plant.basis
         fields = []
-        for mode in small_plant.modes:
-            radial = mode.radial.eval(r_nodes)
-            angular = basis.evaluate(theta)[basis.index(mode.radial.m, mode.parity)]
-            fields.append(np.outer(radial, angular))
+        for mode, channel in zip(small_plant.modes, small_plant.channels):
+            fields.append(np.outer(mode.eval(r_nodes), basis.evaluate(theta)[channel]))
         n = len(fields)
         gram = np.empty((n, n))
         for i in range(n):
@@ -133,15 +132,24 @@ class TestAssembly:
         with pytest.raises(ValueError):
             small_plant.perturbed(stiffness_scale=0.0)
 
+    def test_replace_rederives_the_matrices(self, small_plant):
+        # the matrices derive from the stored fields, so a plant with a
+        # replaced stiffness is the perturbed one
+        replaced = dataclasses.replace(small_plant, T_mod=1.21 * small_plant.T_mod)
+        pert = small_plant.perturbed(stiffness_scale=1.21)
+        for name in ("A", "As", "energy_weights"):
+            assert np.array_equal(getattr(replaced, name), getattr(pert, name))
+        assert np.array_equal(replaced.transfer(1j), pert.transfer(1j))
+        assert not np.array_equal(replaced.As, small_plant.As)
+
     def test_displacement_profile_single_mode(self, small_plant):
         x = np.zeros(small_plant.state_dim)
         x[3] = 1.0
-        mode = small_plant.modes[3]
         r = np.linspace(1.0, 2.0, 5)
         theta = np.linspace(0.0, 2 * np.pi, 7)
         field = small_plant.displacement_profile(x, r, theta)
-        idx = small_plant.basis.index(mode.radial.m, mode.parity)
-        expected = np.outer(mode.radial.eval(r), small_plant.basis.evaluate(theta)[idx])
+        angular = small_plant.basis.evaluate(theta)[small_plant.channels[3]]
+        expected = np.outer(small_plant.modes[3].eval(r), angular)
         assert np.abs(field - expected).max() < 1e-12
 
 

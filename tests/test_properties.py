@@ -3,12 +3,14 @@
 Each example draws a plant (2-3 radial modes, angular orders 0..1 to 0..3,
 either inner boundary condition), a reference at one drive frequency and a
 disturbance at another, both in [0.5, 8], with random Fourier profiles, and
-a truncation order N below the angular cutoff. The block-wise spectrum is
-checked on random permuted block-diagonal matrices, also under coupling at
-roundoff level, and on the preset loops. The sampler is checked against the
-per-step oracle in real and in complex arithmetic: a complex z0 or a Bcl
-entry one ulp off its symmetry samples in complex128, and a +-omega copy
-pair cut off from the plant (the preset's among them) stays real.
+a truncation order N below the angular cutoff. The plant matrices are also
+checked with a random density, stiffness and damping gain. The block-wise
+spectrum is checked on random permuted block-diagonal matrices, also under
+coupling at roundoff level, and on the preset loops. The sampler is checked
+against the per-step oracle in real and in complex arithmetic: a complex z0
+or a Bcl entry one ulp off its symmetry samples in complex128, and a
++-omega copy pair cut off from the plant (the preset's among them) stays
+real.
 """
 
 from dataclasses import replace
@@ -66,6 +68,25 @@ def test_closed_form_transfer_is_the_dense_diagonal(problem, stiffness_scale, q_
             assert np.abs(p.transfer(1j * w) - diag).max() <= 1e-12 * np.abs(diag).max()
             dense = linalg.solve_dense(1j * w * np.eye(p.state_dim) - p.As, p.B)
             assert rel_gap(p.input_resolvent(1j * w), dense) <= 1e-12
+
+
+@_PROPERTY_SETTINGS
+@given(st.integers(2, 3), st.integers(2, 4), st.sampled_from(["neumann", "dirichlet"]),
+       st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 4.0),
+       st.lists(st.floats(0.5, 8.0), min_size=2, max_size=2))
+def test_plant_matrices_follow_density_and_stiffness(n_radial, m_angular, inner_bc, rho, T_mod,
+                                                     Q, omegas):
+    # collocation C^T = rho B, the damper As = A - Q B C, skew-adjointness of
+    # A in the energy norm and the closed-form transfer, off rho = T = 1
+    plant = assemble_wave_plant(n_radial, m_angular, Q, rho=rho, T_mod=T_mod, inner_bc=inner_bc)
+    A, B, C = plant.A, plant.B, plant.C
+    assert np.abs(C.T - rho * B).max() <= 4e-16 * np.abs(C).max()
+    assert np.abs(plant.As - (A - Q * (B @ C))).max() <= 4e-16 * np.abs(plant.As).max()
+    WA = plant.energy_weights[:, None] * A
+    assert np.abs(WA + WA.T).max() <= 4e-16 * np.abs(WA).max()
+    for w in omegas:
+        diag = np.diag(synthesis.eval_transfer(plant.As, B, C, 1j * w))
+        assert np.abs(plant.transfer(1j * w) - diag).max() <= 1e-12 * np.abs(diag).max()
 
 
 @_PROPERTY_SETTINGS

@@ -19,7 +19,7 @@ from wavereg.synthesis import (
     synth_robust,
 )
 
-from conftest import scalar_plant, single_freq_exo
+from conftest import DensePlant, scalar_plant, single_freq_exo
 
 
 def transfer_paper_form(As, B, C, lam):
@@ -175,7 +175,8 @@ class TestApproxRobustController:
         B = sect5_plant.B.copy()
         C[3, :] = 0.0
         B[:, 3] = 0.0
-        broken = dataclasses.replace(sect5_plant, B=B, C=C, As=sect5_plant.A - 3.0 * (B @ C))
+        broken = DensePlant(As=sect5_plant.A - 3.0 * (B @ C), B=B, C=C, Q_feedback=3.0,
+                            energy_weights=sect5_plant.energy_weights, basis=sect5_plant.basis)
         with pytest.raises(RankDeficiencyError) as info:
             synth_approx_robust(broken, sect5_exo, N=5, eps=0.15)
         assert "sigma_min/sigma_max = " in str(info.value) and "nan" not in str(info.value)
