@@ -206,8 +206,8 @@ def find_radial_roots(m, count, inner_bc):
     if inner_bc == "neumann":
         inner *= 1.0 - (m / roots) ** 2
     norms = 1.0 / np.sqrt(2.0 * (1.0 - (m / (2.0 * roots)) ** 2) * outer**2 - 0.5 * inner)
-    return [
+    return tuple(
         RadialMode(m=m, n=n, k=float(k), normalization=float(c), boundary_trace=float(c * R2),
                    inner_bc=inner_bc)
         for n, (k, c, R2) in enumerate(zip(roots, norms, outer), start=1)
-    ]
+    )

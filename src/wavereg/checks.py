@@ -230,9 +230,11 @@ def _energy(ctx):
     x0s = rng.standard_normal((20, plant.state_dim))
     for x0, resp in zip(x0s, loop.free_response(plant, x0s, t_end=5.0, dt=0.002)):
         integral = np.trapezoid(resp.error_norms_sq(), resp.t)
-        worst = max(worst, integral / (plant.energy(x0) / (2.0 * plant.Q_feedback)))
+        worst = max(worst, 2.0 * plant.Q_feedback * integral / plant.energy(x0))
         decays &= not np.any(np.diff(resp.energies) > 1e-12 * resp.energies[0])
-    detail = f"energy drift={drift:.2e}, admissibility ratio={worst:.4f}"
+    bound = f"admissibility ratio={worst:.4f}" if plant.Q_feedback > 0 else (
+        "Q=0: no admissibility bound, conservation and non-increase judged only")
+    detail = f"energy drift={drift:.2e}, {bound}"
     return drift < 1e-9 and worst <= 1.0 and decays, detail + ("" if decays else ", E increased")
 
 

@@ -153,25 +153,23 @@ class RunConfig:
             raise ValueError("controller.N must be at least 1 for the approx kind")
         if c.epsilon < 0:
             raise ValueError("controller.epsilon must be nonnegative")
-        if s.dt <= 0 or s.t_end < s.dt or s.window <= 0:
-            raise ValueError("simulation times must be positive with t_end >= dt")
         for name, spec in (("x0", s.x0), ("z0", s.z0)):
             file_spec = isinstance(spec, dict) and list(spec) == ["file"]
             if spec != "zero" and not (file_spec and isinstance(spec["file"], str)):
                 raise ValueError(f"simulation.{name} must be 'zero' or {{'file': path}}: {spec!r}")
         # the pipeline's own checks, in its order, before any plant is built
-        e = self.exosystem
+        e, basis = self.exosystem, FourierOutputBasis(p.m_angular - 1)
         _require_known_preset(e.preset)
         if e.preset == "sect5":
             for name in ("reference", "disturbance"):
                 if getattr(e, name):
                     raise ValueError(f"exosystem.{name} must be empty: preset {e.preset!r} "
                                      "fixes the signals (set preset to null for custom terms)")
-            require_preset_order(p.m_angular - 1)
+            require_preset_order(basis.max_order)
         else:
-            _custom_exosystem(e, FourierOutputBasis(p.m_angular - 1))
+            _custom_exosystem(e, basis)
         if c.kind == "approx":
-            synthesis.output_block_dim(c.N, 2 * p.m_angular - 1)
+            synthesis.output_block_dim(c.N, basis.dim)
         loop.whole_steps(s.t_end, s.dt, "t_end")
         loop.window_steps(s.window, s.dt, s.t_end)
         return self
@@ -281,11 +279,9 @@ def _outdir(cfg, override):
 def cmd_eigs(cfg, out_dir=None):
     """Write the radial eigenvalue table (m, n, k, mu, residual) as CSV."""
     out = _outdir(cfg, out_dir)
-    p = cfg.plant
-    modes = [mode for m in range(p.m_angular)
-             for mode in bessel.find_radial_roots(m, p.n_radial, inner_bc=p.inner_bc)]
+    modes = [mode for modes in build_plant(cfg).radial for mode in modes]
     table = {key: np.array([getattr(mode, key) for mode in modes]) for key in "m n k mu".split()}
-    residuals = [bessel.cross_fn(mode.m, mode.k, p.inner_bc) for mode in modes]
+    residuals = [bessel.cross_fn(mode.m, mode.k, mode.inner_bc) for mode in modes]
     path = out / "eigenvalues.csv"
     serialize.save_csv(path, {**table, "cross_residual": np.abs(residuals)})
     return path

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import project_profile
+from .plant import FourierOutputBasis, project_profile
 
 _PRESET_GRID = 4096
 
@@ -105,7 +105,7 @@ def build_exosystem(reference, disturbance, max_order):
     freqs = sorted(frequencies([*reference, *disturbance]))
     omegas = np.array(freqs, dtype=float)
     index = {w: k for k, w in enumerate(freqs)}
-    dim_y = 2 * max_order + 1
+    dim_y = FourierOutputBasis(max_order).dim
     q = omegas.size
 
     def accumulate(terms):

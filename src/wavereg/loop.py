@@ -162,7 +162,9 @@ def assemble_direct(plant, ctrl, exo):
 
 
 def whole_steps(span, dt, name):
-    """Number of steps of size ``dt`` in ``span``, which must be a multiple of dt."""
+    """Number of steps of size ``dt`` > 0 in ``span`` >= dt, which must be a multiple of dt."""
+    if not dt > 0 or span < dt:
+        raise ValueError(f"need dt > 0 and {name} >= dt, got dt={dt} and {name}={span}")
     steps = int(round(span / dt))
     if abs(steps * dt - span) > 1e-9 * max(1.0, span):
         raise ValueError(f"{name} must be an integer multiple of dt")
@@ -172,15 +174,13 @@ def whole_steps(span, dt, name):
 def window_steps(window, dt, t_end):
     """Steps of size ``dt`` in the window of J(t), which must fit into [0, t_end]."""
     steps = whole_steps(window, dt, "window")
-    if steps < 1 or steps > whole_steps(t_end, dt, "t_end"):
+    if steps > whole_steps(t_end, dt, "t_end"):
         raise WindowTooLargeError(f"window {window} does not fit into the horizon {t_end}")
     return steps
 
 
 def _time_grid(t_end, dt):
     """Sample times 0, dt, ..., t_end; t_end must be a multiple of dt > 0."""
-    if dt <= 0 or t_end < dt:
-        raise ValueError("need dt > 0 and t_end >= dt")
     return dt * np.arange(whole_steps(t_end, dt, "t_end") + 1)
 
 

@@ -49,16 +49,6 @@ class FourierOutputBasis:
     def dim(self):
         return 2 * self.max_order + 1
 
-    def index(self, m, parity):
-        """Position of the (m, parity) basis function, parity in {axi, cos, sin}."""
-        if parity == "axi":
-            if m != 0:
-                raise ValueError("axisymmetric parity requires m = 0")
-            return 0
-        if not 1 <= m <= self.max_order:
-            raise ValueError(f"order {m} outside 1..{self.max_order}")
-        return 2 * m - 1 if parity == "cos" else 2 * m
-
     def evaluate(self, theta):
         """Matrix of basis values, shape (dim, len(theta))."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -107,15 +97,17 @@ class ModalWavePlant:
     """Wave plant in modal coordinates: a bank of collocated oscillators,
     one per Laplacian eigenmode, each driving one Fourier output channel.
 
-    Stored fields: ``modes`` (the :class:`~wavereg.bessel.RadialMode` of
-    each oscillator), ``channels`` (int array, the ``basis`` index of each
-    oscillator's channel), ``basis``, the boundary damping gain
-    ``Q_feedback``, the mass density ``rho`` and the stiffness ``T_mod``.
+    Stored fields: ``radial`` (one tuple of :class:`~wavereg.bessel.RadialMode`
+    per angular order m = 0..M), the boundary damping gain ``Q_feedback``,
+    the mass density ``rho`` and the stiffness ``T_mod``.
 
     Derived from them on first use and cached, so that a
-    ``dataclasses.replace`` of any field gives a consistent plant: ``mu``
-    (eigenvalues k^2), ``trace`` (n_modes x output_dim boundary traces, row j
-    nonzero only at ``channels[j]``), the undamped generator ``A`` (stiffness
+    ``dataclasses.replace`` of any field gives a consistent plant: the output
+    ``basis`` of order M; ``modes``, the radial mode of each oscillator (order
+    0's once, then each later order's for its cos and for its sin channel),
+    and their ``channels`` (int array of ``basis`` indices); ``mu`` (k^2),
+    ``trace`` (n_modes x output_dim boundary traces, row j nonzero only at
+    ``channels[j]``), the undamped generator ``A`` (stiffness
     -mu T_mod / rho), ``B = [0; trace / rho]``, ``C = [0, trace^T]``,
     ``As = A - Q_feedback B C`` pre-stabilized by the damper, and the
     ``energy_weights`` (T_mod mu on positions, rho on velocities) of
@@ -123,12 +115,26 @@ class ModalWavePlant:
     skew-adjoint.
     """
 
-    modes: tuple
-    channels: np.ndarray
-    basis: FourierOutputBasis
+    radial: tuple
     Q_feedback: float
     rho: float
     T_mod: float
+
+    @cached_property
+    def basis(self):
+        return FourierOutputBasis(len(self.radial) - 1)
+
+    @cached_property
+    def _channel_modes(self):  # the radial modes of each output channel, in basis order
+        return self.radial[:1] + tuple(modes for modes in self.radial[1:] for _ in ("cos", "sin"))
+
+    @cached_property
+    def modes(self):
+        return tuple(mode for modes in self._channel_modes for mode in modes)
+
+    @cached_property
+    def channels(self):
+        return np.repeat(np.arange(self.output_dim), [len(modes) for modes in self._channel_modes])
 
     @property
     def n_modes(self):
@@ -270,12 +276,5 @@ def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc=
         raise ValueError("n_radial and m_angular must be at least 1")
     if rho <= 0 or T_mod <= 0:
         raise ValueError("rho and T_mod must be positive")
-    basis = FourierOutputBasis(m_angular - 1)
-    modes, channels = [], []
-    for m in range(m_angular):
-        radials = find_radial_roots(m, n_radial, inner_bc=inner_bc)
-        for parity in ("axi",) if m == 0 else ("cos", "sin"):
-            modes += radials
-            channels += [basis.index(m, parity)] * len(radials)
-    return ModalWavePlant(modes=tuple(modes), channels=np.array(channels), basis=basis,
-                          Q_feedback=float(Q_fb), rho=float(rho), T_mod=float(T_mod))
+    radial = tuple(find_radial_roots(m, n_radial, inner_bc=inner_bc) for m in range(m_angular))
+    return ModalWavePlant(radial=radial, Q_feedback=float(Q_fb), rho=float(rho), T_mod=float(T_mod))

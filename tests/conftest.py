@@ -48,7 +48,7 @@ def small_plant():
 def harmonic_coeffs(basis, m, parity):
     """Coefficients of the profile cos(m theta) or sin(m theta) on ``basis``."""
     coeffs = np.zeros(basis.dim)
-    coeffs[basis.index(m, parity)] = np.sqrt(np.pi)
+    coeffs[2 * m - (parity == "cos")] = np.sqrt(np.pi)  # basis order: const, cos 1, sin 1, ...
     return coeffs
 
 

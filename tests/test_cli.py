@@ -419,6 +419,10 @@ CONFIG_ERRORS = {
     "overrides2": {"simulation": {"window": 2.0, "t_end": 1.0}},
     "overrides3": {"plant": {"m_angular": 5}},
     "overrides4": {"plant": {"damping_q": -1.0}},
+    "dt-zero": {"simulation": {"dt": 0}},
+    "window-zero": {"simulation": {"window": 0}},
+    "window-negative": {"simulation": {"window": -1}},
+    "t_end-below-dt": {"simulation": {"t_end": 0.005}},
 }
 UNSTABLE_LOOPS = {
     "overrides5": {"plant": {"damping_q": 0.0}},
@@ -605,6 +609,15 @@ class TestVerifyAndMain:
         with pytest.raises(ValueError, match=message):
             cli.cmd_synth(cfg, tmp_path)
         assert list(tmp_path.iterdir()) == []  # no synth_report.json, no controller matrices
+
+    def test_energy_check_judges_undamped_plant(self):
+        # at Q = 0 the admissibility bound E0/(2Q) is infinite, so only
+        # conservation and non-increase are judged, and nothing divides by Q
+        cfg = sect5_config()
+        cfg.plant.damping_q = 0.0
+        ok, lines = cli.cmd_verify("wave", cfg)
+        (line,) = [line for line in lines if "conserves energy" in line]
+        assert ok and line.startswith("[PASS]") and "Q=0: no admissibility bound" in line
 
     def test_delta_check_fails_on_unstable_loop(self):
         cfg = sect5_config()
