@@ -143,10 +143,11 @@ class TestAssembly:
             field = small_plant.displacement_profile(x, r, theta)
             expected = np.outer(mode.eval(r), angular[channel])
             assert np.abs(field - expected).max() < 1e-12
-            # on the actuated boundary the field is the mode's trace on its
-            # channel, so the derived channel map follows the basis' own order
+            # on the actuated boundary the field is the mode's trace times its
+            # channel's basis function, which has the mode's angular order
             edge = small_plant.displacement_profile(x, [2.0], theta)
             assert np.allclose(edge, mode.boundary_trace * angular[channel], rtol=1e-12, atol=0)
+            assert (channel + 1) // 2 == mode.m  # channels 2m - 1 and 2m hold order m
 
     @pytest.mark.parametrize("orders", [1, 2, 3])
     def test_replace_radial_gives_the_smaller_plant(self, small_plant, orders):

@@ -26,17 +26,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wavereg import cli  # noqa: E402
 
-COMMANDS = (
-    *(([name], name) for name in ("simulate", "synth", "eigs")),
-    *((["reproduce", "--figure", str(f)], f"figure{f}") for f in (1, 3, 4)),
-)
+COMMANDS = {  # subdirectory of OUT: wavereg arguments
+    "simulate": ["simulate"],
+    "synth": ["synth"],
+    "eigs": ["eigs"],
+    "figure1": ["reproduce", "--figure", "1"],
+    "figure3": ["reproduce", "--figure", "3"],
+    "figure4": ["reproduce", "--figure", "4"],
+}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="output directory")
     out = parser.parse_args(argv).out
-    for command, subdir in COMMANDS:
+    for subdir, command in COMMANDS.items():
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([*command, "--out", str(out / subdir)])
         if code != 0:
