@@ -1,29 +1,28 @@
 """Dense linear algebra shared by the plant, synthesis and simulation code.
 
-Contract-checked wrappers around numpy dense kernels (eig, SVD, the
-Pade-13 matrix exponential of Higham 2005) and scipy's LU (solve); each
-verifies its own result. eig and expm keep a real operand real; solve and SVD
-work in complex arithmetic.
+Contract-checked wrappers around numpy dense kernels (eig, SVD, solve, the
+Pade-13 matrix exponential of Higham 2005); each verifies its own result. eig
+and expm keep a real operand real; solve and SVD work in complex arithmetic.
 :func:`_diagonal_blocks` partitions a matrix into its diagonal blocks up to
 a permutation; a closed loop partitions its pair-form generator once.
-:func:`sylvester_diag` is an oracle that :mod:`wavereg.checks` holds the
-regulator solve against, and ``is_normal`` a diagnostic; no production path
-calls either.
+:func:`solve_dense` refuses a matrix by its singular values, and only the
+oracles call it: :func:`sylvester_diag`, which :mod:`wavereg.checks` holds the
+regulator solve against, ``synthesis.eval_transfer`` and
+``checks.sylvester_kron``. ``is_normal`` is a diagnostic; no production path
+calls it.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 # Relative threshold below which singular values count as zero (rank tests,
 # channel gains of the regulating synthesis).
 RANK_RTOL = 1e-10
 
-# Relative threshold on LU pivots below which a solve is refused as singular.
-PIVOT_RTOL = 1e-13
+# A solve is refused as singular when sigma_min / sigma_max of its matrix is
+# at most this.
+SINGULAR_RTOL = 1e-13
 
 # Commutator threshold certifying a matrix as normal, relative to ||A||_F^2.
 NORMALITY_RTOL = 1e-12
@@ -48,7 +47,7 @@ class LinearAlgebraError(Exception):
 
 
 class SingularMatrixError(LinearAlgebraError):
-    """A dense solve hit a pivot below the singularity threshold."""
+    """A dense solve met a matrix whose singular values fail the singularity test."""
 
 
 class ResonanceError(LinearAlgebraError):
@@ -115,9 +114,9 @@ def solve_dense(A, B):
     Raises
     ------
     SingularMatrixError
-        If an LU pivot falls below ``PIVOT_RTOL`` times the largest pivot.
-        In resolvent applications this signals that the shift lies in the
-        spectrum of the matrix.
+        If the smallest singular value of ``A`` is at most ``SINGULAR_RTOL``
+        times the largest. In resolvent applications this signals that the
+        shift lies in the spectrum of the matrix.
     """
     M = as_matrix(A, "A")
     n, m = M.shape
@@ -126,15 +125,11 @@ def solve_dense(A, B):
     rhs = np.asarray(B, dtype=complex)
     if rhs.shape[0] != n:
         raise ValueError(f"B has {rhs.shape[0]} rows, expected {n}")
-    with warnings.catch_warnings():
-        # singularity is detected via the pivot threshold below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.max() == 0.0 or pivots.min() <= PIVOT_RTOL * pivots.max():
-        ratio = pivots.min() / pivots.max() if pivots.max() > 0 else 0.0
-        raise SingularMatrixError(f"matrix numerically singular (pivot ratio {ratio:.3e})")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    s = np.linalg.svd(M, compute_uv=False)
+    if s[0] == 0.0 or s[-1] <= SINGULAR_RTOL * s[0]:
+        ratio = s[-1] / s[0] if s[0] > 0 else 0.0
+        raise SingularMatrixError(f"matrix numerically singular (sigma_min/sigma_max {ratio:.3e})")
+    return np.linalg.solve(M, rhs)
 
 
 def _diagonal_blocks(M):

@@ -12,8 +12,9 @@ oracle it is checked against. Also provides the algebraic internal-model
 test (trivial kernel of G2, trivial range intersections with i w - G1, read
 off the row blocks of G2), the regulator-equation solver and the asymptotic
 tracking-error bound. The regulator solver, too, works from the plant's
-closed forms, one controller-space solve per frequency; its oracle, dense
-Sylvester solves on the loop's diagonal blocks, lives in :mod:`wavereg.checks`.
+closed forms, one numpy controller-space solve per frequency; it reads
+solvability off the loop's own spectrum. Its oracle, dense Sylvester solves
+on the loop's diagonal blocks, lives in :mod:`wavereg.checks`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .linalg import ResonanceError, SingularMatrixError
 # channel gain |p_c| (its smallest singular value) exceeds this fraction of the
 # largest.
 SURJECTIVITY_RTOL = 1e-8
+
+# The regulator equations count as unsolvable at a frequency w when some
+# closed-loop eigenvalue lies within this times max(1, |w|) of i w.
+RESONANCE_RTOL = 1e-10
 
 
 class RangeViolationError(RuntimeError):
@@ -294,23 +299,31 @@ def check_g_conditions(ctrl):
 def solve_regulator(closed_loop, exo):
     """Solve the regulator equation Sigma S = Acl Sigma + Bcl of the directly
     assembled loop, one frequency at a time, from the plant's closed forms:
-    with P_k = P_s(i w_k), ((i w_k - G1) - G2 P_k K) z_k = G2 (P_k E_s + F) phi_k
-    gives the controller rows and (i w_k - A_s)^{-1} B (K z_k + E_s phi_k) the
-    plant rows. Raises ``ResonanceError(w_k)`` at a singular controller-space
-    matrix or a pole of P_s, and ``ConvergenceError`` if the defect residual1
-    (spectral norm) exceeds 1e-8 (||Acl|| ||Sigma|| + ||Bcl||) (Frobenius).
+    with P_k = P_s(i w_k), the controller rows solve
+    M z_k = ((i w_k - G1) - G2 P_k K) z_k = G2 (P_k E_s + F) phi_k, and
+    (i w_k - A_s)^{-1} B (K z_k + E_s phi_k) gives the plant rows.
+
+    The equation is solvable at w_k exactly when i w_k is not an eigenvalue
+    of Acl. By the Schur complement det(i w_k - Acl) = det(i w_k - A_s) det M,
+    so M is singular exactly then. Raises ``ResonanceError(w_k)`` when an
+    eigenvalue of ``closed_loop.spectrum`` lies within ``RESONANCE_RTOL``
+    max(1, |w_k|) of i w_k, or at a pole of P_s, where the closed forms do
+    not exist; and ``ConvergenceError`` if the defect residual1 (spectral
+    norm) exceeds 1e-8 (||Acl|| ||Sigma|| + ||Bcl||) (Frobenius).
     """
     plant, ctrl, n_p = closed_loop.plant, closed_loop.ctrl, closed_loop.plant_dim
     E_s, K = stabilized_disturbance(plant, exo), ctrl.K
     copies = np.repeat(ctrl.omegas, ctrl.block_dim)  # the diagonal of G1 / i
     Sigma = np.empty(closed_loop.Bcl.shape, dtype=complex)
     for k, w in enumerate(exo.omegas):
+        if np.abs(closed_loop.spectrum - 1j * w).min() <= RESONANCE_RTOL * max(1.0, abs(w)):
+            raise ResonanceError(w)
         try:
             p = plant.transfer(1j * w)
             M = np.diag(1j * (w - copies)) - ctrl.G2 @ (p[:, None] * K)
-            Sigma[n_p:, k] = z = linalg.solve_dense(M, ctrl.G2 @ (p * E_s[:, k] + exo.F[:, k]))
+            Sigma[n_p:, k] = z = np.linalg.solve(M, ctrl.G2 @ (p * E_s[:, k] + exo.F[:, k]))
             Sigma[:n_p, k] = plant.input_resolvent(1j * w) @ (K @ z + E_s[:, k])
-        except (ResonanceError, SingularMatrixError) as exc:
+        except ResonanceError as exc:
             raise ResonanceError(w) from exc
     Acl, Bcl = closed_loop.Acl, closed_loop.Bcl
     resid1 = np.linalg.norm(Sigma * (1j * exo.omegas) - Acl @ Sigma - Bcl, 2)

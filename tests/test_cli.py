@@ -12,6 +12,7 @@ import pytest
 
 from wavereg import checks, cli, linalg, loop, serialize
 from wavereg.cli import RunConfig, sect5_config
+from wavereg.plant import ModalWavePlant
 
 from conftest import sequential_reference
 
@@ -619,6 +620,31 @@ class TestVerifyAndMain:
         (line,) = [line for line in lines if "conserves energy" in line]
         assert ok and line.startswith("[PASS]") and "Q=0: no admissibility bound" in line
 
+    # one heavily damped mode: ||y||^2 decays fast and convex, so the
+    # trapezoid rule at dt = 0.002 overestimates its integral by about 1.2e-4
+    # of E0/(2Q), and the ratio reads 1.0001 although 2Q int ||y||^2 <= E0
+    DAMPED_ONE_MODE = {
+        "plant": {"n_radial": 1, "m_angular": 1, "damping_q": 10.0, "t_mod": 2.0},
+        "exosystem": {"preset": None, "reference": [{
+            "profile_type": "fourier", "profile_data": [0.1], "temporal": "cos",
+            "omega_over_pi": 2.0}]},
+        "controller": {"kind": "robust"},
+    }
+
+    def test_energy_check_judges_within_trapezoid_error(self):
+        ok, lines = cli.cmd_verify("wave", RunConfig.from_dict(self.DAMPED_ONE_MODE))
+        (line,) = [line for line in lines if "conserves energy" in line]
+        assert ok and line.startswith("[PASS]") and "admissibility ratio=1.0001 (" in line
+
+    def test_energy_check_fails_beyond_trapezoid_error(self, monkeypatch):
+        # negative control: E0 read 0.1 % low lifts the ratio about 1e-3 above
+        # 1, several times the trapezoid's error
+        energy = ModalWavePlant.energy
+        monkeypatch.setattr(ModalWavePlant, "energy", lambda self, x: 0.999 * energy(self, x))
+        ok, lines = cli.cmd_verify("wave", RunConfig.from_dict(self.DAMPED_ONE_MODE))
+        (line,) = [line for line in lines if "conserves energy" in line]
+        assert not ok and line.startswith("[FAIL]") and "admissibility ratio=1.0011" in line
+
     def test_delta_check_fails_on_unstable_loop(self):
         cfg = sect5_config()
         cfg.plant.damping_q = 0.0
@@ -643,13 +669,14 @@ def test_cli_import_loads_no_verification_code():
 
 
 def test_preset_runs_load_no_scipy_sparse(tmp_path):
-    """The preset ``simulate`` and ``synth`` leave scipy.sparse unloaded: expm and
-    the block partition run in numpy. scipy.linalg stays loaded, because
-    ``linalg.solve_dense`` needs scipy's LU factors for its pivot test."""
+    """The preset ``simulate`` and ``synth`` leave scipy.sparse and scipy.linalg
+    unloaded: expm, the block partition and the regulator solve run in numpy,
+    and only the oracles of ``wavereg verify`` call ``linalg.solve_dense``."""
     probe = (
         "import sys; from wavereg import cli; cfg = cli.sect5_config(); "
         f"cli.cmd_simulate(cfg, {str(tmp_path)!r}); cli.cmd_synth(cfg, {str(tmp_path)!r}); "
-        "print([m for m in sys.modules if m == 'scipy.sparse' or m.startswith('scipy.sparse.')])"
+        "print([m for m in sys.modules if m.split('.')[:2] in (['scipy', 'sparse'], "
+        "['scipy', 'linalg'])])"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

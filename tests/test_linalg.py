@@ -38,6 +38,14 @@ class TestSolveDense:
         with pytest.raises(linalg.SingularMatrixError):
             linalg.solve_dense(np.diag([1.0, 0.0]), np.eye(2))
 
+    def test_singular_value_ratio_threshold(self):
+        # sigma_min / sigma_max just below the threshold raises, just above it solves
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve_dense(np.diag([2.0, 0.9 * 2.0 * linalg.SINGULAR_RTOL]), np.ones(2))
+        small = 1.1 * 2.0 * linalg.SINGULAR_RTOL
+        X = linalg.solve_dense(np.diag([2.0, small]), np.ones(2))
+        assert np.allclose(X, [0.5, 1.0 / small], rtol=1e-14, atol=0.0)
+
     def test_shape_checks(self):
         with pytest.raises(ValueError):
             linalg.solve_dense(np.ones((2, 3)), np.ones(2))

@@ -4,7 +4,9 @@ Each example draws a plant (2-3 radial modes, angular orders 0..1 to 0..3,
 either inner boundary condition), a reference at one drive frequency and a
 disturbance at another, both in [0.5, 8], with random Fourier profiles, and
 a truncation order N below the angular cutoff. The plant matrices are also
-checked with a random density, stiffness and damping gain. The block-wise
+checked with a random density, stiffness and damping gain. The regulator
+solve is held against its per-block Sylvester oracle over a grid of gains,
+the idle gain 0, where both must refuse, included. The block-wise
 spectrum is checked on random permuted block-diagonal matrices, also under
 coupling at roundoff level, and on the preset loops. The sampler is checked
 against the per-step oracle in real and in complex arithmetic: a complex z0
@@ -136,6 +138,25 @@ def test_approx_controller_bound_and_closed_form(problem, stiffness_scale, q_sca
                 continue
             oracle = checks.sylvester_blocks(cl, exo.omegas)
             assert np.abs(sigma - oracle).max() <= 1e-8 * max(1.0, np.abs(sigma).max())
+
+
+@_PROPERTY_SETTINGS
+@given(small_problems())
+def test_regulator_matches_block_oracle_across_gains(problem):
+    # the resonance test reads the loop's spectrum and the oracle the singular
+    # values of each block's i w - Acl: both refuse a gain or solve it alike
+    plant, exo, N = problem
+    ctrl = synthesis.synth_approx_robust(plant, exo, N, EPS)
+    for eps in (0.0, 0.05, 0.15, 0.4, 1.0):
+        cl = loop.assemble_direct(plant, replace(ctrl, eps=eps), exo)
+        try:
+            sigma = synthesis.solve_regulator(cl, exo).Sigma
+        except linalg.ResonanceError:
+            with pytest.raises(linalg.ResonanceError):
+                checks.sylvester_blocks(cl, exo.omegas)
+            continue
+        oracle = checks.sylvester_blocks(cl, exo.omegas)
+        assert np.abs(sigma - oracle).max() <= 1e-8 * max(1.0, np.abs(sigma).max())
 
 
 def _dense_g_report(ctrl):

@@ -294,6 +294,32 @@ class TestRegulatorEquations:
             solve_regulator(assemble_direct(sect5_plant, idle, sect5_exo), sect5_exo)
         assert info.value.omega in sect5_exo.omegas
 
+    @staticmethod
+    def detuned_idle_loop(omega, offset):
+        """Scalar plant, exosystem at ``omega`` and an idle (K = 0) copy at
+        ``omega + offset``: its loop eigenvalue i(omega + offset) lies
+        ``offset`` from i omega."""
+        plant, exo = scalar_plant(), single_freq_exo(omega)
+        ones = np.ones((1, 1), dtype=complex)
+        ctrl = synthesis.Controller("regulating", exo.omegas + offset, 1, -ones, ones, eps=0.0)
+        return assemble_direct(plant, ctrl, exo), exo
+
+    @pytest.mark.parametrize("omega", [0.5, 10.0])
+    def test_eigenvalue_inside_threshold_is_resonant(self, omega):
+        tol = synthesis.RESONANCE_RTOL * max(1.0, omega)
+        cl, exo = self.detuned_idle_loop(omega, 0.9 * tol)
+        with pytest.raises(linalg.ResonanceError) as info:
+            solve_regulator(cl, exo)
+        assert info.value.omega == omega
+
+    @pytest.mark.parametrize("omega", [0.5, 10.0])
+    def test_eigenvalue_outside_threshold_solves(self, omega):
+        tol = synthesis.RESONANCE_RTOL * max(1.0, omega)
+        cl, exo = self.detuned_idle_loop(omega, 1.1 * tol)
+        sigma = solve_regulator(cl, exo).Sigma
+        oracle = sylvester_blocks(cl, exo.omegas)
+        assert np.abs(sigma - oracle).max() < 1e-8 * np.abs(oracle).max()
+
     def test_plant_pole_is_resonant(self):
         # i*0 is a pole of the integrator plant, so P_s(i w) does not exist there
         plant, exo = scalar_plant(a=0.0), single_freq_exo(0.0)
