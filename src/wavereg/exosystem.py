@@ -138,21 +138,17 @@ def build_sect5_exosystem(max_order):
     Generates the reference
     y_ref = -(1/(2 pi^2)) (pi - theta)^2 sin(pi t) - (1/2) sin(theta/2) cos(2 pi t)
     and the disturbance d = cos(theta) sin(2 pi t) + sin(theta) sin(pi t) over
-    the frequencies (-2 pi, -pi, pi, 2 pi) with v0 = (1, 1, 1, 1). Each
-    profile is projected on the output basis from ``_PRESET_GRID`` uniform
-    samples.
+    the frequencies (-2 pi, -pi, pi, 2 pi) with v0 = (1, 1, 1, 1). The four
+    profiles are projected on the output basis in one call, from
+    ``_PRESET_GRID`` uniform samples each.
 
     Requires ``max_order >= 5`` so the non-smooth profiles are resolved.
     """
     require_preset_order(max_order)
     theta = 2.0 * np.pi * np.arange(_PRESET_GRID) / _PRESET_GRID
-
-    def term(samples, temporal, omega):
-        return SignalTerm(project_profile(samples, max_order), temporal, omega)
-
-    reference = [
-        term(-((np.pi - theta) ** 2) / (2.0 * np.pi**2), "sin", np.pi),
-        term(-0.5 * np.sin(theta / 2.0), "cos", 2.0 * np.pi),
-    ]
-    disturbance = [term(np.cos(theta), "sin", 2.0 * np.pi), term(np.sin(theta), "sin", np.pi)]
+    quadratic, half_sine, cos1, sin1 = project_profile(
+        [-((np.pi - theta) ** 2) / (2.0 * np.pi**2), -0.5 * np.sin(theta / 2.0),
+         np.cos(theta), np.sin(theta)], max_order)
+    reference = [SignalTerm(quadratic, "sin", np.pi), SignalTerm(half_sine, "cos", 2.0 * np.pi)]
+    disturbance = [SignalTerm(cos1, "sin", 2.0 * np.pi), SignalTerm(sin1, "sin", np.pi)]
     return build_exosystem(reference, disturbance, max_order)

@@ -111,9 +111,12 @@ class ClosedLoop:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled closed-loop run: tracking errors and plant energy at each time
-    ``t``, the errors in the dtype the sampler ran in; ``states`` is the last
-    state x_e(t_end) alone, a complex (1, n) row in the loop's coordinates."""
+    """Sampled run: tracking errors and plant energy at each time ``t``, the
+    errors in the dtype the sampler ran in. ``states`` is the last state
+    alone, a (1, n) row: x_e(t_end), complex and in the loop's coordinates,
+    from :func:`simulate_exact`; x(t_end) in the plant's coordinates and the
+    dtype of the initial state (real for a real one) from
+    :func:`free_response`."""
 
     t: np.ndarray
     states: np.ndarray

@@ -64,32 +64,35 @@ class FourierOutputBasis:
 
 
 def project_profile(samples, max_order):
-    """Fourier coefficients of a profile sampled on a uniform periodic grid.
+    """Fourier coefficients of profiles sampled on a uniform periodic grid.
 
     Parameters
     ----------
-    samples : array_like
+    samples : array_like, shape (n,) or (k, n)
         Values f(theta_j) at theta_j = 2 pi j / n, j = 0..n-1 (no duplicated
-        endpoint). The grid must satisfy n >= 8 (max_order + 1).
+        endpoint), or one such row per profile. The grid must satisfy
+        n >= 8 (max_order + 1).
     max_order : int
         Angular cutoff M of the target basis.
 
     Returns
     -------
-    coeffs : (2 M + 1,) ndarray
-        Coefficients in :class:`FourierOutputBasis` ordering, computed with
-        the trapezoid rule (exact for band-limited profiles of order <= M
-        once the grid resolves them).
+    coeffs : (2 M + 1,) or (k, 2 M + 1) ndarray
+        Coefficients in :class:`FourierOutputBasis` ordering, one row per
+        profile, computed with the trapezoid rule (exact for band-limited
+        profiles of order <= M once the grid resolves them). The basis is
+        evaluated once for all rows.
     """
     f = np.asarray(samples, dtype=float)
-    if f.ndim != 1:
-        raise ValueError("samples must be a one-dimensional array")
-    n = f.size
+    if f.ndim not in (1, 2):
+        raise ValueError(f"samples must have shape (n,) or (k, n), got {f.shape}")
+    n = f.shape[-1]
     if n < 8 * (max_order + 1):
         raise ValueError(f"grid of {n} points too coarse for max_order={max_order}")
     theta = 2.0 * np.pi * np.arange(n) / n
-    basis = FourierOutputBasis(max_order)
-    return basis.evaluate(theta) @ f * (2.0 * np.pi / n)
+    ang = FourierOutputBasis(max_order).evaluate(theta)
+    coeffs = np.stack([ang @ row * (2.0 * np.pi / n) for row in np.atleast_2d(f)])
+    return coeffs if f.ndim == 2 else coeffs[0]
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,23 @@ class TestBesselValues:
             expected = 0.5 * (bessel.bessel_jy(m - 1, x)[0] - bessel.bessel_jy(m + 1, x)[0])
         assert np.abs(Jp - expected).max() < 1e-12
 
+    def test_values_against_mpmath(self):
+        # J_m and Y_m within 4e-15 of the modulus sqrt(J_m^2 + Y_m^2) at seeded
+        # points over the orders and arguments the plant reaches
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(32)
+        for m, x in zip(rng.integers(0, 63, 200), rng.uniform(0.5, 800.0, 200)):
+            J, Y, _, _ = bessel.bessel_jy(int(m), x)
+            with mpmath.workdps(30):
+                exact_J, exact_Y = mpmath.besselj(int(m), x), mpmath.bessely(int(m), x)
+                tol = 4e-15 * float(mpmath.sqrt(exact_J**2 + exact_Y**2))
+            assert abs(J - float(exact_J)) <= tol, (m, x)
+            assert abs(Y - float(exact_Y)) <= tol, (m, x)
+
+    def test_missing_libm_function_fails_with_its_name(self):
+        with pytest.raises(ImportError, match="needs no_such_bessel "):
+            bessel._libm_bessel("jn", "no_such_bessel")
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             bessel.bessel_jy(0, 0.0)

@@ -655,10 +655,11 @@ class TestVerifyAndMain:
 
 
 def test_cli_import_loads_no_verification_code():
-    # scipy.optimize serves only the oracles of wavereg.checks, which only `wavereg verify` imports
+    # scipy.optimize serves only the oracles of wavereg.checks, which only `wavereg verify` imports;
+    # no other module imports scipy
     probe = (
         "import sys, wavereg.cli; print(wavereg.cli.__file__); "
-        "print([m for m in ('scipy.optimize', 'wavereg.checks') if m in sys.modules])"
+        "print([m for m in ('scipy', 'scipy.optimize', 'wavereg.checks') if m in sys.modules])"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -670,18 +671,22 @@ def test_cli_import_loads_no_verification_code():
 
 
 def test_preset_runs_load_no_scipy_sparse(tmp_path):
-    """The preset ``simulate`` and ``synth`` leave scipy.sparse and scipy.linalg
-    unloaded: expm, the block partition and the regulator solve run in numpy,
-    and only the oracles of ``wavereg verify`` call ``linalg.solve_dense``."""
+    """The preset ``simulate`` and ``synth`` load no scipy module at all, so in
+    particular neither scipy.sparse nor scipy.linalg: expm, the block partition
+    and the regulator solve run in numpy, only the oracles of ``wavereg
+    verify`` call ``linalg.solve_dense``, and the Bessel values come from the
+    C math library."""
     probe = (
         "import sys; from wavereg import cli; cfg = cli.sect5_config(); "
         f"cli.cmd_simulate(cfg, {str(tmp_path)!r}); cli.cmd_synth(cfg, {str(tmp_path)!r}); "
         "print([m for m in sys.modules if m.split('.')[:2] in (['scipy', 'sparse'], "
-        "['scipy', 'linalg'])])"
+        "['scipy', 'linalg'])]); "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-2] == "[]"
     assert run.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "simulation.csv").exists() and (tmp_path / "synth_report.json").exists()

@@ -50,6 +50,18 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_profile(np.ones(40), 5)
 
+    def test_stack_matches_single_profiles_bitwise(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((4, 512))
+        coeffs = project_profile(stack, 7)
+        assert coeffs.shape == (4, FourierOutputBasis(7).dim)
+        for row, single in zip(coeffs, stack):
+            assert np.array_equal(row, project_profile(single, 7))
+
+    def test_three_dimensional_samples_raise(self):
+        with pytest.raises(ValueError, match=r"shape \(n,\) or \(k, n\)"):
+            project_profile(np.ones((2, 2, 64)), 5)
+
     def test_basis_orthonormal(self):
         basis = FourierOutputBasis(4)
         n = 1024

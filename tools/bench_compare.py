@@ -42,7 +42,6 @@ LAYERS = (
     "loop.assemble_direct.self_s",
     "linalg.eig.busy_s",
     "linalg.eig.n3_sum",
-    "linalg.solve_dense.calls",
     "linalg.svd.calls",
     "linalg.expm.calls",
     "linalg.expm.busy_s",
