@@ -3,7 +3,9 @@
 J_m and Y_m are the POSIX ``jn`` and ``yn`` of the C math library, loaded
 once through ctypes; importing this module fails if the library lacks them.
 glibc's stay within 2.2e-15 of sqrt(J_m^2 + Y_m^2) at 200 seeded points with
-orders 0..62 on [0.5, 800]. The radial eigenfunctions are cross products of Bessel functions,
+orders 0..62 on [0.5, 800].
+
+The radial eigenfunctions are cross products of Bessel functions,
 
     R(r) = J_m(k r) w_Y - Y_m(k r) w_J,
 
@@ -43,11 +45,11 @@ class BracketError(RuntimeError):
 
 
 def _libm_bessel(*names):
-    """The named functions f(m, x) of the C math library, of an integer order
-    m and a float x, each as a function of m and an array x that returns a
-    float array shaped like x. Raises ImportError if the library lacks one."""
-    # the interpreter links the C math library (glibc, musl, macOS), so its own
-    # symbols usually hold them; else load libm by name, which costs ~5 ms
+    """The named C math library functions f(int m, double x), as ``jn`` and
+    ``yn`` are, each vectorized over x to a float array shaped like x.
+    Raises ImportError naming any function the library lacks."""
+    # the interpreter links the C math library, so its own symbols usually hold
+    # them; else load libm by name, which costs ~5 ms (ldconfig runs)
     libm = ctypes.CDLL(None)
     if not all(hasattr(libm, name) for name in names):
         from ctypes.util import find_library
