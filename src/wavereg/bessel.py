@@ -98,11 +98,14 @@ def _inner_weights(m, k, inner_bc):
     raise ValueError(f"inner_bc must be one of {INNER_BCS}, got {inner_bc!r}")
 
 
+def _cross_product(m, kr, wY, wJ):
+    return _jn(m, kr) * wY - _yn(m, kr) * wJ
+
+
 def radial_profile(m, k, r, inner_bc):
     """Unnormalized radial eigenfunction satisfying the inner condition."""
     wY, wJ = _inner_weights(m, k, inner_bc)
-    kr = k * np.asarray(r, dtype=float)
-    return _jn(m, kr) * wY - _yn(m, kr) * wJ
+    return _cross_product(m, k * np.asarray(r, dtype=float), wY, wJ)
 
 
 def cross_fn(m, k, inner_bc):
@@ -218,7 +221,7 @@ def find_radial_roots(m, count, inner_bc):
         if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * k1):
             break
     roots = k1
-    wY, wJ = _inner_weights(m, roots, inner_bc)
+    wY, wJ = _inner_weights(m, roots, inner_bc)  # for the residual scale, Sturm count and traces
     relative = np.abs(f1) / (np.abs(wY) + np.abs(wJ))
     worst = int(np.argmax(relative))
     if relative[worst] > ROOT_RESIDUAL_TOL:
@@ -227,12 +230,12 @@ def find_radial_roots(m, count, inner_bc):
             f"{relative[worst]:.3e}"
         )
     r = 1.0 + (np.arange(8 * count) + 0.5) / (8 * count)
-    zeros = np.count_nonzero(np.diff(radial_profile(m, roots[-1], r, inner_bc) < 0))
+    zeros = np.count_nonzero(np.diff(_cross_product(m, roots[-1] * r, wY[-1], wJ[-1]) < 0))
     expected = count - 1 + (m == 0 and inner_bc == "neumann")
     if zeros != expected:
         raise BracketError(f"mode {count} of order {m} has {zeros} interior zeros, not "
                            f"{expected}: a root was skipped")
-    outer = radial_profile(m, roots, 2.0, inner_bc)
+    outer = _cross_product(m, roots * 2.0, wY, wJ)
     inner = (2.0 / (np.pi * roots)) ** 2  # R(1)^2 or (R'(1)/k)^2, by the Wronskian
     if inner_bc == "neumann":
         inner *= 1.0 - (m / roots) ** 2

@@ -2,9 +2,10 @@
 
 Every entry of :data:`REGISTRY` is tagged with the ``wavereg verify`` suite
 it belongs to and, where it has one, with the acceptance criterion (4-8) that
-asserts it. An entry reads what it needs from a :class:`Context` and returns
-``(label, ok, detail)``. Random inputs come from a constant seed per check, so
-every run of a configuration checks the same data.
+asserts it. An entry reads what it needs from a lazily built run
+(``wavereg.cli.Run``) and returns ``(label, ok, detail)``. Random inputs come
+from a constant seed per check, so every run of a configuration checks the
+same data.
 
 The independent oracles that the checks hold production code against live
 here too, off the paths of the other commands: :func:`match_spectra`,
@@ -16,13 +17,12 @@ from :func:`linalg.sylvester_diag` on each diagonal block of ``Acl``) and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.optimize
 
-from . import bessel, cli, linalg, loop, synthesis
+from . import bessel, linalg, loop, synthesis
 
 # Tuning gain of the regulating and robust controllers built for criteria 4 and 5.
 GAIN = 0.15
@@ -109,25 +109,6 @@ def sylvester_blocks(closed_loop, omegas):
     return Sigma
 
 
-class Context:
-    """Plant, exosystem, configured controller, closed loop (in both forms)
-    and regulator solution of one run configuration, each built on first use."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-
-    plant = cached_property(lambda self: cli.build_plant(self.cfg))
-    exo = cached_property(lambda self: cli.build_exo(self.cfg, self.plant))
-    controller = cached_property(lambda self: cli.build_controller(self.cfg, self.plant, self.exo))
-    closed_loop = cached_property(
-        lambda self: loop.assemble_direct(self.plant, self.controller, self.exo)
-    )
-    paper_loop = cached_property(
-        lambda self: assemble_paper_Ae(self.plant, self.controller, self.exo)
-    )
-    regulator = cached_property(lambda self: synthesis.solve_regulator(self.closed_loop, self.exo))
-
-
 @dataclass(frozen=True)
 class Check:
     """One registered invariant; ``measure(ctx)`` returns (ok, detail)."""
@@ -192,7 +173,8 @@ def _g_conditions(ctx):
 
 @_check("loop", "direct and transformed closed loops have the same spectrum", criterion=6)
 def _spectra(ctx):
-    dist = match_spectra(ctx.closed_loop.spectrum, ctx.paper_loop.spectrum)
+    paper = assemble_paper_Ae(ctx.plant, ctx.controller, ctx.exo)
+    dist = match_spectra(ctx.closed_loop.spectrum, paper.spectrum)
     return dist < 1e-8, f"spectra dist={dist:.2e}"
 
 
@@ -302,8 +284,9 @@ def _transfers(ctx):
     def transfer(cl, w):  # v -> e of the loop ``cl`` at i w
         return synthesis.eval_transfer(cl.Acl, cl.Bcl, cl.Ccl, 1j * w) + cl.Dcl
 
+    paper = assemble_paper_Ae(ctx.plant, ctx.controller, ctx.exo)
     worst = max(
-        np.linalg.norm((transfer(ctx.closed_loop, w) - transfer(ctx.paper_loop, w))[:, k])
+        np.linalg.norm((transfer(ctx.closed_loop, w) - transfer(paper, w))[:, k])
         for k, w in enumerate(ctx.exo.omegas)
     )
     return worst < 1e-8, f"{worst:.2e}"

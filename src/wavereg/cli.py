@@ -30,6 +30,7 @@ import sys
 import time
 import typing
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from .exosystem import (
     require_preset_order,
     signals_at,
 )
-from .plant import FourierOutputBasis, assemble_wave_plant, project_profile
+from .plant import FourierOutputBasis, assemble_wave_plant, project_profile, require_plant_parameters
 
 _CONTROLLER_KINDS = ("regulating", "approx", "robust")
 
@@ -139,10 +140,7 @@ class RunConfig:
 
     def validate(self):
         p, c, s = self.plant, self.controller, self.simulation
-        if p.n_radial < 1 or p.m_angular < 1:
-            raise ValueError("plant.n_radial and plant.m_angular must be positive")
-        if p.rho <= 0 or p.t_mod <= 0:
-            raise ValueError("plant.rho and plant.t_mod must be positive")
+        require_plant_parameters(p.n_radial, p.m_angular, p.rho, p.t_mod)
         if p.damping_q < 0:
             raise ValueError("plant.damping_q must be nonnegative")
         if p.inner_bc not in bessel.INNER_BCS:
@@ -232,14 +230,11 @@ def _term_from_config(term, where, basis):
     return SignalTerm(coeffs=coeffs, temporal=term.temporal, omega=term.omega_over_pi * np.pi)
 
 
-def _terms(e, name, basis):
-    """SignalTerms of the custom signal ``name`` of the exosystem section ``e``."""
-    return [_term_from_config(t, f"exosystem.{name}", basis) for t in getattr(e, name)]
-
-
 def _custom_exosystem(e, basis):
     """The exosystem of the custom signals of the exosystem section ``e``."""
-    reference, disturbance = _terms(e, "reference", basis), _terms(e, "disturbance", basis)
+    reference, disturbance = (
+        [_term_from_config(t, f"exosystem.{name}", basis) for t in getattr(e, name)]
+        for name in ("reference", "disturbance"))
     return build_exosystem(reference, disturbance, basis.max_order)
 
 
@@ -258,6 +253,23 @@ def build_controller(cfg, plant, exo):
     if c.kind == "approx":
         return synthesis.synth_approx_robust(plant, exo, c.N, c.epsilon)
     return synthesis.synth_robust(plant, exo, c.epsilon)
+
+
+class Run:
+    """Plant, exosystem, configured controller, closed loop and regulator
+    solution of one run configuration, each built on first use. Every
+    command, and every check of ``wavereg verify``, reads them from one."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    plant = cached_property(lambda self: build_plant(self.cfg))
+    exo = cached_property(lambda self: build_exo(self.cfg, self.plant))
+    controller = cached_property(lambda self: build_controller(self.cfg, self.plant, self.exo))
+    closed_loop = cached_property(
+        lambda self: loop.assemble_direct(self.plant, self.controller, self.exo)
+    )
+    regulator = cached_property(lambda self: synthesis.solve_regulator(self.closed_loop, self.exo))
 
 
 def _initial_state(spec, dim, name):
@@ -279,26 +291,26 @@ def _outdir(cfg, override):
 def cmd_eigs(cfg, out_dir=None):
     """Write the radial eigenvalue table (m, n, k, mu, residual) as CSV."""
     out = _outdir(cfg, out_dir)
-    modes = [mode for modes in build_plant(cfg).radial for mode in modes]
+    radial = Run(cfg).plant.radial
+    modes = [mode for modes in radial for mode in modes]
     table = {key: np.array([getattr(mode, key) for mode in modes]) for key in "m n k mu".split()}
-    residuals = [bessel.cross_fn(mode.m, mode.k, mode.inner_bc) for mode in modes]
+    residuals = [bessel.cross_fn(m, [mode.k for mode in modes], cfg.plant.inner_bc)
+                 for m, modes in enumerate(radial)]
     path = out / "eigenvalues.csv"
-    serialize.save_csv(path, {**table, "cross_residual": np.abs(residuals)})
+    serialize.save_csv(path, {**table, "cross_residual": np.abs(np.concatenate(residuals))})
     return path
 
 
 def cmd_synth(cfg, out_dir=None):
     """Synthesize the configured controller and write matrices plus reports."""
     out = _outdir(cfg, out_dir)
-    plant = build_plant(cfg)
-    exo = build_exo(cfg, plant)
-    ctrl = build_controller(cfg, plant, exo)
-    cl = loop.assemble_direct(plant, ctrl, exo)
+    run = Run(cfg)
+    exo, ctrl, cl = run.exo, run.controller, run.closed_loop
     cl.require_stable()  # delta bounds the error of a stable loop only
     for name, M in (("G1", ctrl.G1), ("G2", ctrl.G2), ("K", ctrl.K), ("K0", ctrl.K0)):
         serialize.save_matrix(out / f"controller_{name}.mtx", M)
     report = synthesis.check_g_conditions(ctrl)
-    reg = synthesis.solve_regulator(cl, exo)
+    reg = run.regulator
     bound = synthesis.error_bound_delta(reg, cl, ctrl.projector())
     blocks = sorted((idx.size for idx in cl.blocks), reverse=True)
     payload = {
@@ -338,22 +350,19 @@ def cmd_simulate(cfg, out_dir=None):
     t_start = time.perf_counter()
     timings = {}
     out = _outdir(cfg, out_dir)
+    run = Run(cfg)
     with _timed(timings, "plant"):
-        plant = build_plant(cfg)
+        plant = run.plant
     with _timed(timings, "exosystem"):
-        exo = build_exo(cfg, plant)
+        exo = run.exo
     with _timed(timings, "controller"):
-        ctrl = build_controller(cfg, plant, exo)
+        ctrl = run.controller
     with _timed(timings, "assemble"):  # the loop and its spectral abscissa
-        cl = loop.assemble_direct(plant, ctrl, exo)
+        cl = run.closed_loop
         cl.require_stable()
     sim = cfg.simulation
-    x0 = np.concatenate(
-        [
-            _initial_state(sim.x0, plant.state_dim, "x0"),
-            _initial_state(sim.z0, ctrl.dim_z, "z0"),
-        ]
-    )
+    x0 = np.concatenate([_initial_state(sim.x0, plant.state_dim, "x0"),
+                         _initial_state(sim.z0, ctrl.dim_z, "z0")])
     with _timed(timings, "simulate"):
         traj = loop.simulate_exact(cl, exo, x0=x0, t_end=sim.t_end, dt=sim.dt)
         series = loop.windowed_error(traj, window=sim.window)
@@ -394,8 +403,8 @@ def cmd_reproduce(figure, out_dir=None, emit_svg=False):
     out = _outdir(cfg, out_dir)
     if figure == 2:
         return cmd_simulate(cfg, out_dir)
-    plant = build_plant(cfg)
-    exo = build_exo(cfg, plant)
+    run = Run(cfg)
+    plant, exo = run.plant, run.exo
     theta = np.linspace(0.0, 2.0 * np.pi, 129)
     profile = plant.basis.synthesize  # one row of samples on theta per row of coefficients
 
@@ -408,9 +417,7 @@ def cmd_reproduce(figure, out_dir=None, emit_svg=False):
         w, _ = signals_at(exo, t)
         name, columns = "disturbance.csv", {**grid("t", t), "d": profile(np.real(w), theta)}
     else:
-        ctrl = build_controller(cfg, plant, exo)
-        cl = loop.assemble_direct(plant, ctrl, exo)
-        traj = loop.simulate_exact(cl, exo, t_end=10.0 if figure == 1 else 9.0, dt=0.01)
+        traj = loop.simulate_exact(run.closed_loop, exo, t_end=10.0 if figure == 1 else 9.0, dt=0.01)
         if figure == 1:
             t = traj.t[::10]  # profiles every 0.1 s
             _, yref = signals_at(exo, t)
@@ -469,17 +476,17 @@ _SUITES = ("linalg", "wave", "synth", "loop")
 def cmd_verify(suite="all", cfg=None):
     """Run the registered invariant checks of one suite, or of all; returns
     (all_passed, report lines)."""
-    from . import checks  # imported here: checks builds its context through this module
+    from . import checks  # imported here: only verify loads the oracles and scipy.optimize
 
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"suite must be 'all' or one of {list(_SUITES)}")
-    ctx = checks.Context(cfg or sect5_config())
+    run = Run(cfg or sect5_config())
     lines = []
     all_ok = True
     for name in _SUITES if suite == "all" else (suite,):
         for entry in (c for c in checks.REGISTRY if c.suite == name):
             try:
-                label, ok, detail = entry.run(ctx)
+                label, ok, detail = entry.run(run)
             except Exception as exc:  # a broken configuration fails the check, not the CLI
                 label, ok, detail = entry.label, False, f"{type(exc).__name__}: {exc}"
             all_ok &= ok

@@ -252,6 +252,15 @@ class ModalWavePlant:
         return out
 
 
+def require_plant_parameters(n_radial, m_angular, rho, T_mod):
+    """Raise a ValueError unless the mode counts are at least 1 and the
+    constants positive; checked before any root search."""
+    if n_radial < 1 or m_angular < 1:
+        raise ValueError(f"n_radial and m_angular must be at least 1, got {n_radial} and {m_angular}")
+    if rho <= 0 or T_mod <= 0:
+        raise ValueError(f"rho and T_mod must be positive, got {rho} and {T_mod}")
+
+
 def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc="neumann"):
     """Assemble the modal wave plant for the annulus.
 
@@ -275,9 +284,6 @@ def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc=
     -------
     ModalWavePlant
     """
-    if n_radial < 1 or m_angular < 1:
-        raise ValueError("n_radial and m_angular must be at least 1")
-    if rho <= 0 or T_mod <= 0:
-        raise ValueError("rho and T_mod must be positive")
+    require_plant_parameters(n_radial, m_angular, rho, T_mod)
     radial = tuple(find_radial_roots(m, n_radial, inner_bc=inner_bc) for m in range(m_angular))
     return ModalWavePlant(radial=radial, Q_feedback=float(Q_fb), rho=float(rho), T_mod=float(T_mod))

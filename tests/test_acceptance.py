@@ -168,8 +168,8 @@ class TestCriterion3ExactTrackingOnYN:
 
 @pytest.fixture(scope="module")
 def preset_checks():
-    """One preset context shared by the checks of criteria 4-8."""
-    return checks.Context(cli.sect5_config())
+    """One preset run shared by the checks of criteria 4-8."""
+    return cli.Run(cli.sect5_config())
 
 
 def run_criterion(criterion, ctx):

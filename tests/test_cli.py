@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 from wavereg import checks, cli, linalg, loop, serialize
 from wavereg.cli import RunConfig, sect5_config
-from wavereg.plant import ModalWavePlant
+from wavereg.plant import ModalWavePlant, assemble_wave_plant
 
 from conftest import sequential_reference
 
@@ -88,6 +89,19 @@ class TestConfig:
             RunConfig.from_dict({"simulation": {"dt": -0.01}})
         with pytest.raises(ValueError):
             RunConfig.from_dict({"plant": {"damping_q": -1.0}})
+
+    @pytest.mark.parametrize("name, value", [("n_radial", 0), ("m_angular", 0), ("rho", 0.0),
+                                             ("t_mod", -1.0)])
+    def test_plant_parameter_message_is_the_library_one(self, name, value):
+        # the config and the plant assembly share one check of these parameters
+        p = {**dataclasses.asdict(cli.PlantConfig()), name: value}
+        with pytest.raises(ValueError) as from_config:
+            RunConfig.from_dict({"plant": {name: value}})
+        with pytest.raises(ValueError) as from_library:
+            assemble_wave_plant(p["n_radial"], p["m_angular"], p["damping_q"], rho=p["rho"],
+                                T_mod=p["t_mod"], inner_bc=p["inner_bc"])
+        assert str(from_config.value) == str(from_library.value)
+        assert str(value) in str(from_config.value)
 
     @pytest.mark.parametrize("name", ["reference", "disturbance"])
     def test_preset_refuses_signal_terms(self, name):
@@ -420,6 +434,8 @@ CONFIG_ERRORS = {
     "overrides2": {"simulation": {"window": 2.0, "t_end": 1.0}},
     "overrides3": {"plant": {"m_angular": 5}},
     "overrides4": {"plant": {"damping_q": -1.0}},
+    "n_radial-zero": {"plant": {"n_radial": 0}},
+    "t_mod-zero": {"plant": {"t_mod": 0.0}},
     "dt-zero": {"simulation": {"dt": 0}},
     "window-zero": {"simulation": {"window": 0}},
     "window-negative": {"simulation": {"window": -1}},
@@ -654,20 +670,32 @@ class TestVerifyAndMain:
         assert not ok and line.startswith("[FAIL]") and "abscissa +6.1779e-01" in line
 
 
+def _probe(code):
+    """stdout lines of ``code`` run in a fresh interpreter on this checkout's ``wavereg``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
 def test_cli_import_loads_no_verification_code():
     # scipy.optimize serves only the oracles of wavereg.checks, which only `wavereg verify` imports;
     # no other module imports scipy
-    probe = (
+    path, loaded = _probe(
         "import sys, wavereg.cli; print(wavereg.cli.__file__); "
         "print([m for m in ('scipy', 'scipy.optimize', 'wavereg.checks') if m in sys.modules])"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    path, loaded = run.stdout.splitlines()
     assert Path(path).resolve() == Path(cli.__file__).resolve()
     assert loaded == "[]"
+
+
+def test_checks_import_loads_no_cli():
+    # the checks read the run they are handed and build none themselves
+    path, loaded = _probe("import sys, wavereg.checks; print(wavereg.checks.__file__); "
+                          "print('wavereg.cli' in sys.modules)")
+    assert Path(path).resolve() == Path(checks.__file__).resolve()
+    assert loaded == "False"
 
 
 def test_preset_runs_load_no_scipy_sparse(tmp_path):
@@ -676,17 +704,13 @@ def test_preset_runs_load_no_scipy_sparse(tmp_path):
     and the regulator solve run in numpy, only the oracles of ``wavereg
     verify`` call ``linalg.solve_dense``, and the Bessel values come from the
     C math library."""
-    probe = (
+    lines = _probe(
         "import sys; from wavereg import cli; cfg = cli.sect5_config(); "
         f"cli.cmd_simulate(cfg, {str(tmp_path)!r}); cli.cmd_synth(cfg, {str(tmp_path)!r}); "
         "print([m for m in sys.modules if m.split('.')[:2] in (['scipy', 'sparse'], "
         "['scipy', 'linalg'])]); "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-2] == "[]"
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert lines[-2] == "[]"
+    assert lines[-1] == "[]"
     assert (tmp_path / "simulation.csv").exists() and (tmp_path / "synth_report.json").exists()

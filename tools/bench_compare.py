@@ -35,6 +35,7 @@ TRACED_PAIRS = 3
 LAYERS = (
     "bessel.find_radial_roots.busy_s",
     "bessel.cross_fn.calls",
+    "bessel.bessel_jy.calls",
     "plant.assemble_wave_plant.self_s",
     "synthesis.synth_approx_robust.busy_s",
     "synthesis.error_bound_delta.self_s",
