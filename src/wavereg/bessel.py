@@ -89,13 +89,16 @@ def bessel_jy(m, x):
     return J, Y, Jp, Yp
 
 
+def require_inner_bc(inner_bc):
+    """Raise a ValueError unless ``inner_bc`` names one of ``INNER_BCS``."""
+    if inner_bc not in INNER_BCS:
+        raise ValueError(f"inner_bc must be one of {INNER_BCS}, got {inner_bc!r}")
+
+
 def _inner_weights(m, k, inner_bc):
+    require_inner_bc(inner_bc)
     J, Y, Jp, Yp = bessel_jy(m, k)
-    if inner_bc == "dirichlet":
-        return Y, J
-    if inner_bc == "neumann":
-        return Yp, Jp
-    raise ValueError(f"inner_bc must be one of {INNER_BCS}, got {inner_bc!r}")
+    return (Y, J) if inner_bc == "dirichlet" else (Yp, Jp)
 
 
 def _cross_product(m, kr, wY, wJ):

@@ -140,22 +140,14 @@ class RunConfig:
 
     def validate(self):
         p, c, s = self.plant, self.controller, self.simulation
-        require_plant_parameters(p.n_radial, p.m_angular, p.rho, p.t_mod)
-        if p.damping_q < 0:
-            raise ValueError("plant.damping_q must be nonnegative")
-        if p.inner_bc not in bessel.INNER_BCS:
-            raise ValueError(f"plant.inner_bc must be one of {bessel.INNER_BCS}")
         if c.kind not in _CONTROLLER_KINDS:
             raise ValueError(f"controller.kind must be one of {_CONTROLLER_KINDS}")
-        if c.kind == "approx" and c.N < 1:
-            raise ValueError("controller.N must be at least 1 for the approx kind")
-        if c.epsilon < 0:
-            raise ValueError("controller.epsilon must be nonnegative")
         for name, spec in (("x0", s.x0), ("z0", s.z0)):
             file_spec = isinstance(spec, dict) and list(spec) == ["file"]
             if spec != "zero" and not (file_spec and isinstance(spec["file"], str)):
                 raise ValueError(f"simulation.{name} must be 'zero' or {{'file': path}}: {spec!r}")
         # the pipeline's own checks, in its order, before any plant is built
+        require_plant_parameters(p.n_radial, p.m_angular, p.damping_q, p.rho, p.t_mod, p.inner_bc)
         e, basis = self.exosystem, FourierOutputBasis(p.m_angular - 1)
         _require_known_preset(e.preset)
         if e.preset == "sect5":
@@ -168,6 +160,7 @@ class RunConfig:
             _custom_exosystem(e, basis)
         if c.kind == "approx":
             synthesis.output_block_dim(c.N, basis.dim)
+        synthesis.require_gain(c.epsilon)
         loop.whole_steps(s.t_end, s.dt, "t_end")
         loop.window_steps(s.window, s.dt, s.t_end)
         return self

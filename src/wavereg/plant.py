@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bessel import find_radial_roots
+from .bessel import find_radial_roots, require_inner_bc
 from .linalg import ResonanceError
 
 
@@ -189,8 +189,8 @@ class ModalWavePlant:
 
     def perturbed(self, stiffness_scale=1.0, q_scale=1.0):
         """Same mode set with scaled stiffness T and/or damping gain Q."""
-        if stiffness_scale <= 0:
-            raise ValueError("stiffness_scale must be positive")
+        if stiffness_scale <= 0 or q_scale < 0:
+            raise ValueError("stiffness_scale must be positive and q_scale nonnegative")
         return replace(self, T_mod=self.T_mod * stiffness_scale,
                        Q_feedback=self.Q_feedback * q_scale)
 
@@ -252,13 +252,17 @@ class ModalWavePlant:
         return out
 
 
-def require_plant_parameters(n_radial, m_angular, rho, T_mod):
-    """Raise a ValueError unless the mode counts are at least 1 and the
-    constants positive; checked before any root search."""
+def require_plant_parameters(n_radial, m_angular, Q_fb, rho, T_mod, inner_bc):
+    """Raise a ValueError unless the mode counts are at least 1, the damping
+    gain nonnegative, the constants positive and the inner condition known;
+    checked before any root search."""
     if n_radial < 1 or m_angular < 1:
         raise ValueError(f"n_radial and m_angular must be at least 1, got {n_radial} and {m_angular}")
+    if Q_fb < 0:
+        raise ValueError(f"Q_fb must be nonnegative, got {Q_fb}")
     if rho <= 0 or T_mod <= 0:
         raise ValueError(f"rho and T_mod must be positive, got {rho} and {T_mod}")
+    require_inner_bc(inner_bc)
 
 
 def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc="neumann"):
@@ -284,6 +288,6 @@ def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc=
     -------
     ModalWavePlant
     """
-    require_plant_parameters(n_radial, m_angular, rho, T_mod)
+    require_plant_parameters(n_radial, m_angular, Q_fb, rho, T_mod, inner_bc)
     radial = tuple(find_radial_roots(m, n_radial, inner_bc=inner_bc) for m in range(m_angular))
     return ModalWavePlant(radial=radial, Q_feedback=float(Q_fb), rho=float(rho), T_mod=float(T_mod))

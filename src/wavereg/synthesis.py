@@ -45,6 +45,12 @@ class RankDeficiencyError(RuntimeError):
     """P_N P_s(i w_k) is not surjective onto the truncated output space."""
 
 
+def require_gain(eps):
+    """Raise a ValueError unless the tuning gain ``eps`` is nonnegative."""
+    if eps < 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
+
+
 @dataclass(frozen=True)
 class Controller:
     """Internal-model error-feedback controller (G1, G2, K).
@@ -68,8 +74,7 @@ class Controller:
     def __post_init__(self):
         if self.G2.shape[0] != self.dim_z or self.K0.shape[1] != self.dim_z:
             raise ValueError(f"G2/K0 dimensions inconsistent with dim Z = {self.dim_z}")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        require_gain(self.eps)
 
     @property
     def G1(self):
@@ -214,7 +219,9 @@ def synth_regulating(plant, exo, eps):
 
 
 def output_block_dim(N, dim_y):
-    """Dimension 2N+1 of the regulated block P_N y of an output of dimension dim_y."""
+    """Dimension 2N+1 (N >= 0) of the regulated block P_N y of an output of dimension dim_y."""
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
     if 2 * N + 1 > dim_y:
         raise ValueError(f"2N+1 = {2 * N + 1} exceeds the output dimension {dim_y}")
     return 2 * N + 1
@@ -237,8 +244,6 @@ def synth_approx_robust(plant, exo, N, eps):
         If some P_N P_s(i w_k) fails the surjectivity test (smallest channel
         gain |p_N| below ``SURJECTIVITY_RTOL`` times the largest).
     """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
     dim_y = plant.output_dim
     dim_yn = output_block_dim(N, dim_y)
     gains = _frequency_data(plant, exo)[:, :dim_yn]

@@ -10,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wavereg import checks, cli, linalg, loop, serialize
+from wavereg import checks, cli, linalg, loop, serialize, synthesis
 from wavereg.cli import RunConfig, sect5_config
+from wavereg.exosystem import SignalTerm, build_exosystem
 from wavereg.plant import ModalWavePlant, assemble_wave_plant
 
 from conftest import sequential_reference
@@ -80,7 +83,7 @@ class TestConfig:
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
-            RunConfig.from_dict({"controller": {"kind": "approx", "N": 0}})
+            RunConfig.from_dict({"controller": {"kind": "approx", "N": -1}})
         with pytest.raises(ValueError):
             RunConfig.from_dict({"controller": {"kind": "sliding-mode"}})
         with pytest.raises(ValueError):
@@ -91,7 +94,8 @@ class TestConfig:
             RunConfig.from_dict({"plant": {"damping_q": -1.0}})
 
     @pytest.mark.parametrize("name, value", [("n_radial", 0), ("m_angular", 0), ("rho", 0.0),
-                                             ("t_mod", -1.0)])
+                                             ("t_mod", -1.0), ("damping_q", -1.0),
+                                             ("inner_bc", "mixed")])
     def test_plant_parameter_message_is_the_library_one(self, name, value):
         # the config and the plant assembly share one check of these parameters
         p = {**dataclasses.asdict(cli.PlantConfig()), name: value}
@@ -100,6 +104,18 @@ class TestConfig:
         with pytest.raises(ValueError) as from_library:
             assemble_wave_plant(p["n_radial"], p["m_angular"], p["damping_q"], rho=p["rho"],
                                 T_mod=p["t_mod"], inner_bc=p["inner_bc"])
+        assert str(from_config.value) == str(from_library.value)
+        assert str(value) in str(from_config.value)
+
+    @pytest.mark.parametrize("name, value", [("N", -1), ("epsilon", -0.1)])
+    def test_controller_parameter_message_is_the_library_one(self, sect5_plant, sect5_exo,
+                                                             name, value):
+        # the config and the synthesis share one check of N and of the gain
+        c = {**dataclasses.asdict(cli.ControllerConfig()), name: value}
+        with pytest.raises(ValueError) as from_config:
+            RunConfig.from_dict({"controller": {name: value}})
+        with pytest.raises(ValueError) as from_library:
+            synthesis.synth_approx_robust(sect5_plant, sect5_exo, c["N"], c["epsilon"])
         assert str(from_config.value) == str(from_library.value)
         assert str(value) in str(from_config.value)
 
@@ -137,6 +153,72 @@ class TestConfig:
         assert np.array_equal(sampled.omegas, fourier.omegas)
         assert np.abs(sampled.E - fourier.E).max() < 1e-12
         assert np.abs(sampled.F - fourier.F).max() < 1e-12
+
+
+# the values of each plant and controller number that its rule accepts, at and
+# away from the bound, and those beside the bound that it refuses
+ACCEPTED = {
+    "n_radial": [1, 2], "m_angular": [1, 2, 3], "damping_q": [0.0, 2.0], "rho": [0.5, 1.0],
+    "t_mod": [0.5, 1.0], "inner_bc": ["neumann", "dirichlet"],
+    "kind": ["regulating", "approx", "robust"], "N": [0, 1, 2, 3, 4], "epsilon": [0.0, 0.15],
+}
+REFUSED = {
+    "n_radial": [0], "m_angular": [0], "damping_q": [-0.5], "rho": [-0.5, 0.0], "t_mod": [0.0],
+    "inner_bc": ["mixed", "Neumann"], "kind": ["sliding-mode"], "N": [-1], "epsilon": [-0.1],
+}
+
+
+@st.composite
+def bound_draws(draw):
+    """Run values with up to two of them moved past their bounds."""
+    broken = draw(st.sets(st.sampled_from(sorted(ACCEPTED)), max_size=2))
+    return {name: draw(st.sampled_from((REFUSED if name in broken else ACCEPTED)[name]))
+            for name in ACCEPTED}
+
+
+def _refusal(build):
+    """The message of the ValueError ``build()`` raises, or None if it raises none."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+EDGE_RUN = {name: values[0] for name, values in ACCEPTED.items()}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(bound_draws())
+@example({**EDGE_RUN, "inner_bc": "mixed"})
+@example({**EDGE_RUN, "kind": "approx", "N": -1, "epsilon": -0.1})
+def test_config_refuses_exactly_what_the_library_refuses(values):
+    # a custom constant-profile reference and disturbance, which fit every
+    # output basis; no rule on a plant or controller number lives in the config
+    p = {name: values[name] for name in ("n_radial", "m_angular", "damping_q", "rho", "t_mod",
+                                         "inner_bc")}
+    c = {name: values[name] for name in ("kind", "N", "epsilon")}
+    signals = [("reference", "sin", 1.0), ("disturbance", "cos", 2.0)]
+    config = {
+        "plant": p, "controller": c,
+        "exosystem": {"preset": None, **{name: [{"profile_data": [1.0], "temporal": temporal,
+                                                 "omega_over_pi": w}]
+                                         for name, temporal, w in signals}},
+    }
+
+    def build():
+        plant = assemble_wave_plant(p["n_radial"], p["m_angular"], p["damping_q"], rho=p["rho"],
+                                    T_mod=p["t_mod"], inner_bc=p["inner_bc"])
+        coeffs = np.eye(plant.basis.dim)[0]
+        terms = ([SignalTerm(coeffs, temporal, w * np.pi)] for _, temporal, w in signals)
+        exo = build_exosystem(*terms, plant.basis.max_order)
+        cli.build_controller(RunConfig(controller=cli.ControllerConfig(**c)), plant, exo)
+
+    from_config = _refusal(lambda: RunConfig.from_dict(config))
+    if c["kind"] not in cli._CONTROLLER_KINDS:  # a config name, with no library counterpart
+        assert from_config.startswith("controller.kind must be one of")
+    else:
+        assert from_config == _refusal(build)
 
 
 class TestMatrixFormat:
@@ -244,6 +326,12 @@ class TestSynthCommand:
         assert payload["g_conditions"]["kernel_dim_G2"] == 7 - 5
         assert payload["delta"] <= payload["delta_coarse"] + 1e-15
         assert payload["regulator_residual1"] < 1e-8
+
+    def test_approx_with_n_zero_regulates_the_constant_channel(self, tmp_path):
+        # Y_0 is the constant profile: one scalar copy at each of +-pi and +-2 pi
+        payload = cli.cmd_synth(small_config(tmp_path, N=0), tmp_path)
+        assert payload["block_dim"] == 1 and payload["dim_Z"] == 4
+        assert payload["closed_loop_abscissa"] < 0
 
     def test_zero_signals_give_zero_delta(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -440,6 +528,8 @@ CONFIG_ERRORS = {
     "window-zero": {"simulation": {"window": 0}},
     "window-negative": {"simulation": {"window": -1}},
     "t_end-below-dt": {"simulation": {"t_end": 0.005}},
+    "epsilon-negative": {"controller": {"epsilon": -0.1}},
+    "N-negative": {"controller": {"N": -1}},
 }
 UNSTABLE_LOOPS = {
     "overrides5": {"plant": {"damping_q": 0.0}},

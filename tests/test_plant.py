@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavereg import linalg, loop
+from wavereg import bessel, linalg, loop
 from wavereg.exosystem import Exosystem
 from wavereg.plant import FourierOutputBasis, assemble_wave_plant, project_profile
 from wavereg.synthesis import Controller, eval_transfer
@@ -126,6 +126,17 @@ class TestAssembly:
             assemble_wave_plant(2, 2, 1.0, rho=-1.0)
         with pytest.raises(ValueError):
             assemble_wave_plant(2, 2, 1.0, inner_bc="mixed")
+        with pytest.raises(ValueError, match="Q_fb must be nonnegative"):
+            assemble_wave_plant(2, 2, -1.0)
+
+    def test_unknown_inner_condition_refused_before_root_search(self, monkeypatch):
+        calls = []
+        collocate = bessel._collocation_wavenumbers
+        monkeypatch.setattr(bessel, "_collocation_wavenumbers",
+                            lambda *args: calls.append(args) or collocate(*args))
+        with pytest.raises(ValueError, match="inner_bc must be one of"):
+            assemble_wave_plant(2, 2, 1.0, inner_bc="mixed")
+        assert calls == []
 
     def test_perturbed_scales_stiffness(self, small_plant):
         pert = small_plant.perturbed(stiffness_scale=1.21)
@@ -135,6 +146,12 @@ class TestAssembly:
         assert pert.T_mod == pytest.approx(1.21 * small_plant.T_mod)
         with pytest.raises(ValueError):
             small_plant.perturbed(stiffness_scale=0.0)
+
+    def test_perturbed_refuses_negative_damping_scale(self, small_plant):
+        # a negative scale would give the plant a negative damping gain Q
+        with pytest.raises(ValueError, match="q_scale nonnegative"):
+            small_plant.perturbed(q_scale=-1.0)
+        assert small_plant.perturbed(q_scale=0.0).Q_feedback == 0.0
 
     def test_replace_rederives_the_matrices(self, small_plant):
         # the matrices derive from the stored fields, so a plant with a
