@@ -196,6 +196,7 @@ def find_radial_roots(m, count, inner_bc):
     J Y' - J' Y = 2/(pi k) gives R(1) = 2/(pi k) for the Neumann inner
     condition and R'(1)/k = -2/(pi k) for the Dirichlet one.
     """
+    require_inner_bc(inner_bc)
     if count < 1:
         raise ValueError("count must be at least 1")
     seeds = _collocation_wavenumbers(m, count, inner_bc)[:count]

@@ -30,7 +30,7 @@ import sys
 import time
 import typing
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,11 @@ from .exosystem import (
 )
 from .plant import FourierOutputBasis, assemble_wave_plant, project_profile, require_plant_parameters
 
-_CONTROLLER_KINDS = ("regulating", "approx", "robust")
+_SYNTHESES = {  # each controller kind's synthesis from its config section, plant and exosystem
+    "regulating": lambda c, plant, exo: synthesis.synth_regulating(plant, exo, c.epsilon),
+    "approx": lambda c, plant, exo: synthesis.synth_approx_robust(plant, exo, c.N, c.epsilon),
+    "robust": lambda c, plant, exo: synthesis.synth_robust(plant, exo, c.epsilon),
+}
 
 
 def _require_known(names, known, what):
@@ -114,6 +118,11 @@ class ControllerConfig:
     N: int = 5
     epsilon: float = 0.15
 
+    def synthesis(self):  # this kind's synthesis of (plant, exo); the one kind refusal
+        if self.kind not in _SYNTHESES:
+            raise ValueError(f"controller.kind must be one of {tuple(_SYNTHESES)}")
+        return partial(_SYNTHESES[self.kind], self)
+
 
 @dataclass
 class SimulationConfig:
@@ -140,14 +149,12 @@ class RunConfig:
 
     def validate(self):
         p, c, s = self.plant, self.controller, self.simulation
-        if c.kind not in _CONTROLLER_KINDS:
-            raise ValueError(f"controller.kind must be one of {_CONTROLLER_KINDS}")
         for name, spec in (("x0", s.x0), ("z0", s.z0)):
             file_spec = isinstance(spec, dict) and list(spec) == ["file"]
             if spec != "zero" and not (file_spec and isinstance(spec["file"], str)):
                 raise ValueError(f"simulation.{name} must be 'zero' or {{'file': path}}: {spec!r}")
         # the pipeline's own checks, in its order, before any plant is built
-        require_plant_parameters(p.n_radial, p.m_angular, p.damping_q, p.rho, p.t_mod, p.inner_bc)
+        require_plant_parameters(**dataclasses.asdict(p))
         e, basis = self.exosystem, FourierOutputBasis(p.m_angular - 1)
         _require_known_preset(e.preset)
         if e.preset == "sect5":
@@ -158,6 +165,7 @@ class RunConfig:
             require_preset_order(basis.max_order)
         else:
             _custom_exosystem(e, basis)
+        c.synthesis()  # refuses an unknown kind
         if c.kind == "approx":
             synthesis.output_block_dim(c.N, basis.dim)
         synthesis.require_gain(c.epsilon)
@@ -195,10 +203,7 @@ def load_config(path):
 
 
 def build_plant(cfg):
-    p = cfg.plant
-    return assemble_wave_plant(
-        p.n_radial, p.m_angular, p.damping_q, rho=p.rho, T_mod=p.t_mod, inner_bc=p.inner_bc
-    )
+    return assemble_wave_plant(**dataclasses.asdict(cfg.plant))
 
 
 def _term_from_config(term, where, basis):
@@ -240,12 +245,7 @@ def build_exo(cfg, plant):
 
 
 def build_controller(cfg, plant, exo):
-    c = cfg.controller
-    if c.kind == "regulating":
-        return synthesis.synth_regulating(plant, exo, c.epsilon)
-    if c.kind == "approx":
-        return synthesis.synth_approx_robust(plant, exo, c.N, c.epsilon)
-    return synthesis.synth_robust(plant, exo, c.epsilon)
+    return cfg.controller.synthesis()(plant, exo)
 
 
 class Run:

@@ -252,20 +252,20 @@ class ModalWavePlant:
         return out
 
 
-def require_plant_parameters(n_radial, m_angular, Q_fb, rho, T_mod, inner_bc):
+def require_plant_parameters(n_radial, m_angular, damping_q, rho, t_mod, inner_bc):
     """Raise a ValueError unless the mode counts are at least 1, the damping
     gain nonnegative, the constants positive and the inner condition known;
     checked before any root search."""
     if n_radial < 1 or m_angular < 1:
         raise ValueError(f"n_radial and m_angular must be at least 1, got {n_radial} and {m_angular}")
-    if Q_fb < 0:
-        raise ValueError(f"Q_fb must be nonnegative, got {Q_fb}")
-    if rho <= 0 or T_mod <= 0:
-        raise ValueError(f"rho and T_mod must be positive, got {rho} and {T_mod}")
+    if damping_q < 0:
+        raise ValueError(f"damping_q must be nonnegative, got {damping_q}")
+    if rho <= 0 or t_mod <= 0:
+        raise ValueError(f"rho and t_mod must be positive, got {rho} and {t_mod}")
     require_inner_bc(inner_bc)
 
 
-def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc="neumann"):
+def assemble_wave_plant(n_radial, m_angular, damping_q, rho=1.0, t_mod=1.0, inner_bc="neumann"):
     """Assemble the modal wave plant for the annulus.
 
     Parameters
@@ -276,10 +276,10 @@ def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc=
         Number of angular orders 0..m_angular-1; cos and sin parities for
         every positive order give ``n_radial * (2 m_angular - 1)`` scalar
         modes and an output space of dimension ``2 m_angular - 1``.
-    Q_fb : float
-        Constant boundary damping gain (the stabilizing output feedback).
-    rho, T_mod : float
-        Mass density and stiffness constants.
+    damping_q : float
+        Constant boundary damping gain Q (the stabilizing output feedback).
+    rho, t_mod : float
+        Mass density and stiffness T.
     inner_bc : str
         Homogeneous condition of the eigenbasis at r = 1 ("neumann" or
         "dirichlet"); see the module docstring.
@@ -288,6 +288,6 @@ def assemble_wave_plant(n_radial, m_angular, Q_fb, rho=1.0, T_mod=1.0, inner_bc=
     -------
     ModalWavePlant
     """
-    require_plant_parameters(n_radial, m_angular, Q_fb, rho, T_mod, inner_bc)
+    require_plant_parameters(n_radial, m_angular, damping_q, rho, t_mod, inner_bc)
     radial = tuple(find_radial_roots(m, n_radial, inner_bc=inner_bc) for m in range(m_angular))
-    return ModalWavePlant(radial=radial, Q_feedback=float(Q_fb), rho=float(rho), T_mod=float(T_mod))
+    return ModalWavePlant(radial=radial, Q_feedback=float(damping_q), rho=float(rho), T_mod=float(t_mod))

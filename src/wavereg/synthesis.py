@@ -46,9 +46,9 @@ class RankDeficiencyError(RuntimeError):
 
 
 def require_gain(eps):
-    """Raise a ValueError unless the tuning gain ``eps`` is nonnegative."""
+    """Raise a ValueError unless the tuning gain ``eps`` (a run's ``epsilon``) is nonnegative."""
     if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+        raise ValueError(f"epsilon must be nonnegative, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,7 @@ def solve_regulator(closed_loop, exo):
             Sigma[n_p:, k] = z = np.linalg.solve(M, ctrl.G2 @ (p * E_s[:, k] + exo.F[:, k]))
             Sigma[:n_p, k] = plant.input_resolvent(1j * w) @ (K @ z + E_s[:, k])
         except ResonanceError as exc:
-            raise ResonanceError(w) from exc
+            raise ResonanceError(w, f"i*omega with omega={w} is a pole of P_s") from exc
     Acl, Bcl = closed_loop.Acl, closed_loop.Bcl
     resid1 = np.linalg.norm(Sigma * (1j * exo.omegas) - Acl @ Sigma - Bcl, 2)
     bound = 1e-8 * (np.linalg.norm(Acl) * np.linalg.norm(Sigma) + np.linalg.norm(Bcl))

@@ -168,6 +168,15 @@ class TestRootFinding:
         with pytest.raises(ValueError):
             bessel.find_radial_roots(0, 2, "free")
 
+    def test_unknown_inner_condition_refused_before_collocation(self, monkeypatch):
+        calls = []
+        collocate = bessel._collocation_wavenumbers
+        monkeypatch.setattr(bessel, "_collocation_wavenumbers",
+                            lambda *args: calls.append(args) or collocate(*args))
+        with pytest.raises(ValueError, match="inner_bc must be one of"):
+            bessel.find_radial_roots(0, 2, "mixed")
+        assert calls == []
+
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
     @settings(max_examples=6, derandomize=True, deadline=None)
     @given(m=st.integers(0, 60), count=st.integers(1, 30))

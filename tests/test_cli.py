@@ -94,18 +94,27 @@ class TestConfig:
             RunConfig.from_dict({"plant": {"damping_q": -1.0}})
 
     @pytest.mark.parametrize("name, value", [("n_radial", 0), ("m_angular", 0), ("rho", 0.0),
-                                             ("t_mod", -1.0), ("damping_q", -1.0),
-                                             ("inner_bc", "mixed")])
+                                             ("t_mod", -1.0), ("t_mod", 0.0),
+                                             ("damping_q", -1.0), ("inner_bc", "mixed")])
     def test_plant_parameter_message_is_the_library_one(self, name, value):
         # the config and the plant assembly share one check of these parameters
         p = {**dataclasses.asdict(cli.PlantConfig()), name: value}
         with pytest.raises(ValueError) as from_config:
             RunConfig.from_dict({"plant": {name: value}})
         with pytest.raises(ValueError) as from_library:
-            assemble_wave_plant(p["n_radial"], p["m_angular"], p["damping_q"], rho=p["rho"],
-                                T_mod=p["t_mod"], inner_bc=p["inner_bc"])
+            assemble_wave_plant(**p)
         assert str(from_config.value) == str(from_library.value)
-        assert str(value) in str(from_config.value)
+        assert str(value) in str(from_config.value) and name in str(from_config.value)
+
+    def test_unknown_kind_refused_by_the_builder_too(self, sect5_plant, sect5_exo):
+        # a kind set past validation must not fall back to another synthesis
+        cfg = RunConfig(controller=cli.ControllerConfig(kind="sliding-mode"))
+        with pytest.raises(ValueError) as from_builder:
+            cli.build_controller(cfg, sect5_plant, sect5_exo)
+        with pytest.raises(ValueError) as from_config:
+            RunConfig.from_dict({"controller": {"kind": "sliding-mode"}})
+        assert str(from_builder.value) == str(from_config.value)
+        assert str(from_builder.value).startswith("controller.kind must be one of (")
 
     @pytest.mark.parametrize("name, value", [("N", -1), ("epsilon", -0.1)])
     def test_controller_parameter_message_is_the_library_one(self, sect5_plant, sect5_exo,
@@ -117,7 +126,7 @@ class TestConfig:
         with pytest.raises(ValueError) as from_library:
             synthesis.synth_approx_robust(sect5_plant, sect5_exo, c["N"], c["epsilon"])
         assert str(from_config.value) == str(from_library.value)
-        assert str(value) in str(from_config.value)
+        assert str(value) in str(from_config.value) and name in str(from_config.value)
 
     @pytest.mark.parametrize("name", ["reference", "disturbance"])
     def test_preset_refuses_signal_terms(self, name):
@@ -207,18 +216,13 @@ def test_config_refuses_exactly_what_the_library_refuses(values):
     }
 
     def build():
-        plant = assemble_wave_plant(p["n_radial"], p["m_angular"], p["damping_q"], rho=p["rho"],
-                                    T_mod=p["t_mod"], inner_bc=p["inner_bc"])
+        plant = assemble_wave_plant(**p)
         coeffs = np.eye(plant.basis.dim)[0]
         terms = ([SignalTerm(coeffs, temporal, w * np.pi)] for _, temporal, w in signals)
         exo = build_exosystem(*terms, plant.basis.max_order)
         cli.build_controller(RunConfig(controller=cli.ControllerConfig(**c)), plant, exo)
 
-    from_config = _refusal(lambda: RunConfig.from_dict(config))
-    if c["kind"] not in cli._CONTROLLER_KINDS:  # a config name, with no library counterpart
-        assert from_config.startswith("controller.kind must be one of")
-    else:
-        assert from_config == _refusal(build)
+    assert _refusal(lambda: RunConfig.from_dict(config)) == _refusal(build)
 
 
 class TestMatrixFormat:

@@ -126,7 +126,7 @@ class TestAssembly:
             assemble_wave_plant(2, 2, 1.0, rho=-1.0)
         with pytest.raises(ValueError):
             assemble_wave_plant(2, 2, 1.0, inner_bc="mixed")
-        with pytest.raises(ValueError, match="Q_fb must be nonnegative"):
+        with pytest.raises(ValueError, match="damping_q must be nonnegative"):
             assemble_wave_plant(2, 2, -1.0)
 
     def test_unknown_inner_condition_refused_before_root_search(self, monkeypatch):

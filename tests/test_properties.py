@@ -80,7 +80,7 @@ def test_plant_matrices_follow_density_and_stiffness(n_radial, m_angular, inner_
                                                      Q, omegas):
     # collocation C^T = rho B, the damper As = A - Q B C, skew-adjointness of
     # A in the energy norm and the closed-form transfer, off rho = T = 1
-    plant = assemble_wave_plant(n_radial, m_angular, Q, rho=rho, T_mod=T_mod, inner_bc=inner_bc)
+    plant = assemble_wave_plant(n_radial, m_angular, Q, rho=rho, t_mod=T_mod, inner_bc=inner_bc)
     A, B, C = plant.A, plant.B, plant.C
     assert np.abs(C.T - rho * B).max() <= 4e-16 * np.abs(C).max()
     assert np.abs(plant.As - (A - Q * (B @ C))).max() <= 4e-16 * np.abs(plant.As).max()

@@ -325,7 +325,7 @@ class TestRegulatorEquations:
         plant, exo = scalar_plant(a=0.0), single_freq_exo(0.0)
         ones = np.ones((1, 1), dtype=complex)
         ctrl = synthesis.Controller("regulating", exo.omegas, 1, -ones, ones, eps=0.1)
-        with pytest.raises(linalg.ResonanceError) as info:
+        with pytest.raises(linalg.ResonanceError, match="omega=0.0 is a pole of P_s") as info:
             solve_regulator(assemble_direct(plant, ctrl, exo), exo)
         assert info.value.omega == 0.0
 
