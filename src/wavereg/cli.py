@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import shutil
 import sys
 import time
 import typing
@@ -332,17 +333,43 @@ def cmd_synth(cfg, out_dir=None):
 
 @contextlib.contextmanager
 def _timed(timings, stage):
-    """Record the wall-clock seconds of one stage of a command in ``timings``."""
+    """Add the wall-clock seconds of one stage of a command to ``timings``."""
     start = time.perf_counter()
     yield
-    timings[stage] = time.perf_counter() - start
+    timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - start
+
+
+_CSV_COLUMNS = ("t", "J", "err_sq", "pn_err_sq", "energy")
+_SVG_POINTS = 4096  # a longer series is plotted at every k-th sample
+
+
+def _simulation_rows(cl, exo, x0, sim, weights):
+    """The columns of simulation.csv in blocks of rows, reduced from the loop's chunks
+    of samples as they come. J(t) integrates over [t, t + window], so a row waits
+    for the samples that complete its J, and the rows of the last window have none."""
+    steps, before, start = loop.window_steps(sim.window, sim.dt, sim.t_end), (), 0
+    pending = np.empty((4, 0))  # t, err_sq, pn_err_sq and energy of rows without J
+    for errors, sq, _ in loop.simulate_chunks(cl, exo, x0=x0, t_end=sim.t_end, dt=sim.dt):
+        e, t = errors[:, :, 0].T, sim.dt * np.arange(start, start + errors.shape[1])
+        err_sq, start = loop.norms_sq(e), start + t.size
+        rows = np.vstack([t, err_sq, loop.norms_sq(e, weights), sq[0, :, 0]])
+        values, before = loop.window_integrals(err_sq, sim.dt, steps, before)
+        done, pending = np.hsplit(np.hstack([pending, rows]), [values.size])
+        yield dict(zip(_CSV_COLUMNS, (done[0], values, *done[1:])))
+    yield dict(zip(_CSV_COLUMNS, (pending[0], np.empty(0), *pending[1:])))
 
 
 def cmd_simulate(cfg, out_dir=None):
-    """Full pipeline run; writes simulation.csv, run_meta.json and optional SVG plots."""
+    """Full pipeline run; writes simulation.csv, run_meta.json and optional SVG
+    plots. The samples are reduced and written chunk by chunk; a run whose CSV
+    cannot fit into the output directory is refused before any file is written."""
     t_start = time.perf_counter()
     timings = {}
-    out = _outdir(cfg, out_dir)
+    out, sim = _outdir(cfg, out_dir), cfg.simulation
+    csv_path, n_rows = out / "simulation.csv", loop.whole_steps(sim.t_end, sim.dt, "t_end") + 1
+    need, free = n_rows * len("0,,0,0,0\r\n"), shutil.disk_usage(out).free  # the shortest rows
+    if need > free:
+        raise OSError(f"{csv_path} needs at least {need} bytes, {out} has {free} bytes free")
     run = Run(cfg)
     with _timed(timings, "plant"):
         plant = run.plant
@@ -353,36 +380,35 @@ def cmd_simulate(cfg, out_dir=None):
     with _timed(timings, "assemble"):  # the loop and its spectral abscissa
         cl = run.closed_loop
         cl.require_stable()
-    sim = cfg.simulation
     x0 = np.concatenate([_initial_state(sim.x0, plant.state_dim, "x0"),
                          _initial_state(sim.z0, ctrl.dim_z, "z0")])
-    with _timed(timings, "simulate"):
-        traj = loop.simulate_exact(cl, exo, x0=x0, t_end=sim.t_end, dt=sim.dt)
-        series = loop.windowed_error(traj, window=sim.window)
-        err_sq = traj.error_norms_sq()
-        pn_err_sq = traj.error_norms_sq(ctrl.projector())
-    csv_path = out / "simulation.csv"
-    with _timed(timings, "csv"):
-        # J(t) integrates over [t, t + window], so its column ends one window early
-        serialize.save_csv(csv_path, {"t": traj.t, "J": series.values, "err_sq": err_sq,
-                                      "pn_err_sq": pn_err_sq, "energy": traj.energies})
+    stride, plots, written, J_final = -(-n_rows // _SVG_POINTS), [], 0, None
+    with _timed(timings, "simulate"), serialize.csv_table(csv_path, _CSV_COLUMNS) as write_rows:
+        for columns in _simulation_rows(cl, exo, x0, sim, ctrl.projector()):
+            with _timed(timings, "csv"):
+                write_rows(columns)
+            every = slice((-written) % stride, None, stride)  # every stride-th row's values
+            plots.append([columns[name][every].copy() for name in ("t", "J", "energy")])
+            written, J = written + columns["t"].size, columns["J"]
+            J_final = float(J[-1]) if J.size else J_final
+    timings["simulate"] -= timings["csv"]  # the sampling and its reductions alone
     if cfg.output.emit_svg:
-        _svg_line_plot(
-            out / "windowed_error.svg", series.t, series.values, "windowed tracking error", ylog=True
-        )
-        _svg_line_plot(out / "energy.svg", traj.t, traj.energies, "plant energy")
+        t, J, energy = (np.concatenate(parts) for parts in zip(*plots))
+        _svg_line_plot(out / "windowed_error.svg", t[: J.size], J, "windowed tracking error",
+                       ylog=True)
+        _svg_line_plot(out / "energy.svg", t, energy, "plant energy")
     meta = {
         "config": cfg.to_dict(),
         "version": __version__,
         "abscissa": cl.abscissa,
-        "J_final": float(series.values[-1]),
+        "J_final": J_final,
         "elapsed_s": time.perf_counter() - t_start,
         "timings": timings,
     }
     with open(out / "run_meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return {"csv": csv_path, "J_final": float(series.values[-1]), "abscissa": cl.abscissa}
+    return {"csv": csv_path, "J_final": J_final, "abscissa": cl.abscissa}
 
 
 def cmd_reproduce(figure, out_dir=None, emit_svg=False):

@@ -10,6 +10,9 @@ deterministic pipeline reproduces files byte for byte.
 
 from __future__ import annotations
 
+import contextlib
+from pathlib import Path
+
 import numpy as np
 
 _MAGIC = "# wavereg matrix v1"
@@ -56,21 +59,35 @@ def load_vector(path):
     return load_matrix(path).ravel()
 
 
-def save_csv(path, columns):
-    """Write the named ``columns``, in order, as a CSV table.
+@contextlib.contextmanager
+def csv_table(path, names):
+    """Write a CSV table with the columns ``names`` to ``path``: a header line, then
+    the rows of each ``{name: column}`` passed to the yielded function, one per entry
+    of its first column. Each column is an array, flattened in row-major order; a
+    shorter column ends in empty cells, and a longer one raises ``ValueError``. Floats
+    get 17 significant digits (exact round trip), other values are written with
+    ``str``. The file is removed if the block raises."""
 
-    Each column is an array, flattened in row-major order. The table has a
-    header line and one CRLF-terminated row per entry of the first column;
-    a shorter column ends in empty cells, and a longer one raises
-    ``ValueError``. Floats get 17 significant digits (exact round trip), other
-    values are written with ``str``.
-    """
-    cells = [[_fmt(v) if isinstance(v, float) else str(v) for v in np.ravel(col).tolist()]
-             for col in columns.values()]
-    n = len(cells[0])
-    for name, col in zip(columns, cells):
-        if len(col) > n:
-            raise ValueError(f"column {name!r} has {len(col)} entries, the first has {n}")
-    rows = zip(*(col + [""] * (n - len(col)) for col in cells))
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write("\r\n".join([",".join(columns), *map(",".join, rows)]) + "\r\n")
+    def write_rows(columns):
+        cells = [[_fmt(v) if isinstance(v, float) else str(v) for v in np.ravel(col).tolist()]
+                 for col in columns.values()]
+        n = len(cells[0])
+        for name, col in zip(columns, cells):
+            if len(col) > n:
+                raise ValueError(f"column {name!r} has {len(col)} entries, the first has {n}")
+        rows = zip(*(col + [""] * (n - len(col)) for col in cells))
+        fh.write("".join(",".join(row) + "\r\n" for row in rows))
+
+    try:
+        with open(path, "w", newline="", encoding="ascii") as fh:
+            fh.write(",".join(names) + "\r\n")
+            yield write_rows
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def save_csv(path, columns):
+    """Write the named ``columns``, in order, as a CSV table (:func:`csv_table`)."""
+    with csv_table(path, columns) as write_rows:
+        write_rows(columns)

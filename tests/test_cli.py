@@ -5,8 +5,10 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -288,6 +290,26 @@ def test_csv_golden_bytes(tmp_path):
     )
 
 
+def test_csv_in_pieces_is_the_whole_table(tmp_path):
+    # the row writer of save_csv, called once per piece of the columns
+    columns = {"n": np.arange(1, 4), "x": np.array([0.1, -0.0, 1e300])}
+    serialize.save_csv(tmp_path / "whole.csv", columns)
+    with serialize.csv_table(tmp_path / "pieces.csv", columns) as write_rows:
+        write_rows({name: col[:1] for name, col in columns.items()})
+        write_rows({name: col[1:] for name, col in columns.items()})
+    assert (tmp_path / "pieces.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_csv_table_removes_its_file_when_writing_fails(tmp_path):
+    # a table cut off after its first piece would read as a complete one
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="column 'x' has 3 entries, the first has 2"):
+        with serialize.csv_table(path, ["n", "x"]) as write_rows:
+            write_rows({"n": np.arange(2), "x": np.ones(2)})
+            write_rows({"n": np.arange(2), "x": np.ones(3)})
+    assert not path.exists()
+
+
 def test_csv_refuses_column_longer_than_the_first(tmp_path):
     # a longer column would be cut short without a word
     path = tmp_path / "table.csv"
@@ -440,6 +462,84 @@ class TestSimulateCommand:
         assert "polyline" in svg and "nan" not in svg
 
 
+class TestStreamedSimulation:
+    @pytest.mark.parametrize("window", [1.0, 25.0])
+    def test_csv_matches_the_whole_trajectory(self, tmp_path, window):
+        # 50 s are 5,001 samples, three chunks; a 25 s window outlasts a chunk.
+        # The whole-trajectory path reduces the same samples after the run.
+        cfg = small_config(tmp_path)
+        cfg.simulation.t_end, cfg.simulation.window = 50.0, window
+        cfg = cfg.validate()
+        assert 5001 > 2 * loop._CHUNK
+        streamed = cli.cmd_simulate(cfg, tmp_path / "streamed")
+        run = cli.Run(cfg)
+        traj = loop.simulate_exact(run.closed_loop, run.exo, t_end=50.0, dt=0.01)
+        series = loop.windowed_error(traj, window=window)
+        whole = tmp_path / "whole.csv"
+        serialize.save_csv(whole, {"t": traj.t, "J": series.values, "err_sq": traj.error_norms_sq(),
+                                   "pn_err_sq": traj.error_norms_sq(run.controller.projector()),
+                                   "energy": traj.energies})
+        (header, *rows), (whole_header, *whole_rows) = (
+            list(csv.reader(open(path, newline=""))) for path in (streamed["csv"], whole))
+        assert header == whole_header and len(rows) == len(whole_rows) == 5001
+        for name, col, whole_col in zip(header, zip(*rows), zip(*whole_rows)):
+            if name == "t":
+                assert col == whole_col
+                continue
+            filled = [cell != "" for cell in col]
+            assert filled == [cell != "" for cell in whole_col]  # J ends on the same row
+            values = np.array([float(c) for c in col if c])
+            np.testing.assert_allclose(values, [float(c) for c in whole_col if c], rtol=1e-13,
+                                       atol=0.0, err_msg=name)
+        assert sum(cell != "" for cell in list(zip(*rows))[1]) == 5001 - round(window / 0.01)
+        assert streamed["J_final"] == series.values[-1]
+
+    def test_svg_series_thinned_beyond_its_point_count(self, tmp_path):
+        # 5,001 samples are more than an SVG series holds: every second one
+        cfg = small_config(tmp_path)
+        cfg.simulation.t_end, cfg.output.emit_svg = 50.0, True
+        cli.cmd_simulate(cfg.validate(), tmp_path)
+        assert 2 * cli._SVG_POINTS >= 5001 > cli._SVG_POINTS
+        for name, n_samples in (("energy.svg", 5001), ("windowed_error.svg", 4901)):
+            svg = (tmp_path / name).read_text()
+            points = re.search(r'points="([^"]*)"', svg).group(1).split()
+            assert len(points) == (n_samples + 1) // 2
+
+    def test_peak_allocation_does_not_grow_with_the_horizon(self, tmp_path):
+        # the samples are reduced and written chunk by chunk: ten times the
+        # horizon, 200,001 samples, adds at most 2 MB to the traced peak
+        cli.cmd_simulate(small_config(tmp_path), tmp_path / "warm")  # lazy imports
+        peaks = []
+        for t_end in (200.0, 2000.0):
+            cfg = small_config(tmp_path)
+            cfg.simulation.t_end = t_end
+            tracemalloc.start()
+            try:
+                cli.cmd_simulate(cfg.validate(), tmp_path / f"t{t_end:g}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2e6
+
+    def test_refuses_a_csv_larger_than_the_free_space(self, tmp_path, capsys, monkeypatch):
+        # 401 rows of at least 10 bytes do not fit into 4,000 free bytes: one
+        # line names both numbers, before any plant is built or file written
+        cfg_path = tmp_path / "cfg.json"
+        save_config(small_config(tmp_path), cfg_path)
+
+        def no_plant(cfg):
+            raise AssertionError("plant built for a run that cannot be written")
+
+        monkeypatch.setattr(cli, "build_plant", no_plant)
+        monkeypatch.setattr(cli.shutil, "disk_usage", lambda path: SimpleNamespace(free=4000))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavereg: error: ") and err.count("\n") == 1
+        assert "needs at least 4010 bytes" in err and "has 4000 bytes free" in err
+        assert list(out.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def preset_run():
     """The preset loop and its first 10 s of states from the per-step oracle."""
@@ -571,7 +671,8 @@ LIBRARY_ERRORS = {
     "overrides24": COS_AT_ZERO,
     # RangeViolationError
     "overrides25": {**COS_AT_ZERO, "controller": {"kind": "regulating"}},
-    # MemoryError: a 1e14-sample time grid
+    # OSError: the CSV of a 1e14-sample time grid needs more bytes than the
+    # output directory has free; refused before any sampling
     "overrides26": {"simulation": {"t_end": 1e12}},
 }
 # values the config layer refuses that used to fail only once the run was built

@@ -246,6 +246,35 @@ class TestSimulation:
             with pytest.raises(linalg.OverflowCapError, match=rf"t={first * dt:.3f} "):
                 simulate_exact(cl, exo, x0=np.ones(1), t_end=n_steps * dt, dt=dt)
 
+    def test_growth_cap_stops_at_the_chunk_over_it(self, monkeypatch):
+        # x' = x crosses the cap near t = 28.5, in the second of five chunks of
+        # a 100 s run: the message names the sample that a check of the whole
+        # horizon names, and no later chunk is filled
+        plant, exo, dt, n_steps = scalar_plant(a=5.0), single_freq_exo(omega=1.0), 0.01, 10_000
+        cl = ClosedLoop(
+            Acl=np.array([[1.0 + 0j]]),
+            Bcl=np.array([[0.0 + 0j]]),
+            Ccl=np.array([[1.0 + 0j]]),
+            Dcl=np.array([[0.0 + 0j]]),
+            plant=plant,
+            ctrl=None,
+            exo=exo,
+        )
+        states, _, _ = sequential_reference(cl, exo, np.ones(1), n_steps, dt)
+        norms = np.hypot(np.abs(states[:, 0]), np.abs(exo.v0[0]))
+        first = int(np.argmax(norms > 1e12 * (1.0 + norms[0])))
+        assert first // loop._CHUNK == 1 and n_steps // loop._CHUNK >= 4
+        fills, propagate = [], loop._propagate
+
+        def counting_propagate(powers, X, *filled):  # one call per block and chunk
+            fills.append(X.shape[1])
+            propagate(powers, X, *filled)
+
+        monkeypatch.setattr(loop, "_propagate", counting_propagate)
+        with pytest.raises(linalg.OverflowCapError, match=rf"t={first * dt:.3f} "):
+            simulate_exact(cl, exo, x0=np.ones(1), t_end=n_steps * dt, dt=dt)
+        assert fills == [loop._CHUNK, loop._CHUNK]
+
     def test_time_grid_validation(self, toy_plant):
         exo = single_freq_exo(omega=0.0)
         ctrl = synth_regulating(toy_plant, exo, eps=0.1)
@@ -340,6 +369,38 @@ class TestBlockStepping:
             assert rel_gap(resp.errors, states @ plant.C.T) < 1e-12
             assert rel_gap(resp.energies, energies) < 1e-12
 
+
+    def test_chunks_match_sequential_stepping(self, small_plant, small_exo):
+        # three whole chunks and a ragged fourth: each chunk starts one step
+        # past the last samples of the chunk before
+        dt, n_steps = 0.01, 3 * loop._CHUNK + 45
+        ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
+        cl = assemble_direct(small_plant, ctrl, small_exo)
+        x0 = np.random.default_rng(25).standard_normal(cl.state_dim)
+        traj = simulate_exact(cl, small_exo, x0=x0, t_end=n_steps * dt, dt=dt)
+        states, errors, energies = sequential_reference(cl, small_exo, x0, n_steps, dt)
+        assert traj.errors.shape == errors.shape
+        assert rel_gap(traj.states[0], states[-1]) < 1e-12
+        assert rel_gap(traj.errors, errors) < 1e-12
+        assert rel_gap(traj.energies, energies) < 1e-12
+
+    def test_free_response_rows_over_chunks_match_sequential_stepping(self, small_plant):
+        # three rows share each chunk's fill; the free plant is a loop with
+        # no input driven by an exosystem at rest
+        dt, n_steps = 0.01, 3 * loop._CHUNK + 45
+        n, p = small_plant.state_dim, small_plant.output_dim
+        rows = np.random.default_rng(26).standard_normal((3, n))
+        at_rest = Exosystem(omegas=np.ones(1), E=np.zeros((p, 1)), F=np.zeros((p, 1)),
+                            v0=np.zeros(1, dtype=complex))
+        free = ClosedLoop(small_plant.As, np.zeros((n, 1)), small_plant.C,
+                          np.zeros((p, 1)), small_plant, None, at_rest)
+        batch = loop.free_response(small_plant, rows, t_end=n_steps * dt, dt=dt)
+        for x0, resp in zip(rows, batch):
+            states, errors, energies = sequential_reference(free, at_rest, x0, n_steps, dt)
+            assert resp.errors.shape == errors.shape
+            assert rel_gap(resp.states[0], states[-1]) < 1e-12
+            assert rel_gap(resp.errors, errors) < 1e-12
+            assert rel_gap(resp.energies, energies) < 1e-12
 
     def test_free_response_batch_matches_single_states(self, small_plant):
         # rows of initial states share one fill; each row's trajectory is the
@@ -452,6 +513,19 @@ class TestWindowedError:
         P = np.diag([1.0, 0.0])
         series = windowed_error(traj, window=1.0, weights=P)
         assert np.abs(series.values - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("steps", [1, 7, 300])
+    def test_pieces_give_the_windows_of_one_push(self, steps):
+        # windows that straddle pieces, and a window longer than any piece,
+        # sum the same trapezoid areas in the same order as one push
+        sq = np.random.default_rng(18).random(1000)
+        whole, _ = loop.window_integrals(sq, 0.01, steps)
+        cuts, pieces, before = [0, 1, 5, 6, 250, 999, 1000], [], ()
+        for a, b in zip(cuts, cuts[1:]):
+            values, before = loop.window_integrals(sq[a:b], 0.01, steps, before)
+            pieces.append(values)
+        assert whole.size == sq.size - steps
+        assert np.array_equal(np.concatenate(pieces), whole)
 
     def test_error_norms_sq_applies_weights(self):
         rng = np.random.default_rng(17)
