@@ -40,10 +40,6 @@ _SEED_WIDTH = 1e-6  # relative half-width of the bracket around each seed
 _SECANT_STEPS = 10
 
 
-class BracketError(RuntimeError):
-    """Root finding missed, skipped or failed to converge on a wavenumber."""
-
-
 def _libm_bessel(*names):
     """The named C math library functions f(int m, double x), as ``jn`` and
     ``yn`` are, each vectorized over x to a float array shaped like x.
@@ -188,7 +184,7 @@ def find_radial_roots(m, count, inner_bc):
     distinct and ascending. By Sturm oscillation the n-th mode has n - 1
     zeros in (1, 2), n for m = 0 with the Neumann inner condition, so a last
     mode with that many sign changes on 8 * ``count`` midpoints is the
-    count-th. BracketError names the order and the failed condition.
+    count-th. A ValueError names the order and the failed condition.
 
     Lommel's integral of the cylinder function R(r) = Z_m(k r) is
     int r R^2 dr = [r^2/2 (Z_m'(k r)^2 + (1 - m^2/(k r)^2) R^2)]_1^2, and
@@ -202,17 +198,17 @@ def find_radial_roots(m, count, inner_bc):
     seeds = _collocation_wavenumbers(m, count, inner_bc)[:count]
     seeds = seeds[seeds < _BRACKET_CAP]
     if seeds.size < count:
-        raise BracketError(
+        raise ValueError(
             f"found only {seeds.size} of {count} roots for order {m} below k={_BRACKET_CAP}"
         )
     lo, hi = seeds * (1.0 - _SEED_WIDTH), seeds * (1.0 + _SEED_WIDTH)
     if np.any(hi[:-1] >= lo[1:]):
-        raise BracketError(f"seed brackets of order {m} overlap: two seeds share a root")
+        raise ValueError(f"seed brackets of order {m} overlap: two seeds share a root")
     k0, k1 = lo, hi
     f0, f1 = cross_fn(m, np.stack([lo, hi]), inner_bc)
     unbracketed = np.flatnonzero(np.sign(f0) * np.sign(f1) > 0)
     if unbracketed.size:
-        raise BracketError(
+        raise ValueError(
             f"cross_fn of order {m} keeps its sign within {_SEED_WIDTH:g} of the seed "
             f"k={seeds[unbracketed[0]]}"
         )
@@ -229,7 +225,7 @@ def find_radial_roots(m, count, inner_bc):
     relative = np.abs(f1) / (np.abs(wY) + np.abs(wJ))
     worst = int(np.argmax(relative))
     if relative[worst] > ROOT_RESIDUAL_TOL:
-        raise BracketError(
+        raise ValueError(
             f"root polish stalled at k={roots[worst]} (order {m}), relative residual "
             f"{relative[worst]:.3e}"
         )
@@ -237,8 +233,8 @@ def find_radial_roots(m, count, inner_bc):
     zeros = np.count_nonzero(np.diff(_cross_product(m, roots[-1] * r, wY[-1], wJ[-1]) < 0))
     expected = count - 1 + (m == 0 and inner_bc == "neumann")
     if zeros != expected:
-        raise BracketError(f"mode {count} of order {m} has {zeros} interior zeros, not "
-                           f"{expected}: a root was skipped")
+        raise ValueError(f"mode {count} of order {m} has {zeros} interior zeros, not "
+                         f"{expected}: a root was skipped")
     outer = _cross_product(m, roots * 2.0, wY, wJ)
     inner = (2.0 / (np.pi * roots)) ** 2  # R(1)^2 or (R'(1)/k)^2, by the Wronskian
     if inner_bc == "neumann":

@@ -42,29 +42,17 @@ _PADE13 = np.array([
 _THETA13 = 5.371920351148152
 
 
-class LinearAlgebraError(Exception):
-    """Base class for numerical failures in this module."""
-
-
-class SingularMatrixError(LinearAlgebraError):
+class SingularMatrixError(ValueError):
     """A dense solve met a matrix whose singular values fail the singularity test."""
 
 
-class ResonanceError(LinearAlgebraError):
+class ResonanceError(ValueError):
     """A shifted solve (i*omega - A) was numerically singular, i.e. i*omega
     lies in the spectrum of A."""
 
     def __init__(self, omega, message=None):
         self.omega = omega
         super().__init__(message or f"i*omega with omega={omega} is in the spectrum")
-
-
-class ConvergenceError(LinearAlgebraError):
-    """An iterative kernel failed to meet its residual contract."""
-
-
-class OverflowCapError(LinearAlgebraError):
-    """A matrix exponential or trajectory exceeded the configured growth cap."""
 
 
 def as_matrix(A, name="matrix", dtype=complex):
@@ -83,7 +71,7 @@ def svd(A):
 
     Raises
     ------
-    ConvergenceError
+    ValueError
         If the reconstruction ``U s Vh`` misses ``A`` by more than
         ``RANK_RTOL`` times the largest singular value.
     """
@@ -92,7 +80,7 @@ def svd(A):
     scale = s[0] if s.size and s[0] > 0 else 1.0
     err = np.linalg.norm(u @ (s[:, None] * vh) - M)
     if err > RANK_RTOL * max(scale, 1.0) * max(M.shape):
-        raise ConvergenceError(f"SVD reconstruction error {err:.3e} out of tolerance")
+        raise ValueError(f"SVD reconstruction error {err:.3e} out of tolerance")
     return u, s, vh
 
 
@@ -165,22 +153,19 @@ def eig(A):
 
     Raises
     ------
-    ConvergenceError
-        If the QR iteration fails or the residual contract is violated.
+    ValueError
+        If the QR iteration (numpy's ``LinAlgError``) or the residual contract fails.
     """
     A = np.asarray(A)
     M = as_matrix(A, dtype=np.result_type(A, float))
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    try:
-        w, V = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    w, V = np.linalg.eig(M)
     scale = np.linalg.norm(M)
     if scale > 0:
         resid = np.linalg.norm(M @ V - V * w, axis=0).max()
         if resid > 1e-8 * scale:
-            raise ConvergenceError(
+            raise ValueError(
                 f"eigenpair residual {resid:.3e} exceeds 1e-8*||A|| = {1e-8 * scale:.3e}"
             )
     return w[np.lexsort((w.imag, w.real))]
@@ -202,7 +187,7 @@ def expm(A, t=1.0):
 
     Raises
     ------
-    OverflowCapError
+    ValueError
         If ``||A t||_F`` exceeds ``EXPM_NORM_CAP`` or the result is non-finite.
     """
     A = np.asarray(A)
@@ -212,7 +197,7 @@ def expm(A, t=1.0):
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     if np.linalg.norm(M) * abs(t) > EXPM_NORM_CAP:
-        raise OverflowCapError(f"||A t|| exceeds the cap {EXPM_NORM_CAP:.3e}")
+        raise ValueError(f"||A t|| exceeds the cap {EXPM_NORM_CAP:.3e}")
     norm1 = np.abs(M).sum(axis=0).max(initial=0.0) * abs(t)
     s = int(np.ceil(np.log2(norm1 / _THETA13))) if norm1 > _THETA13 else 0
     X = M * (t / 2.0**s)
@@ -229,7 +214,7 @@ def expm(A, t=1.0):
         for _ in range(s):
             E = E @ E
     if not np.all(np.isfinite(E)):
-        raise OverflowCapError("matrix exponential overflowed")
+        raise ValueError("matrix exponential overflowed")
     return E
 
 
@@ -239,7 +224,7 @@ def sylvester_diag(Ae, Be, omegas):
     (n, q) ``Be``; the oracle of the regulator solve, off the production path.
 
     Raises ``ResonanceError`` if some ``i*omega_k - Ae`` is numerically
-    singular, and ``ConvergenceError`` if the residual exceeds
+    singular, and ``ValueError`` if the residual exceeds
     ``1e-8 (||Ae|| ||Sigma|| + ||Be||)`` (Frobenius norms).
     """
     M = as_matrix(Ae, "Ae")
@@ -256,7 +241,7 @@ def sylvester_diag(Ae, Be, omegas):
     resid = np.linalg.norm(Sigma * (1j * om) - M @ Sigma - R)
     bound = 1e-8 * (np.linalg.norm(M) * np.linalg.norm(Sigma) + np.linalg.norm(R))
     if resid > bound:
-        raise ConvergenceError(
+        raise ValueError(
             f"Sylvester residual {resid:.3e} exceeds scaled tolerance {bound:.3e}"
         )
     return Sigma

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, synthesis
-from .linalg import OverflowCapError
 
 # Hard cap on trajectory growth relative to the initial data.
 _GROWTH_CAP = 1e12
@@ -36,10 +35,6 @@ _GROWTH_CAP = 1e12
 # 2^_HEAD samples of the one before: from its last sample alone, each chunk took 11
 # doubling passes, not 3, and delta-sweep ran 11 % slower on 2 BLAS threads.
 _CHUNK, _HEAD = 2048, 8
-
-
-class WindowTooLargeError(ValueError):
-    """The averaging window does not fit into the simulated horizon."""
 
 
 @dataclass(frozen=True)
@@ -179,6 +174,8 @@ def whole_steps(span, dt, name):
     """Number of steps of size ``dt`` > 0 in ``span`` >= dt, which must be a multiple of dt."""
     if not dt > 0 or span < dt:
         raise ValueError(f"need dt > 0 and {name} >= dt, got dt={dt} and {name}={span}")
+    if not np.isfinite(span / dt):
+        raise ValueError(f"{name}/dt is not a finite step count, got dt={dt} and {name}={span}")
     steps = int(round(span / dt))
     if abs(steps * dt - span) > 1e-9 * max(1.0, span):
         raise ValueError(f"{name} must be an integer multiple of dt")
@@ -189,7 +186,7 @@ def window_steps(window, dt, t_end):
     """Steps of size ``dt`` in the window of J(t), which must fit into [0, t_end]."""
     steps = whole_steps(window, dt, "window")
     if steps > whole_steps(t_end, dt, "t_end"):
-        raise WindowTooLargeError(f"window {window} does not fit into the horizon {t_end}")
+        raise ValueError(f"window {window} does not fit into the horizon {t_end}")
     return steps
 
 
@@ -331,9 +328,9 @@ def simulate_chunks(cl, exo, x0=None, t_end=20.0, dt=0.01):
     the errors C x + D v (p, rows, 1), the rows (plant energy, ||x_e||^2)
     (2, rows, 1) and x_e at the chunk's last sample (1, n), mapped back to
     the loop's coordinates. Raises ``ValueError`` for an ``x0`` of the wrong
-    shape or with a non-finite entry, and ``OverflowCapError`` at the first
-    chunk with a sample over the growth cap (an unstable loop on a long
-    horizon), naming that sample, before any later chunk is sampled.
+    shape or with a non-finite entry, and at the first chunk with a sample
+    over the growth cap (an unstable loop on a long horizon), naming that
+    sample, before any later chunk is sampled.
     """
     n_rows, n = whole_steps(t_end, dt, "t_end") + 1, cl.state_dim
     x0 = _initial_rows(np.zeros(n) if x0 is None else x0, n)
@@ -350,8 +347,8 @@ def simulate_chunks(cl, exo, x0=None, t_end=20.0, dt=0.01):
         over = ~(norms <= cap)
         if over.any():
             t = dt * (start + np.argmax(over))
-            raise OverflowCapError(f"trajectory exceeded the growth cap at t={t:.3f} "
-                                   f"(abscissa {cl.abscissa:+.3e})")
+            raise ValueError(f"trajectory exceeded the growth cap at t={t:.3f} "
+                             f"(abscissa {cl.abscissa:+.3e})")
         start += norms.size
         yield errors, sq, _pair(last.astype(complex), *pc, _U.conj())
 

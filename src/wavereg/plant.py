@@ -196,7 +196,10 @@ class ModalWavePlant:
 
     def _oscillators(self, lam):
         """lambda^2 + omega_j^2 (omega_j^2 = mu_j T_mod / rho) for each oscillator j,
-        and beta[c, j] = trace_jc^2 / rho, oscillator j's gain on its channel c."""
+        and beta[c, j] = trace_jc^2 / rho, oscillator j's gain on its channel c.
+        Raises ValueError for a ``lambda`` whose square overflows."""
+        if not abs(lam) <= np.sqrt(np.finfo(float).max):
+            raise ValueError(f"lambda={lam} is too large for P_s: lambda^2 overflows")
         return lam**2 + self.mu * self.T_mod / self.rho, self.trace.T * (self.trace / self.rho).T
 
     def transfer(self, lam):
@@ -215,6 +218,8 @@ class ModalWavePlant:
         ResonanceError
             If ``lambda`` is a pole of P_s (some value is not finite), as an
             undamped eigenfrequency is when Q = 0.
+        ValueError
+            If ``lambda``'s square overflows.
         """
         d, beta = self._oscillators(lam)
         with np.errstate(all="ignore"):  # a pole is refused below

@@ -36,15 +36,6 @@ SURJECTIVITY_RTOL = 1e-8
 RESONANCE_RTOL = 1e-10
 
 
-class RangeViolationError(RuntimeError):
-    """The target vector y_k is not in the range of P_s(i w_k); the
-    regulation problem is unsolvable for this plant/exosystem pair."""
-
-
-class RankDeficiencyError(RuntimeError):
-    """P_N P_s(i w_k) is not surjective onto the truncated output space."""
-
-
 def require_gain(eps):
     """Raise a ValueError unless the tuning gain ``eps`` (a run's ``epsilon``) is nonnegative."""
     if eps < 0:
@@ -189,7 +180,7 @@ def synth_regulating(plant, exo, eps):
 
     Raises
     ------
-    RangeViolationError
+    ValueError
         If some y_k is not in the range of P_s(i w_k) numerically, in which
         case no controller of this structure can regulate.
     """
@@ -206,7 +197,7 @@ def synth_regulating(plant, exo, eps):
             u_k = np.divide(y_k, p, out=np.zeros_like(y_k), where=live)
             resid = np.linalg.norm(p * u_k - y_k)
             if resid > 1e-8 * np.linalg.norm(y_k):
-                raise RangeViolationError(
+                raise ValueError(
                     f"y_k outside range of P_s(i*{exo.omegas[k]}): residual {resid:.3e}"
                 )
         else:
@@ -240,7 +231,7 @@ def synth_approx_robust(plant, exo, N, eps):
 
     Raises
     ------
-    RankDeficiencyError
+    ValueError
         If some P_N P_s(i w_k) fails the surjectivity test (smallest channel
         gain |p_N| below ``SURJECTIVITY_RTOL`` times the largest).
     """
@@ -254,7 +245,7 @@ def synth_approx_robust(plant, exo, N, eps):
                 if g.max() > 0
                 else "the largest channel gain sigma_max is 0"
             )
-            raise RankDeficiencyError(f"P_N P_s(i*{w}) not surjective: {why}")
+            raise ValueError(f"P_N P_s(i*{w}) not surjective: {why}")
     K0 = np.zeros((dim_y, exo.q * dim_yn), dtype=complex)
     K0[:dim_yn] = np.hstack([np.diag(1.0 / g) for g in gains])
     return Controller(
@@ -313,7 +304,7 @@ def solve_regulator(closed_loop, exo):
     so M is singular exactly then. Raises ``ResonanceError(w_k)`` when an
     eigenvalue of ``closed_loop.spectrum`` lies within ``RESONANCE_RTOL``
     max(1, |w_k|) of i w_k, or at a pole of P_s, where the closed forms do
-    not exist; and ``ConvergenceError`` if the defect residual1 (spectral
+    not exist; and ``ValueError`` if the defect residual1 (spectral
     norm) exceeds 1e-8 (||Acl|| ||Sigma|| + ||Bcl||) (Frobenius).
     """
     plant, ctrl, n_p = closed_loop.plant, closed_loop.ctrl, closed_loop.plant_dim
@@ -334,7 +325,7 @@ def solve_regulator(closed_loop, exo):
     resid1 = np.linalg.norm(Sigma * (1j * exo.omegas) - Acl @ Sigma - Bcl, 2)
     bound = 1e-8 * (np.linalg.norm(Acl) * np.linalg.norm(Sigma) + np.linalg.norm(Bcl))
     if resid1 > bound:
-        raise linalg.ConvergenceError(f"regulator residual {resid1:.3e} exceeds {bound:.3e}")
+        raise ValueError(f"regulator residual {resid1:.3e} exceeds {bound:.3e}")
     return RegulatorSolution(
         Sigma=Sigma, Gamma=Sigma[n_p:], residual1=float(resid1),
         error_map=closed_loop.Ccl @ Sigma + closed_loop.Dcl,

@@ -216,7 +216,7 @@ class TestRootFinding:
         monkeypatch.setattr(
             bessel, "_collocation_wavenumbers", lambda *args: seeds(*args)[skipped:]
         )
-        with pytest.raises(bessel.BracketError, match=f"mode 8 of order {m} has"):
+        with pytest.raises(ValueError, match=f"mode 8 of order {m} has"):
             bessel.find_radial_roots(m, 8, inner)
 
     @pytest.mark.parametrize("m", [0, 3])
@@ -228,7 +228,7 @@ class TestRootFinding:
         monkeypatch.setattr(
             bessel, "_collocation_wavenumbers", lambda *args: seeds(*args)[[0, 0, 2, 3, 4, 5, 6, 7]]
         )
-        with pytest.raises(bessel.BracketError, match=f"order {m} overlap: two seeds share a root"):
+        with pytest.raises(ValueError, match=f"order {m} overlap: two seeds share a root"):
             bessel.find_radial_roots(m, 8, inner)
 
     @pytest.mark.parametrize("inner", ["dirichlet", "neumann"])
@@ -239,7 +239,7 @@ class TestRootFinding:
             bessel, "_collocation_wavenumbers", lambda *args: seeds(*args) * (1.0 + 1e-3)
         )
         for m in (0, 3, 40):
-            with pytest.raises(bessel.BracketError, match=f"cross_fn of order {m} keeps its sign"):
+            with pytest.raises(ValueError, match=f"cross_fn of order {m} keeps its sign"):
                 bessel.find_radial_roots(m, 8, inner)
 
     @pytest.mark.parametrize("m", [0, 1, 30, 60])
@@ -288,10 +288,10 @@ class TestRootFinding:
         # the seed brackets alone, 2e-6 relative wide, leave residuals far above the tolerance
         monkeypatch.setattr(bessel, "_SECANT_STEPS", 0)
         for m in range(12):
-            with pytest.raises(bessel.BracketError, match="root polish stalled"):
+            with pytest.raises(ValueError, match="root polish stalled"):
                 bessel.find_radial_roots(m, 8, inner)
 
     def test_scan_cap_reports_missing_roots(self, monkeypatch):
         monkeypatch.setattr(bessel, "_BRACKET_CAP", 10.0)
-        with pytest.raises(bessel.BracketError, match="found only 3 of 8 roots"):
+        with pytest.raises(ValueError, match="found only 3 of 8 roots"):
             bessel.find_radial_roots(0, 8, "neumann")

@@ -665,11 +665,11 @@ EXOSYSTEM_ERRORS = {
 # valid configurations the library rejects while it builds the run
 COS_AT_ZERO = custom_term("reference", temporal="cos", omega_over_pi=0, profile_data=[1.0])
 LIBRARY_ERRORS = {
-    # BracketError: 127 roots of order 0 below k = 400
+    # ValueError "found only 127 of 150 roots": 127 roots of order 0 below k = 400
     "overrides23": {"plant": {"n_radial": 150}},
-    # RankDeficiencyError: every velocity channel gain is 0 at omega = 0
+    # ValueError "not surjective": every velocity channel gain is 0 at omega = 0
     "overrides24": COS_AT_ZERO,
-    # RangeViolationError
+    # ValueError "outside range of P_s"
     "overrides25": {**COS_AT_ZERO, "controller": {"kind": "regulating"}},
     # OSError: the CSV of a 1e14-sample time grid needs more bytes than the
     # output directory has free; refused before any sampling
@@ -690,6 +690,9 @@ INVALID_RUNS = [
     for name, overrides in table.items()
 ]
 BUILT_RUNS = [*UNSTABLE_LOOPS.values(), *LIBRARY_ERRORS.values()]
+FLOAT_FIELDS = {"plant": ("damping_q", "rho", "t_mod"), "controller": ("epsilon",),
+                "simulation": ("dt", "t_end", "window")}
+EXTREME_FLOATS = (1e308, -1e308, 1e300, 1e-300, 1e-320, 5e-324)
 
 
 class TestVerifyAndMain:
@@ -758,6 +761,37 @@ class TestVerifyAndMain:
         err = capsys.readouterr().err
         assert err.startswith("wavereg: error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, value", [
+        *((key, value) for keys in FLOAT_FIELDS.values() for key in keys for value in EXTREME_FLOATS),
+        ("omega_over_pi", 1e154), ("omega_over_pi", -1e300),
+    ])
+    def test_no_finite_value_ends_in_a_traceback(self, tmp_path, capsys, key, value):
+        # each float field at the ends of the double range, and custom frequencies
+        # whose square overflows: every run writes its result or one error line
+        data = small_config(tmp_path).to_dict()
+        section = next((name for name, keys in FLOAT_FIELDS.items() if key in keys), None)
+        (data[section] if section else data["exosystem"]["reference"][0])[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        for command in ("synth", "simulate"):
+            code = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert (code, err) == (0, "") or (
+                code == 2 and err.startswith("wavereg: error: ") and err.count("\n") == 1)
+            if key == "omega_over_pi":
+                assert code == 2 and "lambda^2 overflows" in err
+
+    @pytest.mark.parametrize("command", ["eigs", "synth", "simulate", "verify"])
+    @pytest.mark.parametrize("key, value", [("dt", 1e-320), ("t_end", 1e308), ("window", 1e308)])
+    def test_step_count_overflow_is_refused_by_key(self, tmp_path, capsys, command, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"simulation": {key: value}}))
+        out = [] if command == "verify" else ["--out", str(tmp_path)]
+        assert cli.main([command, "--config", str(cfg_path), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavereg: error: ") and err.count("\n") == 1
+        assert f"{key}={value}" in err and "not a finite step count" in err
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_main_reports_missing_config_in_one_line(self, tmp_path, capsys, command):
         assert cli.main([command, "--config", str(tmp_path / "missing.json")]) == 2
@@ -803,6 +837,8 @@ class TestVerifyAndMain:
         err = capsys.readouterr().err
         assert err.startswith("wavereg: error: ") and err.count("\n") == 1
         assert message in err
+        if size is not None:  # a non-finite entry: named by its key, not the loop's x0
+            assert f"{name} from " in err
         assert not (tmp_path / "simulation.csv").exists()
 
     def test_simulate_refuses_unstable_loop(self, tmp_path):

@@ -124,7 +124,7 @@ class TestExpm:
             assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-9 * np.linalg.norm(x)
 
     def test_norm_cap(self):
-        with pytest.raises(linalg.OverflowCapError):
+        with pytest.raises(ValueError, match="exceeds the cap"):
             linalg.expm(1e5 * np.eye(3), 100.0)
 
     def test_overflow_below_cap_fails_only_through_the_contract(self):
@@ -132,7 +132,7 @@ class TestExpm:
         # no RuntimeWarning may come first, even when warnings are errors
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(linalg.OverflowCapError, match="overflowed"):
+            with pytest.raises(ValueError, match="overflowed"):
                 linalg.expm(1e3 * np.eye(3), 100.0)
 
     @pytest.mark.parametrize("scaled", [False, True], ids=["s=0", "s>0"])

@@ -10,7 +10,6 @@ from wavereg.exosystem import Exosystem, SignalTerm, build_exosystem, build_sect
 from wavereg.loop import (
     ClosedLoop,
     Trajectory,
-    WindowTooLargeError,
     assemble_direct,
     simulate_exact,
     windowed_error,
@@ -90,7 +89,7 @@ class TestAssembly:
             return w, V + 1e-3 if M.shape[0] == 3 else V
 
         monkeypatch.setattr(linalg.np.linalg, "eig", eig_spoiling_the_3x3_block)
-        with pytest.raises(linalg.ConvergenceError):
+        with pytest.raises(ValueError, match="eigenpair residual"):
             cl.spectrum
         assert 3 in sizes and 5 not in sizes
 
@@ -243,7 +242,7 @@ class TestSimulation:
             norms = np.hypot(np.abs(states[:, 0]), np.abs(exo.v0[0]))
             first = int(np.argmax(norms > 1e12 * (1.0 + norms[0])))
             assert first > 0
-            with pytest.raises(linalg.OverflowCapError, match=rf"t={first * dt:.3f} "):
+            with pytest.raises(ValueError, match=rf"growth cap at t={first * dt:.3f} "):
                 simulate_exact(cl, exo, x0=np.ones(1), t_end=n_steps * dt, dt=dt)
 
     def test_growth_cap_stops_at_the_chunk_over_it(self, monkeypatch):
@@ -271,7 +270,7 @@ class TestSimulation:
             propagate(powers, X, *filled)
 
         monkeypatch.setattr(loop, "_propagate", counting_propagate)
-        with pytest.raises(linalg.OverflowCapError, match=rf"t={first * dt:.3f} "):
+        with pytest.raises(ValueError, match=rf"growth cap at t={first * dt:.3f} "):
             simulate_exact(cl, exo, x0=np.ones(1), t_end=n_steps * dt, dt=dt)
         assert fills == [loop._CHUNK, loop._CHUNK]
 
@@ -501,7 +500,7 @@ class TestWindowedError:
     def test_window_validation(self):
         t = np.arange(0.0, 1.0001, 0.01)
         traj = make_trajectory(t, np.ones(t.size))
-        with pytest.raises(WindowTooLargeError):
+        with pytest.raises(ValueError, match="does not fit into the horizon"):
             windowed_error(traj, window=2.0)
         with pytest.raises(ValueError):
             windowed_error(traj, window=0.015)

@@ -8,8 +8,6 @@ from wavereg import linalg, synthesis
 from wavereg.checks import sylvester_blocks
 from wavereg.loop import assemble_direct
 from wavereg.synthesis import (
-    RangeViolationError,
-    RankDeficiencyError,
     check_g_conditions,
     error_bound_delta,
     eval_transfer,
@@ -109,7 +107,7 @@ class TestRegulatingController:
         )
         exo = single_freq_exo(omega=1.0, dim_y=3)
         exo = dataclasses.replace(exo, F=np.array([[0.0], [-1.0], [0.0]], dtype=complex))
-        with pytest.raises(RangeViolationError):
+        with pytest.raises(ValueError, match="y_k outside range of P_s"):
             synth_regulating(plant, exo, eps=0.1)
 
 
@@ -177,7 +175,7 @@ class TestApproxRobustController:
         B[:, 3] = 0.0
         broken = DensePlant(As=sect5_plant.A - 3.0 * (B @ C), B=B, C=C, Q_feedback=3.0,
                             energy_weights=sect5_plant.energy_weights, basis=sect5_plant.basis)
-        with pytest.raises(RankDeficiencyError) as info:
+        with pytest.raises(ValueError, match="not surjective: sigma_min/sigma_max = ") as info:
             synth_approx_robust(broken, sect5_exo, N=5, eps=0.15)
         assert "sigma_min/sigma_max = " in str(info.value) and "nan" not in str(info.value)
         # at omega = 0 every velocity channel gain is 0: the message says so
@@ -185,7 +183,7 @@ class TestApproxRobustController:
         static = single_freq_exo(0.0, dim_y=sect5_plant.output_dim)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RankDeficiencyError, match="largest channel gain sigma_max is 0"):
+            with pytest.raises(ValueError, match="largest channel gain sigma_max is 0"):
                 synth_approx_robust(sect5_plant, static, N=5, eps=0.15)
 
     @pytest.mark.parametrize("N", [1, 5])
@@ -336,7 +334,7 @@ class TestRegulatorEquations:
         monkeypatch.setattr(
             type(small_plant), "input_resolvent", lambda self, lam: 1.01 * resolvent(self, lam)
         )
-        with pytest.raises(linalg.ConvergenceError):
+        with pytest.raises(ValueError, match="regulator residual"):
             solve_regulator(cl, small_exo)
 
     def test_negative_control_breaks_regulation(self, sect5_plant, sect5_exo):

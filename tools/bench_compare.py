@@ -47,7 +47,7 @@ LAYERS = (
     "linalg.expm.calls",
     "linalg.expm.busy_s",
     "loop.simulate_exact.self_s",
-    "serialize.save_csv.busy_s",
+    "cli.cmd_simulate.self_s",
     "serialize.save_matrix.busy_s",
     "serialize.load_matrix.busy_s",
     "st_blas.speedup",
