@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from . import bessel, linalg, loop, synthesis
 
@@ -29,19 +28,41 @@ GAIN = 0.15
 
 
 def match_spectra(first, second):
-    """Largest pairwise distance of two eigenvalue multisets under optimal
-    matching (Hungarian assignment on absolute differences).
+    """Bottleneck distance of two eigenvalue multisets: the least t for which
+    a one-to-one pairing matches every eigenvalue within t (Gabow & Tarjan,
+    J. Algorithms 9(3), 1988).
 
     Sorting complex eigenvalues is unreliable when real parts are nearly
-    degenerate, so similarity-invariance checks go through the assignment.
+    degenerate, so similarity-invariance checks go through a matching. The
+    eigenvalues of ``first`` are matched one at a time, each along the
+    alternating path whose largest new distance is least (a Dijkstra search
+    with max in place of +). While every matched distance is at most the
+    bottleneck distance, such a path exists within it, so the final pairing
+    attains it; each search takes at most n steps of O(n).
     """
     a = np.asarray(first, dtype=complex).ravel()
     b = np.asarray(second, dtype=complex).ravel()
     if a.size != b.size:
         raise ValueError("eigenvalue multisets must have equal size")
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    row_of = np.full(b.size, -1)  # the eigenvalue of first matched to each of second
+    for i in range(a.size):
+        reach = cost[i].copy()  # least largest distance of a path from a[i] to each b[j]
+        via = np.full(b.size, -1)  # the b before b[j] on that path, -1 for a[i] itself
+        done = np.zeros(b.size, dtype=bool)
+        while True:
+            j = np.argmin(np.where(done, np.inf, reach))
+            if row_of[j] < 0:
+                break
+            done[j] = True
+            step = np.maximum(reach[j], cost[row_of[j]])
+            closer = ~done & (step < reach)
+            reach[closer], via[closer] = step[closer], j
+        while via[j] >= 0:  # each b on the path takes the a of the b before it
+            row_of[j] = row_of[via[j]]
+            j = via[j]
+        row_of[j] = i
+    return float(cost[row_of, np.arange(b.size)].max())
 
 
 def sylvester_kron(Ae, Be, omegas):

@@ -497,7 +497,7 @@ _SUITES = ("linalg", "wave", "synth", "loop")
 def cmd_verify(suite="all", cfg=None):
     """Run the registered invariant checks of one suite, or of all; returns
     (all_passed, report lines)."""
-    from . import checks  # imported here: only verify loads the oracles and scipy.optimize
+    from . import checks  # imported here: only verify loads the oracles
 
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"suite must be 'all' or one of {list(_SUITES)}")

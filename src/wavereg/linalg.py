@@ -3,6 +3,8 @@
 Contract-checked wrappers around numpy dense kernels (eig, SVD, solve, the
 Pade-13 matrix exponential of Higham 2005); each verifies its own result. eig
 and expm keep a real operand real; solve and SVD work in complex arithmetic.
+Every tolerance scaled by a Frobenius norm takes it from
+:func:`frobenius_norm`, which refuses one that overflows.
 :func:`_diagonal_blocks` partitions a matrix into its diagonal blocks up to
 a permutation; a closed loop partitions its pair-form generator once.
 :func:`solve_dense` refuses a matrix by its singular values, and only the
@@ -120,6 +122,17 @@ def solve_dense(A, B):
     return np.linalg.solve(M, rhs)
 
 
+def frobenius_norm(M):
+    """||M||_F, the scale of every tolerance here; a ValueError if it overflows
+    on finite entries (one beyond about 1e154), as a tolerance of inf passes
+    any matrix. Inf and NaN entries give inf and NaN, for the finiteness checks."""
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        scale = np.linalg.norm(M)
+    if np.isinf(scale) and np.all(np.isfinite(M)):
+        raise ValueError(f"matrix norm overflows: largest entry {np.abs(M).max():.3e}")
+    return scale
+
+
 def _diagonal_blocks(M):
     """Index sets of the diagonal blocks of the square matrix ``M`` up to a
     permutation: the connected components of its symmetrized pattern of
@@ -127,7 +140,7 @@ def _diagonal_blocks(M):
     index, in that order. Each entry between blocks lies within the backward
     error of a dense kernel on ``M``. NaN and Inf stay in, for the finiteness
     checks."""
-    zero = np.isfinite(M) & (np.abs(M) <= np.finfo(float).eps * np.linalg.norm(M))
+    zero = np.isfinite(M) & (np.abs(M) <= np.finfo(float).eps * frobenius_norm(M))
     linked = ~zero | ~zero.T
     free = np.ones(M.shape[0], dtype=bool)
     blocks = []
@@ -154,14 +167,15 @@ def eig(A):
     Raises
     ------
     ValueError
-        If the QR iteration (numpy's ``LinAlgError``) or the residual contract fails.
+        If the QR iteration (numpy's ``LinAlgError``) or the residual contract
+        fails, or ``||A||_F`` overflows.
     """
     A = np.asarray(A)
     M = as_matrix(A, dtype=np.result_type(A, float))
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     w, V = np.linalg.eig(M)
-    scale = np.linalg.norm(M)
+    scale = frobenius_norm(M)
     if scale > 0:
         resid = np.linalg.norm(M @ V - V * w, axis=0).max()
         if resid > 1e-8 * scale:
@@ -239,7 +253,7 @@ def sylvester_diag(Ae, Be, omegas):
         except SingularMatrixError as exc:
             raise ResonanceError(w) from exc
     resid = np.linalg.norm(Sigma * (1j * om) - M @ Sigma - R)
-    bound = 1e-8 * (np.linalg.norm(M) * np.linalg.norm(Sigma) + np.linalg.norm(R))
+    bound = 1e-8 * (frobenius_norm(M) * frobenius_norm(Sigma) + frobenius_norm(R))
     if resid > bound:
         raise ValueError(
             f"Sylvester residual {resid:.3e} exceeds scaled tolerance {bound:.3e}"

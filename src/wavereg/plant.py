@@ -259,14 +259,26 @@ class ModalWavePlant:
 
 def require_plant_parameters(n_radial, m_angular, damping_q, rho, t_mod, inner_bc):
     """Raise a ValueError unless the mode counts are at least 1, the damping
-    gain nonnegative, the constants positive and the inner condition known;
-    checked before any root search."""
+    gain nonnegative, the constants positive and of a scale the generator
+    can hold, and the inner condition known; checked before any root search.
+
+    The generator's unit entries (velocity is the rate of position) sit
+    beside the stiffness mu t_mod / rho, the input trace / rho and the damping
+    damping_q trace^2 / rho. A dense kernel resolves them against each other
+    only while t_mod / rho and 1 / rho lie within [eps, 1/eps] and
+    damping_q / rho is at most 1/eps (eps the double precision)."""
     if n_radial < 1 or m_angular < 1:
         raise ValueError(f"n_radial and m_angular must be at least 1, got {n_radial} and {m_angular}")
     if damping_q < 0:
         raise ValueError(f"damping_q must be nonnegative, got {damping_q}")
     if rho <= 0 or t_mod <= 0:
         raise ValueError(f"rho and t_mod must be positive, got {rho} and {t_mod}")
+    eps = float(np.finfo(float).eps)
+    for name, scale, lower in ((f"1/rho = 1/{rho}", 1.0 / rho, eps),
+                               (f"t_mod/rho = {t_mod}/{rho}", t_mod / rho, eps),
+                               (f"damping_q/rho = {damping_q}/{rho}", damping_q / rho, 0.0)):
+        if not lower <= scale <= 1.0 / eps:
+            raise ValueError(f"{name} = {scale:.3e} is outside [{lower:.3e}, {1.0 / eps:.3e}]")
     require_inner_bc(inner_bc)
 
 

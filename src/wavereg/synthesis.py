@@ -66,6 +66,8 @@ class Controller:
         if self.G2.shape[0] != self.dim_z or self.K0.shape[1] != self.dim_z:
             raise ValueError(f"G2/K0 dimensions inconsistent with dim Z = {self.dim_z}")
         require_gain(self.eps)
+        if not np.isfinite(self.eps * float(np.abs(self.K0).max(initial=0.0))):
+            raise ValueError(f"epsilon={self.eps} overflows K = epsilon K0")
 
     @property
     def G1(self):
@@ -323,7 +325,8 @@ def solve_regulator(closed_loop, exo):
             raise ResonanceError(w, f"i*omega with omega={w} is a pole of P_s") from exc
     Acl, Bcl = closed_loop.Acl, closed_loop.Bcl
     resid1 = np.linalg.norm(Sigma * (1j * exo.omegas) - Acl @ Sigma - Bcl, 2)
-    bound = 1e-8 * (np.linalg.norm(Acl) * np.linalg.norm(Sigma) + np.linalg.norm(Bcl))
+    bound = 1e-8 * (linalg.frobenius_norm(Acl) * linalg.frobenius_norm(Sigma)
+                    + linalg.frobenius_norm(Bcl))
     if resid1 > bound:
         raise ValueError(f"regulator residual {resid1:.3e} exceeds {bound:.3e}")
     return RegulatorSolution(

@@ -693,6 +693,10 @@ BUILT_RUNS = [*UNSTABLE_LOOPS.values(), *LIBRARY_ERRORS.values()]
 FLOAT_FIELDS = {"plant": ("damping_q", "rho", "t_mod"), "controller": ("epsilon",),
                 "simulation": ("dt", "t_end", "window")}
 EXTREME_FLOATS = (1e308, -1e308, 1e300, 1e-300, 1e-320, 5e-324)
+# the extreme values refused by a rule that names the key that was written:
+# every extreme rho and t_mod, and damping_q and epsilon of magnitude 1e308
+KEYED_REFUSALS = {"rho": EXTREME_FLOATS, "t_mod": EXTREME_FLOATS,
+                  "damping_q": (1e308, -1e308), "epsilon": (1e308, -1e308)}
 
 
 class TestVerifyAndMain:
@@ -780,6 +784,8 @@ class TestVerifyAndMain:
                 code == 2 and err.startswith("wavereg: error: ") and err.count("\n") == 1)
             if key == "omega_over_pi":
                 assert code == 2 and "lambda^2 overflows" in err
+            if value in KEYED_REFUSALS.get(key, ()):
+                assert code == 2 and key in err
 
     @pytest.mark.parametrize("command", ["eigs", "synth", "simulate", "verify"])
     @pytest.mark.parametrize("key, value", [("dt", 1e-320), ("t_end", 1e308), ("window", 1e308)])
@@ -911,8 +917,7 @@ def _probe(code):
 
 
 def test_cli_import_loads_no_verification_code():
-    # scipy.optimize serves only the oracles of wavereg.checks, which only `wavereg verify` imports;
-    # no other module imports scipy
+    # only `wavereg verify` imports the oracles of wavereg.checks, and no module imports scipy
     path, loaded = _probe(
         "import sys, wavereg.cli; print(wavereg.cli.__file__); "
         "print([m for m in ('scipy', 'scipy.optimize', 'wavereg.checks') if m in sys.modules])"
@@ -927,6 +932,13 @@ def test_checks_import_loads_no_cli():
                           "print('wavereg.cli' in sys.modules)")
     assert Path(path).resolve() == Path(checks.__file__).resolve()
     assert loaded == "False"
+
+
+def test_preset_verify_loads_no_scipy():
+    # numpy is the one runtime dependency: criterion 6 matches spectra without scipy.optimize
+    lines = _probe("import sys; from wavereg import cli; print(cli.main(['verify', '--suite', 'all'])); "
+                   "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert lines[-2:] == ["0", "[]"]
 
 
 def test_preset_runs_load_no_scipy_sparse(tmp_path):

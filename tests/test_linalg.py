@@ -1,8 +1,10 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from wavereg import checks, linalg
 
@@ -79,6 +81,14 @@ class TestEig:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             linalg.eig(np.ones((2, 3)))
+
+    def test_overflowing_norm_is_refused(self):
+        # ||M||_F overflows on finite entries; a tolerance of inf would count
+        # every entry as zero in the block partition and pass every residual
+        M = np.array([[-1.0, 1e200], [-1e200, -1.0]])
+        for use in (linalg._diagonal_blocks, linalg.eig):
+            with pytest.raises(ValueError, match="matrix norm overflows"):
+                use(M)
 
 
 class TestExpm:
@@ -266,6 +276,23 @@ class TestDecompositions:
     def test_match_spectra_size_mismatch(self):
         with pytest.raises(ValueError):
             checks.match_spectra([1.0], [1.0, 2.0])
+
+    def test_match_spectra_is_the_bottleneck_distance(self):
+        # multisets of size 1-6 drawn from a few values, so repeats are common:
+        # the least largest distance over all pairings, at most the largest
+        # distance of the Hungarian (least-sum) pairing and at least every
+        # eigenvalue's distance to the other multiset
+        rng = np.random.default_rng(38)
+        for _ in range(300):
+            n = rng.integers(1, 7)
+            pool = rng.integers(-2, 3, 4) + 1j * rng.integers(-2, 3, 4)
+            a, b = rng.choice(pool, n) + 0.5 * rng.integers(0, 2, n), rng.choice(pool, n)
+            cost = np.abs(a[:, None] - b[None, :])
+            dist = checks.match_spectra(a, b)
+            assert dist == min(cost[range(n), p].max() for p in itertools.permutations(range(n)))
+            rows, cols = scipy.optimize.linear_sum_assignment(cost)
+            assert dist <= cost[rows, cols].max()
+            assert dist >= max(cost.min(axis=0).max(), cost.min(axis=1).max())
 
     def test_is_normal(self):
         assert linalg.is_normal(np.diag([1.0, 2.0j]))
