@@ -9,9 +9,9 @@ same data.
 
 The independent oracles that the checks hold production code against live
 here too, off the paths of the other commands: :func:`match_spectra`,
-:func:`sylvester_kron`, :func:`sylvester_blocks` (the regulator solution
-from :func:`linalg.sylvester_diag` on each diagonal block of ``Acl``) and
-:func:`assemble_paper_Ae`.
+:func:`sylvester_kron`, :func:`sylvester_blocks` (Sigma from per-block
+:func:`linalg.sylvester_diag` solves, which every loop comparison reads) and
+:func:`assemble_paper_Ae`; ``synthesis.eval_transfer`` is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -302,12 +302,8 @@ def _delta(ctx):
 
 @_check("loop", "direct and transformed transfers agree on the exosystem directions")
 def _transfers(ctx):
-    def transfer(cl, w):  # v -> e of the loop ``cl`` at i w
-        return synthesis.eval_transfer(cl.Acl, cl.Bcl, cl.Ccl, 1j * w) + cl.Dcl
-
-    paper = assemble_paper_Ae(ctx.plant, ctx.controller, ctx.exo)
-    worst = max(
-        np.linalg.norm((transfer(ctx.closed_loop, w) - transfer(paper, w))[:, k])
-        for k, w in enumerate(ctx.exo.omegas)
-    )
+    # column k of a loop's C Sigma + D is column k of its transfer v -> e at i w_k
+    loops = (ctx.closed_loop, assemble_paper_Ae(ctx.plant, ctx.controller, ctx.exo))
+    direct, paper = (cl.Ccl @ sylvester_blocks(cl, ctx.exo.omegas) + cl.Dcl for cl in loops)
+    worst = np.linalg.norm(direct - paper, axis=0).max()
     return worst < 1e-8, f"{worst:.2e}"

@@ -369,8 +369,10 @@ def cmd_simulate(cfg, out_dir=None):
     out, sim = _outdir(cfg, out_dir), cfg.simulation
     csv_path, n_rows = out / "simulation.csv", loop.whole_steps(sim.t_end, sim.dt, "t_end") + 1
     need, free = n_rows * len("0,,0,0,0\r\n"), shutil.disk_usage(out).free  # the shortest rows
-    if need > free:
-        raise OSError(f"{csv_path} needs at least {need} bytes, {out} has {free} bytes free")
+    if need > free:  # four digits of each count; a Decimal holds any int, where a float overflows
+        from decimal import Decimal
+        raise OSError(f"{csv_path.name} needs at least {Decimal(need):.4g} bytes, "
+                      f"{out} has {Decimal(free):.4g} bytes free")
     run = Run(cfg)
     with _timed(timings, "plant"):
         plant = run.plant
@@ -508,7 +510,7 @@ def cmd_verify(suite="all", cfg=None):
         for entry in (c for c in checks.REGISTRY if c.suite == name):
             try:
                 label, ok, detail = entry.run(run)
-            except Exception as exc:  # a broken configuration fails the check, not the CLI
+            except (ValueError, OSError, MemoryError) as exc:  # main's refusals; others are faults
                 label, ok, detail = entry.label, False, f"{type(exc).__name__}: {exc}"
             all_ok &= ok
             lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {label} ({detail})")

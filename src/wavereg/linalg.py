@@ -9,9 +9,9 @@ Every tolerance scaled by a Frobenius norm takes it from
 a permutation; a closed loop partitions its pair-form generator once.
 :func:`solve_dense` refuses a matrix by its singular values, and only the
 oracles call it: :func:`sylvester_diag`, which :mod:`wavereg.checks` holds the
-regulator solve against, ``synthesis.eval_transfer`` and
-``checks.sylvester_kron``. ``is_normal`` is a diagnostic; no production path
-calls it.
+regulator solve and both loop forms' transfers against, ``checks.sylvester_kron``
+and ``synthesis.eval_transfer``, the tests' oracle for ``plant.transfer``.
+``is_normal`` is a diagnostic; no production path calls it.
 """
 
 from __future__ import annotations

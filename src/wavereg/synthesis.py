@@ -7,8 +7,8 @@ model on a truncated output space Y_N), and the robust controller (internal
 model on the full discretized output space). The plant's transfer P_s(i w)
 is diagonal (collocated input and output, one Fourier channel per mode), so
 every synthesis works channel by channel on the closed-form diagonal
-``plant.transfer``; the dense resolvent :func:`eval_transfer` stays as the
-oracle it is checked against. Also provides the algebraic internal-model
+``plant.transfer``; the dense resolvent :func:`eval_transfer` is the tests'
+oracle for it. Also provides the algebraic internal-model
 test (trivial kernel of G2, trivial range intersections with i w - G1, read
 off the row blocks of G2), the regulator-equation solver and the asymptotic
 tracking-error bound. The regulator solver, too, works from the plant's
@@ -66,8 +66,8 @@ class Controller:
         if self.G2.shape[0] != self.dim_z or self.K0.shape[1] != self.dim_z:
             raise ValueError(f"G2/K0 dimensions inconsistent with dim Z = {self.dim_z}")
         require_gain(self.eps)
-        if not np.isfinite(self.eps * float(np.abs(self.K0).max(initial=0.0))):
-            raise ValueError(f"epsilon={self.eps} overflows K = epsilon K0")
+        if not self.eps * float(np.abs(self.K0).max(initial=0.0)) <= 1.0 / np.finfo(float).eps:
+            raise ValueError(f"epsilon={self.eps} makes max|K| = epsilon max|K0| exceed 1/eps")
 
     @property
     def G1(self):

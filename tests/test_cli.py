@@ -694,9 +694,9 @@ FLOAT_FIELDS = {"plant": ("damping_q", "rho", "t_mod"), "controller": ("epsilon"
                 "simulation": ("dt", "t_end", "window")}
 EXTREME_FLOATS = (1e308, -1e308, 1e300, 1e-300, 1e-320, 5e-324)
 # the extreme values refused by a rule that names the key that was written:
-# every extreme rho and t_mod, and damping_q and epsilon of magnitude 1e308
+# every extreme rho and t_mod, and damping_q and epsilon of magnitude 1e308 or 1e300
 KEYED_REFUSALS = {"rho": EXTREME_FLOATS, "t_mod": EXTREME_FLOATS,
-                  "damping_q": (1e308, -1e308), "epsilon": (1e308, -1e308)}
+                  "damping_q": (1e308, -1e308, 1e300), "epsilon": (1e308, -1e308, 1e300)}
 
 
 class TestVerifyAndMain:
@@ -716,6 +716,22 @@ class TestVerifyAndMain:
         ok, lines = cli.cmd_verify("synth", cfg)
         assert not ok
         assert any(line.startswith("[FAIL]") for line in lines)
+
+    def test_verify_fails_a_refusing_check_and_raises_a_fault(self, monkeypatch):
+        # verify keeps main's contract: a refusal is a [FAIL] line, any other
+        # exception is a fault of the program and propagates
+        def refuses(ctx):
+            raise ValueError("refused")
+
+        def faults(ctx):
+            raise TypeError("fault")
+
+        monkeypatch.setattr(checks, "REGISTRY", [checks.Check("linalg", "refuses", None, refuses)])
+        ok, lines = cli.cmd_verify("linalg")
+        assert not ok and lines == ["[FAIL] linalg: refuses (ValueError: refused)"]
+        monkeypatch.setattr(checks, "REGISTRY", [checks.Check("linalg", "faults", None, faults)])
+        with pytest.raises(TypeError, match="fault"):
+            cli.cmd_verify("linalg")
 
     def test_main_verify_all_on_small_config(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
@@ -767,11 +783,12 @@ class TestVerifyAndMain:
 
     @pytest.mark.parametrize("key, value", [
         *((key, value) for keys in FLOAT_FIELDS.values() for key in keys for value in EXTREME_FLOATS),
-        ("omega_over_pi", 1e154), ("omega_over_pi", -1e300),
+        ("omega_over_pi", 1e154), ("omega_over_pi", -1e300), ("t_end", 1.7e306),
     ])
     def test_no_finite_value_ends_in_a_traceback(self, tmp_path, capsys, key, value):
-        # each float field at the ends of the double range, and custom frequencies
-        # whose square overflows: every run writes its result or one error line
+        # each float field at the ends of the double range, custom frequencies
+        # whose square overflows, and a CSV of more bytes than a float holds:
+        # every run writes its result or one short error line
         data = small_config(tmp_path).to_dict()
         section = next((name for name, keys in FLOAT_FIELDS.items() if key in keys), None)
         (data[section] if section else data["exosystem"]["reference"][0])[key] = value
@@ -782,6 +799,7 @@ class TestVerifyAndMain:
             err = capsys.readouterr().err
             assert (code, err) == (0, "") or (
                 code == 2 and err.startswith("wavereg: error: ") and err.count("\n") == 1)
+            assert all(len(line) <= 200 for line in err.splitlines())
             if key == "omega_over_pi":
                 assert code == 2 and "lambda^2 overflows" in err
             if value in KEYED_REFUSALS.get(key, ()):

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,6 +123,58 @@ class TestPaperForm:
                           - eval_transfer(cl_p.Acl, cl_p.Bcl, cl_p.Ccl, 1j * w) - cl_p.Dcl)
             gap = np.linalg.norm(gap_matrix @ phi)
             assert gap < 1e-8
+
+    def test_oracle_error_map_is_the_transfer_on_the_exosystem_directions(
+        self, small_plant, small_exo
+    ):
+        # column k of C Sigma + D, Sigma from the per-block oracle, is column k of
+        # the loop's transfer v -> e at i w_k, for both forms; relative to its
+        # terms and at least 1, since N = 2 regulates these signals and the sum vanishes
+        for N in (0, 2):
+            ctrl = synth_approx_robust(small_plant, small_exo, N, eps=0.12)
+            for cl in (assemble_direct(small_plant, ctrl, small_exo),
+                       checks.assemble_paper_Ae(small_plant, ctrl, small_exo)):
+                error_map = cl.Ccl @ checks.sylvester_blocks(cl, small_exo.omegas) + cl.Dcl
+                for k, w in enumerate(small_exo.omegas):
+                    response = eval_transfer(cl.Acl, cl.Bcl, cl.Ccl, 1j * w)[:, k]
+                    scale = max(1.0, np.abs(response).max(), np.abs(cl.Dcl[:, k]).max())
+                    gap = np.abs(error_map[:, k] - response - cl.Dcl[:, k]).max()
+                    assert gap <= 1e-12 * scale
+
+    @pytest.fixture
+    def preset_run(self, sect5_plant, sect5_exo, approx5, sect5_loop):
+        """What the transfer check reads of the preset's ``cli.Run``."""
+        return SimpleNamespace(plant=sect5_plant, exo=sect5_exo, controller=approx5,
+                               closed_loop=sect5_loop)
+
+    def test_transfer_check_solves_nothing_larger_than_a_diagonal_block(
+        self, preset_run, sect5_plant, sect5_exo, approx5, sect5_loop, monkeypatch
+    ):
+        paper = checks.assemble_paper_Ae(sect5_plant, approx5, sect5_exo)
+        largest = max(idx.size for cl in (sect5_loop, paper)
+                      for idx in linalg._diagonal_blocks(cl.Acl))
+        sizes, solve_dense = [], linalg.solve_dense
+
+        def recording_solve_dense(A, B):
+            sizes.append(np.shape(A)[0])
+            return solve_dense(A, B)
+
+        monkeypatch.setattr(linalg, "solve_dense", recording_solve_dense)
+        ok, _ = checks._transfers(preset_run)
+        assert ok and sizes
+        assert max(sizes) <= largest == 20 < sect5_loop.state_dim
+
+    def test_transfer_check_fails_on_a_perturbed_paper_feedthrough(self, preset_run, monkeypatch):
+        assert checks._transfers(preset_run)[0]
+        paper_form = checks.assemble_paper_Ae
+
+        def perturbed(*args):
+            cl = paper_form(*args)
+            return dataclasses.replace(cl, Dcl=cl.Dcl + 1e-6)
+
+        monkeypatch.setattr(checks, "assemble_paper_Ae", perturbed)
+        ok, detail = checks._transfers(preset_run)
+        assert not ok and float(detail) > 1e-8
 
     def test_trajectories_agree_after_state_transform(self, small_plant, small_exo):
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
