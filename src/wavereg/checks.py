@@ -266,10 +266,10 @@ def _gram(ctx):
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
     x, w = np.polynomial.legendre.leggauss(64)  # oracle for the closed-form radial norms
     r = 1.5 + 0.5 * x
-    weights = np.outer(0.5 * w * r, np.full(n_theta, 2 * np.pi / n_theta)).ravel()
-    eye = np.eye(plant.n_modes)
-    fields = np.array([plant.displacement_profile(mode, r, theta).ravel() for mode in eye])
-    err = np.abs((fields * weights) @ fields.T - eye).max()
+    radial, angular = plant.radial_profiles(r), plant.basis.evaluate(theta)[plant.channels]
+    # every mode is separable, so the 64 x 256 tensor rule is a radial Gram times an angular one
+    gram = ((radial * (0.5 * w * r)) @ radial.T) * ((angular * (2 * np.pi / n_theta)) @ angular.T)
+    err = np.abs(gram - np.eye(plant.n_modes)).max()
     return err < 1e-6, f"gram err={err:.2e}"
 
 
@@ -295,9 +295,7 @@ def _gain_sweep(ctx):
 
 @_check("synth", "asymptotic error bound delta < 0.01")
 def _delta(ctx):
-    ctx.closed_loop.require_stable()  # delta bounds the error of a stable loop only
-    bound = synthesis.error_bound_delta(ctx.regulator, ctx.closed_loop, ctx.controller.projector())
-    return bound.delta < 0.01, f"{bound.delta:.2e}"
+    return ctx.error_bound.delta < 0.01, f"{ctx.error_bound.delta:.2e}"
 
 
 @_check("loop", "direct and transformed transfers agree on the exosystem directions")

@@ -250,9 +250,9 @@ def build_controller(cfg, plant, exo):
 
 
 class Run:
-    """Plant, exosystem, configured controller, closed loop and regulator
-    solution of one run configuration, each built on first use. Every
-    command, and every check of ``wavereg verify``, reads them from one."""
+    """Plant, exosystem, configured controller, closed loop, regulator
+    solution and error bound of one run configuration, each built on first
+    use. Every command, and every check of ``wavereg verify``, reads them."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -264,6 +264,11 @@ class Run:
         lambda self: loop.assemble_direct(self.plant, self.controller, self.exo)
     )
     regulator = cached_property(lambda self: synthesis.solve_regulator(self.closed_loop, self.exo))
+
+    @cached_property
+    def error_bound(self):
+        self.closed_loop.require_stable()  # delta bounds the error of a stable loop only
+        return synthesis.error_bound_delta(self.regulator, self.closed_loop, self.controller.projector())
 
 
 def _initial_state(spec, dim, name):
@@ -300,13 +305,11 @@ def cmd_synth(cfg, out_dir=None):
     """Synthesize the configured controller and write matrices plus reports."""
     out = _outdir(cfg, out_dir)
     run = Run(cfg)
-    exo, ctrl, cl = run.exo, run.controller, run.closed_loop
-    cl.require_stable()  # delta bounds the error of a stable loop only
+    exo, ctrl, cl, bound = run.exo, run.controller, run.closed_loop, run.error_bound
     for name, M in (("G1", ctrl.G1), ("G2", ctrl.G2), ("K", ctrl.K), ("K0", ctrl.K0)):
         serialize.save_matrix(out / f"controller_{name}.mtx", M)
     report = synthesis.check_g_conditions(ctrl)
     reg = run.regulator
-    bound = synthesis.error_bound_delta(reg, cl, ctrl.projector())
     blocks = sorted((idx.size for idx in cl.blocks), reverse=True)
     payload = {
         "kind": ctrl.kind,

@@ -245,16 +245,15 @@ class ModalWavePlant:
         force[hit] = b[hit] / (self.Q_feedback * lam * beta.sum(axis=0)[hit, None])
         return np.vstack([force, lam * force])
 
+    def radial_profiles(self, r):
+        """Normalized radial profile of each oscillator at radii ``r``, shape (n_modes, len(r))."""
+        return np.array([mode.eval(np.atleast_1d(r)) for mode in self.modes])
+
     def displacement_profile(self, x, r, theta):
-        """Displacement field w(r, theta) of a state, shape (len(r), len(theta))."""
-        rv = np.atleast_1d(np.asarray(r, dtype=float))
-        ang = self.basis.evaluate(theta)
-        out = np.zeros((rv.size, ang.shape[1]))
+        """Displacement field w(r, theta) of a state, shape (len(r), len(theta)):
+        each mode is its radial profile times its channel's angular function."""
         q = np.real(np.asarray(x)[: self.n_modes])
-        for qj, mode, channel in zip(q, self.modes, self.channels):
-            if qj != 0.0:
-                out += qj * np.outer(mode.eval(rv), ang[channel])
-        return out
+        return (q[:, None] * self.radial_profiles(r)).T @ self.basis.evaluate(theta)[self.channels]
 
 
 def require_plant_parameters(n_radial, m_angular, damping_q, rho, t_mod, inner_bc):

@@ -303,16 +303,18 @@ def solve_regulator(closed_loop, exo):
 
     The equation is solvable at w_k exactly when i w_k is not an eigenvalue
     of Acl. By the Schur complement det(i w_k - Acl) = det(i w_k - A_s) det M,
-    so M is singular exactly then. Raises ``ResonanceError(w_k)`` when an
-    eigenvalue of ``closed_loop.spectrum`` lies within ``RESONANCE_RTOL``
-    max(1, |w_k|) of i w_k, or at a pole of P_s, where the closed forms do
-    not exist; and ``ValueError`` if the defect residual1 (spectral
-    norm) exceeds 1e-8 (||Acl|| ||Sigma|| + ||Bcl||) (Frobenius).
+    so M is singular exactly then. At a pole of P_s, where the closed forms
+    fail, column k solves (i w_k - Acl) Sigma_k = Bcl_k block by block on
+    ``closed_loop.blocks``. Raises ``ResonanceError(w_k)`` when an eigenvalue
+    of ``closed_loop.spectrum`` lies within ``RESONANCE_RTOL`` max(1, |w_k|)
+    of i w_k, and ``ValueError`` if the defect residual1 (spectral norm)
+    exceeds 1e-8 (||Acl|| ||Sigma|| + ||Bcl||) (Frobenius).
     """
     plant, ctrl, n_p = closed_loop.plant, closed_loop.ctrl, closed_loop.plant_dim
     E_s, K = stabilized_disturbance(plant, exo), ctrl.K
     copies = np.repeat(ctrl.omegas, ctrl.block_dim)  # the diagonal of G1 / i
-    Sigma = np.empty(closed_loop.Bcl.shape, dtype=complex)
+    Acl, Bcl = closed_loop.Acl, closed_loop.Bcl
+    Sigma = np.empty(Bcl.shape, dtype=complex)
     for k, w in enumerate(exo.omegas):
         if np.abs(closed_loop.spectrum - 1j * w).min() <= RESONANCE_RTOL * max(1.0, abs(w)):
             raise ResonanceError(w)
@@ -321,9 +323,10 @@ def solve_regulator(closed_loop, exo):
             M = np.diag(1j * (w - copies)) - ctrl.G2 @ (p[:, None] * K)
             Sigma[n_p:, k] = z = np.linalg.solve(M, ctrl.G2 @ (p * E_s[:, k] + exo.F[:, k]))
             Sigma[:n_p, k] = plant.input_resolvent(1j * w) @ (K @ z + E_s[:, k])
-        except ResonanceError as exc:
-            raise ResonanceError(w, f"i*omega with omega={w} is a pole of P_s") from exc
-    Acl, Bcl = closed_loop.Acl, closed_loop.Bcl
+        except ResonanceError:  # a pole of P_s; the pair map mixes only copies in one block of Acl
+            for idx in closed_loop.blocks:
+                shift = 1j * w * np.eye(idx.size) - Acl[np.ix_(idx, idx)]
+                Sigma[idx, k] = np.linalg.solve(shift, Bcl[idx, k])
     resid1 = np.linalg.norm(Sigma * (1j * exo.omegas) - Acl @ Sigma - Bcl, 2)
     bound = 1e-8 * (linalg.frobenius_norm(Acl) * linalg.frobenius_norm(Sigma)
                     + linalg.frobenius_norm(Bcl))

@@ -882,6 +882,25 @@ class TestVerifyAndMain:
             cli.cmd_synth(cfg, tmp_path)
         assert list(tmp_path.iterdir()) == []  # no synth_report.json, no controller matrices
 
+    def test_synth_refuses_resonance_before_writing(self, tmp_path, monkeypatch):
+        # the run's error bound, and with it the regulator solve, is read before any file
+        def resonant(closed_loop, exo):
+            raise linalg.ResonanceError(exo.omegas[0])
+
+        monkeypatch.setattr(synthesis, "solve_regulator", resonant)
+        with pytest.raises(linalg.ResonanceError):
+            cli.cmd_synth(small_config(tmp_path), tmp_path / "synth")
+        assert list((tmp_path / "synth").iterdir()) == []
+
+    def test_synth_and_delta_check_read_one_error_bound(self, tmp_path, monkeypatch):
+        calls, bound = [], synthesis.error_bound_delta
+        monkeypatch.setattr(synthesis, "error_bound_delta", lambda *a: calls.append(a) or bound(*a))
+        run = cli.Run(small_config(tmp_path))
+        monkeypatch.setattr(cli, "Run", lambda cfg: run)
+        payload = cli.cmd_synth(run.cfg, tmp_path / "synth")
+        ok, detail = checks._delta(run)
+        assert len(calls) == 1 and detail == f"{payload['delta']:.2e}"
+
     def test_energy_check_judges_undamped_plant(self):
         # at Q = 0 the admissibility bound E0/(2Q) is infinite, so only
         # conservation and non-increase are judged, and nothing divides by Q

@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from wavereg import bessel, linalg, loop
+from wavereg import bessel, checks, linalg, loop
 from wavereg.exosystem import Exosystem
 from wavereg.plant import FourierOutputBasis, assemble_wave_plant, project_profile
 from wavereg.synthesis import Controller, eval_transfer
@@ -177,6 +179,11 @@ class TestAssembly:
             edge = small_plant.displacement_profile(x, [2.0], theta)
             assert np.allclose(edge, mode.boundary_trace * angular[channel], rtol=1e-12, atol=0)
             assert (channel + 1) // 2 == mode.m  # channels 2m - 1 and 2m hold order m
+        # a general state is the sum of its modes' fields
+        x = np.random.default_rng(31).standard_normal(small_plant.state_dim)
+        expected = sum(q * np.outer(mode.eval(r), angular[channel]) for q, mode, channel
+                       in zip(x, small_plant.modes, small_plant.channels))
+        assert np.abs(small_plant.displacement_profile(x, r, theta) - expected).max() < 1e-13
 
     @pytest.mark.parametrize("orders", [1, 2, 3])
     def test_replace_radial_gives_the_smaller_plant(self, small_plant, orders):
@@ -193,6 +200,46 @@ class TestAssembly:
         twin = assemble_wave_plant(3, 4, 3.0)
         assert twin == small_plant and hash(twin) == hash(small_plant)
         assert twin.perturbed(stiffness_scale=1.21) != small_plant
+
+
+def gram_check_err(plant):
+    """The verdict of the criterion 7 Gram check on ``plant`` and the error it reports."""
+    ok, detail = checks._gram(SimpleNamespace(plant=plant))
+    return ok, float(detail.removeprefix("gram err="))
+
+
+class TestGramCheck:
+    def test_equals_the_gram_of_2d_fields(self, small_plant):
+        # brute force: each mode's 2-D field on the check's 64 x 256 tensor rule
+        x, w = np.polynomial.legendre.leggauss(64)
+        r, theta = 1.5 + 0.5 * x, 2 * np.pi * np.arange(256) / 256
+        angular = small_plant.basis.evaluate(theta)
+        fields = np.array([np.outer(mode.eval(r), angular[channel]).ravel()
+                           for mode, channel in zip(small_plant.modes, small_plant.channels)])
+        weights = np.outer(0.5 * w * r, np.full(256, 2 * np.pi / 256)).ravel()
+        err = np.abs((fields * weights) @ fields.T - np.eye(small_plant.n_modes)).max()
+        ok, reported = gram_check_err(small_plant)
+        assert ok and abs(reported - err) < 1e-14
+
+    def test_fails_on_a_misnormalized_mode(self, small_plant):
+        # order 1's first radial mode, in its cos and its sin channel, 1e-5 too large
+        first, *rest = small_plant.radial[1]
+        scaled = dataclasses.replace(first, normalization=first.normalization * (1 + 1e-5))
+        radial = (small_plant.radial[0], (scaled, *rest), *small_plant.radial[2:])
+        ok, reported = gram_check_err(dataclasses.replace(small_plant, radial=radial))
+        assert not ok and reported == pytest.approx(2e-5, rel=1e-3)
+
+    def test_builds_no_2d_field(self, sect5_plant, monkeypatch):
+        # one radial and one angular evaluation per mode: no n_modes x 64 x 256 array
+        monkeypatch.setattr(type(sect5_plant), "displacement_profile", None)
+        assert gram_check_err(sect5_plant)[0]  # warm: modes, channels and basis are cached
+        tracemalloc.start()
+        try:
+            ok, _ = gram_check_err(sect5_plant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and peak < 8e6
 
 
 class TestTransfer:

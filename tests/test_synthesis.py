@@ -318,14 +318,20 @@ class TestRegulatorEquations:
         oracle = sylvester_blocks(cl, exo.omegas)
         assert np.abs(sigma - oracle).max() < 1e-8 * np.abs(oracle).max()
 
-    def test_plant_pole_is_resonant(self):
-        # i*0 is a pole of the integrator plant, so P_s(i w) does not exist there
+    def test_plant_pole_is_solved_on_the_loop_blocks(self):
+        # i*0 is a pole of the integrator plant, so P_s(i w) does not exist
+        # there; the loop eigenvalues +-0.316i are off i*0, so the paper's
+        # condition holds and the loop's own diagonal blocks give Sigma
         plant, exo = scalar_plant(a=0.0), single_freq_exo(0.0)
         ones = np.ones((1, 1), dtype=complex)
         ctrl = synthesis.Controller("regulating", exo.omegas, 1, -ones, ones, eps=0.1)
-        with pytest.raises(linalg.ResonanceError, match="omega=0.0 is a pole of P_s") as info:
-            solve_regulator(assemble_direct(plant, ctrl, exo), exo)
-        assert info.value.omega == 0.0
+        cl = assemble_direct(plant, ctrl, exo)
+        with pytest.raises(linalg.ResonanceError):
+            plant.transfer(0.0)
+        assert np.abs(cl.spectrum - np.array([-1j, 1j]) * np.sqrt(0.1)).max() < 1e-15
+        reg = solve_regulator(cl, exo)
+        assert np.abs(reg.Sigma - sylvester_blocks(cl, exo.omegas)).max() < 1e-12
+        assert reg.residual2 == 0.0
 
     def test_residual_check_refuses_wrong_plant_rows(self, small_plant, small_exo, monkeypatch):
         ctrl = synth_approx_robust(small_plant, small_exo, 2, 0.15)

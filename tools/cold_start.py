@@ -8,8 +8,10 @@ so every run measures committed files only. Each of ``--runs`` rounds starts
 one ``python3 -m wavereg.cli <wavereg args>`` process per commit, in the
 export with its own ``src`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``;
 every other round starts HEAD first, so a slow drift of the machine hits both
-sides alike. A run times the process from start to exit and must exit 0.
-Prints every run and the min and median per side, in seconds.
+sides alike. A run times the process from start to exit, reads its peak
+resident set size (``ru_maxrss``, through ``os.wait4``) and must exit 0.
+Prints every run, the min and median wall time per side in seconds and the
+median peak RSS per side in MB (2^20 bytes).
 """
 
 from __future__ import annotations
@@ -27,16 +29,20 @@ from bench_compare import export
 
 
 def run(checkout, args):
-    """Wall seconds of one fresh ``wavereg`` process in ``checkout``."""
+    """Wall seconds and peak RSS in MB of one fresh ``wavereg`` process in ``checkout``."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "wavereg.cli", *args], cwd=checkout, env=env,
-                          capture_output=True, text=True)
-    seconds = time.perf_counter() - start
-    if done.returncode != 0:
-        tail = "\n".join(done.stderr.splitlines()[-20:])
-        raise RuntimeError(f"wavereg {' '.join(args)} in {checkout} exited {done.returncode}:\n{tail}")
-    return seconds
+    with tempfile.TemporaryFile() as stderr:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "wavereg.cli", *args], cwd=checkout,
+                                env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+        _, status, usage = os.wait4(proc.pid, 0)  # reaps the process with its own rusage
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            stderr.seek(0)
+            tail = "\n".join(stderr.read().decode(errors="replace").splitlines()[-20:])
+            raise RuntimeError(f"wavereg {' '.join(args)} in {checkout} exited {proc.returncode}:\n{tail}")
+    return seconds, usage.ru_maxrss / 1024.0  # kB on Linux
 
 
 def main(argv=None):
@@ -53,14 +59,16 @@ def main(argv=None):
         checkouts = {"base": Path(work) / "base", "HEAD": Path(work) / "head"}
         for side, ref in (("base", args.base), ("HEAD", "HEAD")):
             print(f"{side}: {export(ref, checkouts[side])}")
-        times = {side: [] for side in checkouts}
+        results = {side: [] for side in checkouts}
         for i in range(args.runs):
             for side in list(checkouts)[:: 1 if i % 2 == 0 else -1]:
-                times[side].append(run(checkouts[side], command))
+                results[side].append(run(checkouts[side], command))
     print(f"wavereg {' '.join(command)}, {args.runs} fresh processes per commit")
-    for side, values in times.items():
-        runs = " ".join(f"{t:.3f}" for t in values)
-        print(f"{side}: min {min(values):.3f} s, median {statistics.median(values):.3f} s ({runs})")
+    for side, values in results.items():
+        times, rss = zip(*values)
+        each = " ".join(f"{t:.3f} s/{mb:.1f} MB" for t, mb in values)
+        print(f"{side}: min {min(times):.3f} s, median {statistics.median(times):.3f} s, "
+              f"median peak RSS {statistics.median(rss):.1f} MB ({each})")
     return 0
 
 
