@@ -10,8 +10,9 @@ same data.
 The independent oracles that the checks hold production code against live
 here too, off the paths of the other commands: :func:`match_spectra`,
 :func:`sylvester_kron`, :func:`sylvester_blocks` (Sigma from per-block
-:func:`linalg.sylvester_diag` solves, which every loop comparison reads) and
-:func:`assemble_paper_Ae`; ``synthesis.eval_transfer`` is the tests' oracle.
+:func:`linalg.sylvester_diag` solves on :func:`dense_Acl`, which every loop
+comparison reads) and :func:`assemble_paper_Ae`; ``synthesis.eval_transfer``
+is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -119,11 +120,18 @@ def assemble_paper_Ae(plant, ctrl, exo):
     return loop.ClosedLoop(Acl, Bcl, Ccl, CBE_F.astype(complex), plant, ctrl, exo)
 
 
+def dense_Acl(cl):
+    """The dense oracles' input: ``cl.Acl``, or [[A_s, B K], [G2 C, G1]] for a loop of
+    :func:`loop.assemble_direct`, which forms none."""
+    p, c = cl.plant, cl.ctrl
+    return cl.Acl if cl.Acl is not None else np.block([[p.As, p.B @ c.K], [c.G2 @ p.C, c.G1]])
+
+
 def sylvester_blocks(closed_loop, omegas):
     """Regulator solution Sigma of ``closed_loop`` by a dense
-    :func:`linalg.sylvester_diag` solve on each diagonal block of its own
-    ``Acl``; the oracle for :func:`synthesis.solve_regulator`."""
-    Acl, Bcl = closed_loop.Acl, closed_loop.Bcl
+    :func:`linalg.sylvester_diag` solve on each diagonal block of its
+    :func:`dense_Acl`; the oracle for :func:`synthesis.solve_regulator`."""
+    Acl, Bcl = dense_Acl(closed_loop), closed_loop.Bcl
     Sigma = np.empty(Bcl.shape, dtype=complex)
     for idx in linalg._diagonal_blocks(Acl):
         Sigma[idx] = linalg.sylvester_diag(Acl[np.ix_(idx, idx)], Bcl[idx], omegas)
@@ -264,10 +272,11 @@ def _wronskian(ctx):
 def _gram(ctx):
     plant, n_theta = ctx.plant, 256
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    x, w = np.polynomial.legendre.leggauss(64)  # oracle for the closed-form radial norms
+    # oracle for the closed-form radial norms; 64 nodes misread products of modes at k ~ 100
+    x, w = np.polynomial.legendre.leggauss(max(64, int(np.ceil(max(m.k for m in plant.modes))) + 32))
     r = 1.5 + 0.5 * x
     radial, angular = plant.radial_profiles(r), plant.basis.evaluate(theta)[plant.channels]
-    # every mode is separable, so the 64 x 256 tensor rule is a radial Gram times an angular one
+    # every mode is separable, so the tensor rule is a radial Gram times an angular one
     gram = ((radial * (0.5 * w * r)) @ radial.T) * ((angular * (2 * np.pi / n_theta)) @ angular.T)
     err = np.abs(gram - np.eye(plant.n_modes)).max()
     return err < 1e-6, f"gram err={err:.2e}"

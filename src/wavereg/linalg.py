@@ -5,8 +5,8 @@ Pade-13 matrix exponential of Higham 2005); each verifies its own result. eig
 and expm keep a real operand real; solve and SVD work in complex arithmetic.
 Every tolerance scaled by a Frobenius norm takes it from
 :func:`frobenius_norm`, which refuses one that overflows.
-:func:`_diagonal_blocks` partitions a matrix into its diagonal blocks up to
-a permutation; a closed loop partitions its pair-form generator once.
+:func:`_diagonal_blocks` partitions a dense matrix into its diagonal blocks up
+to a permutation, by the connected :func:`_components` of its pattern.
 :func:`solve_dense` refuses a matrix by its singular values, and only the
 oracles call it: :func:`sylvester_diag`, which :mod:`wavereg.checks` holds the
 regulator solve and both loop forms' transfers against, ``checks.sylvester_kron``
@@ -141,8 +141,13 @@ def _diagonal_blocks(M):
     error of a dense kernel on ``M``. NaN and Inf stay in, for the finiteness
     checks."""
     zero = np.isfinite(M) & (np.abs(M) <= np.finfo(float).eps * frobenius_norm(M))
-    linked = ~zero | ~zero.T
-    free = np.ones(M.shape[0], dtype=bool)
+    return _components(~zero | ~zero.T)
+
+
+def _components(linked):
+    """Index sets of the connected components of the symmetric boolean adjacency
+    ``linked``, by reachability from the lowest free index, in that order."""
+    free = np.ones(linked.shape[0], dtype=bool)
     blocks = []
     while free.any():
         block = np.zeros_like(free)

@@ -7,9 +7,10 @@ construction, its cross-validation oracle, lives in :mod:`wavereg.checks`.
 The plant, reference and disturbance are real, and the exosystem and the
 internal model come in conjugate +-omega pairs, so the unitary map U that
 pairs each controller copy (and exosystem coordinate) with its partner makes
-the loop real. A :class:`ClosedLoop` maps its generator to these pair
-coordinates once (``A_pair``); its diagonal blocks, its spectrum and the
-sampler all read that one matrix. :func:`simulate_chunks` maps the other
+the loop real. A :class:`ClosedLoop` holds the diagonal blocks of its
+generator in these pair coordinates (``parts``), built from the plant's
+channel blocks and the controller; its spectrum, the regulator solve and the
+sampler all read them. :func:`simulate_chunks` maps the other
 operands the same way and samples in their common dtype, float64 when all
 are exactly real, in chunks of ``_CHUNK`` samples. In each chunk the sampler
 steps each block on its own with its own copy of the exosystem, filling the
@@ -41,12 +42,14 @@ _CHUNK, _HEAD = 2048, 8
 class ClosedLoop:
     """Assembled interconnection x_e' = Acl x_e + Bcl v, e = Ccl x_e + Dcl v,
     x_e the plant state over the controller state. ``pairs`` (f, s) are the
-    state indices of the controller copies at +-omega, and ``A_pair`` is
-    U Acl U^H for the pair map U on them: float64 when exactly real. The
-    diagonal ``blocks`` of ``A_pair`` and the ``spectrum`` (per block, sorted
-    by real then imaginary part) read it; each is computed once."""
+    state indices of the controller copies at +-omega, U the pair map on them.
+    ``parts`` are the diagonal blocks of U Acl U^H as (state indices, matrix,
+    float64 when exactly real, plant block number or None): built from the
+    parts when ``Acl`` is None, as :func:`assemble_direct` leaves it, else
+    found in the dense ``Acl`` of an oracle. ``blocks`` and the ``spectrum``
+    (sorted by real then imaginary part) read them; each is computed once."""
 
-    Acl: np.ndarray
+    Acl: np.ndarray | None
     Bcl: np.ndarray
     Ccl: np.ndarray
     Dcl: np.ndarray
@@ -55,10 +58,10 @@ class ClosedLoop:
     exo: object = field(repr=False)
 
     def __post_init__(self):
-        n = self.Acl.shape[0]
-        if self.Acl.shape != (n, n):
+        n = self.Bcl.shape[0]
+        if self.Acl is not None and self.Acl.shape != (n, n):
             raise ValueError("closed-loop state dimension mismatch")
-        if self.Bcl.shape[0] != n or self.Ccl.shape[1] != n:
+        if self.Ccl.shape[1] != n:
             raise ValueError("closed-loop input/output dimension mismatch")
         if self.Dcl.shape != (self.Ccl.shape[0], self.Bcl.shape[1]):
             raise ValueError("closed-loop feedthrough dimension mismatch")
@@ -69,7 +72,7 @@ class ClosedLoop:
 
     @property
     def state_dim(self):
-        return self.Acl.shape[0]
+        return self.Bcl.shape[0]
 
     @functools.cached_property
     def pairs(self):
@@ -80,18 +83,39 @@ class ClosedLoop:
                      for k in _pairs(self.ctrl.omegas))
 
     @functools.cached_property
-    def A_pair(self):
-        return _mapped(self.Acl, self.pairs, self.pairs)
+    def norm(self):
+        """||Acl||_F. Every row of B, and every column of C, lies on one channel c, so
+        ||B K||_F = ||(||B_c|| K_c)_c||_F and ||G2 C||_F = ||(G2_c ||C_c||)_c||_F."""
+        if self.Acl is not None:
+            return linalg.frobenius_norm(self.Acl)
+        p, c = self.plant, self.ctrl
+        BK, G2C = np.linalg.norm(p.B, axis=0)[:, None] * c.K, c.G2 * np.linalg.norm(p.C, axis=1)
+        entries = [M.ravel() for _, M, _ in p.blocks] + [BK.ravel(), G2C.ravel()]
+        return linalg.frobenius_norm(np.concatenate(entries + [np.repeat(c.omegas, c.block_dim)]))
 
     @functools.cached_property
+    def parts(self):
+        if self.Acl is None:
+            return _channel_blocks(self)
+        A = _mapped(self.Acl, self.pairs, self.pairs)
+        return [(idx, A[np.ix_(idx, idx)], None) for idx in linalg._diagonal_blocks(A)]
+
+    @property
     def blocks(self):
-        return linalg._diagonal_blocks(self.A_pair)
+        return [idx for idx, _, _ in self.parts]
 
     @functools.cached_property
     def spectrum(self):
-        A = self.A_pair
-        w = np.concatenate([linalg.eig(A[np.ix_(idx, idx)]) for idx in self.blocks])
+        w = np.concatenate([linalg.eig(M) if u is None else self.plant.spectrum(u)
+                            for _, M, u in self.parts])
         return w[np.lexsort((w.imag, w.real))]
+
+    def blockwise(self, fn, X):
+        """U^H Y for Y[idx] = fn(M, (U X)[idx]) on each part: ``blockwise(np.matmul, X)`` is Acl X."""
+        P, Y = _mapped(X, self.pairs, _NO_PAIRS), np.empty(X.shape, dtype=complex)
+        for idx, M, _ in self.parts:
+            Y[idx] = fn(M, P[idx])
+        return _pair(Y.T, *self.pairs, _U.conj()).T
 
     @functools.cached_property
     def abscissa(self):
@@ -154,20 +178,50 @@ def assemble_direct(plant, ctrl, exo):
     into the pre-stabilized dynamics, giving
 
         Acl = [[A_s, B K], [G2 C, G1]],   Bcl = [[B E_s], [G2 F]],
-        Ccl = [C, 0],  Dcl = F,   E_s = E - Q F.
+        Ccl = [C, 0],  Dcl = F,   E_s = E - Q F,
+
+    but forms no dense ``Acl``: the loop builds its parts from these.
     """
     if ctrl.dim_y != plant.output_dim:
         raise ValueError("controller output dimension does not match the plant")
     E_s = synthesis.stabilized_disturbance(plant, exo)
-    n_p, n_z = plant.state_dim, ctrl.dim_z
-    Acl = np.zeros((n_p + n_z, n_p + n_z), dtype=complex)
-    Acl[:n_p, :n_p] = plant.As
-    Acl[:n_p, n_p:] = plant.B @ ctrl.K
-    Acl[n_p:, :n_p] = ctrl.G2 @ plant.C
-    Acl[n_p:, n_p:] = ctrl.G1
     Bcl = np.vstack([plant.B @ E_s, ctrl.G2 @ exo.F])
-    Ccl = np.hstack([plant.C, np.zeros((plant.output_dim, n_z))]).astype(complex)
-    return ClosedLoop(Acl, Bcl, Ccl, exo.F.copy(), plant, ctrl, exo)
+    Ccl = np.hstack([plant.C, np.zeros((plant.output_dim, ctrl.dim_z))]).astype(complex)
+    return ClosedLoop(None, Bcl, Ccl, exo.F.copy(), plant, ctrl, exo)
+
+
+def _channel_blocks(cl):
+    """The ``parts`` of a loop of :func:`assemble_direct`: the plant's blocks joined through
+    the copies that reach them, at the entries of their channel's row of K U^H and column of
+    U G2, and each copy to its partner. As in ``linalg._diagonal_blocks``, an entry of at most
+    eps ||Acl||_F counts as zero. A block no copy reaches keeps the plant's matrix and spectrum."""
+    plant, ctrl, n_u = cl.plant, cl.ctrl, len(cl.plant.blocks)
+    n_p, tol, K, G2 = plant.state_dim, np.finfo(float).eps * cl.norm, ctrl.K, ctrl.G2
+    copies = np.repeat(ctrl.omegas, ctrl.block_dim)
+    f, s = (p - n_p for p in cl.pairs)
+    KU, G2U = _pair(K.astype(complex), f, s, _U.conj().T), _pair(G2.T.astype(complex), f, s, _U.T)
+    reach = ~(np.abs(plant.B).max(axis=0)[:, None] * np.abs(KU) <= tol)  # by channel
+    reach |= ~(np.abs(plant.C).max(axis=1)[:, None] * np.abs(G2U) <= tol)
+    linked = np.zeros((n_u + ctrl.dim_z,) * 2, dtype=bool)
+    linked[:n_u, n_u:] = reach[[channel for _, _, channel in plant.blocks]]
+    linked[n_u + f, n_u + s] = ~(np.abs(copies[f]) <= tol)
+    partner, parts = np.full(ctrl.dim_z, -1), []
+    partner[f], partner[s] = s, f
+    for comp in linalg._components(linked | linked.T):
+        units, z = [plant.blocks[u] for u in comp[comp < n_u]], comp[comp >= n_u] - n_u
+        if z.size == 0:  # one plant block
+            parts.append((*units[0][:2], comp[0]))
+            continue
+        idx = np.sort(np.concatenate([i for i, _, _ in units] or [np.zeros(0, dtype=int)]))
+        M, m = np.zeros((idx.size + z.size,) * 2, dtype=complex), idx.size
+        for i, As, _ in units:
+            M[np.ix_(np.searchsorted(idx, i), np.searchsorted(idx, i))] = As
+        M[:m, m:], M[m:, :m] = plant.B[idx] @ K[:, z], G2[z] @ plant.C[:, idx]
+        M[m:, m:] = np.diag(1j * copies[z])
+        first = z[partner[z] > z]
+        loc = [m + np.searchsorted(z, pair) for pair in (first, partner[first])]
+        parts.append((np.concatenate([idx, n_p + z]), _mapped(M, loc, loc), None))
+    return parts
 
 
 def whole_steps(span, dt, name):
@@ -219,14 +273,14 @@ def _initial_rows(x0, n, batch=False):
     return np.atleast_2d(x0)
 
 
-def _sample(A, blocks, B, S, x0, v0, n_rows, dt, C, D, w):
+def _sample(parts, B, S, x0, v0, n_rows, dt, C, D, w):
     """Reduced samples of x' = A x + B v, v' = S v, at k dt for k < ``n_rows``,
     from each initial state of the rows ``x0`` (r, n) with the same ``v0``,
     in chunks of at most ``_CHUNK`` samples.
 
-    Runs in the dtype of its operands. Each diagonal block ``idx`` in
-    ``blocks``, a partition of ``A`` into uncoupled blocks, steps with the
-    exponential of ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every block
+    Runs in the dtype of its operands. Each diagonal block ``(idx, A[idx,
+    idx], ...)`` in ``parts``, a partition of A into uncoupled blocks, steps
+    with the exponential of ``[[A[idx, idx], B[idx]], [0, S]]`` over dt, so every block
     carries its own copy of v. In each chunk, block after block is stored
     state-major as ``(m + q, rows * r)``, the r states of each sample side by
     side, filled by doubling (:func:`_propagate`) from the initial states or
@@ -235,11 +289,11 @@ def _sample(A, blocks, B, S, x0, v0, n_rows, dt, C, D, w):
     |x_j|^2`` and ``||x||^2``; the last block's copy of v adds ``D v`` to the
     outputs. Yields these per chunk, (p, rows, r) and (2, rows, r), with the
     chunk's last samples (r, n)."""
-    n, q, r = A.shape[0], S.shape[0], x0.shape[0]
-    dtype = np.result_type(A, B, S, C, D, x0, v0)
+    (r, n), q, blocks = x0.shape, S.shape[0], [idx for idx, _, _ in parts]
+    dtype = np.result_type(*(M for _, M, _ in parts), B, S, C, D, x0, v0)
     # all expm calls before any filling: with each expm inside the fill loop, delta-sweep
     # ran about 3 % slower on 2 vCPUs (25.0-25.8 against 25.2-26.9 operations/s)
-    gens = [np.block([[A[np.ix_(i, i)], B[i]], [np.zeros((q, i.size)), S]]) for i in blocks]
+    gens = [np.block([[M, B[i]], [np.zeros((q, i.size)), S]]) for i, M, _ in parts]
     powers = [[linalg.expm(gen, dt)] for gen in gens]  # step^(2^j) per block, squared once
     carry = [np.vstack([x0[:, idx].T, np.repeat(v0[:, None], r, axis=1)]) for idx in blocks]
     outputs = [np.flatnonzero(C[:, idx].any(axis=1)) for idx in blocks]
@@ -319,7 +373,7 @@ def _mapped(M, rows, cols):
 def simulate_chunks(cl, exo, x0=None, t_end=20.0, dt=0.01):
     """Sample the closed loop driven by the exosystem, in chunks of samples.
 
-    :func:`_sample` steps ``cl.A_pair`` one block at a time, so the samples
+    :func:`_sample` steps ``cl.parts`` one block at a time, so the samples
     are exact for the LTI system up to roundoff; halving dt only refines the
     sampling. The other operands and x0, v0 are mapped to the same pair
     coordinates (the exosystem's own +-omega pairs for v), each a float64
@@ -340,7 +394,7 @@ def simulate_chunks(cl, exo, x0=None, t_end=20.0, dt=0.01):
     C, D = _mapped(cl.Ccl, no, pc), _mapped(cl.Dcl, no, pq)
     x, v = _mapped(x0.T, pc, no).T, _mapped(exo.v0[:, None], pq, no)[:, 0]
     start, cap = 0, None
-    for errors, sq, last in _sample(cl.A_pair, cl.blocks, B, S, x, v, n_rows, dt, C, D, w):
+    for errors, sq, last in _sample(cl.parts, B, S, x, v, n_rows, dt, C, D, w):
         # the cap bounds ||(x_e, v)||, |v_k(t)| = |v0_k|; a non-finite sample is over it
         norms = np.hypot(np.sqrt(sq[1, :, 0]), np.linalg.norm(exo.v0))
         cap = _GROWTH_CAP * (1.0 + norms[0]) if cap is None else cap
@@ -391,8 +445,8 @@ def window_integrals(sq, dt, steps, before=()):
 def free_response(plant, x0, t_end, dt):
     """Free evolution of the plant with zero boundary input.
 
-    Samples the plant's generator ``As`` block by block with the sampler of
-    :func:`simulate_exact`, driven by no exosystem; used by the
+    Samples the plant's generator ``As`` by its blocks ``plant.blocks`` with
+    the sampler of :func:`simulate_exact`, driven by no exosystem; used by the
     energy-conservation, decay and admissibility checks. For the undamped
     generator pass ``plant.perturbed(q_scale=0.0)``, whose ``As`` is ``A``.
     ``x0`` is one state (n,) or rows (r, n) of them, checked as in
@@ -403,10 +457,10 @@ def free_response(plant, x0, t_end, dt):
     """
     t = _time_grid(t_end, dt)
     rows = _initial_rows(x0, plant.state_dim, batch=True)
-    As, p = plant.As, plant.output_dim
-    y, energies, last = _fill(_sample(As, linalg._diagonal_blocks(As), np.zeros((As.shape[0], 0)),
-                                      np.zeros((0, 0)), rows, np.zeros(0), t.size, dt, plant.C,
-                                      np.zeros((p, 0)), plant.energy_weights), t.size)
+    n, p = plant.state_dim, plant.output_dim
+    y, energies, last = _fill(_sample(plant.blocks, np.zeros((n, 0)), np.zeros((0, 0)), rows,
+                                      np.zeros(0), t.size, dt, plant.C, np.zeros((p, 0)),
+                                      plant.energy_weights), t.size)
     trajs = [Trajectory(t=t, states=last[i : i + 1], errors=y[:, :, i].T, energies=energies[:, i])
              for i in range(rows.shape[0])]
     return trajs[0] if np.ndim(x0) == 1 else trajs

@@ -23,12 +23,12 @@ the outer circle is dropped consistently from both input and output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
+from . import linalg
 from .bessel import find_radial_roots, require_inner_bc
-from .linalg import ResonanceError
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class ModalWavePlant:
     ``As = A - Q_feedback B C`` pre-stabilized by the damper, and the
     ``energy_weights`` (T_mod mu on positions, rho on velocities) of
     ||x||_E^2 = sum_i w_i |x_i|^2, in which the undamped ``A`` is
-    skew-adjoint.
+    skew-adjoint. Only the oracles read the dense ``As``; the loops read ``blocks``.
     """
 
     radial: tuple
@@ -180,6 +180,22 @@ class ModalWavePlant:
         return self.A - self.Q_feedback * (self.B @ self.C)
 
     @cached_property
+    def blocks(self):
+        """The diagonal blocks of ``As`` in state order, entry for entry, as (state
+        indices, ``As`` on them, channel): a damped channel's modes, or one undamped mode."""
+        key, blocks = self.channels if self.Q_feedback > 0 else np.arange(self.n_modes), []
+        for j in np.split(np.arange(self.n_modes), np.flatnonzero(np.diff(key)) + 1):
+            idx, zero = np.concatenate([j, self.n_modes + j]), np.zeros((j.size, j.size))
+            A = np.block([[zero, np.eye(j.size)], [-np.diag(self.mu[j] * self.T_mod / self.rho), zero]])
+            blocks.append((idx, A - self.Q_feedback * (self.B[idx] @ self.C[:, idx]), self.channels[j[0]]))
+        return blocks
+
+    @cached_property
+    def spectrum(self):
+        """``spectrum(u)``: the eigenvalues of ``blocks[u]``, computed once per plant."""
+        return cache(lambda u: linalg.eig(self.blocks[u][1]))
+
+    @cached_property
     def energy_weights(self):
         return np.concatenate([self.T_mod * self.mu, np.full(self.n_modes, self.rho)])
 
@@ -227,7 +243,7 @@ class ModalWavePlant:
             Ps = np.where(beta[:, d == 0].any(axis=1), np.reciprocal(self.Q_feedback),
                           p / (1.0 + self.Q_feedback * p))
         if not np.all(np.isfinite(Ps)):
-            raise ResonanceError(lam, f"lambda={lam} is a pole of P_s")
+            raise linalg.ResonanceError(lam, f"lambda={lam} is a pole of P_s")
         return Ps
 
     def input_resolvent(self, lam):

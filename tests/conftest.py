@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from wavereg import linalg
+from wavereg import checks, linalg
 from wavereg.exosystem import Exosystem, SignalTerm, build_exosystem, build_sect5_exosystem
 from wavereg.loop import ClosedLoop, assemble_direct
 from wavereg.plant import FourierOutputBasis, assemble_wave_plant
@@ -98,6 +98,14 @@ class DensePlant:
     def energy(self, x):
         return float(np.sum(self.energy_weights * np.abs(np.asarray(x)) ** 2))
 
+    @property
+    def blocks(self):  # one diagonal block, all of As, on the output channel of a scalar plant
+        assert self.output_dim == 1, "a dense plant has no channel blocks"
+        return [(np.arange(self.state_dim), self.As, 0)]
+
+    def spectrum(self, u):
+        return linalg.eig(self.blocks[u][1])
+
 
 def scalar_plant(a=-1.0, b=1.0, c=1.0):
     """Single-state plant with As = a, B = b, C = c and no wave structure."""
@@ -138,7 +146,7 @@ def sequential_reference(cl, exo, x0, n_steps, dt):
     exponential per sample, errors and energies one state at a time."""
     n, q = cl.state_dim, exo.q
     aug = np.zeros((n + q, n + q), dtype=complex)
-    aug[:n, :n] = cl.Acl
+    aug[:n, :n] = checks.dense_Acl(cl)
     aug[:n, n:] = cl.Bcl
     aug[n:, n:] = np.diag(1j * exo.omegas)
     step = linalg.expm(aug, dt)

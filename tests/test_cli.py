@@ -386,16 +386,30 @@ class TestSynthCommand:
     pytest.param(cli.cmd_synth, id="synth"),
 ])
 def test_preset_command_partitions_its_loop_once(tmp_path, monkeypatch, command):
-    # the spectrum, the sampler and the report all read cl.blocks
-    partition, calls = linalg._diagonal_blocks, []
+    # the spectrum, the regulator, the sampler and the report all read cl.parts,
+    # joined once from the channels; no entry search over a dense generator runs
+    calls = {"channels": 0, "dense": 0}
 
-    def counted(M):
-        calls.append(M.shape)
-        return partition(M)
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(linalg, "_diagonal_blocks", counted)
+    monkeypatch.setattr(loop, "_channel_blocks", counted(loop._channel_blocks, "channels"))
+    monkeypatch.setattr(linalg, "_diagonal_blocks", counted(linalg._diagonal_blocks, "dense"))
     command(sect5_config(), tmp_path)
-    assert len(calls) == 1
+    assert calls == {"channels": 1, "dense": 0}
+
+
+def test_overflowing_loop_norm_is_refused(small_plant, small_exo):
+    # ||Acl||_F from the parts overflows on finite entries: a tolerance of inf
+    # would drop every coupling, so the partition refuses it
+    ctrl = synthesis.synth_approx_robust(small_plant, small_exo, 2, 0.15)
+    huge = dataclasses.replace(small_plant, T_mod=1e200)
+    cl = loop.assemble_direct(huge, ctrl, small_exo)
+    with pytest.raises(ValueError, match="matrix norm overflows"):
+        cl.blocks
 
 
 class TestSimulateCommand:

@@ -51,7 +51,7 @@ class TestAssembly:
         plant_spec = linalg.eig(small_plant.As)
         copies = np.repeat(1j * small_exo.omegas, ctrl.block_dim)
         expected = np.concatenate([plant_spec, copies])
-        assert checks.match_spectra(linalg.eig(cl.Acl), expected) < 1e-7
+        assert checks.match_spectra(linalg.eig(checks.dense_Acl(cl)), expected) < 1e-7
         assert abs(cl.abscissa) < 1e-7
 
     def test_zero_exosystem_zero_injection(self, small_plant, small_exo):
@@ -109,7 +109,7 @@ class TestPaperForm:
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
         cl_d = assemble_direct(small_plant, ctrl, small_exo)
         cl_p = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
-        dist = checks.match_spectra(linalg.eig(cl_d.Acl), linalg.eig(cl_p.Acl))
+        dist = checks.match_spectra(linalg.eig(checks.dense_Acl(cl_d)), linalg.eig(cl_p.Acl))
         assert dist < 1e-8
 
     def test_transfer_on_exosystem_directions(self, small_plant, small_exo):
@@ -119,7 +119,7 @@ class TestPaperForm:
         for k, w in enumerate(small_exo.omegas):
             phi = np.zeros(small_exo.q)
             phi[k] = 1.0
-            gap_matrix = (eval_transfer(cl_d.Acl, cl_d.Bcl, cl_d.Ccl, 1j * w) + cl_d.Dcl
+            gap_matrix = (eval_transfer(checks.dense_Acl(cl_d), cl_d.Bcl, cl_d.Ccl, 1j * w) + cl_d.Dcl
                           - eval_transfer(cl_p.Acl, cl_p.Bcl, cl_p.Ccl, 1j * w) - cl_p.Dcl)
             gap = np.linalg.norm(gap_matrix @ phi)
             assert gap < 1e-8
@@ -136,7 +136,7 @@ class TestPaperForm:
                        checks.assemble_paper_Ae(small_plant, ctrl, small_exo)):
                 error_map = cl.Ccl @ checks.sylvester_blocks(cl, small_exo.omegas) + cl.Dcl
                 for k, w in enumerate(small_exo.omegas):
-                    response = eval_transfer(cl.Acl, cl.Bcl, cl.Ccl, 1j * w)[:, k]
+                    response = eval_transfer(checks.dense_Acl(cl), cl.Bcl, cl.Ccl, 1j * w)[:, k]
                     scale = max(1.0, np.abs(response).max(), np.abs(cl.Dcl[:, k]).max())
                     gap = np.abs(error_map[:, k] - response - cl.Dcl[:, k]).max()
                     assert gap <= 1e-12 * scale
@@ -152,7 +152,7 @@ class TestPaperForm:
     ):
         paper = checks.assemble_paper_Ae(sect5_plant, approx5, sect5_exo)
         largest = max(idx.size for cl in (sect5_loop, paper)
-                      for idx in linalg._diagonal_blocks(cl.Acl))
+                      for idx in linalg._diagonal_blocks(checks.dense_Acl(cl)))
         sizes, solve_dense = [], linalg.solve_dense
 
         def recording_solve_dense(A, B):
@@ -352,8 +352,8 @@ class TestSimulation:
         # finiteness check, not be dropped by the roundoff threshold
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
         cl = assemble_direct(small_plant, ctrl, small_exo)
-        blocks = linalg._diagonal_blocks(cl.Acl)
-        Acl = cl.Acl.copy()
+        blocks = linalg._diagonal_blocks(checks.dense_Acl(cl))
+        Acl = checks.dense_Acl(cl).copy()
         Acl[blocks[0][0], blocks[1][0]] = bad
         with pytest.raises(ValueError, match="NaN or Inf"):
             simulate_exact(dataclasses.replace(cl, Acl=Acl), small_exo, t_end=1.0, dt=0.01)
@@ -393,7 +393,7 @@ class TestBlockStepping:
             (coupled_exo, synth_regulating(small_plant, coupled_exo, eps=0.1), 1),
         ]:
             cl = assemble_direct(small_plant, ctrl, exo)
-            assert len(linalg._diagonal_blocks(cl.Acl)) == n_blocks
+            assert len(linalg._diagonal_blocks(checks.dense_Acl(cl))) == n_blocks
             x0 = np.random.default_rng(21).standard_normal(cl.state_dim)
             traj = simulate_exact(cl, exo, x0=x0, t_end=n_steps * dt, dt=dt)
             states, errors, energies = sequential_reference(cl, exo, x0, n_steps, dt)
@@ -475,7 +475,7 @@ class TestBlockStepping:
         # at most eps*||Acl||_F, so it is one block per channel group
         ctrl = synth_regulating(sect5_plant, sect5_exo, 0.15)
         cl = assemble_direct(sect5_plant, ctrl, sect5_exo)
-        sizes = sorted((idx.size for idx in linalg._diagonal_blocks(cl.Acl)), reverse=True)
+        sizes = sorted((idx.size for idx in linalg._diagonal_blocks(checks.dense_Acl(cl))), reverse=True)
         assert sizes == [212] + [16] * 10
         dt, n_steps = 0.01, 50
         x0 = np.random.default_rng(23).standard_normal(cl.state_dim)
@@ -486,7 +486,7 @@ class TestBlockStepping:
         assert rel_gap(traj.energies, energies) < 1e-12
         reg = solve_regulator(cl, sect5_exo)  # raises unless its residual check passes
         dense = np.column_stack([
-            np.linalg.solve(1j * w * np.eye(cl.state_dim) - cl.Acl, cl.Bcl[:, k])
+            np.linalg.solve(1j * w * np.eye(cl.state_dim) - checks.dense_Acl(cl), cl.Bcl[:, k])
             for k, w in enumerate(sect5_exo.omegas)
         ])
         assert rel_gap(reg.Sigma, dense) < 1e-12
@@ -499,7 +499,7 @@ class TestMemory:
         # history; the loop samples in real arithmetic, 8 bytes an entry
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
         cl = assemble_direct(small_plant, ctrl, small_exo)
-        widest = max(idx.size for idx in linalg._diagonal_blocks(cl.Acl))
+        widest = max(idx.size for idx in linalg._diagonal_blocks(checks.dense_Acl(cl)))
         per_row = cl.Ccl.shape[0] + widest + small_exo.q
         assert cl.state_dim > 2 * per_row
         simulate_exact(cl, small_exo, t_end=1.0, dt=0.01)  # warm up lazy imports
@@ -511,6 +511,25 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * n_rows * per_row  # float64 entries
+
+    def test_synthesis_path_forms_no_state_squared_array(self):
+        # 48 angular orders: 1,564 states in 95 blocks, the largest 20. One
+        # float64 state^2 array is 19.6 MB; the loop's blocks, its spectrum,
+        # its regulator solution and the error bound stay well below that
+        plant = assemble_wave_plant(8, 48, 3.0)
+        exo = build_sect5_exosystem(plant.basis.max_order)
+        ctrl = synth_approx_robust(plant, exo, 5, eps=0.15)
+        tracemalloc.start()
+        try:
+            cl = assemble_direct(plant, ctrl, exo)
+            stable = cl.is_stable
+            bound = error_bound_delta(solve_regulator(cl, exo), cl, ctrl.projector())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cl.state_dim, len(cl.blocks), max(idx.size for idx in cl.blocks)) == (1564, 95, 20)
+        assert stable and bound.delta > 0.0
+        assert peak < 16e6 < 8 * cl.state_dim**2
 
 
 class TestWindowedError:

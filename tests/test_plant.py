@@ -229,6 +229,12 @@ class TestGramCheck:
         ok, reported = gram_check_err(dataclasses.replace(small_plant, radial=radial))
         assert not ok and reported == pytest.approx(2e-5, rel=1e-3)
 
+    def test_resolves_the_highest_radial_modes(self):
+        # wavenumbers up to about 100: a fixed 64-node radial rule read 1.35e-7 here,
+        # its own quadrature error, not the modes'
+        ok, reported = gram_check_err(assemble_wave_plant(32, 24, 3.0))
+        assert ok and reported < 1e-12
+
     def test_builds_no_2d_field(self, sect5_plant, monkeypatch):
         # one radial and one angular evaluation per mode: no n_modes x 64 x 256 array
         monkeypatch.setattr(type(sect5_plant), "displacement_profile", None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavereg import linalg, synthesis
-from wavereg.checks import sylvester_blocks
+from wavereg.checks import dense_Acl, sylvester_blocks
 from wavereg.loop import assemble_direct
 from wavereg.synthesis import (
     check_g_conditions,
@@ -158,7 +158,7 @@ class TestApproxRobustController:
         # copies at each i w_k to i w_k - eps + O(eps^2); the second-order
         # constant measured on the preset is at most 10.7
         ctrl = synth_approx_robust(sect5_plant, sect5_exo, 5, eps)
-        lam = linalg.eig(assemble_direct(sect5_plant, ctrl, sect5_exo).Acl)
+        lam = linalg.eig(dense_Acl(assemble_direct(sect5_plant, ctrl, sect5_exo)))
         for w in sect5_exo.omegas:
             nearest = lam[np.argsort(np.abs(lam - 1j * w))[: ctrl.block_dim]]
             worst = np.abs(nearest - (1j * w - eps)).max()
