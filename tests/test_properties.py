@@ -4,7 +4,9 @@ Each example draws a plant (2-3 radial modes, angular orders 0..1 to 0..3,
 either inner boundary condition), a reference at one drive frequency and a
 disturbance at another, both in [0.5, 8], with random Fourier profiles, and
 a truncation order N below the angular cutoff. The plant matrices are also
-checked with a random density, stiffness and damping gain. The regulator
+checked with a random density, stiffness and damping gain. The loop's
+channel blocks, spectrum and regulator solution are held against the dense
+oracle for all three controller kinds at random gains. The regulator
 solve is held against its per-block Sylvester oracle over a grid of gains,
 the idle gain 0, where both must refuse, included. The block-wise
 spectrum is checked on random permuted block-diagonal matrices, also under
@@ -163,7 +165,7 @@ def test_channel_blocks_match_the_dense_oracle(problem, kind, eps, stiffness_sca
         assert checks.match_spectra(cl.spectrum, dense.spectrum) <= 1e-12
         try:
             sigma = synthesis.solve_regulator(cl, exo).Sigma
-        except linalg.ResonanceError:  # the refusals are held against the oracle's below
+        except linalg.ResonanceError:  # refusals: test_regulator_matches_block_oracle_across_gains
             continue
         oracle = checks.sylvester_blocks(cl, exo.omegas)
         assert np.abs(sigma - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
