@@ -9,10 +9,9 @@ same data.
 
 The independent oracles that the checks hold production code against live
 here too, off the paths of the other commands: :func:`match_spectra`,
-:func:`sylvester_kron`, :func:`sylvester_blocks` (Sigma from per-block
-:func:`linalg.sylvester_diag` solves on :func:`dense_Acl`, which every loop
-comparison reads) and :func:`assemble_paper_Ae`; ``synthesis.eval_transfer``
-is the tests' oracle.
+:func:`sylvester_kron`, :func:`sylvester_blocks` (Sigma from per-block solves on
+:func:`dense_Acl`, which every loop comparison reads) and :func:`assemble_paper_Ae`;
+``synthesis.eval_transfer`` is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -121,8 +120,7 @@ def assemble_paper_Ae(plant, ctrl, exo):
 
 
 def dense_Acl(cl):
-    """The dense oracles' input: ``cl.Acl``, or [[A_s, B K], [G2 C, G1]] for a loop of
-    :func:`loop.assemble_direct`, which forms none."""
+    """The oracles' ``cl.Acl``; [[A_s, B K], [G2 C, G1]] for a loop of :func:`loop.assemble_direct`."""
     p, c = cl.plant, cl.ctrl
     return cl.Acl if cl.Acl is not None else np.block([[p.As, p.B @ c.K], [c.G2 @ p.C, c.G1]])
 
@@ -272,8 +270,8 @@ def _wronskian(ctx):
 def _gram(ctx):
     plant, n_theta = ctx.plant, 256
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    # oracle for the closed-form radial norms; 64 nodes misread products of modes at k ~ 100
-    x, w = np.polynomial.legendre.leggauss(max(64, int(np.ceil(max(m.k for m in plant.modes))) + 32))
+    nodes = max(64, int(np.ceil(max(mode.k for mode in plant.modes))) + 32)  # resolves k ~ 100 too
+    x, w = np.polynomial.legendre.leggauss(nodes)  # oracle for the closed-form radial norms
     r = 1.5 + 0.5 * x
     radial, angular = plant.radial_profiles(r), plant.basis.evaluate(theta)[plant.channels]
     # every mode is separable, so the tensor rule is a radial Gram times an angular one

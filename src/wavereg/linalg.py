@@ -145,8 +145,7 @@ def _diagonal_blocks(M):
 
 
 def _components(linked):
-    """Index sets of the connected components of the symmetric boolean adjacency
-    ``linked``, by reachability from the lowest free index, in that order."""
+    """Connected components of the symmetric boolean adjacency ``linked``, as above."""
     free = np.ones(linked.shape[0], dtype=bool)
     blocks = []
     while free.any():

@@ -43,11 +43,9 @@ class ClosedLoop:
     """Assembled interconnection x_e' = Acl x_e + Bcl v, e = Ccl x_e + Dcl v,
     x_e the plant state over the controller state. ``pairs`` (f, s) are the
     state indices of the controller copies at +-omega, U the pair map on them.
-    ``parts`` are the diagonal blocks of U Acl U^H as (state indices, matrix,
-    float64 when exactly real, plant block number or None): built from the
-    parts when ``Acl`` is None, as :func:`assemble_direct` leaves it, else
-    found in the dense ``Acl`` of an oracle. ``blocks`` and the ``spectrum``
-    (sorted by real then imaginary part) read them; each is computed once."""
+    ``parts`` are the diagonal blocks of U Acl U^H (float64 when exactly real)
+    as (state indices, matrix, plant block number or None), found in a dense
+    ``Acl`` or, when it is None, built by :func:`_channel_blocks`."""
 
     Acl: np.ndarray | None
     Bcl: np.ndarray
@@ -81,17 +79,6 @@ class ClosedLoop:
         bd, offset = self.ctrl.block_dim, self.state_dim - self.ctrl.dim_z
         return tuple(offset + (k[:, None] * bd + np.arange(bd)).ravel()
                      for k in _pairs(self.ctrl.omegas))
-
-    @functools.cached_property
-    def norm(self):
-        """||Acl||_F. Every row of B, and every column of C, lies on one channel c, so
-        ||B K||_F = ||(||B_c|| K_c)_c||_F and ||G2 C||_F = ||(G2_c ||C_c||)_c||_F."""
-        if self.Acl is not None:
-            return linalg.frobenius_norm(self.Acl)
-        p, c = self.plant, self.ctrl
-        BK, G2C = np.linalg.norm(p.B, axis=0)[:, None] * c.K, c.G2 * np.linalg.norm(p.C, axis=1)
-        entries = [M.ravel() for _, M, _ in p.blocks] + [BK.ravel(), G2C.ravel()]
-        return linalg.frobenius_norm(np.concatenate(entries + [np.repeat(c.omegas, c.block_dim)]))
 
     @functools.cached_property
     def parts(self):
@@ -191,36 +178,35 @@ def assemble_direct(plant, ctrl, exo):
 
 
 def _channel_blocks(cl):
-    """The ``parts`` of a loop of :func:`assemble_direct`: the plant's blocks joined through
-    the copies that reach them, at the entries of their channel's row of K U^H and column of
-    U G2, and each copy to its partner. As in ``linalg._diagonal_blocks``, an entry of at most
-    eps ||Acl||_F counts as zero. A block no copy reaches keeps the plant's matrix and spectrum."""
+    """The ``parts`` of a loop of :func:`assemble_direct`: the plant's blocks joined through the
+    copies that reach them, at their channel's row of K U^H and column of U G2, and each copy to
+    its partner. As in ``linalg._diagonal_blocks``, an entry of at most eps ||Acl||_F counts as
+    zero; a NaN or Inf is refused. An unreached block keeps the plant's matrix and spectrum."""
     plant, ctrl, n_u = cl.plant, cl.ctrl, len(cl.plant.blocks)
-    n_p, tol, K, G2 = plant.state_dim, np.finfo(float).eps * cl.norm, ctrl.K, ctrl.G2
-    copies = np.repeat(ctrl.omegas, ctrl.block_dim)
+    n_p, K, G2, copies = plant.state_dim, ctrl.K, ctrl.G2, np.repeat(ctrl.omegas, ctrl.block_dim)
+    # ||Acl||_F; each row of B and column of C lies on one channel c: ||B K|| = ||(||B_c|| K_c)_c||
+    BK, G2C = np.linalg.norm(plant.B, axis=0)[:, None] * K, G2 * np.linalg.norm(plant.C, axis=1)
+    entries = [M.ravel() for _, M, _ in plant.blocks] + [BK.ravel(), G2C.ravel(), copies]
+    tol = np.finfo(float).eps * linalg.frobenius_norm(linalg.as_matrix(np.concatenate(entries),
+                                                                       "closed loop"))
     f, s = (p - n_p for p in cl.pairs)
     KU, G2U = _pair(K.astype(complex), f, s, _U.conj().T), _pair(G2.T.astype(complex), f, s, _U.T)
     reach = ~(np.abs(plant.B).max(axis=0)[:, None] * np.abs(KU) <= tol)  # by channel
     reach |= ~(np.abs(plant.C).max(axis=1)[:, None] * np.abs(G2U) <= tol)
     linked = np.zeros((n_u + ctrl.dim_z,) * 2, dtype=bool)
     linked[:n_u, n_u:] = reach[[channel for _, _, channel in plant.blocks]]
-    linked[n_u + f, n_u + s] = ~(np.abs(copies[f]) <= tol)
-    partner, parts = np.full(ctrl.dim_z, -1), []
-    partner[f], partner[s] = s, f
+    linked[n_u + f, n_u + s] = True  # at any omega: the pair map acts inside one block
+    parts = []
     for comp in linalg._components(linked | linked.T):
-        units, z = [plant.blocks[u] for u in comp[comp < n_u]], comp[comp >= n_u] - n_u
+        z = comp[comp >= n_u] - n_u
         if z.size == 0:  # one plant block
-            parts.append((*units[0][:2], comp[0]))
+            parts.append((*plant.blocks[comp[0]][:2], comp[0]))
             continue
-        idx = np.sort(np.concatenate([i for i, _, _ in units] or [np.zeros(0, dtype=int)]))
-        M, m = np.zeros((idx.size + z.size,) * 2, dtype=complex), idx.size
-        for i, As, _ in units:
-            M[np.ix_(np.searchsorted(idx, i), np.searchsorted(idx, i))] = As
-        M[:m, m:], M[m:, :m] = plant.B[idx] @ K[:, z], G2[z] @ plant.C[:, idx]
-        M[m:, m:] = np.diag(1j * copies[z])
-        first = z[partner[z] > z]
-        loc = [m + np.searchsorted(z, pair) for pair in (first, partner[first])]
-        parts.append((np.concatenate([idx, n_p + z]), _mapped(M, loc, loc), None))
+        idx = np.sort(np.concatenate([plant.blocks[u][0] for u in comp[comp < n_u]] + [z[:0]]))
+        M = np.block([[plant.generator(idx), plant.B[idx] @ K[:, z]],
+                      [G2[z] @ plant.C[:, idx], np.diag(1j * copies[z])]])
+        loc = [idx.size + np.searchsorted(z, p[np.isin(p, z)]) for p in (f, s)]
+        parts.append((np.r_[idx, n_p + z], _mapped(M, loc, loc), None))
     return parts
 
 

@@ -161,11 +161,15 @@ class ModalWavePlant:
         trace[range(self.n_modes), self.channels] = [mode.boundary_trace for mode in self.modes]
         return trace
 
-    @cached_property
-    def A(self):
-        n = self.n_modes
-        zero, stiffness = np.zeros((n, n)), -np.diag(self.mu * self.T_mod / self.rho)
-        return np.block([[zero, np.eye(n)], [stiffness, zero]])
+    def generator(self, idx, q=None):
+        """``A - q B C`` on the state indices ``idx``, q = ``Q_feedback`` by default,
+        entry for entry as on the dense matrices, without forming them."""
+        i, n, q = idx[:, None], self.n_modes, self.Q_feedback if q is None else q
+        A = (i + n == idx) + (i == idx + n) * (-self.mu[i % n] * self.T_mod / self.rho)
+        return A - q * (self.B[idx] @ self.C[:, idx])
+
+    A = cached_property(lambda self: self.generator(np.arange(self.state_dim), 0.0))
+    As = cached_property(lambda self: self.generator(np.arange(self.state_dim)))
 
     @cached_property
     def B(self):
@@ -176,23 +180,15 @@ class ModalWavePlant:
         return np.hstack([np.zeros_like(self.trace.T), self.trace.T])
 
     @cached_property
-    def As(self):
-        return self.A - self.Q_feedback * (self.B @ self.C)
-
-    @cached_property
     def blocks(self):
-        """The diagonal blocks of ``As`` in state order, entry for entry, as (state
-        indices, ``As`` on them, channel): a damped channel's modes, or one undamped mode."""
-        key, blocks = self.channels if self.Q_feedback > 0 else np.arange(self.n_modes), []
-        for j in np.split(np.arange(self.n_modes), np.flatnonzero(np.diff(key)) + 1):
-            idx, zero = np.concatenate([j, self.n_modes + j]), np.zeros((j.size, j.size))
-            A = np.block([[zero, np.eye(j.size)], [-np.diag(self.mu[j] * self.T_mod / self.rho), zero]])
-            blocks.append((idx, A - self.Q_feedback * (self.B[idx] @ self.C[:, idx]), self.channels[j[0]]))
-        return blocks
+        """The diagonal blocks of ``As`` in state order as (state indices, ``As`` on them,
+        channel): a damped channel's modes, or one undamped mode."""
+        key, n = self.channels if self.Q_feedback > 0 else np.arange(self.n_modes), self.n_modes
+        idx = [np.r_[j, n + j] for j in np.split(np.arange(n), np.flatnonzero(np.diff(key)) + 1)]
+        return [(i, self.generator(i), self.channels[i[0]]) for i in idx]
 
     @cached_property
-    def spectrum(self):
-        """``spectrum(u)``: the eigenvalues of ``blocks[u]``, computed once per plant."""
+    def spectrum(self):  # spectrum(u): the eigenvalues of blocks[u], computed once per plant
         return cache(lambda u: linalg.eig(self.blocks[u][1]))
 
     @cached_property

@@ -13,9 +13,8 @@ test (trivial kernel of G2, trivial range intersections with i w - G1, read
 off the row blocks of G2), the regulator-equation solver and the asymptotic
 tracking-error bound. The regulator solver, too, works from the plant's
 closed forms, one numpy controller-space solve per frequency; it reads
-solvability off the loop's own spectrum and checks its residual on the loop's
-diagonal blocks. Its oracle, dense Sylvester solves on the diagonal blocks of
-the dense loop, lives in :mod:`wavereg.checks`.
+solvability off the loop's own spectrum. Its oracle, dense Sylvester solves
+on the dense loop's diagonal blocks, lives in :mod:`wavereg.checks`.
 """
 
 from __future__ import annotations
@@ -305,19 +304,16 @@ def solve_regulator(closed_loop, exo):
     The equation is solvable at w_k exactly when i w_k is not an eigenvalue
     of Acl. By the Schur complement det(i w_k - Acl) = det(i w_k - A_s) det M,
     so M is singular exactly then. At a pole of P_s, where the closed forms
-    fail, column k solves (i w_k - Acl) Sigma_k = Bcl_k block by block on
-    the loop's pair-form ``parts`` (``closed_loop.blockwise``). Raises
-    ``ResonanceError(w_k)`` when an eigenvalue of ``closed_loop.spectrum``
-    lies within ``RESONANCE_RTOL`` max(1, |w_k|) of i w_k, and ``ValueError``
-    if the defect residual1 (spectral norm, with Acl Sigma taken on the
-    parts) exceeds 1e-8 (||Acl|| ||Sigma|| + ||Bcl||) (Frobenius, ||Acl||
-    from ``closed_loop.norm``).
+    fail, column k solves (i w_k - Acl) Sigma_k = Bcl_k on the loop's
+    ``parts``. Raises ``ResonanceError(w_k)`` when an eigenvalue of
+    ``closed_loop.spectrum`` lies within ``RESONANCE_RTOL`` max(1, |w_k|) of
+    i w_k, and ``ValueError`` if the defect residual1 (spectral norm, Acl
+    Sigma on the parts) exceeds 1e-8 (||Acl|| ||Sigma|| + ||Bcl||) (Frobenius).
     """
     plant, ctrl, n_p = closed_loop.plant, closed_loop.ctrl, closed_loop.plant_dim
     E_s, K = stabilized_disturbance(plant, exo), ctrl.K
     copies = np.repeat(ctrl.omegas, ctrl.block_dim)  # the diagonal of G1 / i
-    Bcl = closed_loop.Bcl
-    Sigma = np.empty(Bcl.shape, dtype=complex)
+    Bcl, Sigma = closed_loop.Bcl, np.empty(closed_loop.Bcl.shape, dtype=complex)
     for k, w in enumerate(exo.omegas):
         if np.abs(closed_loop.spectrum - 1j * w).min() <= RESONANCE_RTOL * max(1.0, abs(w)):
             raise ResonanceError(w)
@@ -327,12 +323,11 @@ def solve_regulator(closed_loop, exo):
             Sigma[n_p:, k] = z = np.linalg.solve(M, ctrl.G2 @ (p * E_s[:, k] + exo.F[:, k]))
             Sigma[:n_p, k] = plant.input_resolvent(1j * w) @ (K @ z + E_s[:, k])
         except ResonanceError:  # a pole of P_s
-            def shifted(M, b, w=w):
-                return np.linalg.solve(1j * w * np.eye(len(M)) - M, b)
-            Sigma[:, k] = closed_loop.blockwise(shifted, Bcl[:, k : k + 1])[:, 0]
-    resid1 = np.linalg.norm(Sigma * (1j * exo.omegas) - closed_loop.blockwise(np.matmul, Sigma)
-                            - Bcl, 2)
-    bound = 1e-8 * (closed_loop.norm * linalg.frobenius_norm(Sigma) + linalg.frobenius_norm(Bcl))
+            Sigma[:, k] = closed_loop.blockwise(
+                lambda M, b: np.linalg.solve(1j * w * np.eye(len(M)) - M, b), Bcl[:, k : k + 1])[:, 0]
+    resid1 = np.linalg.norm(Sigma * (1j * exo.omegas) - closed_loop.blockwise(np.matmul, Sigma) - Bcl, 2)
+    norm = linalg.frobenius_norm(np.concatenate([M.ravel() for _, M, _ in closed_loop.parts]))
+    bound = 1e-8 * (norm * linalg.frobenius_norm(Sigma) + linalg.frobenius_norm(Bcl))
     if resid1 > bound:
         raise ValueError(f"regulator residual {resid1:.3e} exceeds {bound:.3e}")
     return RegulatorSolution(

@@ -17,6 +17,7 @@ from wavereg.loop import (
 )
 from wavereg.plant import assemble_wave_plant
 from wavereg.synthesis import (
+    Controller,
     error_bound_delta,
     eval_transfer,
     solve_regulator,
@@ -358,6 +359,20 @@ class TestSimulation:
         with pytest.raises(ValueError, match="NaN or Inf"):
             simulate_exact(dataclasses.replace(cl, Acl=Acl), small_exo, t_end=1.0, dt=0.01)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_controller_rejected(self, small_plant, small_exo, bad):
+        # the loop of assemble_direct joins its channels on a tolerance scaled by
+        # ||Acl||_F; a NaN or Inf entry is refused there, not turned into a NaN or
+        # inf tolerance that keeps or drops every coupling
+        ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
+        ctrl = dataclasses.replace(ctrl, K0=ctrl.K0.real.copy())  # a real inf stays inf in K
+        ctrl.K0[1, 0] = bad  # K0 is checked when the controller is built, not after
+        cl = assemble_direct(small_plant, ctrl, small_exo)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            cl.abscissa
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            simulate_exact(cl, small_exo, t_end=1.0, dt=0.01)
+
     def test_error_is_real_for_real_symmetric_data(self, sect5_plant, sect5_exo, sect5_loop):
         # the preset signals are real and its three loops exactly
         # conjugate-symmetric, so each samples in float64; the last state is
@@ -393,7 +408,8 @@ class TestBlockStepping:
             (coupled_exo, synth_regulating(small_plant, coupled_exo, eps=0.1), 1),
         ]:
             cl = assemble_direct(small_plant, ctrl, exo)
-            assert len(linalg._diagonal_blocks(checks.dense_Acl(cl))) == n_blocks
+            pair_form = loop._mapped(checks.dense_Acl(cl), cl.pairs, cl.pairs)
+            assert len(cl.blocks) == len(linalg._diagonal_blocks(pair_form)) == n_blocks
             x0 = np.random.default_rng(21).standard_normal(cl.state_dim)
             traj = simulate_exact(cl, exo, x0=x0, t_end=n_steps * dt, dt=dt)
             states, errors, energies = sequential_reference(cl, exo, x0, n_steps, dt)
@@ -475,8 +491,9 @@ class TestBlockStepping:
         # at most eps*||Acl||_F, so it is one block per channel group
         ctrl = synth_regulating(sect5_plant, sect5_exo, 0.15)
         cl = assemble_direct(sect5_plant, ctrl, sect5_exo)
-        sizes = sorted((idx.size for idx in linalg._diagonal_blocks(checks.dense_Acl(cl))), reverse=True)
-        assert sizes == [212] + [16] * 10
+        pair_form = loop._mapped(checks.dense_Acl(cl), cl.pairs, cl.pairs)
+        oracle = sorted((idx.size for idx in linalg._diagonal_blocks(pair_form)), reverse=True)
+        assert sorted((idx.size for idx in cl.blocks), reverse=True) == oracle == [212] + [16] * 10
         dt, n_steps = 0.01, 50
         x0 = np.random.default_rng(23).standard_normal(cl.state_dim)
         traj = simulate_exact(cl, sect5_exo, x0=x0, t_end=n_steps * dt, dt=dt)
@@ -491,6 +508,27 @@ class TestBlockStepping:
         ])
         assert rel_gap(reg.Sigma, dense) < 1e-12
 
+    def test_copy_pair_below_the_tolerance_shares_its_block(self, small_plant, small_exo):
+        # on a stiff plant eps*||Acl||_F (about 0.03) exceeds omega = 1e-3, so the
+        # copies' own coupling counts as zero. In pair coordinates the first copy
+        # reaches channel 1 and the second channel 2 alone; the dense entry search
+        # puts them in two blocks, the channel join keeps the pair in one
+        plant = small_plant.perturbed(stiffness_scale=1e12)
+        K0 = np.zeros((plant.output_dim, 2), dtype=complex)
+        K0[1, 0], K0[2, 0] = 10.0, 10.0j
+        K0[:, 1] = K0[:, 0].conj()
+        ctrl = Controller("regulating", np.array([-1e-3, 1e-3]), 1, K0.T.copy(), K0, 1.0)
+        cl = assemble_direct(plant, ctrl, small_exo)
+        f, s = cl.pairs
+        assert any(np.isin(f, idx).all() and np.isin(s, idx).all() for idx in cl.blocks)
+        pair_form = loop._mapped(checks.dense_Acl(cl), cl.pairs, cl.pairs)
+        oracle = linalg._diagonal_blocks(pair_form)
+        assert len(oracle) == len(cl.blocks) + 1
+        block_of = {j: b for b, idx in enumerate(cl.blocks) for j in idx}
+        assert all(len({block_of[j] for j in idx}) == 1 for idx in oracle)
+        dense = linalg.eig(checks.dense_Acl(cl))
+        assert checks.match_spectra(cl.spectrum, dense) <= 1e-12 * np.abs(dense).max()
+
 
 class TestMemory:
     def test_peak_allocation_scales_with_outputs_not_states(self, small_plant, small_exo):
@@ -499,7 +537,7 @@ class TestMemory:
         # history; the loop samples in real arithmetic, 8 bytes an entry
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
         cl = assemble_direct(small_plant, ctrl, small_exo)
-        widest = max(idx.size for idx in linalg._diagonal_blocks(checks.dense_Acl(cl)))
+        widest = max(idx.size for idx in cl.blocks)
         per_row = cl.Ccl.shape[0] + widest + small_exo.q
         assert cl.state_dim > 2 * per_row
         simulate_exact(cl, small_exo, t_end=1.0, dt=0.01)  # warm up lazy imports
