@@ -270,7 +270,7 @@ def _wronskian(ctx):
 def _gram(ctx):
     plant, n_theta = ctx.plant, 256
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    nodes = max(64, int(np.ceil(max(mode.k for mode in plant.modes))) + 32)  # resolves k ~ 100 too
+    nodes = max(64, int(np.ceil(max(mode.k for mode in plant.modes))) + 32)  # 64 misread k ~ 100
     x, w = np.polynomial.legendre.leggauss(nodes)  # oracle for the closed-form radial norms
     r = 1.5 + 0.5 * x
     radial, angular = plant.radial_profiles(r), plant.basis.evaluate(theta)[plant.channels]

@@ -196,17 +196,21 @@ def _channel_blocks(cl):
     linked = np.zeros((n_u + ctrl.dim_z,) * 2, dtype=bool)
     linked[:n_u, n_u:] = reach[[channel for _, _, channel in plant.blocks]]
     linked[n_u + f, n_u + s] = True  # at any omega: the pair map acts inside one block
-    parts = []
+    parts, here = [], np.zeros(ctrl.dim_z, dtype=bool)
     for comp in linalg._components(linked | linked.T):
-        z = comp[comp >= n_u] - n_u
+        units, z = [plant.blocks[u] for u in comp[comp < n_u]], comp[comp >= n_u] - n_u
         if z.size == 0:  # one plant block
-            parts.append((*plant.blocks[comp[0]][:2], comp[0]))
+            parts.append((*units[0][:2], comp[0]))
             continue
-        idx = np.sort(np.concatenate([plant.blocks[u][0] for u in comp[comp < n_u]] + [z[:0]]))
-        M = np.block([[plant.generator(idx), plant.B[idx] @ K[:, z]],
-                      [G2[z] @ plant.C[:, idx], np.diag(1j * copies[z])]])
-        loc = [idx.size + np.searchsorted(z, p[np.isin(p, z)]) for p in (f, s)]
-        parts.append((np.r_[idx, n_p + z], _mapped(M, loc, loc), None))
+        idx = np.sort(np.concatenate([i for i, _, _ in units] + [z[:0]]))
+        M, m = np.zeros((idx.size + z.size,) * 2, dtype=complex), idx.size
+        for i, As, _ in units:
+            M[np.ix_(np.searchsorted(idx, i), np.searchsorted(idx, i))] = As
+        M[:m, m:], M[m:, :m] = plant.B[idx] @ K[:, z], G2[z] @ plant.C[:, idx]
+        M[m:, m:] = np.diag(1j * copies[z])
+        here[:], here[z] = False, True  # a pair is in z whole, so f and s stay aligned
+        loc = [m + np.searchsorted(z, p[here[p]]) for p in (f, s)]
+        parts.append((np.concatenate([idx, n_p + z]), _mapped(M, loc, loc), None))
     return parts
 
 

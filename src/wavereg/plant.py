@@ -188,7 +188,8 @@ class ModalWavePlant:
         return [(i, self.generator(i), self.channels[i[0]]) for i in idx]
 
     @cached_property
-    def spectrum(self):  # spectrum(u): the eigenvalues of blocks[u], computed once per plant
+    def spectrum(self):
+        """``spectrum(u)``: the eigenvalues of ``blocks[u]``, computed once per plant."""
         return cache(lambda u: linalg.eig(self.blocks[u][1]))
 
     @cached_property
