@@ -191,10 +191,13 @@ def _channel_blocks(cl):
                                                                        "closed loop"))
     f, s = (p - n_p for p in cl.pairs)
     KU, G2U = _pair(K.astype(complex), f, s, _U.conj().T), _pair(G2.T.astype(complex), f, s, _U.T)
-    reach = ~(np.abs(plant.B).max(axis=0)[:, None] * np.abs(KU) <= tol)  # by channel
-    reach |= ~(np.abs(plant.C).max(axis=1)[:, None] * np.abs(G2U) <= tol)
+    # each block's largest |B| and |C|; every row of B and column of C lies on one channel
+    order, sizes = np.concatenate([i for i, _, _ in plant.blocks]), [i.size for i, _, _ in plant.blocks]
+    starts, channel = np.cumsum([0] + sizes[:-1]), [ch for _, _, ch in plant.blocks]
+    b = np.maximum.reduceat(np.abs(plant.B).max(axis=1)[order], starts)[:, None]
+    c = np.maximum.reduceat(np.abs(plant.C).max(axis=0)[order], starts)[:, None]
     linked = np.zeros((n_u + ctrl.dim_z,) * 2, dtype=bool)
-    linked[:n_u, n_u:] = reach[[channel for _, _, channel in plant.blocks]]
+    linked[:n_u, n_u:] = ~(b * np.abs(KU[channel]) <= tol) | ~(c * np.abs(G2U[channel]) <= tol)
     linked[n_u + f, n_u + s] = True  # at any omega: the pair map acts inside one block
     parts, here = [], np.zeros(ctrl.dim_z, dtype=bool)
     for comp in linalg._components(linked | linked.T):

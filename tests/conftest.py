@@ -106,9 +106,6 @@ class DensePlant:
     def spectrum(self, u):
         return linalg.eig(self.blocks[u][1])
 
-    def generator(self, idx):
-        return self.As[np.ix_(idx, idx)]
-
 
 def scalar_plant(a=-1.0, b=1.0, c=1.0):
     """Single-state plant with As = a, B = b, C = c and no wave structure."""

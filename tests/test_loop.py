@@ -530,6 +530,23 @@ class TestBlockStepping:
         assert checks.match_spectra(cl.spectrum, dense) <= 1e-12 * np.abs(dense).max()
 
 
+    def test_roundoff_reach_is_judged_per_plant_block(self, small_plant, small_exo):
+        # undamped, each mode is its own plant block. A copy coupled to channel 1
+        # at about eps*||Acl||_F reaches the modes with the larger traces there
+        # and not the others, as in the dense entry search
+        plant = small_plant.perturbed(q_scale=0.0)
+        traces = np.sort(np.abs(plant.trace[plant.channels == 1, 1]))
+        G2, K0 = np.zeros((2, plant.output_dim), dtype=complex), np.zeros((plant.output_dim, 2))
+        idle = Controller("regulating", np.array([-1.0, 1.0]), 1, G2, K0, 0.0)
+        norm = np.linalg.norm(checks.dense_Acl(assemble_direct(plant, idle, small_exo)))
+        G2[:, 1] = np.finfo(float).eps * norm / np.sqrt(2.0 * traces[0] * traces[-1])
+        cl = assemble_direct(plant, dataclasses.replace(idle, G2=G2), small_exo)
+        pair_form = loop._mapped(checks.dense_Acl(cl), cl.pairs, cl.pairs)
+        oracle = [idx.tolist() for idx in linalg._diagonal_blocks(pair_form)]
+        assert [idx.tolist() for idx in cl.blocks] == oracle
+        joined = next(idx for idx in cl.blocks if plant.state_dim in idx)  # the copies' block
+        assert 0 < np.isin(np.flatnonzero(plant.channels == 1), joined).sum() < traces.size
+
 class TestMemory:
     def test_peak_allocation_scales_with_outputs_not_states(self, small_plant, small_exo):
         # each block is reduced as soon as it is filled: the peak is a few
