@@ -9,8 +9,9 @@ same data.
 
 The independent oracles that the checks hold production code against live
 here too, off the paths of the other commands: :func:`match_spectra`,
-:func:`sylvester_kron`, :func:`sylvester_blocks` (Sigma from per-block solves on
-:func:`dense_Acl`, which every loop comparison reads) and :func:`assemble_paper_Ae`;
+:func:`sylvester_kron` and the dense loop as four matrices (Acl, Bcl, Ccl, Dcl), from
+:func:`assemble_paper_Ae` and :func:`dense_loop`, with its :func:`_diagonal_blocks`, their
+:func:`block_spectrum` and Sigma from per-block solves (:func:`sylvester_blocks`).
 ``synthesis.eval_transfer`` is the tests' oracle.
 """
 
@@ -87,7 +88,7 @@ def sylvester_kron(Ae, Be, omegas):
 
 
 def assemble_paper_Ae(plant, ctrl, exo):
-    """Assemble the closed loop in the transformed boundary-system form.
+    """The closed loop in the transformed boundary-system form, as (Acl, Bcl, Ccl, Dcl).
 
     The transformation x_e = [[I, -B_s K], [0, I]] (x, z) - (B_s E_s v, 0)
     turns the interconnection into an ordinary input/state/output system. In
@@ -99,39 +100,45 @@ def assemble_paper_Ae(plant, ctrl, exo):
     """
     As = plant.As
     E_s = synthesis.stabilized_disturbance(plant, exo)
-    n_p, n_z = plant.state_dim, ctrl.dim_z
-    B, C, F = plant.B, plant.C, exo.F
+    n_p, B, C, F = plant.state_dim, plant.B, plant.C, exo.F
     M = B @ ctrl.K                             # B_s K
     AM = (As + np.eye(n_p)) @ M                # Alpha B_s K
     G1t = ctrl.G1 + ctrl.G2 @ (C @ M)          # G1 + G2 C B_s K
     CBE_F = C @ (B @ E_s) + F                  # C B_s E_s + F
 
-    Acl = np.zeros((n_p + n_z, n_p + n_z), dtype=complex)
-    Acl[:n_p, :n_p] = As - M @ (ctrl.G2 @ C)
-    Acl[:n_p, n_p:] = AM - M @ G1t
-    Acl[n_p:, :n_p] = ctrl.G2 @ C
-    Acl[n_p:, n_p:] = G1t
-    S = np.diag(1j * exo.omegas)
+    Acl = np.block([[As - M @ (ctrl.G2 @ C), AM - M @ G1t], [ctrl.G2 @ C, G1t]])
     Bcl = np.vstack(
-        [(As + np.eye(n_p)) @ (B @ E_s) - B @ E_s @ S - M @ (ctrl.G2 @ CBE_F), ctrl.G2 @ CBE_F]
+        [(As + np.eye(n_p)) @ (B @ E_s) - B @ E_s @ exo.S - M @ (ctrl.G2 @ CBE_F), ctrl.G2 @ CBE_F]
     )
     Ccl = np.hstack([C, C @ M]).astype(complex)
-    return loop.ClosedLoop(Acl, Bcl, Ccl, CBE_F.astype(complex), plant, ctrl, exo)
+    return Acl, Bcl, Ccl, CBE_F.astype(complex)
 
 
-def dense_Acl(cl):
-    """The oracles' ``cl.Acl``; [[A_s, B K], [G2 C, G1]] for a loop of :func:`loop.assemble_direct`."""
+def dense_loop(cl):
+    """The dense (Acl, Bcl, Ccl, Dcl) of the loop ``cl``: Acl = [[A_s, B K], [G2 C, G1]]."""
     p, c = cl.plant, cl.ctrl
-    return cl.Acl if cl.Acl is not None else np.block([[p.As, p.B @ c.K], [c.G2 @ p.C, c.G1]])
+    return np.block([[p.As, p.B @ c.K], [c.G2 @ p.C, c.G1]]), cl.Bcl, cl.Ccl, cl.Dcl
 
 
-def sylvester_blocks(closed_loop, omegas):
-    """Regulator solution Sigma of ``closed_loop`` by a dense
-    :func:`linalg.sylvester_diag` solve on each diagonal block of its
-    :func:`dense_Acl`; the oracle for :func:`synthesis.solve_regulator`."""
-    Acl, Bcl = dense_Acl(closed_loop), closed_loop.Bcl
+def _diagonal_blocks(M):
+    """Index sets of the diagonal blocks of the square ``M`` up to a permutation: the
+    ``loop._components`` of its symmetrized pattern of entries above eps*||M||_F, each
+    entry between blocks within a dense kernel's backward error. NaN and Inf stay in."""
+    zero = np.isfinite(M) & (np.abs(M) <= np.finfo(float).eps * linalg.frobenius_norm(M))
+    return loop._components(~zero | ~zero.T)
+
+
+def block_spectrum(A):
+    """Eigenvalues of the dense ``A``, one :func:`linalg.eig` per diagonal block."""
+    return np.concatenate([linalg.eig(A[np.ix_(idx, idx)]) for idx in _diagonal_blocks(A)])
+
+
+def sylvester_blocks(Acl, Bcl, omegas):
+    """Regulator solution Sigma of Sigma S = Acl Sigma + Bcl by a dense
+    :func:`linalg.sylvester_diag` solve on each diagonal block of ``Acl``;
+    the oracle for :func:`synthesis.solve_regulator`."""
     Sigma = np.empty(Bcl.shape, dtype=complex)
-    for idx in linalg._diagonal_blocks(Acl):
+    for idx in _diagonal_blocks(Acl):
         Sigma[idx] = linalg.sylvester_diag(Acl[np.ix_(idx, idx)], Bcl[idx], omegas)
     return Sigma
 
@@ -200,8 +207,8 @@ def _g_conditions(ctx):
 
 @_check("loop", "direct and transformed closed loops have the same spectrum", criterion=6)
 def _spectra(ctx):
-    paper = assemble_paper_Ae(ctx.plant, ctx.controller, ctx.exo)
-    dist = match_spectra(ctx.closed_loop.spectrum, paper.spectrum)
+    paper, _, _, _ = assemble_paper_Ae(ctx.plant, ctx.controller, ctx.exo)
+    dist = match_spectra(ctx.closed_loop.spectrum, block_spectrum(paper))
     return dist < 1e-8, f"spectra dist={dist:.2e}"
 
 
@@ -222,7 +229,8 @@ def _sylvester(ctx):
 
 @_check("synth", "regulator solution matches the per-block Sylvester oracle", criterion=6)
 def _sigma(ctx):
-    oracle = sylvester_blocks(ctx.closed_loop, ctx.exo.omegas)
+    Acl, Bcl, _, _ = dense_loop(ctx.closed_loop)
+    oracle = sylvester_blocks(Acl, Bcl, ctx.exo.omegas)
     diff = np.abs(ctx.regulator.Sigma - oracle).max() / max(1.0, np.abs(oracle).max())
     return diff < 1e-8, f"Sigma vs per-block Sylvester diff={diff:.2e}"
 
@@ -308,7 +316,7 @@ def _delta(ctx):
 @_check("loop", "direct and transformed transfers agree on the exosystem directions")
 def _transfers(ctx):
     # column k of a loop's C Sigma + D is column k of its transfer v -> e at i w_k
-    loops = (ctx.closed_loop, assemble_paper_Ae(ctx.plant, ctx.controller, ctx.exo))
-    direct, paper = (cl.Ccl @ sylvester_blocks(cl, ctx.exo.omegas) + cl.Dcl for cl in loops)
+    loops = (dense_loop(ctx.closed_loop), assemble_paper_Ae(ctx.plant, ctx.controller, ctx.exo))
+    direct, paper = (C @ sylvester_blocks(A, B, ctx.exo.omegas) + D for A, B, C, D in loops)
     worst = np.linalg.norm(direct - paper, axis=0).max()
     return worst < 1e-8, f"{worst:.2e}"

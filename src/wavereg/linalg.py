@@ -5,8 +5,6 @@ Pade-13 matrix exponential of Higham 2005); each verifies its own result. eig
 and expm keep a real operand real; solve and SVD work in complex arithmetic.
 Every tolerance scaled by a Frobenius norm takes it from
 :func:`frobenius_norm`, which refuses one that overflows.
-:func:`_diagonal_blocks` partitions a dense matrix into its diagonal blocks up
-to a permutation, by the connected :func:`_components` of its pattern.
 :func:`solve_dense` refuses a matrix by its singular values, and only the
 oracles call it: :func:`sylvester_diag`, which :mod:`wavereg.checks` holds the
 regulator solve and both loop forms' transfers against, ``checks.sylvester_kron``
@@ -125,39 +123,15 @@ def solve_dense(A, B):
 def frobenius_norm(M):
     """||M||_F, the scale of every tolerance here; a ValueError if it overflows
     on finite entries (one beyond about 1e154), as a tolerance of inf passes
-    any matrix. Inf and NaN entries give inf and NaN, for the finiteness checks."""
+    any matrix. Inf and NaN entries give inf and NaN, for the finiteness checks.
+    Below 1e-150, where squares underflow, it is taken relative to the largest entry."""
     with np.errstate(over="ignore"):  # an overflow is refused below
         scale = np.linalg.norm(M)
     if np.isinf(scale) and np.all(np.isfinite(M)):
         raise ValueError(f"matrix norm overflows: largest entry {np.abs(M).max():.3e}")
+    if 0.0 <= scale < 1e-150 and (big := np.abs(M).max(initial=0.0)) > 0.0:
+        scale = big * np.linalg.norm(np.abs(M) / big)
     return scale
-
-
-def _diagonal_blocks(M):
-    """Index sets of the diagonal blocks of the square matrix ``M`` up to a
-    permutation: the connected components of its symmetrized pattern of
-    entries above eps*||M||_F, found by reachability from the lowest free
-    index, in that order. Each entry between blocks lies within the backward
-    error of a dense kernel on ``M``. NaN and Inf stay in, for the finiteness
-    checks."""
-    zero = np.isfinite(M) & (np.abs(M) <= np.finfo(float).eps * frobenius_norm(M))
-    return _components(~zero | ~zero.T)
-
-
-def _components(linked):
-    """Connected components of the symmetric boolean adjacency ``linked``, as above."""
-    free = np.ones(linked.shape[0], dtype=bool)
-    blocks = []
-    while free.any():
-        block = np.zeros_like(free)
-        new = block.copy()
-        new[np.argmax(free)] = True
-        while new.any():
-            block |= new
-            new = linked[new].any(axis=0) & ~block
-        free &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks
 
 
 def eig(A):

@@ -1,16 +1,16 @@
 """Closed-loop assembly and exact LTI simulation.
 
 The plant-controller-exosystem interconnection is assembled by directly
-eliminating u and y. The similar transformed form of the boundary-system
-construction, its cross-validation oracle, lives in :mod:`wavereg.checks`.
+eliminating u and y. Its dense form and the similar transformed form of the
+boundary-system construction, the cross-validation oracles, live in :mod:`wavereg.checks`.
 
 The plant, reference and disturbance are real, and the exosystem and the
 internal model come in conjugate +-omega pairs, so the unitary map U that
 pairs each controller copy (and exosystem coordinate) with its partner makes
-the loop real. A :class:`ClosedLoop` holds the diagonal blocks of its
-generator in these pair coordinates (``parts``), built from the plant's
-channel blocks and the controller; its spectrum, the regulator solve and the
-sampler all read them. :func:`simulate_chunks` maps the other
+the loop real. A :class:`ClosedLoop`, built only from its plant, controller
+and exosystem, holds the diagonal blocks of its generator in these pair
+coordinates (``parts``), the plant's channel blocks joined through the copies;
+its spectrum, the regulator solve and the sampler all read them. :func:`simulate_chunks` maps the other
 operands the same way and samples in their common dtype, float64 when all
 are exactly real, in chunks of ``_CHUNK`` samples. In each chunk the sampler
 steps each block on its own with its own copy of the exosystem, filling the
@@ -40,29 +40,30 @@ _CHUNK, _HEAD = 2048, 8
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """Assembled interconnection x_e' = Acl x_e + Bcl v, e = Ccl x_e + Dcl v,
-    x_e the plant state over the controller state. ``pairs`` (f, s) are the
-    state indices of the controller copies at +-omega, U the pair map on them.
-    ``parts`` are the diagonal blocks of U Acl U^H (float64 when exactly real)
-    as (state indices, matrix, plant block number or None), found in a dense
-    ``Acl`` or, when it is None, built by :func:`_channel_blocks`."""
+    """The interconnection x_e' = Acl x_e + Bcl v, e = Ccl x_e + Dcl v of ``plant``, ``ctrl``
+    and ``exo`` (:func:`assemble_direct`), x_e the plant state over the controller state; Bcl,
+    Ccl and Dcl are derived from the three, Acl is never formed. ``pairs`` (f, s) are the state
+    indices of the controller copies at +-omega, U the pair map on them. ``parts`` are the
+    diagonal blocks of U Acl U^H (float64 when exactly real) as (state indices, matrix, plant
+    block number or None), built by :func:`_channel_blocks`."""
 
-    Acl: np.ndarray | None
-    Bcl: np.ndarray
-    Ccl: np.ndarray
-    Dcl: np.ndarray
     plant: object = field(repr=False)
     ctrl: object = field(repr=False)
     exo: object = field(repr=False)
+    Bcl: np.ndarray = field(init=False, repr=False)
+    Ccl: np.ndarray = field(init=False, repr=False)
+    Dcl: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.Bcl.shape[0]
-        if self.Acl is not None and self.Acl.shape != (n, n):
-            raise ValueError("closed-loop state dimension mismatch")
-        if self.Ccl.shape[1] != n:
-            raise ValueError("closed-loop input/output dimension mismatch")
-        if self.Dcl.shape != (self.Ccl.shape[0], self.Bcl.shape[1]):
-            raise ValueError("closed-loop feedthrough dimension mismatch")
+        plant, ctrl, exo = self.plant, self.ctrl, self.exo
+        for name, dim in (("controller", ctrl.dim_y), ("exosystem", exo.F.shape[0])):
+            if dim != plant.output_dim:
+                raise ValueError(f"{name} output dimension does not match the plant")
+        E_s = synthesis.stabilized_disturbance(plant, exo)
+        zeros = np.zeros((plant.output_dim, ctrl.dim_z))
+        for name, M in (("Bcl", np.vstack([plant.B @ E_s, ctrl.G2 @ exo.F])), ("Dcl", exo.F.copy()),
+                        ("Ccl", np.hstack([plant.C, zeros]).astype(complex))):
+            object.__setattr__(self, name, M)
 
     @property
     def plant_dim(self):
@@ -70,22 +71,27 @@ class ClosedLoop:
 
     @property
     def state_dim(self):
-        return self.Bcl.shape[0]
+        return self.plant.state_dim + self.ctrl.dim_z
 
     @functools.cached_property
     def pairs(self):
-        if self.ctrl is None:
-            return _NO_PAIRS
-        bd, offset = self.ctrl.block_dim, self.state_dim - self.ctrl.dim_z
+        bd, offset = self.ctrl.block_dim, self.plant.state_dim
         return tuple(offset + (k[:, None] * bd + np.arange(bd)).ravel()
                      for k in _pairs(self.ctrl.omegas))
 
     @functools.cached_property
     def parts(self):
-        if self.Acl is None:
-            return _channel_blocks(self)
-        A = _mapped(self.Acl, self.pairs, self.pairs)
-        return [(idx, A[np.ix_(idx, idx)], None) for idx in linalg._diagonal_blocks(A)]
+        return _channel_blocks(self)
+
+    @functools.cached_property
+    def norm(self):
+        """||Acl||_F from the plant's blocks, B K, G2 C and G1, refusing a NaN or Inf."""
+        plant, ctrl = self.plant, self.ctrl  # each row of B and column of C lies on one channel
+        BK = np.linalg.norm(plant.B, axis=0)[:, None] * ctrl.K
+        G2C = ctrl.G2 * np.linalg.norm(plant.C, axis=1)
+        copies = np.repeat(ctrl.omegas, ctrl.block_dim)  # the diagonal of G1 / i
+        entries = [M.ravel() for _, M, _ in plant.blocks] + [BK.ravel(), G2C.ravel(), copies]
+        return linalg.frobenius_norm(linalg.as_matrix(np.concatenate(entries), "closed loop"))
 
     @property
     def blocks(self):
@@ -169,26 +175,17 @@ def assemble_direct(plant, ctrl, exo):
 
     but forms no dense ``Acl``: the loop builds its parts from these.
     """
-    if ctrl.dim_y != plant.output_dim:
-        raise ValueError("controller output dimension does not match the plant")
-    E_s = synthesis.stabilized_disturbance(plant, exo)
-    Bcl = np.vstack([plant.B @ E_s, ctrl.G2 @ exo.F])
-    Ccl = np.hstack([plant.C, np.zeros((plant.output_dim, ctrl.dim_z))]).astype(complex)
-    return ClosedLoop(None, Bcl, Ccl, exo.F.copy(), plant, ctrl, exo)
+    return ClosedLoop(plant, ctrl, exo)
 
 
 def _channel_blocks(cl):
-    """The ``parts`` of a loop of :func:`assemble_direct`: the plant's blocks joined through the
-    copies that reach them, at their channel's row of K U^H and column of U G2, and each copy to
-    its partner. As in ``linalg._diagonal_blocks``, an entry of at most eps ||Acl||_F counts as
-    zero; a NaN or Inf is refused. An unreached block keeps the plant's matrix and spectrum."""
+    """The ``parts`` of a loop: the plant's blocks joined through the copies that reach them, at
+    their channel's row of K U^H and column of U G2, and each copy to its partner. An entry of at
+    most eps ||Acl||_F (``cl.norm``, which refuses a NaN or Inf) counts as zero, as in the dense
+    entry search of the oracles. An unreached block keeps the plant's matrix and spectrum."""
     plant, ctrl, n_u = cl.plant, cl.ctrl, len(cl.plant.blocks)
     n_p, K, G2, copies = plant.state_dim, ctrl.K, ctrl.G2, np.repeat(ctrl.omegas, ctrl.block_dim)
-    # ||Acl||_F; each row of B and column of C lies on one channel c: ||B K|| = ||(||B_c|| K_c)_c||
-    BK, G2C = np.linalg.norm(plant.B, axis=0)[:, None] * K, G2 * np.linalg.norm(plant.C, axis=1)
-    entries = [M.ravel() for _, M, _ in plant.blocks] + [BK.ravel(), G2C.ravel(), copies]
-    tol = np.finfo(float).eps * linalg.frobenius_norm(linalg.as_matrix(np.concatenate(entries),
-                                                                       "closed loop"))
+    tol = np.finfo(float).eps * cl.norm
     f, s = (p - n_p for p in cl.pairs)
     KU, G2U = _pair(K.astype(complex), f, s, _U.conj().T), _pair(G2.T.astype(complex), f, s, _U.T)
     # each block's largest |B| and |C|; every row of B and column of C lies on one channel
@@ -200,7 +197,7 @@ def _channel_blocks(cl):
     linked[:n_u, n_u:] = ~(b * np.abs(KU[channel]) <= tol) | ~(c * np.abs(G2U[channel]) <= tol)
     linked[n_u + f, n_u + s] = True  # at any omega: the pair map acts inside one block
     parts, here = [], np.zeros(ctrl.dim_z, dtype=bool)
-    for comp in linalg._components(linked | linked.T):
+    for comp in _components(linked | linked.T):
         units, z = [plant.blocks[u] for u in comp[comp < n_u]], comp[comp >= n_u] - n_u
         if z.size == 0:  # one plant block
             parts.append((*units[0][:2], comp[0]))
@@ -215,6 +212,23 @@ def _channel_blocks(cl):
         loc = [m + np.searchsorted(z, p[here[p]]) for p in (f, s)]
         parts.append((np.concatenate([idx, n_p + z]), _mapped(M, loc, loc), None))
     return parts
+
+
+def _components(linked):
+    """Connected components of the symmetric boolean ``linked``, by reachability from the
+    lowest free index."""
+    free = np.ones(linked.shape[0], dtype=bool)
+    blocks = []
+    while free.any():
+        block = np.zeros_like(free)
+        new = block.copy()
+        new[np.argmax(free)] = True
+        while new.any():
+            block |= new
+            new = linked[new].any(axis=0) & ~block
+        free &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
 
 
 def whole_steps(span, dt, name):
@@ -333,7 +347,7 @@ def _pairs(omegas):
     """Index pairs (f, s), f < s, with ``omegas[s] = -omegas[f]``. A frequency
     without a partner, and omega = 0, is in no pair."""
     index = {w: k for k, w in enumerate(omegas)}
-    partner = np.array([index.get(-w, -1) for w in omegas])
+    partner = np.array([index.get(-w, -1) for w in omegas], dtype=int)
     first = np.flatnonzero(partner > np.arange(partner.size))
     return first, partner[first]
 

@@ -65,6 +65,8 @@ class Controller:
     def __post_init__(self):
         if self.G2.shape[0] != self.dim_z or self.K0.shape[1] != self.dim_z:
             raise ValueError(f"G2/K0 dimensions inconsistent with dim Z = {self.dim_z}")
+        if not np.isfinite(self.G2).all():
+            raise ValueError("controller G2 contains NaN or Inf entries")
         require_gain(self.eps)
         if not self.eps * float(np.abs(self.K0).max(initial=0.0)) <= 1.0 / np.finfo(float).eps:
             raise ValueError(f"epsilon={self.eps} makes max|K| = epsilon max|K0| exceed 1/eps")
@@ -308,7 +310,8 @@ def solve_regulator(closed_loop, exo):
     ``parts``. Raises ``ResonanceError(w_k)`` when an eigenvalue of
     ``closed_loop.spectrum`` lies within ``RESONANCE_RTOL`` max(1, |w_k|) of
     i w_k, and ``ValueError`` if the defect residual1 (spectral norm, Acl
-    Sigma on the parts) exceeds 1e-8 (||Acl|| ||Sigma|| + ||Bcl||) (Frobenius).
+    Sigma on the parts) exceeds 1e-8 (||Acl|| ||Sigma|| + ||Bcl||) (Frobenius,
+    ||Acl|| the loop's ``norm``).
     """
     plant, ctrl, n_p = closed_loop.plant, closed_loop.ctrl, closed_loop.plant_dim
     E_s, K = stabilized_disturbance(plant, exo), ctrl.K
@@ -326,8 +329,7 @@ def solve_regulator(closed_loop, exo):
             Sigma[:, k] = closed_loop.blockwise(
                 lambda M, b: np.linalg.solve(1j * w * np.eye(len(M)) - M, b), Bcl[:, k : k + 1])[:, 0]
     resid1 = np.linalg.norm(Sigma * (1j * exo.omegas) - closed_loop.blockwise(np.matmul, Sigma) - Bcl, 2)
-    norm = linalg.frobenius_norm(np.concatenate([M.ravel() for _, M, _ in closed_loop.parts]))
-    bound = 1e-8 * (norm * linalg.frobenius_norm(Sigma) + linalg.frobenius_norm(Bcl))
+    bound = 1e-8 * (closed_loop.norm * linalg.frobenius_norm(Sigma) + linalg.frobenius_norm(Bcl))
     if resid1 > bound:
         raise ValueError(f"regulator residual {resid1:.3e} exceeds {bound:.3e}")
     return RegulatorSolution(

@@ -1,6 +1,6 @@
 """Shared fixtures: the full simulation preset (built once per session), a
 small cheap plant for structural tests, handcrafted scalar toys, and the
-per-step oracle of the sampler."""
+per-step oracle of the sampler on a dense loop."""
 
 from dataclasses import dataclass
 
@@ -9,9 +9,9 @@ import pytest
 
 from wavereg import checks, linalg
 from wavereg.exosystem import Exosystem, SignalTerm, build_exosystem, build_sect5_exosystem
-from wavereg.loop import ClosedLoop, assemble_direct
+from wavereg.loop import assemble_direct
 from wavereg.plant import FourierOutputBasis, assemble_wave_plant
-from wavereg.synthesis import eval_transfer, solve_regulator, synth_approx_robust
+from wavereg.synthesis import Controller, eval_transfer, solve_regulator, synth_approx_robust
 
 
 @pytest.fixture(scope="session")
@@ -134,28 +134,35 @@ def single_freq_exo(omega, e=0.0, f=-1.0, dim_y=1):
     )
 
 
-def bare_loop(A):
-    """A :class:`ClosedLoop` with generator ``A`` and no inputs, outputs,
-    plant, controller or exosystem: the block path of ``spectrum`` on ``A``."""
-    n = A.shape[0]
-    return ClosedLoop(A, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0)), None, None, None)
+def copyless_controller(dim_y=1):
+    """A controller with no internal-model copies: its loop is the plant alone."""
+    return Controller("regulating", np.zeros(0), 1, np.zeros((0, dim_y)), np.zeros((dim_y, 0)), 0.0)
 
 
-def sequential_reference(cl, exo, x0, n_steps, dt):
-    """Per-step oracle for simulate_exact: one product with the one-step
-    exponential per sample, errors and energies one state at a time."""
-    n, q = cl.state_dim, exo.q
+def sigma_oracle(cl):
+    """Sigma of the loop ``cl`` from ``checks.sylvester_blocks`` on its dense form."""
+    Acl, Bcl, _, _ = checks.dense_loop(cl)
+    return checks.sylvester_blocks(Acl, Bcl, cl.exo.omegas)
+
+
+def sequential_reference(dense, plant, exo, x0, n_steps, dt):
+    """Per-step oracle for simulate_exact on the dense loop ``dense`` = (Acl,
+    Bcl, Ccl, Dcl), as ``checks.dense_loop`` and ``checks.assemble_paper_Ae``
+    give it: one product with the one-step exponential per sample, errors
+    and the energies of ``plant`` one state at a time."""
+    Acl, Bcl, Ccl, Dcl = dense
+    n, q = Acl.shape[0], exo.q
     aug = np.zeros((n + q, n + q), dtype=complex)
-    aug[:n, :n] = checks.dense_Acl(cl)
-    aug[:n, n:] = cl.Bcl
+    aug[:n, :n] = Acl
+    aug[:n, n:] = Bcl
     aug[n:, n:] = np.diag(1j * exo.omegas)
     step = linalg.expm(aug, dt)
     xi = np.concatenate([np.asarray(x0, dtype=complex), exo.v0])
     states, errors, energies = [], [], []
     for _ in range(n_steps + 1):
         states.append(xi[:n])
-        errors.append(cl.Ccl @ xi[:n] + cl.Dcl @ xi[n:])
-        energies.append(cl.plant.energy(xi[: cl.plant_dim]))
+        errors.append(Ccl @ xi[:n] + Dcl @ xi[n:])
+        energies.append(plant.energy(xi[: plant.state_dim]))
         xi = step @ xi
     return np.array(states), np.array(errors), np.array(energies)
 

@@ -123,7 +123,7 @@ def tracking_run(name, cl, exo, projector):
 
 
 class TestCriterion3ExactTrackingOnYN:
-    def test_projected_error_below_1e8_by_t40(self, sect5_plant, sect5_exo, approx5, sect5_loop):
+    def test_projected_error_below_1e8_at_decay_horizon_and_own_rate(self, sect5_plant, sect5_exo, approx5, sect5_loop):
         # P_N e -> 0 at the closed loop's own rate, and the copies at
         # i w_k - eps + O(eps^2) cap that rate; no fixed time stamp is
         # promised, so the 1e-8 threshold is read at each loop's decay horizon

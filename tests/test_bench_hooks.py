@@ -14,6 +14,11 @@ def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    # every traced module is imported before any install: a module first imported
+    # while an install is in place binds the wrappers through its ``from ... import``
+    # lines and keeps them after ``restore()``
+    for name in {m for m, _, _ in module.TRACED} | {m for m, _ in module.COUNTED}:
+        importlib.import_module(f"wavereg.{name}")
     return module
 
 

@@ -397,7 +397,7 @@ def test_preset_command_partitions_its_loop_once(tmp_path, monkeypatch, command)
         return wrapper
 
     monkeypatch.setattr(loop, "_channel_blocks", counted(loop._channel_blocks, "channels"))
-    monkeypatch.setattr(linalg, "_diagonal_blocks", counted(linalg._diagonal_blocks, "dense"))
+    monkeypatch.setattr(checks, "_diagonal_blocks", counted(checks._diagonal_blocks, "dense"))
     command(sect5_config(), tmp_path)
     assert calls == {"channels": 1, "dense": 0}
 
@@ -561,7 +561,7 @@ def preset_run():
     plant = cli.build_plant(cfg)
     exo = cli.build_exo(cfg, plant)
     cl = loop.assemble_direct(plant, cli.build_controller(cfg, plant, exo), exo)
-    states, _, _ = sequential_reference(cl, exo, np.zeros(cl.state_dim), 1000, 0.01)
+    states, _, _ = sequential_reference(checks.dense_loop(cl), cl.plant, exo, np.zeros(cl.state_dim), 1000, 0.01)
     return cl, states
 
 

@@ -86,9 +86,17 @@ class TestEig:
         # ||M||_F overflows on finite entries; a tolerance of inf would count
         # every entry as zero in the block partition and pass every residual
         M = np.array([[-1.0, 1e200], [-1e200, -1.0]])
-        for use in (linalg._diagonal_blocks, linalg.eig):
+        for use in (checks._diagonal_blocks, linalg.eig):
             with pytest.raises(ValueError, match="matrix norm overflows"):
                 use(M)
+
+    def test_norm_of_tiny_entries_does_not_underflow(self):
+        # the squares of entries near 1e-180 underflow; a norm of 0 would be a
+        # tolerance that passes no residual
+        for scale in (1e-150, 1e-180, 1e-300, 5e-324):
+            M = scale * np.array([[3.0, 0.0], [0.0, 4.0j]])
+            assert linalg.frobenius_norm(M) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+        assert linalg.frobenius_norm(np.zeros((2, 2))) == 0.0
 
 
 class TestExpm:

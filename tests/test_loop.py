@@ -9,7 +9,6 @@ import scipy.linalg
 from wavereg import checks, linalg, loop
 from wavereg.exosystem import Exosystem, SignalTerm, build_exosystem, build_sect5_exosystem
 from wavereg.loop import (
-    ClosedLoop,
     Trajectory,
     assemble_direct,
     simulate_exact,
@@ -27,7 +26,7 @@ from wavereg.synthesis import (
 )
 
 from conftest import (
-    bare_loop,
+    copyless_controller,
     harmonic_coeffs,
     rel_gap,
     scalar_plant,
@@ -52,7 +51,7 @@ class TestAssembly:
         plant_spec = linalg.eig(small_plant.As)
         copies = np.repeat(1j * small_exo.omegas, ctrl.block_dim)
         expected = np.concatenate([plant_spec, copies])
-        assert checks.match_spectra(linalg.eig(checks.dense_Acl(cl)), expected) < 1e-7
+        assert checks.match_spectra(linalg.eig(checks.dense_loop(cl)[0]), expected) < 1e-7
         assert abs(cl.abscissa) < 1e-7
 
     def test_zero_exosystem_zero_injection(self, small_plant, small_exo):
@@ -82,7 +81,6 @@ class TestAssembly:
             *(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in (2, 3))
         )
         perm = rng.permutation(5)
-        cl = bare_loop(A[np.ix_(perm, perm)])
         dense_eig, sizes = np.linalg.eig, []
 
         def eig_spoiling_the_3x3_block(M):
@@ -92,7 +90,7 @@ class TestAssembly:
 
         monkeypatch.setattr(linalg.np.linalg, "eig", eig_spoiling_the_3x3_block)
         with pytest.raises(ValueError, match="eigenpair residual"):
-            cl.spectrum
+            checks.block_spectrum(A[np.ix_(perm, perm)])
         assert 3 in sizes and 5 not in sizes
 
     def test_dimension_mismatch_rejected(self, small_plant, sect5_exo):
@@ -110,18 +108,18 @@ class TestPaperForm:
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
         cl_d = assemble_direct(small_plant, ctrl, small_exo)
         cl_p = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
-        dist = checks.match_spectra(linalg.eig(checks.dense_Acl(cl_d)), linalg.eig(cl_p.Acl))
+        dist = checks.match_spectra(linalg.eig(checks.dense_loop(cl_d)[0]), linalg.eig(cl_p[0]))
         assert dist < 1e-8
 
     def test_transfer_on_exosystem_directions(self, small_plant, small_exo):
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
-        cl_d = assemble_direct(small_plant, ctrl, small_exo)
-        cl_p = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
+        A_d, B_d, C_d, D_d = checks.dense_loop(assemble_direct(small_plant, ctrl, small_exo))
+        A_p, B_p, C_p, D_p = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
         for k, w in enumerate(small_exo.omegas):
             phi = np.zeros(small_exo.q)
             phi[k] = 1.0
-            gap_matrix = (eval_transfer(checks.dense_Acl(cl_d), cl_d.Bcl, cl_d.Ccl, 1j * w) + cl_d.Dcl
-                          - eval_transfer(cl_p.Acl, cl_p.Bcl, cl_p.Ccl, 1j * w) - cl_p.Dcl)
+            gap_matrix = (eval_transfer(A_d, B_d, C_d, 1j * w) + D_d
+                          - eval_transfer(A_p, B_p, C_p, 1j * w) - D_p)
             gap = np.linalg.norm(gap_matrix @ phi)
             assert gap < 1e-8
 
@@ -133,13 +131,13 @@ class TestPaperForm:
         # terms and at least 1, since N = 2 regulates these signals and the sum vanishes
         for N in (0, 2):
             ctrl = synth_approx_robust(small_plant, small_exo, N, eps=0.12)
-            for cl in (assemble_direct(small_plant, ctrl, small_exo),
-                       checks.assemble_paper_Ae(small_plant, ctrl, small_exo)):
-                error_map = cl.Ccl @ checks.sylvester_blocks(cl, small_exo.omegas) + cl.Dcl
+            for A, B, C, D in (checks.dense_loop(assemble_direct(small_plant, ctrl, small_exo)),
+                               checks.assemble_paper_Ae(small_plant, ctrl, small_exo)):
+                error_map = C @ checks.sylvester_blocks(A, B, small_exo.omegas) + D
                 for k, w in enumerate(small_exo.omegas):
-                    response = eval_transfer(checks.dense_Acl(cl), cl.Bcl, cl.Ccl, 1j * w)[:, k]
-                    scale = max(1.0, np.abs(response).max(), np.abs(cl.Dcl[:, k]).max())
-                    gap = np.abs(error_map[:, k] - response - cl.Dcl[:, k]).max()
+                    response = eval_transfer(A, B, C, 1j * w)[:, k]
+                    scale = max(1.0, np.abs(response).max(), np.abs(D[:, k]).max())
+                    gap = np.abs(error_map[:, k] - response - D[:, k]).max()
                     assert gap <= 1e-12 * scale
 
     @pytest.fixture
@@ -151,9 +149,9 @@ class TestPaperForm:
     def test_transfer_check_solves_nothing_larger_than_a_diagonal_block(
         self, preset_run, sect5_plant, sect5_exo, approx5, sect5_loop, monkeypatch
     ):
-        paper = checks.assemble_paper_Ae(sect5_plant, approx5, sect5_exo)
-        largest = max(idx.size for cl in (sect5_loop, paper)
-                      for idx in linalg._diagonal_blocks(checks.dense_Acl(cl)))
+        paper, _, _, _ = checks.assemble_paper_Ae(sect5_plant, approx5, sect5_exo)
+        largest = max(idx.size for A in (checks.dense_loop(sect5_loop)[0], paper)
+                      for idx in checks._diagonal_blocks(A))
         sizes, solve_dense = [], linalg.solve_dense
 
         def recording_solve_dense(A, B):
@@ -170,29 +168,30 @@ class TestPaperForm:
         paper_form = checks.assemble_paper_Ae
 
         def perturbed(*args):
-            cl = paper_form(*args)
-            return dataclasses.replace(cl, Dcl=cl.Dcl + 1e-6)
+            Acl, Bcl, Ccl, Dcl = paper_form(*args)
+            return Acl, Bcl, Ccl, Dcl + 1e-6
 
         monkeypatch.setattr(checks, "assemble_paper_Ae", perturbed)
         ok, detail = checks._transfers(preset_run)
         assert not ok and float(detail) > 1e-8
 
     def test_trajectories_agree_after_state_transform(self, small_plant, small_exo):
+        # the direct loop's samples against per-step stepping of the paper form
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
         cl_d = assemble_direct(small_plant, ctrl, small_exo)
-        cl_p = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
+        paper = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
         E_s = small_exo.E - small_plant.Q_feedback * small_exo.F
         x0_p = np.concatenate(
             [-(small_plant.B @ E_s @ small_exo.v0), np.zeros(ctrl.dim_z)]
         )
         tr_d = simulate_exact(cl_d, small_exo, t_end=3.0, dt=0.01)
-        tr_p = simulate_exact(cl_p, small_exo, x0=x0_p, t_end=3.0, dt=0.01)
-        assert np.abs(tr_d.errors - tr_p.errors).max() < 1e-8
+        _, errors_p, _ = sequential_reference(paper, small_plant, small_exo, x0_p, 300, 0.01)
+        assert np.abs(tr_d.errors - errors_p).max() < 1e-8
 
     def test_zero_gain_abscissa_matches(self, small_plant, small_exo):
         ctrl = synth_approx_robust(small_plant, small_exo, 1, eps=0.0)
-        cl_p = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
-        assert abs(cl_p.abscissa) < 1e-7
+        paper, _, _, _ = checks.assemble_paper_Ae(small_plant, ctrl, small_exo)
+        assert abs(checks.block_spectrum(paper).real.max()) < 1e-7
 
 
 class TestEpsilonSweep:
@@ -249,15 +248,7 @@ class TestSimulation:
             F=np.array([[0.0 + 0j]]),
             v0=np.ones(1, dtype=complex),
         )
-        cl = ClosedLoop(
-            Acl=np.array([[-1.0 + 0j]]),
-            Bcl=np.array([[1.0 + 0j]]),
-            Ccl=np.array([[1.0 + 0j]]),
-            Dcl=np.array([[0.0 + 0j]]),
-            plant=plant,
-            ctrl=None,
-            exo=exo,
-        )
+        cl = assemble_direct(plant, copyless_controller(), exo)  # As = -1, Bcl = E = 1, Dcl = F = 0
         assert cl.abscissa == -1.0 and cl.plant_dim == 1
         traj = simulate_exact(cl, exo, t_end=5.0, dt=0.01)
         expected = (np.exp(1j * traj.t) - np.exp(-traj.t)) / (1.0 + 1j)
@@ -278,21 +269,12 @@ class TestSimulation:
         # pass that fills rows 64-127; x' = 10 x near t = 2.85, in the pass
         # that fills rows 256-511. The message names the first step over the
         # cap in both.
-        plant = scalar_plant(a=5.0)
-        exo = single_freq_exo(omega=1.0)
+        exo = single_freq_exo(omega=1.0, f=0.0)  # Bcl = 0 and Dcl = 0
         dt = 0.01
         for rate, n_steps in [(40.0, 200), (10.0, 500)]:
-            cl = ClosedLoop(
-                Acl=np.array([[rate + 0j]]),
-                Bcl=np.array([[0.0 + 0j]]),
-                Ccl=np.array([[1.0 + 0j]]),
-                Dcl=np.array([[0.0 + 0j]]),
-                plant=plant,
-                ctrl=None,
-                exo=exo,
-            )
+            cl = assemble_direct(scalar_plant(a=rate), copyless_controller(), exo)
             assert cl.abscissa == rate and cl.plant_dim == 1
-            states, _, _ = sequential_reference(cl, exo, np.ones(1), n_steps, dt)
+            states, _, _ = sequential_reference(checks.dense_loop(cl), cl.plant, exo, np.ones(1), n_steps, dt)
             norms = np.hypot(np.abs(states[:, 0]), np.abs(exo.v0[0]))
             first = int(np.argmax(norms > 1e12 * (1.0 + norms[0])))
             assert first > 0
@@ -303,17 +285,9 @@ class TestSimulation:
         # x' = x crosses the cap near t = 28.5, in the second of five chunks of
         # a 100 s run: the message names the sample that a check of the whole
         # horizon names, and no later chunk is filled
-        plant, exo, dt, n_steps = scalar_plant(a=5.0), single_freq_exo(omega=1.0), 0.01, 10_000
-        cl = ClosedLoop(
-            Acl=np.array([[1.0 + 0j]]),
-            Bcl=np.array([[0.0 + 0j]]),
-            Ccl=np.array([[1.0 + 0j]]),
-            Dcl=np.array([[0.0 + 0j]]),
-            plant=plant,
-            ctrl=None,
-            exo=exo,
-        )
-        states, _, _ = sequential_reference(cl, exo, np.ones(1), n_steps, dt)
+        exo, dt, n_steps = single_freq_exo(omega=1.0, f=0.0), 0.01, 10_000
+        cl = assemble_direct(scalar_plant(a=1.0), copyless_controller(), exo)
+        states, _, _ = sequential_reference(checks.dense_loop(cl), cl.plant, exo, np.ones(1), n_steps, dt)
         norms = np.hypot(np.abs(states[:, 0]), np.abs(exo.v0[0]))
         first = int(np.argmax(norms > 1e12 * (1.0 + norms[0])))
         assert first // loop._CHUNK == 1 and n_steps // loop._CHUNK >= 4
@@ -350,14 +324,21 @@ class TestSimulation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coupling_rejected(self, small_plant, small_exo, bad):
         # a NaN or Inf between two channel blocks must reach the kernels'
-        # finiteness check, not be dropped by the roundoff threshold
+        # finiteness check, not be dropped by the roundoff threshold. G2 is
+        # checked when the controller is built and Bcl formed when the loop is,
+        # so the bad entry goes into G2 after both: at a copy of the first
+        # dense block and the channel of the second
         ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
+        ctrl = dataclasses.replace(ctrl, G2=ctrl.G2.real.copy())  # a real inf stays inf in G2 C
         cl = assemble_direct(small_plant, ctrl, small_exo)
-        blocks = linalg._diagonal_blocks(checks.dense_Acl(cl))
-        Acl = checks.dense_Acl(cl).copy()
-        Acl[blocks[0][0], blocks[1][0]] = bad
+        blocks = checks._diagonal_blocks(checks.dense_loop(cl)[0])
+        n_p = small_plant.state_dim
+        copy, states = blocks[0][-1] - n_p, [idx[idx < n_p] for idx in blocks[:2]]
+        channel = np.flatnonzero(small_plant.C[:, states[1]].any(axis=1))[0]
+        assert copy >= 0 and not small_plant.C[channel, states[0]].any()
+        ctrl.G2[copy, channel] = bad
         with pytest.raises(ValueError, match="NaN or Inf"):
-            simulate_exact(dataclasses.replace(cl, Acl=Acl), small_exo, t_end=1.0, dt=0.01)
+            simulate_exact(cl, small_exo, t_end=1.0, dt=0.01)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_controller_rejected(self, small_plant, small_exo, bad):
@@ -408,11 +389,11 @@ class TestBlockStepping:
             (coupled_exo, synth_regulating(small_plant, coupled_exo, eps=0.1), 1),
         ]:
             cl = assemble_direct(small_plant, ctrl, exo)
-            pair_form = loop._mapped(checks.dense_Acl(cl), cl.pairs, cl.pairs)
-            assert len(cl.blocks) == len(linalg._diagonal_blocks(pair_form)) == n_blocks
+            pair_form = loop._mapped(checks.dense_loop(cl)[0], cl.pairs, cl.pairs)
+            assert len(cl.blocks) == len(checks._diagonal_blocks(pair_form)) == n_blocks
             x0 = np.random.default_rng(21).standard_normal(cl.state_dim)
             traj = simulate_exact(cl, exo, x0=x0, t_end=n_steps * dt, dt=dt)
-            states, errors, energies = sequential_reference(cl, exo, x0, n_steps, dt)
+            states, errors, energies = sequential_reference(checks.dense_loop(cl), cl.plant, exo, x0, n_steps, dt)
             assert traj.states.shape == (1, cl.state_dim)
             assert rel_gap(traj.states[0], states[-1]) < 1e-12
             assert traj.errors.shape == errors.shape
@@ -424,7 +405,7 @@ class TestBlockStepping:
         x0 = np.random.default_rng(22).standard_normal(small_plant.state_dim)
         dt, n_steps = 0.01, 2 * 128 + 45
         for plant, n_blocks in [(small_plant, 7), (small_plant.perturbed(q_scale=0.0), 21)]:
-            assert len(linalg._diagonal_blocks(plant.As)) == n_blocks
+            assert len(checks._diagonal_blocks(plant.As)) == n_blocks
             resp = loop.free_response(plant, x0, t_end=n_steps * dt, dt=dt)
             step = linalg.expm(plant.As, dt)
             states = [x0]
@@ -446,7 +427,7 @@ class TestBlockStepping:
         cl = assemble_direct(small_plant, ctrl, small_exo)
         x0 = np.random.default_rng(25).standard_normal(cl.state_dim)
         traj = simulate_exact(cl, small_exo, x0=x0, t_end=n_steps * dt, dt=dt)
-        states, errors, energies = sequential_reference(cl, small_exo, x0, n_steps, dt)
+        states, errors, energies = sequential_reference(checks.dense_loop(cl), cl.plant, small_exo, x0, n_steps, dt)
         assert traj.errors.shape == errors.shape
         assert rel_gap(traj.states[0], states[-1]) < 1e-12
         assert rel_gap(traj.errors, errors) < 1e-12
@@ -460,11 +441,11 @@ class TestBlockStepping:
         rows = np.random.default_rng(26).standard_normal((3, n))
         at_rest = Exosystem(omegas=np.ones(1), E=np.zeros((p, 1)), F=np.zeros((p, 1)),
                             v0=np.zeros(1, dtype=complex))
-        free = ClosedLoop(small_plant.As, np.zeros((n, 1)), small_plant.C,
-                          np.zeros((p, 1)), small_plant, None, at_rest)
+        free = (small_plant.As, np.zeros((n, 1)), small_plant.C, np.zeros((p, 1)))
         batch = loop.free_response(small_plant, rows, t_end=n_steps * dt, dt=dt)
         for x0, resp in zip(rows, batch):
-            states, errors, energies = sequential_reference(free, at_rest, x0, n_steps, dt)
+            states, errors, energies = sequential_reference(free, small_plant, at_rest, x0,
+                                                            n_steps, dt)
             assert resp.errors.shape == errors.shape
             assert rel_gap(resp.states[0], states[-1]) < 1e-12
             assert rel_gap(resp.errors, errors) < 1e-12
@@ -491,19 +472,19 @@ class TestBlockStepping:
         # at most eps*||Acl||_F, so it is one block per channel group
         ctrl = synth_regulating(sect5_plant, sect5_exo, 0.15)
         cl = assemble_direct(sect5_plant, ctrl, sect5_exo)
-        pair_form = loop._mapped(checks.dense_Acl(cl), cl.pairs, cl.pairs)
-        oracle = sorted((idx.size for idx in linalg._diagonal_blocks(pair_form)), reverse=True)
+        pair_form = loop._mapped(checks.dense_loop(cl)[0], cl.pairs, cl.pairs)
+        oracle = sorted((idx.size for idx in checks._diagonal_blocks(pair_form)), reverse=True)
         assert sorted((idx.size for idx in cl.blocks), reverse=True) == oracle == [212] + [16] * 10
         dt, n_steps = 0.01, 50
         x0 = np.random.default_rng(23).standard_normal(cl.state_dim)
         traj = simulate_exact(cl, sect5_exo, x0=x0, t_end=n_steps * dt, dt=dt)
-        states, errors, energies = sequential_reference(cl, sect5_exo, x0, n_steps, dt)
+        states, errors, energies = sequential_reference(checks.dense_loop(cl), cl.plant, sect5_exo, x0, n_steps, dt)
         assert rel_gap(traj.states[0], states[-1]) < 1e-12
         assert rel_gap(traj.errors, errors) < 1e-12
         assert rel_gap(traj.energies, energies) < 1e-12
         reg = solve_regulator(cl, sect5_exo)  # raises unless its residual check passes
         dense = np.column_stack([
-            np.linalg.solve(1j * w * np.eye(cl.state_dim) - checks.dense_Acl(cl), cl.Bcl[:, k])
+            np.linalg.solve(1j * w * np.eye(cl.state_dim) - checks.dense_loop(cl)[0], cl.Bcl[:, k])
             for k, w in enumerate(sect5_exo.omegas)
         ])
         assert rel_gap(reg.Sigma, dense) < 1e-12
@@ -521,12 +502,12 @@ class TestBlockStepping:
         cl = assemble_direct(plant, ctrl, small_exo)
         f, s = cl.pairs
         assert any(np.isin(f, idx).all() and np.isin(s, idx).all() for idx in cl.blocks)
-        pair_form = loop._mapped(checks.dense_Acl(cl), cl.pairs, cl.pairs)
-        oracle = linalg._diagonal_blocks(pair_form)
+        pair_form = loop._mapped(checks.dense_loop(cl)[0], cl.pairs, cl.pairs)
+        oracle = checks._diagonal_blocks(pair_form)
         assert len(oracle) == len(cl.blocks) + 1
         block_of = {j: b for b, idx in enumerate(cl.blocks) for j in idx}
         assert all(len({block_of[j] for j in idx}) == 1 for idx in oracle)
-        dense = linalg.eig(checks.dense_Acl(cl))
+        dense = linalg.eig(checks.dense_loop(cl)[0])
         assert checks.match_spectra(cl.spectrum, dense) <= 1e-12 * np.abs(dense).max()
 
 
@@ -538,11 +519,11 @@ class TestBlockStepping:
         traces = np.sort(np.abs(plant.trace[plant.channels == 1, 1]))
         G2, K0 = np.zeros((2, plant.output_dim), dtype=complex), np.zeros((plant.output_dim, 2))
         idle = Controller("regulating", np.array([-1.0, 1.0]), 1, G2, K0, 0.0)
-        norm = np.linalg.norm(checks.dense_Acl(assemble_direct(plant, idle, small_exo)))
+        norm = np.linalg.norm(checks.dense_loop(assemble_direct(plant, idle, small_exo))[0])
         G2[:, 1] = np.finfo(float).eps * norm / np.sqrt(2.0 * traces[0] * traces[-1])
         cl = assemble_direct(plant, dataclasses.replace(idle, G2=G2), small_exo)
-        pair_form = loop._mapped(checks.dense_Acl(cl), cl.pairs, cl.pairs)
-        oracle = [idx.tolist() for idx in linalg._diagonal_blocks(pair_form)]
+        pair_form = loop._mapped(checks.dense_loop(cl)[0], cl.pairs, cl.pairs)
+        oracle = [idx.tolist() for idx in checks._diagonal_blocks(pair_form)]
         assert [idx.tolist() for idx in cl.blocks] == oracle
         joined = next(idx for idx in cl.blocks if plant.state_dim in idx)  # the copies' block
         assert 0 < np.isin(np.flatnonzero(plant.channels == 1), joined).sum() < traces.size

@@ -12,7 +12,7 @@ the idle gain 0, where both must refuse, included. The block-wise
 spectrum is checked on random permuted block-diagonal matrices, also under
 coupling at roundoff level, and on the preset loops. The sampler is checked
 against the per-step oracle in real and in complex arithmetic: a complex z0
-or a Bcl entry one ulp off its symmetry samples in complex128, and a
+or a disturbance entry 1e-12 off its symmetry samples in complex128, and a
 +-omega copy pair cut off from the plant (the preset's among them) stays
 real.
 """
@@ -30,7 +30,7 @@ from wavereg import checks, linalg, loop, synthesis
 from wavereg.exosystem import SignalTerm, build_exosystem, build_sect5_exosystem
 from wavereg.plant import assemble_wave_plant
 
-from conftest import bare_loop, rel_gap, sequential_reference
+from conftest import rel_gap, sequential_reference, sigma_oracle
 
 EPS = 0.15
 
@@ -136,9 +136,9 @@ def test_approx_controller_bound_and_closed_form(problem, stiffness_scale, q_sca
                 sigma = synthesis.solve_regulator(cl, exo).Sigma
             except linalg.ResonanceError:
                 with pytest.raises(linalg.ResonanceError):
-                    checks.sylvester_blocks(cl, exo.omegas)
+                    sigma_oracle(cl)
                 continue
-            oracle = checks.sylvester_blocks(cl, exo.omegas)
+            oracle = sigma_oracle(cl)
             assert np.abs(sigma - oracle).max() <= 1e-8 * max(1.0, np.abs(sigma).max())
 
 
@@ -157,17 +157,16 @@ def test_channel_blocks_match_the_dense_oracle(problem, kind, eps, stiffness_sca
             "robust": lambda: synthesis.synth_robust(plant, exo, eps)}[kind]()
     for p in (plant, plant.perturbed(stiffness_scale, q_scale)):
         cl = loop.assemble_direct(p, ctrl, exo)
-        Acl = checks.dense_Acl(cl)
+        Acl = checks.dense_loop(cl)[0]
         pair_form = loop._mapped(Acl, cl.pairs, cl.pairs)
         assert [b.tolist() for b in cl.blocks] == [
-            b.tolist() for b in linalg._diagonal_blocks(pair_form)]
-        dense = loop.ClosedLoop(Acl, cl.Bcl, cl.Ccl, cl.Dcl, p, ctrl, exo)
-        assert checks.match_spectra(cl.spectrum, dense.spectrum) <= 1e-12
+            b.tolist() for b in checks._diagonal_blocks(pair_form)]
+        assert checks.match_spectra(cl.spectrum, checks.block_spectrum(pair_form)) <= 1e-12
         try:
             sigma = synthesis.solve_regulator(cl, exo).Sigma
         except linalg.ResonanceError:  # refusals: test_regulator_matches_block_oracle_across_gains
             continue
-        oracle = checks.sylvester_blocks(cl, exo.omegas)
+        oracle = sigma_oracle(cl)
         assert np.abs(sigma - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
 
 
@@ -184,9 +183,9 @@ def test_regulator_matches_block_oracle_across_gains(problem):
             sigma = synthesis.solve_regulator(cl, exo).Sigma
         except linalg.ResonanceError:
             with pytest.raises(linalg.ResonanceError):
-                checks.sylvester_blocks(cl, exo.omegas)
+                sigma_oracle(cl)
             continue
-        oracle = checks.sylvester_blocks(cl, exo.omegas)
+        oracle = sigma_oracle(cl)
         assert np.abs(sigma - oracle).max() <= 1e-8 * max(1.0, np.abs(sigma).max())
 
 
@@ -250,8 +249,8 @@ def test_structural_g_conditions_match_dense_ranks(problem, seed):
 def test_direct_and_transformed_spectra_agree(problem):
     plant, exo, N = problem
     ctrl = synthesis.synth_approx_robust(plant, exo, N, EPS)
-    spec_d = linalg.eig(checks.dense_Acl(loop.assemble_direct(plant, ctrl, exo)))
-    spec_p = linalg.eig(checks.assemble_paper_Ae(plant, ctrl, exo).Acl)
+    spec_d = linalg.eig(checks.dense_loop(loop.assemble_direct(plant, ctrl, exo))[0])
+    spec_p = linalg.eig(checks.assemble_paper_Ae(plant, ctrl, exo)[0])
     assert checks.match_spectra(spec_d, spec_p) < 1e-8
 
 
@@ -276,14 +275,14 @@ _COUPLED = np.random.default_rng(0).standard_normal((8, 8)) + 1j
 @example((_COUPLED, 1))
 def test_blockwise_spectrum_matches_dense(matrix_and_count):
     A, count = matrix_and_count
-    blocks = linalg._diagonal_blocks(A)
+    blocks = checks._diagonal_blocks(A)
     assert len(blocks) == count
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(A.shape[0]))
     outside = np.ones(A.shape, dtype=bool)
     for idx in blocks:
         outside[np.ix_(idx, idx)] = False
     assert not A[outside].any()
-    dist = checks.match_spectra(bare_loop(A).spectrum, np.linalg.eigvals(A))
+    dist = checks.match_spectra(checks.block_spectrum(A), np.linalg.eigvals(A))
     assert dist <= 1e-10 * max(1.0, np.linalg.norm(A))
 
 
@@ -298,13 +297,13 @@ def test_roundoff_coupling_keeps_blocks_split(matrix_and_count, seed):
     phase = np.exp(2j * np.pi * rng.uniform(size=A.shape))
     noise = 0.5 * np.finfo(float).eps * np.linalg.norm(A) * rng.uniform(size=A.shape) * phase
     noisy = np.where(between, noise, A)
-    assert len(linalg._diagonal_blocks(noisy)) == count
-    dist = checks.match_spectra(bare_loop(noisy).spectrum, np.linalg.eigvals(noisy))
+    assert len(checks._diagonal_blocks(noisy)) == count
+    dist = checks.match_spectra(checks.block_spectrum(noisy), np.linalg.eigvals(noisy))
     assert dist <= 1e-10 * max(1.0, np.linalg.norm(A))
     if count > 1:
         i, j = np.argwhere(between)[rng.integers(np.count_nonzero(between))]
         noisy[i, j] = 1e-12 * np.linalg.norm(A)
-        assert len(linalg._diagonal_blocks(noisy)) == count - 1
+        assert len(checks._diagonal_blocks(noisy)) == count - 1
 
 
 def _preset_loop(plant, exo, family):
@@ -320,7 +319,7 @@ def _preset_loop(plant, exo, family):
 @pytest.mark.parametrize("family", ["regulating", "approx1", "approx5", "approx8", "robust"])
 def test_preset_abscissa_matches_dense(sect5_plant, sect5_exo, family):
     cl = _preset_loop(sect5_plant, sect5_exo, family)
-    assert abs(cl.abscissa - np.linalg.eigvals(checks.dense_Acl(cl)).real.max()) <= 1e-10
+    assert abs(cl.abscissa - np.linalg.eigvals(checks.dense_loop(cl)[0]).real.max()) <= 1e-10
 
 
 @pytest.mark.parametrize("family", ["regulating", "approx5", "robust"])
@@ -330,7 +329,7 @@ def test_preset_spectrum_closed_under_conjugation(sect5_plant, sect5_exo, family
     cl = _preset_loop(sect5_plant, sect5_exo, family)
     w = cl.spectrum
     assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
-    assert abs(cl.abscissa - np.linalg.eigvals(checks.dense_Acl(cl)).real.max()) <= 1e-12
+    assert abs(cl.abscissa - np.linalg.eigvals(checks.dense_loop(cl)[0]).real.max()) <= 1e-12
 
 
 @_PROPERTY_SETTINGS
@@ -387,7 +386,7 @@ def test_sampler_matches_per_step_oracle(problem, kind, seed):
     # a conjugate-symmetric z0 samples in float64 on the real pair form, and
     # so does a +-omega copy pair cut off from the plant: its partners lie in
     # different blocks of Acl but share one block of the pair form. Any
-    # other complex z0, or one Bcl entry one ulp up, samples in complex128.
+    # other complex z0, or one disturbance entry 1e-12 off, samples in complex128.
     # 150 steps straddle the doubling pass that starts at row 128.
     plant, exo, N = problem
     if kind == "regulating":
@@ -401,19 +400,18 @@ def test_sampler_matches_per_step_oracle(problem, kind, seed):
     x_p = rng.standard_normal(plant.state_dim)
     z = rng.standard_normal(ctrl.dim_z) + 1j * rng.standard_normal(ctrl.dim_z)
     x0 = np.concatenate([x_p, _partner_symmetric(ctrl, z)])
-    Bcl = cl.Bcl.copy()
-    i = np.unravel_index(np.abs(Bcl.real).argmax(), Bcl.shape)
-    Bcl[i] = np.nextafter(Bcl[i].real, np.inf) + 1j * Bcl[i].imag
+    E = exo.E.copy()
+    E[0, 0] += 1e-12 * max(1.0, np.abs(E).max())  # its partner column stays as it was
     cut, first = _cut_pair(ctrl)
     cut_cl = loop.assemble_direct(plant, cut, exo)
     block_of = {j: c for c, idx in enumerate(cut_cl.blocks) for j in idx}
     assert block_of[plant.state_dim + first[0]] == block_of[plant.state_dim + first[1]]
     cases = [(cl, x0, np.float64), (cl, np.concatenate([x_p, z]), np.complex128),
-             (replace(cl, Bcl=Bcl), x0, np.complex128), (cut_cl, x0, np.float64)]
+             (replace(cl, exo=replace(exo, E=E)), x0, np.complex128), (cut_cl, x0, np.float64)]
     dt, n_steps = 0.01, 150
     for cl, x0, dtype in cases:
         traj = loop.simulate_exact(cl, exo, x0=x0, t_end=n_steps * dt, dt=dt)
-        states, errors, energies = sequential_reference(cl, exo, x0, n_steps, dt)
+        states, errors, energies = sequential_reference(checks.dense_loop(cl), cl.plant, exo, x0, n_steps, dt)
         assert traj.errors.dtype == dtype
         assert rel_gap(traj.states[0], states[-1]) < 1e-12
         assert rel_gap(traj.errors, errors) < 1e-12

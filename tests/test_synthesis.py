@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from wavereg import linalg, synthesis
-from wavereg.checks import dense_Acl, sylvester_blocks
+from wavereg.checks import dense_loop
+from wavereg.exosystem import SignalTerm, build_exosystem
 from wavereg.loop import assemble_direct
+from wavereg.plant import assemble_wave_plant
 from wavereg.synthesis import (
     check_g_conditions,
     error_bound_delta,
@@ -17,7 +19,7 @@ from wavereg.synthesis import (
     synth_robust,
 )
 
-from conftest import DensePlant, scalar_plant, single_freq_exo
+from conftest import DensePlant, scalar_plant, sigma_oracle, single_freq_exo
 
 
 def transfer_paper_form(As, B, C, lam):
@@ -158,7 +160,7 @@ class TestApproxRobustController:
         # copies at each i w_k to i w_k - eps + O(eps^2); the second-order
         # constant measured on the preset is at most 10.7
         ctrl = synth_approx_robust(sect5_plant, sect5_exo, 5, eps)
-        lam = linalg.eig(dense_Acl(assemble_direct(sect5_plant, ctrl, sect5_exo)))
+        lam = linalg.eig(dense_loop(assemble_direct(sect5_plant, ctrl, sect5_exo))[0])
         for w in sect5_exo.omegas:
             nearest = lam[np.argsort(np.abs(lam - 1j * w))[: ctrl.block_dim]]
             worst = np.abs(nearest - (1j * w - eps)).max()
@@ -204,6 +206,18 @@ class TestApproxRobustController:
             synth_robust(sect5_plant, sect5_exo, 0.15),
         ):
             assert ctrl.dim_z >= np.linalg.matrix_rank(ctrl.G2, rtol=linalg.RANK_RTOL)
+
+
+class TestControllerData:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_g2_refused_by_name(self, small_plant, small_exo, bad):
+        # a non-finite G2 would reach the loop as inf * 0 = NaN in G2 F, a numpy
+        # RuntimeWarning, before any refusal named the controller
+        ctrl = synth_approx_robust(small_plant, small_exo, 2, eps=0.12)
+        G2 = ctrl.G2.copy()
+        G2[0, 1] = bad
+        with pytest.raises(ValueError, match="G2 contains NaN or Inf"):
+            dataclasses.replace(ctrl, G2=G2)
 
 
 class TestRobustController:
@@ -282,7 +296,7 @@ class TestRegulatorEquations:
         assert np.linalg.norm(approx5.projector() @ M, 2) < 1e-8
 
     def test_gamma_closed_form_matches_solver(self, sect5_loop, sect5_exo, sect5_reg):
-        oracle = sylvester_blocks(sect5_loop, sect5_exo.omegas)
+        oracle = sigma_oracle(sect5_loop)
         assert np.abs(sect5_reg.Sigma - oracle).max() < 1e-8 * max(1.0, np.abs(oracle).max())
 
     def test_idle_controller_is_resonant(self, sect5_plant, sect5_exo):
@@ -315,7 +329,7 @@ class TestRegulatorEquations:
         tol = synthesis.RESONANCE_RTOL * max(1.0, omega)
         cl, exo = self.detuned_idle_loop(omega, 1.1 * tol)
         sigma = solve_regulator(cl, exo).Sigma
-        oracle = sylvester_blocks(cl, exo.omegas)
+        oracle = sigma_oracle(cl)
         assert np.abs(sigma - oracle).max() < 1e-8 * np.abs(oracle).max()
 
     def test_plant_pole_is_solved_on_the_loop_blocks(self):
@@ -330,7 +344,7 @@ class TestRegulatorEquations:
             plant.transfer(0.0)
         assert np.abs(cl.spectrum - np.array([-1j, 1j]) * np.sqrt(0.1)).max() < 1e-15
         reg = solve_regulator(cl, exo)
-        assert np.abs(reg.Sigma - sylvester_blocks(cl, exo.omegas)).max() < 1e-12
+        assert np.abs(reg.Sigma - sigma_oracle(cl)).max() < 1e-12
         assert reg.residual2 == 0.0
 
     def test_residual_check_refuses_wrong_plant_rows(self, small_plant, small_exo, monkeypatch):
@@ -342,6 +356,20 @@ class TestRegulatorEquations:
         )
         with pytest.raises(ValueError, match="regulator residual"):
             solve_regulator(cl, small_exo)
+
+    def test_tiny_exosystem_passes_the_residual_check(self):
+        # the squares of entries near 1e-180 underflow: unscaled, ||Sigma||_F and
+        # ||Bcl||_F would read 0, and a bound of 0 refuse the residual 2.351e-196
+        plant = assemble_wave_plant(2, 2, 3.0)
+        zero, tiny = np.zeros(plant.output_dim), np.zeros(plant.output_dim)
+        tiny[2] = 1e-180
+        exo = build_exosystem([SignalTerm(zero, "sin", 1.0)], [SignalTerm(tiny, "sin", 1.0)],
+                              plant.basis.max_order)
+        cl = assemble_direct(plant, synth_regulating(plant, exo, 1.0), exo)
+        reg = solve_regulator(cl, exo)  # raises unless its residual check passes
+        assert 0.0 < reg.residual1 < 1e-8 * cl.norm * linalg.frobenius_norm(reg.Sigma)
+        assert linalg.frobenius_norm(reg.Sigma) == pytest.approx(
+            1e-180 * np.linalg.norm(1e180 * reg.Sigma), rel=1e-12, abs=0.0)
 
     def test_negative_control_breaks_regulation(self, sect5_plant, sect5_exo):
         ctrl = synth_regulating(sect5_plant, sect5_exo, 0.15)
