@@ -4,7 +4,7 @@ Contract-checked wrappers around numpy dense kernels (eig, SVD, solve, the
 Pade-13 matrix exponential of Higham 2005); each verifies its own result. eig
 and expm keep a real operand real; solve and SVD work in complex arithmetic.
 Every tolerance scaled by a Frobenius norm takes it from
-:func:`frobenius_norm`, which refuses one that overflows.
+:func:`frobenius_norm`, which refuses one that overflows and rescales a tiny one.
 :func:`solve_dense` refuses a matrix by its singular values, and only the
 oracles call it: :func:`sylvester_diag`, which :mod:`wavereg.checks` holds the
 regulator solve and both loop forms' transfers against, ``checks.sylvester_kron``
