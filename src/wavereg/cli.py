@@ -174,9 +174,6 @@ class RunConfig:
         loop.window_steps(s.window, s.dt, s.t_end)
         return self
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict):
@@ -245,10 +242,6 @@ def build_exo(cfg, plant):
     return _custom_exosystem(e, plant.basis)
 
 
-def build_controller(cfg, plant, exo):
-    return cfg.controller.synthesis()(plant, exo)
-
-
 class Run:
     """Plant, exosystem, configured controller, closed loop, regulator
     solution and error bound of one run configuration, each built on first
@@ -259,7 +252,7 @@ class Run:
 
     plant = cached_property(lambda self: build_plant(self.cfg))
     exo = cached_property(lambda self: build_exo(self.cfg, self.plant))
-    controller = cached_property(lambda self: build_controller(self.cfg, self.plant, self.exo))
+    controller = cached_property(lambda self: self.cfg.controller.synthesis()(self.plant, self.exo))
     closed_loop = cached_property(
         lambda self: loop.assemble_direct(self.plant, self.controller, self.exo)
     )
@@ -274,8 +267,8 @@ class Run:
 def _initial_state(spec, dim, name):
     """The initial state a validated ``x0``/``z0`` spec names: finite, of size ``dim``."""
     if spec == "zero":
-        return np.zeros(dim, dtype=complex)
-    vec = serialize.load_vector(spec["file"])
+        return np.zeros(dim)
+    vec = serialize.load_matrix(spec["file"]).ravel()
     if vec.size != dim or not np.isfinite(vec).all():
         raise ValueError(f"{name} from {spec['file']} has size {vec.size}, "
                          f"expected a finite vector of size {dim}")
@@ -405,7 +398,7 @@ def cmd_simulate(cfg, out_dir=None):
                        ylog=True)
         _svg_line_plot(out / "energy.svg", t, energy, "plant energy")
     meta = {
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "version": __version__,
         "abscissa": cl.abscissa,
         "J_final": J_final,

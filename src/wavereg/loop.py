@@ -62,12 +62,8 @@ class ClosedLoop:
         E_s = synthesis.stabilized_disturbance(plant, exo)
         zeros = np.zeros((plant.output_dim, ctrl.dim_z))
         for name, M in (("Bcl", np.vstack([plant.B @ E_s, ctrl.G2 @ exo.F])), ("Dcl", exo.F.copy()),
-                        ("Ccl", np.hstack([plant.C, zeros]).astype(complex))):
+                        ("Ccl", np.hstack([plant.C, zeros]))):
             object.__setattr__(self, name, M)
-
-    @property
-    def plant_dim(self):
-        return self.plant.state_dim
 
     @property
     def state_dim(self):
@@ -89,8 +85,7 @@ class ClosedLoop:
         plant, ctrl = self.plant, self.ctrl  # each row of B and column of C lies on one channel
         BK = np.linalg.norm(plant.B, axis=0)[:, None] * ctrl.K
         G2C = ctrl.G2 * np.linalg.norm(plant.C, axis=1)
-        copies = np.repeat(ctrl.omegas, ctrl.block_dim)  # the diagonal of G1 / i
-        entries = [M.ravel() for _, M, _ in plant.blocks] + [BK.ravel(), G2C.ravel(), copies]
+        entries = [M.ravel() for _, M, _ in plant.blocks] + [BK.ravel(), G2C.ravel(), ctrl.copies]
         return linalg.frobenius_norm(linalg.as_matrix(np.concatenate(entries), "closed loop"))
 
     @property
@@ -140,10 +135,6 @@ class Trajectory:
     errors: np.ndarray
     energies: np.ndarray
 
-    @property
-    def dt(self):
-        return float(self.t[1] - self.t[0])
-
     def error_norms_sq(self, weights=None):
         """Squared norms ||W e(t)||^2 of the errors, W = ``weights`` or the identity."""
         rows = range(0, self.errors.shape[0], _CHUNK)  # no full-length temporaries
@@ -184,7 +175,7 @@ def _channel_blocks(cl):
     most eps ||Acl||_F (``cl.norm``, which refuses a NaN or Inf) counts as zero, as in the dense
     entry search of the oracles. An unreached block keeps the plant's matrix and spectrum."""
     plant, ctrl, n_u = cl.plant, cl.ctrl, len(cl.plant.blocks)
-    n_p, K, G2, copies = plant.state_dim, ctrl.K, ctrl.G2, np.repeat(ctrl.omegas, ctrl.block_dim)
+    n_p, K, G2, copies = plant.state_dim, ctrl.K, ctrl.G2, ctrl.copies
     tol = np.finfo(float).eps * cl.norm
     f, s = (p - n_p for p in cl.pairs)
     KU, G2U = _pair(K.astype(complex), f, s, _U.conj().T), _pair(G2.T.astype(complex), f, s, _U.T)
@@ -395,7 +386,7 @@ def simulate_chunks(cl, exo, x0=None, t_end=20.0, dt=0.01):
     """
     n_rows, n = whole_steps(t_end, dt, "t_end") + 1, cl.state_dim
     x0 = _initial_rows(np.zeros(n) if x0 is None else x0, n)
-    w = np.pad(cl.plant.energy_weights, (0, n - cl.plant_dim))  # zero on controller states
+    w = np.pad(cl.plant.energy_weights, (0, cl.ctrl.dim_z))  # zero on controller states
     pc, pq, no = cl.pairs, _pairs(exo.omegas), _NO_PAIRS
     B, S = _mapped(cl.Bcl, pc, pq), _mapped(exo.S, pq, pq)
     C, D = _mapped(cl.Ccl, no, pc), _mapped(cl.Dcl, no, pq)
@@ -430,7 +421,7 @@ def windowed_error(traj, window=1.0, weights=None):
     window must be a multiple of the time step that fits into the horizon;
     ``weights`` (dim_y, dim_y), e.g. a projection P_N, apply to the errors
     before their norms are taken."""
-    dt = traj.dt
+    dt = float(traj.t[1] - traj.t[0])
     steps = window_steps(window, dt, traj.t[-1])
     values, _ = window_integrals(traj.error_norms_sq(weights), dt, steps)
     return ErrorSeries(t=traj.t[: traj.t.size - steps], values=values)

@@ -54,11 +54,6 @@ def load_matrix(path):
     return values.view(complex) if complex_flag else values
 
 
-def load_vector(path):
-    """Read a matrix file and flatten it to a vector."""
-    return load_matrix(path).ravel()
-
-
 @contextlib.contextmanager
 def csv_table(path, names):
     """Write a CSV table with the columns ``names`` to ``path``: a header line, then

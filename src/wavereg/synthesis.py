@@ -76,6 +76,11 @@ class Controller:
         return np.kron(np.diag(1j * self.omegas), np.eye(self.block_dim))
 
     @property
+    def copies(self):
+        """The frequency of each controller state, the diagonal of G1 / i."""
+        return np.repeat(self.omegas, self.block_dim)
+
+    @property
     def K(self):
         return self.eps * self.K0
 
@@ -105,8 +110,8 @@ class GReport:
 
 @dataclass(frozen=True)
 class RegulatorSolution:
-    """Solution Sigma of the Sylvester regulator equation, with its
-    internal-model block ``Gamma`` (the rows below the plant state).
+    """Solution Sigma of the Sylvester regulator equation; its rows below the
+    plant state are the internal-model block.
 
     ``residual1`` is the defect of Sigma S = A_e Sigma + B_e. ``error_map``
     is C_e Sigma + D_e, whose k-th column is the asymptotic tracking error
@@ -116,7 +121,6 @@ class RegulatorSolution:
     """
 
     Sigma: np.ndarray
-    Gamma: np.ndarray
     residual1: float
     error_map: np.ndarray
 
@@ -313,9 +317,8 @@ def solve_regulator(closed_loop, exo):
     Sigma on the parts) exceeds 1e-8 (||Acl|| ||Sigma|| + ||Bcl||) (Frobenius,
     ||Acl|| the loop's ``norm``).
     """
-    plant, ctrl, n_p = closed_loop.plant, closed_loop.ctrl, closed_loop.plant_dim
-    E_s, K = stabilized_disturbance(plant, exo), ctrl.K
-    copies = np.repeat(ctrl.omegas, ctrl.block_dim)  # the diagonal of G1 / i
+    plant, ctrl, n_p = closed_loop.plant, closed_loop.ctrl, closed_loop.plant.state_dim
+    E_s, K, copies = stabilized_disturbance(plant, exo), ctrl.K, ctrl.copies
     Bcl, Sigma = closed_loop.Bcl, np.empty(closed_loop.Bcl.shape, dtype=complex)
     for k, w in enumerate(exo.omegas):
         if np.abs(closed_loop.spectrum - 1j * w).min() <= RESONANCE_RTOL * max(1.0, abs(w)):
@@ -333,7 +336,7 @@ def solve_regulator(closed_loop, exo):
     if resid1 > bound:
         raise ValueError(f"regulator residual {resid1:.3e} exceeds {bound:.3e}")
     return RegulatorSolution(
-        Sigma=Sigma, Gamma=Sigma[n_p:], residual1=float(resid1),
+        Sigma=Sigma, residual1=float(resid1),
         error_map=closed_loop.Ccl @ Sigma + closed_loop.Dcl,
     )
 

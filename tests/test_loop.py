@@ -74,6 +74,7 @@ class TestAssembly:
             sect5_loop.Ccl, np.hstack([sect5_plant.C, np.zeros((23, n_z))]).astype(complex)
         )
         assert np.array_equal(sect5_loop.Dcl, sect5_exo.F)
+        assert sect5_loop.Ccl.dtype == np.float64  # the plant's output is real
 
     def test_spectrum_checks_residual_per_block(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -249,7 +250,7 @@ class TestSimulation:
             v0=np.ones(1, dtype=complex),
         )
         cl = assemble_direct(plant, copyless_controller(), exo)  # As = -1, Bcl = E = 1, Dcl = F = 0
-        assert cl.abscissa == -1.0 and cl.plant_dim == 1
+        assert cl.abscissa == -1.0 and cl.plant.state_dim == 1
         traj = simulate_exact(cl, exo, t_end=5.0, dt=0.01)
         expected = (np.exp(1j * traj.t) - np.exp(-traj.t)) / (1.0 + 1j)
         # Ccl = 1 and Dcl = 0, so the error is the state; e^{it} has no
@@ -273,7 +274,7 @@ class TestSimulation:
         dt = 0.01
         for rate, n_steps in [(40.0, 200), (10.0, 500)]:
             cl = assemble_direct(scalar_plant(a=rate), copyless_controller(), exo)
-            assert cl.abscissa == rate and cl.plant_dim == 1
+            assert cl.abscissa == rate and cl.plant.state_dim == 1
             states, _, _ = sequential_reference(checks.dense_loop(cl), cl.plant, exo, np.ones(1), n_steps, dt)
             norms = np.hypot(np.abs(states[:, 0]), np.abs(exo.v0[0]))
             first = int(np.argmax(norms > 1e12 * (1.0 + norms[0])))
@@ -527,6 +528,18 @@ class TestBlockStepping:
         assert [idx.tolist() for idx in cl.blocks] == oracle
         joined = next(idx for idx in cl.blocks if plant.state_dim in idx)  # the copies' block
         assert 0 < np.isin(np.flatnonzero(plant.channels == 1), joined).sum() < traces.size
+
+    def test_unreached_plant_block_spectra_are_computed_once_per_plant(self, sect5_exo, monkeypatch):
+        # the approx5 copies reach the 11 channels of Y_N: 11 joined blocks of 16 + 4
+        # states and 12 plant blocks of 16. The plant's blocks keep their spectra, so a
+        # second loop on the same plant, at another gain, computes its joined blocks alone
+        plant, eig, sizes = assemble_wave_plant(8, 12, 3.0), linalg.eig, []
+        monkeypatch.setattr(linalg, "eig", lambda M: sizes.append(len(M)) or eig(M))
+        for eps, expected in ((0.15, [16] * 12 + [20] * 11), (0.3, [20] * 11)):
+            sizes.clear()
+            assemble_direct(plant, synth_approx_robust(plant, sect5_exo, 5, eps), sect5_exo).spectrum
+            assert sorted(sizes) == expected
+
 
 class TestMemory:
     def test_peak_allocation_scales_with_outputs_not_states(self, small_plant, small_exo):

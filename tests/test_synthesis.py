@@ -141,6 +141,10 @@ class TestApproxRobustController:
             mask[k * 11 : (k + 1) * 11, k * 11 : (k + 1) * 11] = False
         assert not G1[mask].any()
 
+    def test_copies_are_the_diagonal_of_g1(self, approx5):
+        # the frequency of each controller state, block_dim states per frequency
+        assert np.array_equal(1j * approx5.copies, np.diag(approx5.G1))
+
     def test_g2_blocks_are_minus_projection(self, approx5):
         sel = np.eye(23)[:11]
         for k in range(4):
@@ -430,7 +434,7 @@ class TestErrorBound:
         P = approx5.projector()
         Ps = synthesis._frequency_data(sect5_plant, sect5_exo)
         E_s = synthesis.stabilized_disturbance(sect5_plant, sect5_exo)
-        terms = Ps.T * (approx5.K @ sect5_reg.Gamma + E_s) + sect5_exo.F
+        terms = Ps.T * (approx5.K @ sect5_reg.Sigma[sect5_plant.state_dim :] + E_s) + sect5_exo.F
         oracle = np.sum(np.abs((np.eye(P.shape[0]) - P) @ terms) ** 2)
         bound = error_bound_delta(sect5_reg, sect5_loop, P)
         assert bound.delta_coarse == pytest.approx(oracle, rel=1e-10)
